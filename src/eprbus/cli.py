@@ -41,7 +41,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .decoherence import LossBudget, apply_budget, damping_penalty, mismatch_penalty
+from .decoherence import (
+    LossBudget,
+    apply_budget,
+    damping_penalty,
+    mismatch_excess,
+    mismatch_penalty,
+)
 from .gaussian import (
     EPRReport,
     InvalidChannelError,
@@ -94,6 +100,18 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in section {where!r}")
 
 
+def _section(raw: dict, name: str) -> dict:
+    """A copy of the mapping under ``name``; an absent or empty section is ``{}``."""
+    value = raw.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"section {name!r} must be a mapping of keys, got {type(value).__name__}"
+        )
+    return dict(value)
+
+
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate a scenario file into a plain dict."""
     try:
@@ -133,18 +151,20 @@ def validate_scenario(raw: dict) -> dict:
     if ("model" in raw) == ("setup" in raw):
         raise ScenarioError("exactly one of the keys 'model'/'setup' must be present")
 
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"key 'seed' must be an integer: {err}") from err
     scenario = {
         "protocol": protocol,
-        "seed": int(raw.get("seed", 0)),
-        "losses": dict(raw.get("losses") or {}),
-        "feedback": dict(raw.get("feedback") or {}),
-        "teleport": dict(raw.get("teleport") or {}),
-        "verify": dict(raw.get("verify") or {}),
-        "oracle": dict(raw.get("oracle") or {}),
-        "output": dict(raw.get("output") or {}),
+        "seed": seed,
+        **{
+            name: _section(raw, name)
+            for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
+        },
     }
     if "model" in raw:
-        model = dict(raw["model"])
+        model = _section(raw, "model")
         _require_keys(
             model,
             {
@@ -163,7 +183,7 @@ def validate_scenario(raw: dict) -> dict:
             raise ScenarioError("key 'model.kappa' is required")
         scenario["model"] = model
     else:
-        scenario["setup"] = _validate_setup(dict(raw["setup"]))
+        scenario["setup"] = _validate_setup(_section(raw, "setup"))
 
     _require_keys(
         scenario["losses"], {"eps_mismatch", "photon_loss", "gamma_m_tau", "n_th"}, "losses"
@@ -180,7 +200,7 @@ def validate_scenario(raw: dict) -> dict:
         raise ScenarioError(f"key 'output.format' must be 'json' or 'csv', got {fmt!r}")
 
     if "sweep" in raw:
-        sweep = dict(raw["sweep"] or {})
+        sweep = _section(raw, "sweep")
         _require_keys(sweep, {"path", "values"}, "sweep")
         if "path" not in sweep or "values" not in sweep:
             raise ScenarioError("sweep section requires keys 'path' and 'values'")
@@ -200,7 +220,7 @@ def _validate_setup(section: dict) -> dict:
     ):
         if sub not in section:
             raise ScenarioError(f"key 'setup.{sub}' is required")
-        _require_keys(dict(section[sub]), keys, f"setup.{sub}")
+        _require_keys(_section(section, sub), keys, f"setup.{sub}")
         missing = keys - set(section[sub]) - {"wavelength_m"}
         if missing:
             raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{sub}'")
@@ -290,7 +310,7 @@ def build_losses(scenario: dict) -> LossBudget:
             gamma_m_tau=float(section.get("gamma_m_tau", 0.0)),
             n_th=float(section.get("n_th", 0.0)),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ScenarioError(f"invalid 'losses' section: {err}") from err
 
 
@@ -349,6 +369,12 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         if not losses.empty:
             corrected = apply_budget(report, losses, params.kappa, params.n_i)
             results["corrected"] = _report_dict(corrected)
+            if losses.eps_mismatch:
+                # the exact excess of the modeled mismatch; ``corrected``
+                # keeps the paper's budget term
+                results["mismatch_excess"] = mismatch_excess(
+                    losses.eps_mismatch, params.kappa, params.n_i
+                )
     elif protocol == "verify":
         state, gen_report, _ = run_epr_generation(
             _initial_state(params), params, FeedbackConfig.conditional()

@@ -14,8 +14,9 @@ injected noise that the readout conditions away.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .gaussian import EPRReport
 
@@ -34,6 +35,9 @@ class LossBudget:
     n_th: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         for name in ("eps_mismatch", "photon_loss", "gamma_m_tau", "n_th"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

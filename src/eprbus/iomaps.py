@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -81,6 +81,9 @@ class ProtocolParams:
     eta_det: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         for name in ("kappa", "n_i", "gamma_c", "tau", "gamma_m", "n_th"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

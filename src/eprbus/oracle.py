@@ -20,8 +20,34 @@ cos/sin temporal components of the output field,
 
 where ``c = kappa sqrt(2/tau)`` and the vacuum inputs have symmetrized
 correlators ``delta(t - t') / 2``.  The dynamics are linear, so first and
-second moments are exact and obey ``dSigma/dt = A Sigma + Sigma A^T + D``;
-a fixed-step fourth-order integrator propagates them.
+second moments are exact and obey ``dSigma/dt = A Sigma + Sigma A^T + D``
+and ``dmean/dt = A mean``; a fixed-step fourth-order (RK4) integrator
+propagates them.
+
+Both equations are linear in the augmented state ``x = [vec Sigma; mean; 1]``
+of 73 entries, ``dx/dt = G(t) x``, and ``G`` depends on time only through
+the Larmor phase: ``G(t) = sum_j f_j(t) B_j`` with
+``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The ``B_j`` are
+read off :meth:`DriftNoiseModel.drift_matrix` and
+:meth:`DriftNoiseModel.noise_columns`, so the physics is written once.  One
+RK4 kernel steps either a state or a 73 x 73 matrix of states, and two
+routes use it:
+
+* the *period route*.  When ``q = 2 pi / (Omega dt)`` is a whole number
+  (within roundoff), every Larmor period repeats the same ``q`` step maps.
+  Stepping the identity through one period gives the period map ``P`` (the
+  monodromy matrix of Floquet theory); the pulse is ``P`` applied once per
+  whole period, then the remaining steps of a fractional period.
+* the *stepped route* steps the state itself.  It serves per-step output
+  (trajectory rows, the conservation drift), grids that are not
+  commensurate, and pulses too short for building ``P`` to pay off.
+
+Either way the result is the same RK4 scheme on the same grid: each RK4
+step is a linear map of ``x``, so composing the step maps of a period first
+changes only the order of the floating-point operations (agreement to about
+1e-14 relative in the covariance).  ``P`` is cached per drift model, keyed
+on what fixes the drift and never on ``n_i``, so a grid over initial
+occupations builds it once.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -35,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -55,8 +81,30 @@ from .iomaps import COS_MODE, SIN_MODE, ProtocolParams
 #: at this density.
 MIN_STEPS_PER_PERIOD = 200
 
+#: Whole Larmor periods from which the period route is taken.  Building the
+#: map steps a 73 x 73 matrix through one period, which costs about as much
+#: as stepping a single state through four or five (on one BLAS thread,
+#: 25-40 ms against 5-10 ms per period of 200 steps); a second pulse on the
+#: same drift model, as in a grid over n_i, then costs almost nothing.
+_MAP_MIN_PERIODS = 4
+
 # state vector ordering
 _XM, _PM, _XA, _PA, _YXC, _YPC, _YXS, _YPS = range(8)
+
+# augmented state x = [vec Sigma (row-major); mean; 1]
+_N_SIGMA = 64
+_MEAN = slice(_N_SIGMA, _N_SIGMA + 8)
+_DIM = _N_SIGMA + 8 + 1
+
+#: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
+#: the grid counts as commensurate with the Larmor period (roundoff only).
+_COMMENSURATE_RTOL = 1e-12
+
+#: Period maps and generator bases by drift key, least recently used first.
+#: An entry takes about 55 kB.  Four entries leave room for a model that
+#: alternates with its matched baseline, as ``compare`` does in a sweep.
+_PERIOD_MAP_CACHE_SIZE = 4
+_period_maps: dict[tuple, tuple[tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -222,74 +270,189 @@ def propagate_moments(
     the grid actually used.  ``trajectory`` receives CSV rows
     ``t, var_xsum, var_pdiff, var_ypc, var_yps`` when given.
 
+    Both routes (see the module docstring) take the same ``model.n_steps``
+    RK4 steps of ``model.dt`` and differ only in the order of floating-point
+    operations.  The period route is taken when the grid is commensurate
+    with the Larmor period, neither ``trajectory`` nor ``return_info`` asks
+    for every step, and the pulse spans at least four whole periods (the
+    measured crossover below which stepping the state is cheaper than
+    building the map).  It takes the model's period map from the cache or
+    builds and caches it; the route, and so the result, never depends on
+    what the cache holds.  Otherwise the stepped route visits every step;
+    the conservation drift is computed only under ``return_info``.
+
     The accumulated temporal modes only become canonical pairs once the pulse
     is complete (and exactly so only for an integer number of Larmor
     periods), so the returned state skips the uncertainty validation.
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
-    dt = model.dt
-    omega = model.params.Omega
+    x = np.concatenate((cov.ravel(), mean, (1.0,)))
+    dt, omega = model.dt, model.params.Omega
+    key = _drift_key(model)
+    cached = _period_maps.get(key)
+    q = _period_steps(model)
+    per_step = trajectory is not None or return_info
+    max_drift = {"max_rel_drift_xsum": 0.0, "max_rel_drift_pdiff": 0.0}
 
-    def deriv(t: float, mu: np.ndarray, sigma: np.ndarray):
-        a = model.drift_matrix(t)
-        b = model.noise_columns(t)
-        a_sigma = a @ sigma
-        return a @ mu, a_sigma + a_sigma.T + b @ b.T
+    if not per_step and q and model.n_steps >= _MAP_MIN_PERIODS * q:
+        if cached:
+            _period_maps[key] = cached = _period_maps.pop(key)  # most recent last
+        else:
+            cached = _store_period_map(key, model, q)
+        basis, period_map = cached
+        whole, rest = divmod(model.n_steps, q)
+        for _ in range(whole):
+            x = period_map @ x
+        x = _advance(model, basis, x, whole * q, rest)
+    else:
+        basis = cached[0] if cached else _generator_basis(model)
+        refs = [float(v @ cov @ v) for v in _epr_coefficients(0.0)]
 
-    v_sum0, v_diff0 = _epr_coefficients(0.0)
-    ref_sum = float(v_sum0 @ cov @ v_sum0)
-    ref_diff = float(v_diff0 @ cov @ v_diff0)
-    max_drift_sum = 0.0
-    max_drift_diff = 0.0
+        def visit(k: int, x: np.ndarray) -> None:
+            sigma = x[:_N_SIGMA].reshape(8, 8)
+            if trajectory is not None:
+                _dump_row(trajectory, k * dt, sigma)
+            if return_info:
+                coefficients = _epr_coefficients(omega * (k * dt))
+                for name, v, ref in zip(max_drift, coefficients, refs):
+                    if ref > 0.0:
+                        drift = abs(float(v @ sigma @ v) - ref) / ref
+                        max_drift[name] = max(max_drift[name], drift)
 
-    if trajectory is not None:
-        trajectory.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
-
-    t = 0.0
-    for step in range(model.n_steps):
         if trajectory is not None:
-            _dump_row(trajectory, t, mean, cov)
-        k1m, k1c = deriv(t, mean, cov)
-        k2m, k2c = deriv(t + dt / 2, mean + dt / 2 * k1m, cov + dt / 2 * k1c)
-        k3m, k3c = deriv(t + dt / 2, mean + dt / 2 * k2m, cov + dt / 2 * k2c)
-        k4m, k4c = deriv(t + dt, mean + dt * k3m, cov + dt * k3c)
-        mean = mean + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-        t = (step + 1) * dt
-        v_sum, v_diff = _epr_coefficients(omega * t)
-        if ref_sum > 0.0:
-            max_drift_sum = max(
-                max_drift_sum, abs(float(v_sum @ cov @ v_sum) - ref_sum) / ref_sum
-            )
-        if ref_diff > 0.0:
-            max_drift_diff = max(
-                max_drift_diff, abs(float(v_diff @ cov @ v_diff) - ref_diff) / ref_diff
-            )
-    if trajectory is not None:
-        _dump_row(trajectory, t, mean, cov)
+            trajectory.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
+            visit(0, x)
+        x = _advance(model, basis, x, 0, model.n_steps, visit if per_step else None)
 
+    cov = x[:_N_SIGMA].reshape(8, 8)
     cov = (cov + cov.T) / 2.0
-    state = GaussianState(
-        (mech, atom, COS_MODE, SIN_MODE), mean, cov, validate=False
-    )
+    state = GaussianState((mech, atom, COS_MODE, SIN_MODE), x[_MEAN], cov, validate=False)
     if not return_info:
         return state
-    info = {
-        "n_steps": model.n_steps,
-        "dt": dt,
-        "max_rel_drift_xsum": max_drift_sum,
-        "max_rel_drift_pdiff": max_drift_diff,
-    }
-    return state, info
+    return state, {"n_steps": model.n_steps, "dt": dt, **max_drift}
 
 
-def _dump_row(stream: TextIO, t: float, mean: np.ndarray, cov: np.ndarray) -> None:
+def _dump_row(stream: TextIO, t: float, cov: np.ndarray) -> None:
     var_xsum = float(cov[_XM, _XM] + cov[_XA, _XA] + 2 * cov[_XM, _XA])
     var_pdiff = float(cov[_PM, _PM] + cov[_PA, _PA] - 2 * cov[_PM, _PA])
     stream.write(
         f"{float(t)!r},{var_xsum!r},{var_pdiff!r},"
         f"{float(cov[_YPC, _YPC])!r},{float(cov[_YPS, _YPS])!r}\n"
     )
+
+
+def _drift_key(model: DriftNoiseModel) -> tuple:
+    """What fixes a pulse's drift and diffusion; ``n_i`` only sets the start."""
+    p = model.params
+    return (
+        model.kappa_mech,
+        model.kappa_atom,
+        model.damping,
+        model.n_steps,
+        model.dt,
+        p.Omega,
+        p.omega_m,
+        p.tau,
+        p.gamma_m if model.damping else 0.0,
+        p.n_th if model.damping else 0.0,
+    )
+
+
+def _period_steps(model: DriftNoiseModel) -> int:
+    """Steps per Larmor period when they are a whole number, else 0."""
+    steps = 2.0 * math.pi / (model.params.Omega * model.dt)
+    q = round(steps)
+    return q if q >= 1 and abs(steps - q) <= _COMMENSURATE_RTOL * q else 0
+
+
+def _generator_basis(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j`` in sparse form.
+
+    ``dx/dt = G(t) x`` on ``x = [vec Sigma; mean; 1]`` (row-major ``vec``) is
+    ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
+    ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of the Larmor phase
+    ``Omega t``.  The drift and the noise columns are affine in (cos, sin);
+    their three parts are solved from ``drift_matrix`` and ``noise_columns``
+    at three phases, so the physics stays written there.  Returned are the
+    flat positions where some ``B_j`` is nonzero (under 200 of the 5329) and
+    the ``(6, n)`` values of the ``B_j`` there.
+    """
+    omega = model.params.Omega
+    times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
+    trig = np.array([[1.0, math.cos(omega * t), math.sin(omega * t)] for t in times])
+    unmix = np.linalg.inv(trig)
+    drift = np.tensordot(unmix, [model.drift_matrix(t) for t in times], axes=1)
+    n0, nc, ns = np.tensordot(unmix, [model.noise_columns(t) for t in times], axes=1)
+    diffusion = (
+        n0 @ n0.T,
+        n0 @ nc.T + nc @ n0.T,
+        n0 @ ns.T + ns @ n0.T,
+        nc @ nc.T,
+        ns @ ns.T,
+        nc @ ns.T + ns @ nc.T,
+    )
+    basis = np.zeros((6, _DIM, _DIM))
+    eye = np.eye(8)
+    for j, a in enumerate(drift):
+        basis[j, :_N_SIGMA, :_N_SIGMA] = np.kron(a, eye) + np.kron(eye, a)
+        basis[j, _MEAN, _MEAN] = a
+    basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, _N_SIGMA))
+    basis = basis.reshape(6, -1)
+    support = np.flatnonzero(basis.any(axis=0))
+    return support, basis[:, support]
+
+
+def _generator(basis: tuple[np.ndarray, np.ndarray], phase: float) -> np.ndarray:
+    """``G`` at Larmor phase ``phase``, a dense 73 x 73 matrix."""
+    support, values = basis
+    cos, sin = math.cos(phase), math.sin(phase)
+    g = np.zeros(_DIM * _DIM)
+    g[support] = np.array((1.0, cos, sin, cos * cos, sin * sin, cos * sin)) @ values
+    return g.reshape(_DIM, _DIM)
+
+
+def _advance(
+    model: DriftNoiseModel,
+    basis: tuple[np.ndarray, np.ndarray],
+    x: np.ndarray,
+    k0: int,
+    count: int,
+    visit: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """Take RK4 steps ``k0 .. k0 + count - 1`` of ``dx/dt = G(t) x``.
+
+    Step ``k`` runs from ``t = k dt`` to ``(k + 1) dt``.  ``x`` is one
+    augmented state or a 73 x 73 matrix whose columns are states; the period
+    map is the identity advanced over one period.  ``visit(k + 1, x)`` sees
+    the state after each step.
+    """
+    h = model.dt
+    omega = model.params.Omega
+    g_start = _generator(basis, omega * (k0 * h))
+    for k in range(k0, k0 + count):
+        g_mid = _generator(basis, omega * (k * h + h / 2))
+        g_end = _generator(basis, omega * ((k + 1) * h))
+        k1 = g_start @ x
+        k2 = g_mid @ (x + h / 2 * k1)
+        k3 = g_mid @ (x + h / 2 * k2)
+        k4 = g_end @ (x + h * k3)
+        x = x + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
+        g_start = g_end
+        if visit is not None:
+            visit(k + 1, x)
+    return x
+
+
+def _store_period_map(
+    key: tuple, model: DriftNoiseModel, q: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Build the generator basis and the map of one ``q``-step period; cache both."""
+    basis = _generator_basis(model)
+    entry = basis, _advance(model, basis, np.eye(_DIM), 0, q)
+    if len(_period_maps) >= _PERIOD_MAP_CACHE_SIZE:
+        del _period_maps[next(iter(_period_maps))]  # least recently used
+    _period_maps[key] = entry
+    return entry
 
 
 def oracle_epr_after_measurement(

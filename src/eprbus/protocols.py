@@ -80,6 +80,9 @@ class FeedbackConfig:
 
 def predict_epr_variance(kappa: float, n_i: float) -> float:
     """Minimal EPR variance of the protocol, ``2 / [(1 + n_i)^-1 + 2 kappa^2]``."""
+    for name, value in (("kappa", kappa), ("n_i", n_i)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if kappa < 0.0 or n_i < 0.0:
         raise ValueError("kappa and n_i must be non-negative")
     return 2.0 / (1.0 / (1.0 + n_i) + 2.0 * kappa**2)

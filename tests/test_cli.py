@@ -11,6 +11,7 @@ from eprbus.cli import (
     load_scenario,
     main,
 )
+from eprbus.decoherence import mismatch_excess, mismatch_penalty
 
 MICROMIRROR_SETUP = {
     "mech": {"omega_m_hz": 5.0e6, "mass_kg": 1.0e-12, "q_factor": 5.0e5, "temperature_k": 0.2},
@@ -84,6 +85,52 @@ class TestValidation:
         )
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("losses", [0.05, 0.07]),
+            ("losses", ["a", "b"]),
+            ("feedback", "optimal"),
+            ("output", 3),
+            ("sweep", [1.0, 2.0]),
+            ("model", [1.0]),
+        ],
+    )
+    def test_non_mapping_section_named(self, tmp_path, capsys, section, value):
+        payload = {"protocol": "epr_conditional", "model": {"kappa": 1.0}, section: value}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert f"section '{section}' must be a mapping" in capsys.readouterr().err
+
+    def test_non_mapping_setup_subsection_named(self, tmp_path, capsys):
+        setup = dict(MICROMIRROR_SETUP, mech=[5.0e6, 1.0e-12])
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": "epr_conditional", "setup": setup})
+        assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
+        assert "section 'mech' must be a mapping" in capsys.readouterr().err
+
+    def test_empty_model_section_asks_for_kappa(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text("protocol: epr_conditional\nmodel:\n")
+        assert main(["run", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "model.kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key", [("model", "kappa"), ("model", "n_i"), ("losses", "photon_loss")]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_named(self, tmp_path, capsys, section, key, value):
+        payload = {"protocol": "epr_conditional", "model": {"kappa": 1.0}}
+        payload.setdefault(section, {})[key] = value
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_seed_must_be_an_integer(self, tmp_path, capsys):
+        payload = {"protocol": "epr_conditional", "seed": "abc", "model": {"kappa": 1.0}}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert "'seed'" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # verification with kappa = 0 passes validation but fails at run time
         path = write_scenario(
@@ -129,6 +176,44 @@ class TestRun:
         assert main(["run", "--scenario", path]) == EXIT_OK
         corrected = read_json(out)["results"]["corrected"]
         assert corrected["delta_epr"] == pytest.approx(0.8, abs=1e-9)
+
+    def test_mismatch_excess_beside_corrected(self, tmp_path):
+        # hot mode: the paper's budget term adds +0.1024, while the mismatch
+        # the oracle models lowers the conditional EPR variance
+        out = tmp_path / "r.json"
+        path = write_scenario(
+            tmp_path,
+            "mm.yaml",
+            {
+                "protocol": "epr_conditional",
+                "model": {"kappa": 1.0, "n_i": 30.0},
+                "losses": {"eps_mismatch": 0.01},
+                "output": {"path": str(out)},
+            },
+        )
+        assert main(["run", "--scenario", path]) == EXIT_OK
+        results = read_json(out)["results"]
+        penalty = results["corrected"]["corrections"]["mismatch_penalty"]
+        assert penalty == pytest.approx(mismatch_penalty(0.01, 1.0, 30.0), rel=1e-12)
+        assert results["mismatch_excess"] == pytest.approx(
+            mismatch_excess(0.01, 1.0, 30.0), rel=1e-12
+        )
+        assert penalty > 0.0 > results["mismatch_excess"]
+
+    def test_no_mismatch_excess_without_declared_mismatch(self, tmp_path):
+        out = tmp_path / "r.json"
+        path = write_scenario(
+            tmp_path,
+            "loss.yaml",
+            {
+                "protocol": "epr_conditional",
+                "model": {"kappa": 1.0},
+                "losses": {"photon_loss": 0.1},
+                "output": {"path": str(out)},
+            },
+        )
+        assert main(["run", "--scenario", path]) == EXIT_OK
+        assert "mismatch_excess" not in read_json(out)["results"]
 
     def test_teleport_protocol(self, tmp_path):
         out = tmp_path / "t.json"

@@ -123,6 +123,14 @@ class TestPhotonLossMap:
             photon_loss_map(1.0, 1.5)
 
 
+class TestLossBudget:
+    @pytest.mark.parametrize("name", ["eps_mismatch", "photon_loss", "gamma_m_tau", "n_th"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LossBudget(**{name: value})
+
+
 class TestApplyBudget:
     def test_empty_budget_is_identity(self):
         rep = report_for(2.0 / 3.0)

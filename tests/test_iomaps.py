@@ -49,6 +49,15 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match="eta_det"):
             ProtocolParams(kappa=1.0, eta_det=1.5)
 
+    @pytest.mark.parametrize(
+        "name", ["kappa", "n_i", "g", "Omega", "tau", "eps_mismatch", "eta_det"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, name, value):
+        # nan slips through every range check (nan < 0 is False)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ProtocolParams(**{"kappa": 1.0, name: value})
+
     def test_degenerate_matching_is_nan(self):
         params = ProtocolParams(kappa=0.0, g=0.0)
         assert math.isnan(params.matching_residual())

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from eprbus import oracle
 from eprbus.gaussian import atomic_mode, make_state, mechanical_mode
 from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams
 from eprbus.oracle import (
@@ -16,6 +19,41 @@ from eprbus.protocols import predict_epr_variance
 #: Declared integration tolerance: halving dt moves no reported variance by
 #: more than this (relative).
 INTEGRATION_TOL = 1e-5
+#: Agreement of two orderings of the same RK4 arithmetic, relative to the
+#: largest covariance entry.
+ROUTE_RTOL = 1e-10
+
+
+#: Fewest whole periods for which an uncached model takes the period route.
+MAP_MIN_PERIODS = oracle._MAP_MIN_PERIODS
+
+
+def unit_pulse(kappa: float, n_i: float, periods: float, **extra) -> ProtocolParams:
+    """Matched unit-length pulse over a possibly fractional number of periods."""
+    omega = 2.0 * math.pi * periods
+    gamma_c = 1e6
+    return ProtocolParams(
+        kappa=kappa,
+        n_i=n_i,
+        g=kappa * math.sqrt(gamma_c),
+        gamma_c=gamma_c,
+        omega_m=omega,
+        Omega=omega,
+        tau=1.0,
+        **extra,
+    )
+
+
+def assert_same_moments(state, cov, mean) -> None:
+    scale = np.abs(cov).max()
+    np.testing.assert_allclose(state.cov, cov, rtol=ROUTE_RTOL, atol=ROUTE_RTOL * scale)
+    np.testing.assert_allclose(state.mean, mean, rtol=ROUTE_RTOL, atol=ROUTE_RTOL * scale)
+
+
+def stepped(model, initial=None):
+    """The stepped route: per-step output forces it."""
+    state, _ = propagate_moments(model, initial=initial, return_info=True)
+    return state
 
 
 class TestBuildModel:
@@ -143,6 +181,233 @@ class TestOracleEPR:
         )
         assert report.delta_epr == pytest.approx(10.0, rel=1e-9)
         assert not report.entangled
+
+
+REGRESSION_CASES = {
+    "plain@8": lambda: build_model(ProtocolParams.dimensionless(1.2, 3.0, larmor_periods=8)),
+    "hot@12.5": lambda: build_model(unit_pulse(0.9, 600.0, 12.5)),
+    "mismatch@16": lambda: build_model(
+        ProtocolParams.dimensionless(1.5, 20.0, larmor_periods=16, eps_mismatch=0.03),
+        mismatch=True,
+    ),
+    "damping@16": lambda: build_model(
+        ProtocolParams.dimensionless(0.8, 5.0, larmor_periods=16, gamma_m=0.02, n_th=1.5),
+        damping=True,
+    ),
+    "plain@12.3456": lambda: build_model(unit_pulse(1.1, 10.0, 12.3456)),
+    "mean@8": lambda: build_model(ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8)),
+}
+
+DISPLACED_INITIAL = {
+    "mean@8": lambda: make_state(
+        [(mechanical_mode("m"), 2.0, (0.3, -0.2)), (atomic_mode("a"), 0.0, (0.1, 0.4))]
+    ),
+}
+
+#: Final covariances and means recorded from the per-step RK4 integrator that
+#: preceded the period map: whole periods, a 12.5-period remainder, mismatch,
+#: damping, a grid not commensurate with the Larmor period (12.3456 periods),
+#: and a displaced initial state.
+RECORDED = {
+    "plain@8": (
+        [
+            [4.220000093380846, 4.894504819031857e-09, -0.7200000933808495, 4.894504784779539e-09,
+             -1.2201413601350963e-07, 4.199999896637074, -0.5999999901026042, -8.549914027877747e-07],
+            [4.894504819031857e-09, 4.219999906619153, -4.894504784779539e-09, 0.7199999066191503,
+             0.5999999852338669, 8.540989460681381e-07, -1.2214162834964237e-07, 4.199999930718233],
+            [-0.7200000933808495, -4.894504784779539e-09, 1.2200000933808495, -4.894505797866519e-09,
+             1.2201413601350963e-07, 0.5999999852338667, 0.5999999901026042, -1.221416273539111e-07],
+            [4.894504784779539e-09, 0.7199999066191503, -4.894505797866519e-09, 1.2199999066191487,
+             0.5999999852338669, -1.220141357533011e-07, -1.2214162834964237e-07, -0.5999999901026034],
+            [-1.2201413601350963e-07, 0.5999999852338669, 1.2201413601350963e-07, 0.5999999852338669,
+             0.49999999999999994, 1.2018402809070916e-19, 1.603941588920743e-17, 2.2203974308373672e-20],
+            [4.199999896637074, 8.540989460681381e-07, 0.5999999852338667, -1.220141357533011e-07,
+             1.2018402809070916e-19, 6.259999757845544, -7.388590310472234e-19, -1.4511503977632234e-15],
+            [-0.5999999901026042, -1.2214162834964237e-07, 0.5999999901026042, -1.2214162834964237e-07,
+             1.603941588920743e-17, -7.388590310472234e-19, 0.5, 1.856718740217746e-19],
+            [-8.549914027877747e-07, 4.199999930718233, -1.221416273539111e-07, -0.5999999901026034,
+             2.2203974308373672e-20, -1.4511503977632234e-15, 1.856718740217746e-19, 6.2599998511305355],
+        ],
+        [0.0] * 8,
+    ),
+    "hot@12.5": (
+        [
+            [600.9050000525268, 2.753741862974967e-09, -0.40500005252670784, 2.7533515903312226e-09,
+             1.431332193393975e-07, -540.4499850758898, 0.44999999122514883, 0.00017201783601095144],
+            [2.753741862974967e-09, 600.9049999474751, -2.7533515903312226e-09, 0.4049999474732916,
+             -0.4499999875735952, -0.00017190299610092552, 1.4322883921946694e-07, -540.4499894614052],
+            [-0.40500005252670784, -2.7533515903312226e-09, 0.9050000525267086, -2.753350564720013e-09,
+             -1.431332193393975e-07, -0.449999987573596, -0.44999999122514883, 1.4322883970518951e-07],
+            [2.7533515903312226e-09, 0.4049999474732916, -2.753350564720013e-09, 0.9049999474732932,
+             -0.4499999875735952, 1.4313321874612206e-07, 1.4322883921946694e-07, 0.4499999912251487],
+            [1.431332193393975e-07, -0.4499999875735952, -1.431332193393975e-07, -0.4499999875735952,
+             0.5000000000000056, 1.051319127997295e-19, 3.701279869617116e-17, -1.393396296283193e-19],
+            [-540.4499850758898, -0.00017190299610092552, -0.449999987573596, 1.4313321874612206e-07,
+             1.051319127997295e-19, 487.30997854887715, 1.749507050267511e-19, 3.1624008967057193e-13],
+            [0.44999999122514883, 1.4322883921946694e-07, -0.44999999122514883, 1.4322883921946694e-07,
+             3.701279869617116e-17, 1.749507050267511e-19, 0.5000000000000054, 6.727029197268067e-20],
+            [0.00017201783601095144, -540.4499894614052, 1.4322883970518951e-07, 0.4499999912251487,
+             -1.393396296283193e-19, 3.1624008967057193e-13, 6.727029197268067e-20, 487.3099864388423],
+        ],
+        [0.0] * 8,
+    ),
+    "mismatch@16": (
+        [
+            [21.6935126547933, 8.114423247788783e-09, -1.1239876457761593, 7.641729835988279e-09,
+             -3.146377832267955e-07, 31.7767865625593, -0.7724999831315847, -0.003125035099725948],
+            [8.114423247788783e-09, 21.693512345206717, -7.641729835988279e-09, 1.123987354223837,
+             0.7724999768630847, -0.0010244373852725808, -3.148019319526574e-07, 31.776786791706353],
+            [-1.1239876457761593, -7.641729835988279e-09, 1.5585126372843423, -7.196579353300079e-09,
+             2.963093695650121e-07, 0.6292874676889942, 0.7274999841142132, 0.0029305427340326207],
+            [7.641729835988279e-09, 1.123987354223837, -7.196579353300079e-09, 1.5585123627156519,
+             0.7274999782108674, -0.0009772064145264422, -2.964639551558679e-07, -0.6292874998307143],
+            [-3.146377832267955e-07, 0.7724999768630847, 2.963093695650121e-07, 0.7274999782108674,
+             0.500000000000002, -0.0006714531388933538, 2.4994248207579894e-17, 0.06749999746702513],
+            [31.7767865625593, -0.0010244373852725808, 0.6292874676889942, -0.0009772064145264422,
+             -0.0006714531388933538, 50.50467091659944, -0.0674999974670241, -0.00036257471206076544],
+            [-0.7724999831315847, -3.148019319526574e-07, 0.7274999841142132, -2.964639551558679e-07,
+             2.4994248207579894e-17, -0.0674999974670241, 0.5000000000000022, 0.0020142864771349987],
+            [-0.003125035099725948, 31.776786791706353, 0.0029305427340326207, -0.6292874998307143,
+             0.06749999746702513, -0.00036257471206076544, 0.0020142864771349987, 50.50468254374129],
+        ],
+        [0.0] * 8,
+    ),
+    "damping@16": (
+        [
+            [5.757417284559172, 3.151690627032087e-05, -0.31840536032914446, 1.5838327184405213e-05,
+             1.9633384523428526e-05, 4.353889088073944, -0.3980066404373783, 2.942361328855947e-05],
+            [3.151690627032087e-05, 5.7574172094651885, -1.5838327184392148e-05, 0.3184052797241005,
+             0.39800663919287343, 3.297194910403811e-05, -1.9957151984674112e-05, 4.353889103353969],
+            [-0.31840536032914446, -1.5838327184392148e-05, 0.8200000415025703, -2.175605373389569e-09,
+             1.6291924030339966e-07, 0.4004257165881646, 0.3999999912655461, -1.2853157241145621e-05],
+            [1.5838327184405213e-05, 0.3184052797241005, -2.175605373389569e-09, 0.8199999584974299,
+             0.3999999880197211, 1.2527038491237999e-05, -1.6300423692425237e-07, -0.4004257196107559],
+            [1.9633384523428526e-05, 0.39800663919287343, 1.6291924030339966e-07, 0.3999999880197211,
+             0.500000000000002, 1.5862784094810298e-05, 2.4994248207579894e-17, -0.0005321605387954155],
+            [4.353889088073944, 3.297194910403811e-05, 0.4004257165881646, 1.2527038491237999e-05,
+             1.5862784094810298e-05, 4.315592358336482, 0.0005321605387952112, 0.0001890365717670146],
+            [-0.3980066404373783, -1.9957151984674112e-05, 0.3999999912655461, -1.6300423692425237e-07,
+             2.4994248207579894e-17, 0.0005321605387952112, 0.5000000000000022, -1.586237978534797e-05],
+            [2.942361328855947e-05, 4.353889103353969, -1.2853157241145621e-05, -0.4004257196107559,
+             -0.0005321605387954155, 0.0001890365717670146, -1.586237978534797e-05, 4.315595552479939],
+        ],
+        [0.0] * 8,
+    ),
+    "plain@12.3456": (
+        [
+            [11.108636555729923, 0.005307993891095989, -0.6086365557299678, 0.005307993891103916,
+             0.45372571870677053, -6.405192210546506, 0.3167076840067402, 9.528240171447242],
+            [0.005307993891095989, 11.101363444270055, -0.005307993891103916, 0.6013634442700326,
+             -0.3050091528831689, -9.528240092842157, 0.45372572244986925, -6.650861364141534],
+            [-0.6086365557299678, -0.005307993891103916, 1.1086365557299664, -0.005307993891103747,
+             -0.45372571870677053, -0.3050091528831685, -0.3167076840067402, 0.45372572244986764],
+            [0.005307993891103916, 0.6013634442700326, -0.005307993891103747, 1.1013634442700302,
+             -0.3050091528831689, 0.4537257187067701, 0.45372572244986925, 0.31670768400673904],
+            [0.45372571870677053, -0.3050091528831689, -0.45372571870677053, -0.3050091528831689,
+             0.4969945554774625, -1.052388882773083e-19, 0.004386712673661701, -3.7426852201310296e-19],
+            [-6.405192210546506, -9.528240092842157, -0.3050091528831685, 0.4537257187067701,
+             -1.052388882773083e-19, 13.648489592980733, 1.1644659832269891e-19, 0.2379353407207795],
+            [0.3167076840067402, 0.45372572244986925, -0.3167076840067402, 0.45372572244986925,
+             0.004386712673661701, 1.1644659832269891e-19, 0.5030054445225387, -1.0619144049475977e-19],
+            [9.528240171447242, -6.650861364141534, 0.45372572244986764, 0.31670768400673904,
+             -3.7426852201310296e-19, 0.2379353407207795, -1.0619144049475977e-19, 13.974520276859847],
+        ],
+        [0.0] * 8,
+    ),
+    "mean@8": (
+        [
+            [3.0000000648478093, 3.39896192793368e-09, -0.5000000648478115, 3.3989625063792557e-09,
+             -1.0167844642985924e-07, 2.4999999384744442, -0.49999999175217036, -5.089234544619625e-07],
+            [3.39896192793368e-09, 2.999999935152178, -3.3989625063792557e-09, 0.4999999351521876,
+             0.49999998769488874, 5.083922314380596e-07, -1.0178469013466529e-07, 2.4999999587608435],
+            [-0.5000000648478115, -3.3989625063792557e-09, 1.0000000648478125, -3.3989632561118343e-09,
+             1.0167844642985924e-07, 0.4999999876948894, 0.49999999175217036, -1.0178469049548777e-07],
+            [3.3989625063792557e-09, 0.4999999351521876, -3.3989632561118343e-09, 0.9999999351521878,
+             0.49999998769488874, -1.0167844614536459e-07, -1.0178469013466529e-07, -0.49999999175216997],
+            [-1.0167844642985924e-07, 0.49999998769488874, 1.0167844642985924e-07, 0.49999998769488874,
+             0.49999999999999994, 6.435640642239165e-20, 1.603941588920743e-17, 1.8236291500898503e-19],
+            [2.4999999384744442, 5.083922314380596e-07, 0.4999999876948894, -1.0167844614536459e-07,
+             6.435640642239165e-20, 3.4999998738778824, -4.0953755370374314e-20, -2.9522825156780286e-16],
+            [-0.49999999175217036, -1.0178469013466529e-07, 0.49999999175217036, -1.0178469013466529e-07,
+             1.603941588920743e-17, -4.0953755370374314e-20, 0.5, -5.844486328312397e-20],
+            [-5.089234544619625e-07, 2.4999999587608435, -1.0178469049548777e-07, -0.49999999175216997,
+             1.8236291500898503e-19, -2.9522825156780286e-16, -5.844486328312397e-20, 3.499999922463817],
+        ],
+        [0.3000000783722255, -0.19999987549909884, 0.10000016208488406, 0.39999995493941054,
+         0.0, 0.4000001121700468, 0.0, -0.5999999086748515],
+    ),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("route", ["default", "stepped"])
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_matches_per_step_integrator_record(self, name, route):
+        model = REGRESSION_CASES[name]()
+        initial = DISPLACED_INITIAL.get(name, lambda: None)()
+        if route == "stepped":
+            state = stepped(model, initial)
+        else:
+            state = propagate_moments(model, initial=initial)
+        assert_same_moments(state, *map(np.array, RECORDED[name]))
+
+    @pytest.mark.parametrize(
+        "periods, steps_per_period, expected",
+        [(8, 200, 200), (12, 200, 200), (12.5, 200, 200), (16, 200, 200), (64, 200, 200),
+         (16, 400, 400), (12.3456, 200, 0)],
+    )
+    def test_period_steps(self, periods, steps_per_period, expected):
+        model = build_model(unit_pulse(1.0, 0.0, periods), steps_per_period=steps_per_period)
+        assert oracle._period_steps(model) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        kappa=st.floats(0.2, 2.0),
+        n_i=st.floats(0.0, 900.0),
+        eps=st.floats(-0.05, 0.05),
+        periods=st.integers(MAP_MIN_PERIODS, 10),
+        quarters=st.integers(0, 3),
+    )
+    def test_period_route_equals_stepped_route(self, kappa, n_i, eps, periods, quarters):
+        params = unit_pulse(kappa, n_i, periods + quarters / 4, eps_mismatch=eps)
+        model = build_model(params, mismatch=True)
+        # roundoff in Omega tau can add a step (6.5 periods take 1301), and
+        # such a grid is not commensurate
+        assume(oracle._period_steps(model))
+        state = propagate_moments(model)
+        assert oracle._drift_key(model) in oracle._period_maps  # the period route ran
+        reference = stepped(model)
+        assert_same_moments(state, reference.cov, reference.mean)
+
+    def test_second_n_i_reuses_the_period_map(self):
+        oracle._period_maps.clear()
+        cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
+        hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
+        propagate_moments(cold)
+        ((key, entry),) = oracle._period_maps.items()
+        state = propagate_moments(hot)
+        assert oracle._drift_key(hot) == key
+        assert list(oracle._period_maps) == [key] and oracle._period_maps[key] is entry
+        reference = stepped(hot)
+        assert_same_moments(state, reference.cov, reference.mean)
+
+    def test_per_step_output_and_short_pulses_step_without_caching(self):
+        oracle._period_maps.clear()
+        long = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=MAP_MIN_PERIODS))
+        propagate_moments(long, return_info=True)
+        propagate_moments(long, trajectory=io.StringIO())
+        short = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=MAP_MIN_PERIODS - 1))
+        propagate_moments(short)
+        assert not oracle._period_maps
+
+    def test_cache_is_bounded(self):
+        oracle._period_maps.clear()
+        for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
+            params = ProtocolParams.dimensionless(kappa, larmor_periods=MAP_MIN_PERIODS)
+            propagate_moments(build_model(params))
+        assert len(oracle._period_maps) == oracle._PERIOD_MAP_CACHE_SIZE
+        newest = build_model(ProtocolParams.dimensionless(0.9, larmor_periods=MAP_MIN_PERIODS))
+        assert list(oracle._period_maps)[-1] == oracle._drift_key(newest)
 
 
 class TestMismatchRealization:

@@ -64,6 +64,14 @@ class TestPrediction:
                 entangled = predict_epr_variance(kappa, n_i) < 2.0
                 assert entangled == (1.0 / (1.0 + n_i) + 2.0 * kappa**2 > 1.0)
 
+    @pytest.mark.parametrize(
+        "kappa, n_i, name",
+        [(math.nan, 0.0, "kappa"), (1.0, math.nan, "n_i"), (1.0, math.inf, "n_i")],
+    )
+    def test_non_finite_input_named(self, kappa, n_i, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            predict_epr_variance(kappa, n_i)
+
     def test_predicted_report(self):
         rep = predicted_report(1.0, 0.0)
         assert rep.provenance is Provenance.PREDICTED

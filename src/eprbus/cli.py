@@ -100,14 +100,17 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in section {where!r}")
 
 
-def _section(raw: dict, name: str) -> dict:
-    """A copy of the mapping under ``name``; an absent or empty section is ``{}``."""
+def _section(raw: dict, name: str, where: str | None = None) -> dict:
+    """A copy of the mapping under ``name``; an absent or empty section is ``{}``.
+
+    ``where`` is the dotted name the diagnostic gives (default ``name``).
+    """
     value = raw.get(name)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ScenarioError(
-            f"section {name!r} must be a mapping of keys, got {type(value).__name__}"
+            f"section {where or name!r} must be a mapping of keys, got {type(value).__name__}"
         )
     return dict(value)
 
@@ -220,8 +223,9 @@ def _validate_setup(section: dict) -> dict:
     ):
         if sub not in section:
             raise ScenarioError(f"key 'setup.{sub}' is required")
-        _require_keys(_section(section, sub), keys, f"setup.{sub}")
-        missing = keys - set(section[sub]) - {"wavelength_m"}
+        values = _section(section, sub, f"setup.{sub}")
+        _require_keys(values, keys, f"setup.{sub}")
+        missing = keys - set(values) - {"wavelength_m"}
         if missing:
             raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{sub}'")
     return section

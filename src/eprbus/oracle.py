@@ -39,14 +39,14 @@ routes use it:
   monodromy matrix of Floquet theory); the pulse is ``P`` applied once per
   whole period, then the remaining steps of a fractional period.
 * the *stepped route* steps the state itself.  It serves per-step output
-  (trajectory rows, the conservation drift), grids that are not
-  commensurate, and pulses too short for building ``P`` to pay off.
+  (trajectory rows, the conservation drift) and grids that are not
+  commensurate.
 
 Either way the result is the same RK4 scheme on the same grid: each RK4
 step is a linear map of ``x``, so composing the step maps of a period first
 changes only the order of the floating-point operations (agreement to about
-1e-14 relative in the covariance).  ``P`` is cached per drift model, keyed
-on what fixes the drift and never on ``n_i``, so a grid over initial
+1e-14 relative in the covariance).  ``P`` is cached per drift model with
+``n_i`` cleared (``n_i`` only sets the initial state), so a grid over initial
 occupations builds it once.
 
 Coupling mismatch is realized physically through distinct mechanical and
@@ -59,8 +59,9 @@ through ``-gamma_m / 2`` on both mechanical quadratures plus diffusion
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, TextIO
 
 import numpy as np
@@ -81,13 +82,6 @@ from .iomaps import COS_MODE, SIN_MODE, ProtocolParams
 #: at this density.
 MIN_STEPS_PER_PERIOD = 200
 
-#: Whole Larmor periods from which the period route is taken.  Building the
-#: map steps a 73 x 73 matrix through one period, which costs about as much
-#: as stepping a single state through four or five (on one BLAS thread,
-#: 25-40 ms against 5-10 ms per period of 200 steps); a second pulse on the
-#: same drift model, as in a grid over n_i, then costs almost nothing.
-_MAP_MIN_PERIODS = 4
-
 # state vector ordering
 _XM, _PM, _XA, _PA, _YXC, _YPC, _YXS, _YPS = range(8)
 
@@ -99,12 +93,6 @@ _DIM = _N_SIGMA + 8 + 1
 #: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
 #: the grid counts as commensurate with the Larmor period (roundoff only).
 _COMMENSURATE_RTOL = 1e-12
-
-#: Period maps and generator bases by drift key, least recently used first.
-#: An entry takes about 55 kB.  Four entries leave room for a model that
-#: alternates with its matched baseline, as ``compare`` does in a sweep.
-_PERIOD_MAP_CACHE_SIZE = 4
-_period_maps: dict[tuple, tuple[tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -273,10 +261,8 @@ def propagate_moments(
     Both routes (see the module docstring) take the same ``model.n_steps``
     RK4 steps of ``model.dt`` and differ only in the order of floating-point
     operations.  The period route is taken when the grid is commensurate
-    with the Larmor period, neither ``trajectory`` nor ``return_info`` asks
-    for every step, and the pulse spans at least four whole periods (the
-    measured crossover below which stepping the state is cheaper than
-    building the map).  It takes the model's period map from the cache or
+    with the Larmor period and neither ``trajectory`` nor ``return_info``
+    asks for every step.  It takes the model's period map from the cache or
     builds and caches it; the route, and so the result, never depends on
     what the cache holds.  Otherwise the stepped route visits every step;
     the conservation drift is computed only under ``return_info``.
@@ -288,24 +274,18 @@ def propagate_moments(
     mean, cov, (mech, atom) = _initial_moments(model, initial)
     x = np.concatenate((cov.ravel(), mean, (1.0,)))
     dt, omega = model.dt, model.params.Omega
-    key = _drift_key(model)
-    cached = _period_maps.get(key)
     q = _period_steps(model)
     per_step = trajectory is not None or return_info
     max_drift = {"max_rel_drift_xsum": 0.0, "max_rel_drift_pdiff": 0.0}
 
-    if not per_step and q and model.n_steps >= _MAP_MIN_PERIODS * q:
-        if cached:
-            _period_maps[key] = cached = _period_maps.pop(key)  # most recent last
-        else:
-            cached = _store_period_map(key, model, q)
-        basis, period_map = cached
+    if not per_step and q:
+        basis, period_map = _period_map(replace(model, params=replace(model.params, n_i=0.0)))
         whole, rest = divmod(model.n_steps, q)
         for _ in range(whole):
             x = period_map @ x
         x = _advance(model, basis, x, whole * q, rest)
     else:
-        basis = cached[0] if cached else _generator_basis(model)
+        basis = _generator_basis(model)
         refs = [float(v @ cov @ v) for v in _epr_coefficients(0.0)]
 
         def visit(k: int, x: np.ndarray) -> None:
@@ -338,23 +318,6 @@ def _dump_row(stream: TextIO, t: float, cov: np.ndarray) -> None:
     stream.write(
         f"{float(t)!r},{var_xsum!r},{var_pdiff!r},"
         f"{float(cov[_YPC, _YPC])!r},{float(cov[_YPS, _YPS])!r}\n"
-    )
-
-
-def _drift_key(model: DriftNoiseModel) -> tuple:
-    """What fixes a pulse's drift and diffusion; ``n_i`` only sets the start."""
-    p = model.params
-    return (
-        model.kappa_mech,
-        model.kappa_atom,
-        model.damping,
-        model.n_steps,
-        model.dt,
-        p.Omega,
-        p.omega_m,
-        p.tau,
-        p.gamma_m if model.damping else 0.0,
-        p.n_th if model.damping else 0.0,
     )
 
 
@@ -443,16 +406,17 @@ def _advance(
     return x
 
 
-def _store_period_map(
-    key: tuple, model: DriftNoiseModel, q: int
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Build the generator basis and the map of one ``q``-step period; cache both."""
+@functools.lru_cache(maxsize=4)
+def _period_map(model: DriftNoiseModel) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The generator basis and the map of one Larmor period of ``model``.
+
+    Callers clear ``n_i``, which only sets the initial state, so every pulse
+    on one drift shares the entry.  An entry takes about 55 kB; four leave
+    room for a model that alternates with its matched baseline, as
+    ``compare`` does in a sweep.
+    """
     basis = _generator_basis(model)
-    entry = basis, _advance(model, basis, np.eye(_DIM), 0, q)
-    if len(_period_maps) >= _PERIOD_MAP_CACHE_SIZE:
-        del _period_maps[next(iter(_period_maps))]  # least recently used
-    _period_maps[key] = entry
-    return entry
+    return basis, _advance(model, basis, np.eye(_DIM), 0, _period_steps(model))
 
 
 def oracle_epr_after_measurement(

@@ -106,7 +106,13 @@ class TestValidation:
         setup = dict(MICROMIRROR_SETUP, mech=[5.0e6, 1.0e-12])
         path = write_scenario(tmp_path, "s.yaml", {"protocol": "epr_conditional", "setup": setup})
         assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
-        assert "section 'mech' must be a mapping" in capsys.readouterr().err
+        assert "section 'setup.mech' must be a mapping" in capsys.readouterr().err
+
+    def test_empty_setup_subsection_asks_for_its_keys(self, tmp_path, capsys):
+        setup = dict(MICROMIRROR_SETUP, mech=None)
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": "epr_conditional", "setup": setup})
+        assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
+        assert "in section 'setup.mech'" in capsys.readouterr().err
 
     def test_empty_model_section_asks_for_kappa(self, tmp_path, capsys):
         path = tmp_path / "s.yaml"

@@ -24,10 +24,6 @@ INTEGRATION_TOL = 1e-5
 ROUTE_RTOL = 1e-10
 
 
-#: Fewest whole periods for which an uncached model takes the period route.
-MAP_MIN_PERIODS = oracle._MAP_MIN_PERIODS
-
-
 def unit_pulse(kappa: float, n_i: float, periods: float, **extra) -> ProtocolParams:
     """Matched unit-length pulse over a possibly fractional number of periods."""
     omega = 2.0 * math.pi * periods
@@ -360,12 +356,12 @@ class TestRoutes:
         model = build_model(unit_pulse(1.0, 0.0, periods), steps_per_period=steps_per_period)
         assert oracle._period_steps(model) == expected
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
         kappa=st.floats(0.2, 2.0),
         n_i=st.floats(0.0, 900.0),
         eps=st.floats(-0.05, 0.05),
-        periods=st.integers(MAP_MIN_PERIODS, 10),
+        periods=st.integers(1, 10),
         quarters=st.integers(0, 3),
     )
     def test_period_route_equals_stepped_route(self, kappa, n_i, eps, periods, quarters):
@@ -374,40 +370,38 @@ class TestRoutes:
         # roundoff in Omega tau can add a step (6.5 periods take 1301), and
         # such a grid is not commensurate
         assume(oracle._period_steps(model))
+        oracle._period_map.cache_clear()
         state = propagate_moments(model)
-        assert oracle._drift_key(model) in oracle._period_maps  # the period route ran
+        assert oracle._period_map.cache_info().misses == 1  # the period route ran
         reference = stepped(model)
         assert_same_moments(state, reference.cov, reference.mean)
 
     def test_second_n_i_reuses_the_period_map(self):
-        oracle._period_maps.clear()
+        oracle._period_map.cache_clear()
         cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
         hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
         propagate_moments(cold)
-        ((key, entry),) = oracle._period_maps.items()
         state = propagate_moments(hot)
-        assert oracle._drift_key(hot) == key
-        assert list(oracle._period_maps) == [key] and oracle._period_maps[key] is entry
+        info = oracle._period_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
 
-    def test_per_step_output_and_short_pulses_step_without_caching(self):
-        oracle._period_maps.clear()
-        long = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=MAP_MIN_PERIODS))
-        propagate_moments(long, return_info=True)
-        propagate_moments(long, trajectory=io.StringIO())
-        short = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=MAP_MIN_PERIODS - 1))
-        propagate_moments(short)
-        assert not oracle._period_maps
+    def test_per_step_output_steps_without_caching(self):
+        oracle._period_map.cache_clear()
+        model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=1))
+        propagate_moments(model, return_info=True)
+        propagate_moments(model, trajectory=io.StringIO())
+        assert oracle._period_map.cache_info().misses == 0
+        propagate_moments(model)  # one period is enough for the period route
+        assert oracle._period_map.cache_info().misses == 1
 
     def test_cache_is_bounded(self):
-        oracle._period_maps.clear()
+        oracle._period_map.cache_clear()
         for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
-            params = ProtocolParams.dimensionless(kappa, larmor_periods=MAP_MIN_PERIODS)
-            propagate_moments(build_model(params))
-        assert len(oracle._period_maps) == oracle._PERIOD_MAP_CACHE_SIZE
-        newest = build_model(ProtocolParams.dimensionless(0.9, larmor_periods=MAP_MIN_PERIODS))
-        assert list(oracle._period_maps)[-1] == oracle._drift_key(newest)
+            propagate_moments(build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1)))
+        info = oracle._period_map.cache_info()
+        assert info.currsize == info.maxsize == 4
 
 
 class TestMismatchRealization:

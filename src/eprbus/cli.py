@@ -94,24 +94,72 @@ class ScenarioError(ValueError):
 # scenario loading
 
 
+def _field_names(cls) -> set[str]:
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+#: The keys each section takes, by dotted name.  ``losses``, ``feedback`` and
+#: ``teleport`` take the fields of the object they configure.  ``model`` takes
+#: the arguments of :meth:`ProtocolParams.dimensionless` except ``tau`` (the
+#: pulse is the unit of time), and the ``setup`` keys carry SI units.
+_SECTION_KEYS = {
+    "model": {
+        "kappa",
+        "n_i",
+        "larmor_periods",
+        "gamma_m",
+        "n_th",
+        "eps_mismatch",
+        "eta_light",
+        "eta_det",
+    },
+    "setup": {"mech", "cavity", "atoms", "cooling_factor"},
+    "setup.mech": {"omega_m_hz", "mass_kg", "q_factor", "temperature_k"},
+    "setup.cavity": {"finesse", "length_m", "wavelength_m", "power_w", "tau_s"},
+    "setup.atoms": {"gamma_hz", "delta_hz", "sigma_m2", "area_m2", "n_atoms", "larmor_hz"},
+    "losses": _field_names(LossBudget),
+    "feedback": _field_names(FeedbackConfig),
+    "teleport": _field_names(TeleportConfig),
+    "verify": {"shots"},
+    "oracle": {"steps_per_period"},
+    "output": {"format", "path"},
+    "sweep": {"path", "values"},
+}
+_ROOT_KEYS = {"protocol", "seed", *(name for name in _SECTION_KEYS if "." not in name)}
+
+
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in section {where!r}")
+        raise ScenarioError(f"unknown key(s) {sorted(unknown, key=str)} in section {where!r}")
 
 
-def _section(raw: dict, name: str, where: str | None = None) -> dict:
-    """A copy of the mapping under ``name``; an absent or empty section is ``{}``.
+def _require_finite(node, where: str = "") -> None:
+    """Reject NaN and infinity anywhere under ``node``, naming the dotted key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{where}.{key}" if where else str(key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            _require_finite(value, f"{where}[{index}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioError(f"key {where} must be finite, got {node!r}")
 
-    ``where`` is the dotted name the diagnostic gives (default ``name``).
+
+def _section(raw: dict, where: str) -> dict:
+    """A copy of the section at the dotted name ``where``, with its keys checked.
+
+    ``raw`` holds the section under the last part of the name.  An absent or
+    empty section is ``{}``.
     """
-    value = raw.get(name)
+    value = raw.get(where.rpartition(".")[2])
     if value is None:
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise ScenarioError(
-            f"section {where or name!r} must be a mapping of keys, got {type(value).__name__}"
+            f"section {where!r} must be a mapping of keys, got {type(value).__name__}"
         )
+    _require_keys(value, _SECTION_KEYS[where], where)
     return dict(value)
 
 
@@ -131,23 +179,8 @@ def load_scenario(path: str | Path) -> dict:
 
 
 def validate_scenario(raw: dict) -> dict:
-    _require_keys(
-        raw,
-        {
-            "protocol",
-            "seed",
-            "model",
-            "setup",
-            "losses",
-            "feedback",
-            "teleport",
-            "verify",
-            "sweep",
-            "output",
-            "oracle",
-        },
-        "<root>",
-    )
+    _require_keys(raw, _ROOT_KEYS, "<root>")
+    _require_finite(raw)
     protocol = raw.get("protocol")
     if protocol not in PROTOCOLS:
         raise ScenarioError(f"key 'protocol' must be one of {PROTOCOLS}, got {protocol!r}")
@@ -168,43 +201,18 @@ def validate_scenario(raw: dict) -> dict:
     }
     if "model" in raw:
         model = _section(raw, "model")
-        _require_keys(
-            model,
-            {
-                "kappa",
-                "n_i",
-                "larmor_periods",
-                "gamma_m",
-                "n_th",
-                "eps_mismatch",
-                "eta_light",
-                "eta_det",
-            },
-            "model",
-        )
         if "kappa" not in model:
             raise ScenarioError("key 'model.kappa' is required")
         scenario["model"] = model
     else:
         scenario["setup"] = _validate_setup(_section(raw, "setup"))
 
-    _require_keys(
-        scenario["losses"], {"eps_mismatch", "photon_loss", "gamma_m_tau", "n_th"}, "losses"
-    )
-    _require_keys(scenario["feedback"], {"mode", "gain"}, "feedback")
-    _require_keys(
-        scenario["teleport"], {"kappa_qnd", "bell_gain", "input_mean", "asymptotic"}, "teleport"
-    )
-    _require_keys(scenario["verify"], {"shots"}, "verify")
-    _require_keys(scenario["oracle"], {"steps_per_period"}, "oracle")
-    _require_keys(scenario["output"], {"format", "path"}, "output")
     fmt = scenario["output"].get("format", "json")
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"key 'output.format' must be 'json' or 'csv', got {fmt!r}")
 
     if "sweep" in raw:
         sweep = _section(raw, "sweep")
-        _require_keys(sweep, {"path", "values"}, "sweep")
         if "path" not in sweep or "values" not in sweep:
             raise ScenarioError("sweep section requires keys 'path' and 'values'")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
@@ -215,17 +223,11 @@ def validate_scenario(raw: dict) -> dict:
 
 
 def _validate_setup(section: dict) -> dict:
-    _require_keys(section, {"mech", "cavity", "atoms", "cooling_factor"}, "setup")
-    for sub, keys in (
-        ("mech", {"omega_m_hz", "mass_kg", "q_factor", "temperature_k"}),
-        ("cavity", {"finesse", "length_m", "wavelength_m", "power_w", "tau_s"}),
-        ("atoms", {"gamma_hz", "delta_hz", "sigma_m2", "area_m2", "n_atoms", "larmor_hz"}),
-    ):
+    for sub in ("mech", "cavity", "atoms"):
         if sub not in section:
             raise ScenarioError(f"key 'setup.{sub}' is required")
-        values = _section(section, sub, f"setup.{sub}")
-        _require_keys(values, keys, f"setup.{sub}")
-        missing = keys - set(values) - {"wavelength_m"}
+        values = _section(section, f"setup.{sub}")
+        missing = _SECTION_KEYS[f"setup.{sub}"] - set(values) - {"wavelength_m"}
         if missing:
             raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{sub}'")
     return section
@@ -241,6 +243,9 @@ def _resolve_sweep_target(scenario: dict, path: str) -> tuple[dict, str]:
     leaf = parts[-1]
     if not isinstance(node, dict):
         raise ScenarioError(f"sweep path {path!r} does not resolve to a field")
+    section = ".".join(parts[:-1])
+    if leaf not in (_SECTION_KEYS[section] if section else _ROOT_KEYS):
+        raise ScenarioError(f"sweep path {path!r} names no key of section {section or '<root>'!r}")
     current = node.get(leaf, 0.0)
     if current is not None and not isinstance(current, (int, float)):
         raise ScenarioError(f"sweep path {path!r} must point at a numeric field")
@@ -251,19 +256,17 @@ def _resolve_sweep_target(scenario: dict, path: str) -> tuple[dict, str]:
 # scenario -> objects
 
 
+def _keywords(section: dict, **convert) -> dict:
+    """The section as keyword arguments, each value through ``float`` unless
+    ``convert`` gives the key another type."""
+    return {key: convert.get(key, float)(value) for key, value in section.items()}
+
+
 def build_params(scenario: dict) -> ProtocolParams:
     if "model" in scenario:
-        model = scenario["model"]
         try:
             return ProtocolParams.dimensionless(
-                kappa=float(model["kappa"]),
-                n_i=float(model.get("n_i", 0.0)),
-                larmor_periods=int(model.get("larmor_periods", 64)),
-                gamma_m=float(model.get("gamma_m", 0.0)),
-                n_th=float(model.get("n_th", 0.0)),
-                eps_mismatch=float(model.get("eps_mismatch", 0.0)),
-                eta_light=float(model.get("eta_light", 1.0)),
-                eta_det=float(model.get("eta_det", 1.0)),
+                **_keywords(scenario["model"], larmor_periods=int)
             )
         except (TypeError, ValueError) as err:
             raise ScenarioError(f"invalid 'model' section: {err}") from err
@@ -306,14 +309,8 @@ def build_setup(scenario: dict) -> PhysicalSetup:
 
 
 def build_losses(scenario: dict) -> LossBudget:
-    section = scenario["losses"]
     try:
-        return LossBudget(
-            eps_mismatch=float(section.get("eps_mismatch", 0.0)),
-            photon_loss=float(section.get("photon_loss", 0.0)),
-            gamma_m_tau=float(section.get("gamma_m_tau", 0.0)),
-            n_th=float(section.get("n_th", 0.0)),
-        )
+        return LossBudget(**_keywords(scenario["losses"]))
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"invalid 'losses' section: {err}") from err
 
@@ -424,7 +421,10 @@ def _feedback_config(scenario: dict, protocol: str) -> FeedbackConfig:
     if mode == "fixed":
         if "gain" not in section:
             raise ScenarioError("key 'feedback.gain' is required for mode 'fixed'")
-        return FeedbackConfig.with_gain(float(section["gain"]))
+        try:
+            return FeedbackConfig.with_gain(float(section["gain"]))
+        except (TypeError, ValueError) as err:
+            raise ScenarioError(f"invalid 'feedback' section: {err}") from err
     raise ScenarioError(f"key 'feedback.mode' must be 'optimal' or 'fixed', got {mode!r}")
 
 
@@ -440,7 +440,7 @@ def _teleport_config(scenario: dict) -> TeleportConfig:
             input_mean=(float(mean[0]), float(mean[1])),
             asymptotic=bool(section.get("asymptotic", False)),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ScenarioError(f"invalid 'teleport' section: {err}") from err
 
 

@@ -446,6 +446,27 @@ def linear_form_moments(
     return forms @ state.mean, forms @ state.cov @ forms.T
 
 
+def epr_pair(pos: int, neg: int) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
+    """The EPR pair read by the QND Bell measurement, on mode indices.
+
+    The mode at index ``pos`` plays the positive-mass role and the one at
+    ``neg`` the negative-mass role; the pair is ``X_pos + X_neg`` and
+    ``P_pos - P_neg``.  Each observable is returned as ``(i, j, s)``:
+    quadrature ``i`` plus ``s`` times quadrature ``j``.  Every EPR figure in
+    the package takes the pair from here.
+    """
+    return (2 * pos, 2 * neg, 1.0), (2 * pos + 1, 2 * neg + 1, -1.0)
+
+
+def epr_forms(dim: int, pos: int, neg: int) -> np.ndarray:
+    """The pair of :func:`epr_pair` as two rows of linear forms over ``dim`` quadratures."""
+    forms = np.zeros((2, dim))
+    for row, (i, j, s) in zip(forms, epr_pair(pos, neg)):
+        row[i] = 1.0
+        row[j] = s
+    return forms
+
+
 def epr_variance(
     state: GaussianState,
     mech: ModeLabel | str,
@@ -453,40 +474,9 @@ def epr_variance(
     provenance: Provenance = Provenance.IDEALIZED_MAP,
 ) -> EPRReport:
     """``Var(X_mech + X_atom) + Var(P_mech - P_atom)`` with the < 2 verdict."""
-    xm, pm = state.x_index(mech), state.p_index(mech)
-    xa, pa = state.x_index(atom), state.p_index(atom)
     c = state.cov
-    var_xsum = c[xm, xm] + c[xa, xa] + 2.0 * c[xm, xa]
-    var_pdiff = c[pm, pm] + c[pa, pa] - 2.0 * c[pm, pa]
-    return EPRReport.from_variances(var_xsum, var_pdiff, provenance)
-
-
-def epr_block(
-    state: GaussianState, mech: ModeLabel | str, atom: ModeLabel | str
-) -> np.ndarray:
-    """2x2 covariance of the EPR observables ``(X_m + X_a, P_m - P_a)``."""
-    forms = np.zeros((2, state.dim))
-    forms[0, state.x_index(mech)] = 1.0
-    forms[0, state.x_index(atom)] = 1.0
-    forms[1, state.p_index(mech)] = 1.0
-    forms[1, state.p_index(atom)] = -1.0
-    return linear_form_moments(state, forms)[1]
-
-
-# ---------------------------------------------------------------------------
-# serialization (consumed by the report writer)
-
-
-def state_to_dict(state: GaussianState) -> dict:
-    return {
-        "modes": [{"kind": m.kind.value, "name": m.name} for m in state.modes],
-        "mean": state.mean.tolist(),
-        "cov": state.cov.tolist(),
-    }
-
-
-def state_from_dict(payload: dict) -> GaussianState:
-    modes = tuple(
-        ModeLabel(ModeKind(entry["kind"]), entry["name"]) for entry in payload["modes"]
+    var_xsum, var_pdiff = (
+        c[i, i] + c[j, j] + 2.0 * s * c[i, j]
+        for i, j, s in epr_pair(state.mode_index(mech), state.mode_index(atom))
     )
-    return GaussianState(modes, np.array(payload["mean"]), np.array(payload["cov"]))
+    return EPRReport.from_variances(var_xsum, var_pdiff, provenance)

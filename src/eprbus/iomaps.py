@@ -37,6 +37,7 @@ from .gaussian import (
     ModeKind,
     ModeLabel,
     apply_linear_map,
+    epr_forms,
     light_mode,
     loss_channel,
     make_state,
@@ -291,11 +292,8 @@ def qnd_bigstep(
     s[pm, xc] = kappa
     s[xa, xs] = kappa
     s[pa, xc] = kappa
-    # readout
-    s[pc, xm] = kappa
-    s[pc, xa] = kappa
-    s[ps, pm] = kappa
-    s[ps, pa] = -kappa
+    # readout: the EPR pair
+    s[[pc, ps]] += kappa * epr_forms(joint.dim, joint.mode_index(pos), joint.mode_index(neg))
 
     out = apply_linear_map(joint, s)
     return PulseOutput(joint=out, params_used=params, positive_mass=pos, negative_mass=neg)

@@ -72,6 +72,8 @@ from .gaussian import (
     Provenance,
     atomic_mode,
     condition_on_homodyne,
+    epr_forms,
+    epr_pair,
     epr_variance,
     mechanical_mode,
 )
@@ -89,6 +91,9 @@ _XM, _PM, _XA, _PA, _YXC, _YPC, _YXS, _YPS = range(8)
 _N_SIGMA = 64
 _MEAN = slice(_N_SIGMA, _N_SIGMA + 8)
 _DIM = _N_SIGMA + 8 + 1
+
+# the EPR pair of the system modes, mechanics (index 0) and atoms (index 1)
+_EPR_PAIR = epr_pair(0, 1)
 
 #: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
 #: the grid counts as commensurate with the Larmor period (roundoff only).
@@ -159,10 +164,6 @@ class DriftNoiseModel:
             columns.extend([b_tx, b_tp])
         return np.stack(columns, axis=1)
 
-    def diffusion_matrix(self, t: float) -> np.ndarray:
-        b = self.noise_columns(t)
-        return b @ b.T
-
 
 def build_model(
     params: ProtocolParams,
@@ -176,7 +177,9 @@ def build_model(
     ``mismatch=True`` splits the coupling strengths according to
     ``params.eps_mismatch``; otherwise both sides use ``params.kappa``
     regardless of any declared mismatch.  The step count honors at least
-    :data:`MIN_STEPS_PER_PERIOD` steps per Larmor period.
+    :data:`MIN_STEPS_PER_PERIOD` steps per Larmor period; a product of
+    steps and periods that is whole up to roundoff is taken as whole, so
+    whole and half periods keep a grid commensurate with the period.
     """
     if params.Omega <= 0.0:
         raise ValueError("oracle propagation requires a positive Larmor frequency")
@@ -190,8 +193,11 @@ def build_model(
     eps = params.eps_mismatch if mismatch else 0.0
     kappa_mech = params.kappa * (1.0 + eps)
     kappa_atom = params.kappa * (1.0 - eps)
-    periods = params.omega_tau / (2.0 * math.pi)
-    n_steps = max(int(math.ceil(steps_per_period * periods)), steps_per_period)
+    steps = steps_per_period * params.omega_tau / (2.0 * math.pi)
+    whole = round(steps)
+    if not math.isclose(steps, whole, rel_tol=_COMMENSURATE_RTOL):
+        whole = math.ceil(steps)
+    n_steps = max(whole, steps_per_period)
     return DriftNoiseModel(
         params=params,
         kappa_mech=kappa_mech,
@@ -223,24 +229,6 @@ def _initial_moments(
         mean[:4] = initial.mean
         cov[:4, :4] = initial.cov
     return mean, cov, (mech, atom)
-
-
-def _epr_coefficients(phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interaction-picture EPR observables as quadrature combinations.
-
-    The pair (X_m + X_a, P_m - P_a) rotates jointly at the Larmor frequency;
-    these co-rotating combinations are the conserved QND observables.
-    """
-    cos, sin = math.cos(phase), math.sin(phase)
-    v_sum = np.zeros(8)
-    v_sum[_XM] = v_sum[_XA] = cos
-    v_sum[_PM] = -sin
-    v_sum[_PA] = sin
-    v_diff = np.zeros(8)
-    v_diff[_XM] = v_diff[_XA] = sin
-    v_diff[_PM] = cos
-    v_diff[_PA] = -cos
-    return v_sum, v_diff
 
 
 def propagate_moments(
@@ -286,18 +274,29 @@ def propagate_moments(
         x = _advance(model, basis, x, whole * q, rest)
     else:
         basis = _generator_basis(model)
-        refs = [float(v @ cov @ v) for v in _epr_coefficients(0.0)]
+        pair = epr_forms(8, 0, 1)
+
+        def conserved_variances(sigma: np.ndarray, phase: float) -> tuple[float, float]:
+            """Variances of the conserved QND observables, the EPR pair
+            co-rotating at the Larmor frequency: ``R pair`` with the rotation
+            ``R = [[cos, -sin], [sin, cos]]`` of ``phase``."""
+            (xx, xp), (_, pp) = (pair @ sigma @ pair.T).tolist()
+            cos, sin = math.cos(phase), math.sin(phase)
+            # the diagonal of R M R^T, M the covariance of the pair
+            cross = 2.0 * cos * sin * xp
+            return cos * cos * xx - cross + sin * sin * pp, sin * sin * xx + cross + cos * cos * pp
+
+        refs = conserved_variances(cov, 0.0)
 
         def visit(k: int, x: np.ndarray) -> None:
             sigma = x[:_N_SIGMA].reshape(8, 8)
             if trajectory is not None:
                 _dump_row(trajectory, k * dt, sigma)
             if return_info:
-                coefficients = _epr_coefficients(omega * (k * dt))
-                for name, v, ref in zip(max_drift, coefficients, refs):
+                values = conserved_variances(sigma, omega * (k * dt))
+                for name, value, ref in zip(max_drift, values, refs):
                     if ref > 0.0:
-                        drift = abs(float(v @ sigma @ v) - ref) / ref
-                        max_drift[name] = max(max_drift[name], drift)
+                        max_drift[name] = max(max_drift[name], abs(value - ref) / ref)
 
         if trajectory is not None:
             trajectory.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
@@ -313,8 +312,9 @@ def propagate_moments(
 
 
 def _dump_row(stream: TextIO, t: float, cov: np.ndarray) -> None:
-    var_xsum = float(cov[_XM, _XM] + cov[_XA, _XA] + 2 * cov[_XM, _XA])
-    var_pdiff = float(cov[_PM, _PM] + cov[_PA, _PA] - 2 * cov[_PM, _PA])
+    var_xsum, var_pdiff = (
+        float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j]) for i, j, s in _EPR_PAIR
+    )
     stream.write(
         f"{float(t)!r},{var_xsum!r},{var_pdiff!r},"
         f"{float(cov[_YPC, _YPC])!r},{float(cov[_YPS, _YPS])!r}\n"

@@ -28,20 +28,27 @@ import numpy as np
 from .gaussian import (
     EPRReport,
     GaussianState,
-    ModeKind,
-    ModeLabel,
     Provenance,
     apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
     displace,
+    epr_forms,
     epr_variance,
     linear_form_moments,
     make_state,
     partial_trace,
     tensor,
 )
-from .iomaps import COS_MODE, SIN_MODE, ProtocolParams, PulseOutput, apply_light_loss, qnd_bigstep
+from .iomaps import (
+    COS_MODE,
+    SIN_MODE,
+    ProtocolParams,
+    PulseOutput,
+    _resolve_roles,
+    apply_light_loss,
+    qnd_bigstep,
+)
 
 _HALF_PI = math.pi / 2.0
 
@@ -107,17 +114,6 @@ def optimal_gain(kappa: float, n_i: float) -> float:
     return kappa * v / (kappa**2 * v + 0.5)
 
 
-def _system_labels(state: GaussianState) -> tuple[ModeLabel, ModeLabel]:
-    mech = [m for m in state.modes if m.kind is ModeKind.MECHANICAL]
-    atom = [m for m in state.modes if m.kind is ModeKind.ATOMIC]
-    if len(mech) != 1 or len(atom) != 1:
-        raise ValueError(
-            "state must contain exactly one mechanical and one atomic mode, "
-            f"got {[str(m) for m in state.modes]}"
-        )
-    return mech[0], atom[0]
-
-
 def _moment_gains(pulse: PulseOutput) -> tuple[float, float]:
     """Per-channel optimal gains ``Cov(signal, readout) / Var(readout)``.
 
@@ -125,13 +121,11 @@ def _moment_gains(pulse: PulseOutput) -> tuple[float, float]:
     stays optimal under detection loss.
     """
     joint = pulse.joint
-    pos, neg = pulse.positive_mass, pulse.negative_mass
     forms = np.zeros((4, joint.dim))
-    forms[0, joint.x_index(pos)] = 1.0
-    forms[0, joint.x_index(neg)] = 1.0
+    forms[[0, 2]] = epr_forms(
+        joint.dim, joint.mode_index(pulse.positive_mass), joint.mode_index(pulse.negative_mass)
+    )
     forms[1, joint.p_index(COS_MODE)] = 1.0
-    forms[2, joint.p_index(pos)] = 1.0
-    forms[2, joint.p_index(neg)] = -1.0
     forms[3, joint.p_index(SIN_MODE)] = 1.0
     _, cov = linear_form_moments(joint, forms)
     return cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
@@ -163,16 +157,15 @@ def feedback_ensemble_state(
     the measured record and discarding the light is a linear map on the joint
     state followed by a partial trace, so no sampling is involved.
     """
-    mech, atom = _system_labels(initial)
     if gain_sin is None:
         gain_sin = gain_cos
     pulse = apply_light_loss(qnd_bigstep(initial, params))
     joint = apply_linear_map(
         pulse.joint,
-        _feedback_transform(pulse.joint, atom, gain_cos, gain_sin),
+        _feedback_transform(pulse.joint, pulse.negative_mass, gain_cos, gain_sin),
         validate=False,
     )
-    return partial_trace(joint, [mech, atom])
+    return partial_trace(joint, [pulse.positive_mass, pulse.negative_mass])
 
 
 def run_epr_generation(
@@ -197,8 +190,8 @@ def run_epr_generation(
     covariance of the EPR observables, which at the optimal gain coincides
     with the conditional one.
     """
-    mech, atom = _system_labels(initial)
     pulse = apply_light_loss(qnd_bigstep(initial, params))
+    mech, atom = pulse.positive_mass, pulse.negative_mass
 
     if outcomes is not None:
         xi_cos, xi_sin = (float(outcomes[0]), float(outcomes[1]))
@@ -257,7 +250,6 @@ def verify_epr(
     """
     if params.kappa <= 0.0:
         raise ValueError("verification needs kappa > 0, otherwise light carries no signal")
-    mech, atom = _system_labels(state)
     pulse = apply_light_loss(qnd_bigstep(state, params))
     joint = pulse.joint
     pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
@@ -361,7 +353,7 @@ def teleport(
     generation, the output is the unconditional ensemble state, computed
     without sampling.
     """
-    mech, atom = _system_labels(epr_state)
+    mech, atom = _resolve_roles(epr_state, None, None)
     if any(m.name == INPUT_ENSEMBLE.name for m in epr_state.modes):
         raise ValueError(f"mode name {INPUT_ENSEMBLE.name!r} is reserved for the input")
     joint = tensor(
@@ -369,12 +361,9 @@ def teleport(
     )
 
     if cfg.asymptotic:
-        forms = np.zeros((2, joint.dim))
-        forms[0, joint.x_index(mech)] = 1.0
-        forms[0, joint.x_index(atom)] = 1.0
+        # the resource pair plus the input, (X_m + X_a) + X_in and (P_m - P_a) + P_in
+        forms = epr_forms(joint.dim, joint.mode_index(mech), joint.mode_index(atom))
         forms[0, joint.x_index(INPUT_ENSEMBLE)] = 1.0
-        forms[1, joint.p_index(mech)] = 1.0
-        forms[1, joint.p_index(atom)] = -1.0
         forms[1, joint.p_index(INPUT_ENSEMBLE)] = 1.0
         mean_out, cov_out = linear_form_moments(joint, forms)
         final = GaussianState((mech,), mean_out, cov_out)

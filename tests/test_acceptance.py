@@ -24,8 +24,9 @@ from eprbus.decoherence import mismatch_excess, mismatch_penalty, photon_loss_ma
 from eprbus.gaussian import (
     atomic_mode,
     condition_on_homodyne,
-    epr_block,
+    epr_forms,
     epr_variance,
+    linear_form_moments,
     make_state,
     mechanical_mode,
 )
@@ -161,6 +162,10 @@ def test_criterion_03_qnd_conservation(oracle_grid):
 def test_criterion_04_feedback_equals_conditioning():
     from eprbus.protocols import optimal_gain
 
+    def epr_block(state):
+        forms = epr_forms(state.dim, state.mode_index(M), state.mode_index(A))
+        return linear_form_moments(state, forms)[1]
+
     worst = 0.0
     for kappa in KAPPA_GRID:
         for n_i in OCCUPATION_GRID:
@@ -168,13 +173,13 @@ def test_criterion_04_feedback_equals_conditioning():
             state, conditional, _ = run_epr_generation(
                 system_state(n_i), params, FeedbackConfig.conditional()
             )
-            cond_block = epr_block(state, M, A)
+            cond_block = epr_block(state)
             _, fb_report, _ = run_epr_generation(
                 system_state(n_i), params, FeedbackConfig.optimal(), outcomes=(0.0, 0.0)
             )
             gain = optimal_gain(kappa, n_i)
             fb_state = feedback_ensemble_state(system_state(n_i), params, gain)
-            fb_block = epr_block(fb_state, M, A)
+            fb_block = epr_block(fb_state)
             worst = max(
                 worst,
                 float(np.max(np.abs(fb_block - cond_block))),

@@ -47,6 +47,12 @@ class TestValidation:
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_unknown_keys_of_mixed_types_named(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text("protocol: epr_conditional\nmodel: {kappa: 1.0, 3: 1, frob: 2}\n")
+        assert main(["run", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "[3, 'frob'] in section 'model'" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.yaml"]) == EXIT_VALIDATION
 
@@ -130,6 +136,67 @@ class TestValidation:
         path = write_scenario(tmp_path, "s.yaml", payload)
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            (
+                {
+                    "protocol": "teleport",
+                    "model": {"kappa": 1.0},
+                    "teleport": {"asymptotic": True, "input_mean": [math.nan, 0.0]},
+                },
+                "teleport.input_mean",
+            ),
+            (
+                {
+                    "protocol": "epr_conditional",
+                    "setup": dict(
+                        MICROMIRROR_SETUP,
+                        mech=dict(MICROMIRROR_SETUP["mech"], temperature_k=math.nan),
+                    ),
+                },
+                "setup.mech.temperature_k",
+            ),
+            (
+                {
+                    "protocol": "epr_feedback",
+                    "model": {"kappa": 1.0},
+                    "feedback": {"mode": "fixed", "gain": math.inf},
+                },
+                "feedback.gain",
+            ),
+        ],
+    )
+    def test_non_finite_number_anywhere_named(self, tmp_path, capsys, payload, key):
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert f"key {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gain", [[1.0, 2.0], "abc", -0.5])
+    def test_bad_feedback_gain_is_a_validation_error(self, tmp_path, capsys, gain):
+        payload = {
+            "protocol": "epr_feedback",
+            "model": {"kappa": 1.0},
+            "feedback": {"mode": "fixed", "gain": gain},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert "invalid 'feedback' section" in capsys.readouterr().err
+
+    def test_sweep_path_must_name_a_key_of_its_section(self, tmp_path, capsys):
+        # a scenario's pulse is the unit of time, so model.tau is not a key
+        path = write_scenario(
+            tmp_path,
+            "s.yaml",
+            {
+                "protocol": "epr_conditional",
+                "model": {"kappa": 1.0},
+                "sweep": {"path": "model.tau", "values": [0.5]},
+            },
+        )
+        assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
+        assert "'model.tau'" in capsys.readouterr().err
 
     def test_seed_must_be_an_integer(self, tmp_path, capsys):
         payload = {"protocol": "epr_conditional", "seed": "abc", "model": {"kappa": 1.0}}

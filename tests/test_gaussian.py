@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprbus.gaussian import (
     EPRReport,
@@ -13,14 +16,15 @@ from eprbus.gaussian import (
     atomic_mode,
     condition_on_homodyne,
     displace,
+    epr_forms,
+    epr_pair,
     epr_variance,
     light_mode,
+    linear_form_moments,
     loss_channel,
     make_state,
     mechanical_mode,
     partial_trace,
-    state_from_dict,
-    state_to_dict,
     symplectic_form,
     tensor,
     vacuum_state,
@@ -194,6 +198,24 @@ class TestEPRVariance:
         with pytest.raises(ValueError, match="inconsistent"):
             EPRReport(1.0, 0.2, 0.2, True, Provenance.PREDICTED)
 
+    def test_pair_is_xsum_and_pdiff(self):
+        assert epr_pair(2, 0) == ((4, 0, 1.0), (5, 1, -1.0))
+        expected = np.zeros((2, 6))
+        expected[0, [4, 0]] = 1.0  # X_2 + X_0
+        expected[1, [5, 1]] = 1.0, -1.0  # P_2 - P_0
+        assert np.array_equal(epr_forms(6, 2, 0), expected)
+
+    def test_index_sums_equal_linear_forms(self, rng):
+        for n_modes in (2, 3, 4):
+            for _ in range(10):
+                state = random_valid_state(n_modes, rng, max_squeeze=1.2)
+                for pos, neg in itertools.permutations(range(n_modes), 2):
+                    report = epr_variance(state, state.modes[pos], state.modes[neg])
+                    _, cov = linear_form_moments(state, epr_forms(state.dim, pos, neg))
+                    np.testing.assert_allclose(
+                        [report.var_xsum, report.var_pdiff], np.diag(cov), rtol=1e-12
+                    )
+
 
 class TestPartialTrace:
     def test_keep_all_identity(self, rng):
@@ -219,6 +241,23 @@ class TestPartialTrace:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             partial_trace(vacuum_state([L1]), [])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(2, 4),
+    squeeze=st.floats(0.0, 1.5),
+    measured=st.integers(0, 3),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_conditioning_never_adds_noise(seed, n_modes, squeeze, measured, angle):
+    """The conditional covariance is below the marginal one in PSD order."""
+    state = random_valid_state(n_modes, np.random.default_rng(seed), max_squeeze=squeeze)
+    conditioned, _ = condition_on_homodyne(state, state.modes[measured % n_modes], angle, 0.3)
+    marginal = partial_trace(state, conditioned.modes)
+    gap = np.linalg.eigvalsh(marginal.cov - conditioned.cov)
+    assert gap[0] >= -1e-12 * np.abs(marginal.cov).max()
 
 
 class TestLossChannel:
@@ -289,10 +328,3 @@ class TestInvariants:
             state = random_valid_state(3, rng)
             s = random_symplectic(3, rng)
             apply_linear_map(state, s)  # construction validates
-
-    def test_serialization_round_trip(self, rng):
-        state = random_valid_state(2, rng)
-        back = state_from_dict(state_to_dict(state))
-        assert back.modes == state.modes
-        assert np.array_equal(back.mean, state.mean)
-        assert np.array_equal(back.cov, state.cov)

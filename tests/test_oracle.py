@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbus import oracle
-from eprbus.gaussian import atomic_mode, make_state, mechanical_mode
+from eprbus.gaussian import GaussianState, atomic_mode, make_state, mechanical_mode
 from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams
 from eprbus.oracle import (
     build_model,
@@ -61,13 +61,14 @@ class TestBuildModel:
         omega = model.params.Omega
         assert a[0, 1] == pytest.approx(omega)
         assert a[2, 3] == pytest.approx(-omega)  # negative-mass sign
-        d = model.diffusion_matrix(0.123)
-        assert np.allclose(d[:4, :4], 0.0)  # only accumulator shot noise
+        b = model.noise_columns(0.123)
+        assert np.allclose((b @ b.T)[:4, :4], 0.0)  # only accumulator shot noise
 
     def test_matched_epr_combination_is_noise_free(self):
         model = build_model(ProtocolParams.dimensionless(1.3))
         for t in (0.0, 0.21, 0.77):
-            d = model.diffusion_matrix(t)
+            b = model.noise_columns(t)
+            d = b @ b.T
             phase = model.params.Omega * t
             cos, sin = math.cos(phase), math.sin(phase)
             v_sum = np.array([cos, -sin, cos, sin, 0, 0, 0, 0])
@@ -77,16 +78,18 @@ class TestBuildModel:
 
     def test_common_drive_is_perfectly_correlated(self):
         model = build_model(ProtocolParams.dimensionless(1.0))
-        d = model.diffusion_matrix(0.0)
+        b = model.noise_columns(0.0)
+        d = b @ b.T
         assert d[1, 3] == pytest.approx(math.sqrt(d[1, 1] * d[3, 3]), rel=1e-12)
 
     def test_damping_diffusion_convention(self):
         params = ProtocolParams.dimensionless(1.0, gamma_m=1e-4, n_th=830.0)
         model = build_model(params, damping=True)
         expected = 1e-4 * 831.0
-        d = model.diffusion_matrix(0.4)
+        b, b0 = model.noise_columns(0.4), model.noise_columns(0.0)
+        d = b @ b.T
         assert d[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert d[1, 1] - model.diffusion_matrix(0.0)[1, 1] == pytest.approx(0.0, abs=1e-15)
+        assert d[1, 1] - (b0 @ b0.T)[1, 1] == pytest.approx(0.0, abs=1e-15)
         a = model.drift_matrix(0.0)
         assert a[0, 0] == pytest.approx(-0.5e-4)
 
@@ -127,6 +130,21 @@ class TestPropagateMoments:
         )
         assert info["max_rel_drift_xsum"] < 1e-6
         assert info["max_rel_drift_pdiff"] < 1e-6
+
+    def test_conserved_pair_rotates_with_the_larmor_phase(self):
+        # Var(X_m + X_a) != Var(P_m - P_a) and the two correlate, so only the
+        # pair rotated the right way round is conserved; what drift remains
+        # is the RK4 phase error on this asymmetric state (about 3e-6)
+        cov = np.diag([2.0, 1.0, 0.5, 0.5])
+        cov[0, 1] = cov[1, 0] = 0.6  # squeezed, correlated mechanics
+        initial = GaussianState((mechanical_mode("m"), atomic_mode("a")), np.zeros(4), cov)
+        _, info = propagate_moments(
+            build_model(ProtocolParams.dimensionless(1.0, larmor_periods=8)),
+            initial=initial,
+            return_info=True,
+        )
+        assert info["max_rel_drift_xsum"] < 1e-4
+        assert info["max_rel_drift_pdiff"] < 1e-4
 
     def test_custom_initial_state(self):
         initial = make_state(
@@ -356,6 +374,17 @@ class TestRoutes:
         model = build_model(unit_pulse(1.0, 0.0, periods), steps_per_period=steps_per_period)
         assert oracle._period_steps(model) == expected
 
+    @pytest.mark.parametrize("periods, n_steps", [(6.5, 1300), (13, 2600), (26, 5200), (52, 10400)])
+    def test_whole_step_count_survives_roundoff(self, periods, n_steps):
+        # 200 steps times these periods lands just above a whole number in
+        # floating point, which must not cost an extra step
+        model = build_model(unit_pulse(1.0, 0.0, periods))
+        assert model.n_steps == n_steps
+        assert oracle._period_steps(model) == 200
+        oracle._period_map.cache_clear()
+        propagate_moments(model)
+        assert oracle._period_map.cache_info().misses == 1  # the period route ran
+
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
         kappa=st.floats(0.2, 2.0),
@@ -367,9 +396,6 @@ class TestRoutes:
     def test_period_route_equals_stepped_route(self, kappa, n_i, eps, periods, quarters):
         params = unit_pulse(kappa, n_i, periods + quarters / 4, eps_mismatch=eps)
         model = build_model(params, mismatch=True)
-        # roundoff in Omega tau can add a step (6.5 periods take 1301), and
-        # such a grid is not commensurate
-        assume(oracle._period_steps(model))
         oracle._period_map.cache_clear()
         state = propagate_moments(model)
         assert oracle._period_map.cache_info().misses == 1  # the period route ran

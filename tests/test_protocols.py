@@ -7,8 +7,10 @@ from eprbus.gaussian import (
     GaussianState,
     Provenance,
     atomic_mode,
-    epr_block,
+    epr_forms,
     epr_variance,
+    light_mode,
+    linear_form_moments,
     make_state,
     mechanical_mode,
     vacuum_state,
@@ -148,7 +150,7 @@ class TestRunEprGeneration:
         ensemble = feedback_ensemble_state(
             system_state(n_i), ProtocolParams.dimensionless(1.0, n_i), 0.0
         )
-        block = epr_block(ensemble, M, A)
+        block = linear_form_moments(ensemble, epr_forms(ensemble.dim, 0, 1))[1]
         assert np.allclose(np.diag(block), 1.0 + n_i, atol=1e-12)
 
     def test_feedback_requires_outcomes(self):
@@ -308,6 +310,21 @@ class TestTeleport:
         )
         with pytest.raises(ValueError, match="reserved"):
             teleport(bad, ProtocolParams.dimensionless(1.0), TeleportConfig(asymptotic=True))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda state, params: run_epr_generation(state, params, FeedbackConfig.conditional()),
+        lambda state, params: verify_epr(state, params),
+        lambda state, params: teleport(state, params, TeleportConfig(asymptotic=True)),
+    ],
+    ids=["run_epr_generation", "verify_epr", "teleport"],
+)
+def test_protocols_need_an_atomic_mode(run):
+    no_atoms = make_state([(M, 0.0, (0.0, 0.0)), (light_mode("l"), 0.0, (0.0, 0.0))])
+    with pytest.raises(ValueError, match="exactly one atomic mode to infer the readout roles"):
+        run(no_atoms, ProtocolParams.dimensionless(1.0))
 
 
 class TestFidelityHelper:

@@ -199,6 +199,7 @@ def validate_scenario(raw: dict) -> dict:
             for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
         },
     }
+    _require_typed_keys(scenario)
     if "model" in raw:
         model = _section(raw, "model")
         if "kappa" not in model:
@@ -220,6 +221,28 @@ def validate_scenario(raw: dict) -> dict:
         _resolve_sweep_target(scenario, str(sweep["path"]))  # fail early
         scenario["sweep"] = {"path": str(sweep["path"]), "values": list(sweep["values"])}
     return scenario
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_typed_keys(scenario: dict) -> None:
+    """Check the keys that take a YAML boolean or integer, whatever the protocol."""
+    asymptotic = scenario["teleport"].get("asymptotic", False)
+    if not isinstance(asymptotic, bool):
+        raise ScenarioError(f"key 'teleport.asymptotic' must be true or false, got {asymptotic!r}")
+    shots = scenario["verify"].get("shots", 0)
+    if not _is_integer(shots) or shots < 0 or shots == 1:
+        raise ScenarioError(
+            f"key 'verify.shots' must be 0 (exact statistics) or an integer >= 2, got {shots!r}"
+        )
+    steps = scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
+    if not _is_integer(steps) or steps < MIN_STEPS_PER_PERIOD:
+        raise ScenarioError(
+            f"key 'oracle.steps_per_period' must be an integer >= {MIN_STEPS_PER_PERIOD}, "
+            f"got {steps!r}"
+        )
 
 
 def _validate_setup(section: dict) -> dict:
@@ -274,35 +297,51 @@ def build_params(scenario: dict) -> ProtocolParams:
     return params
 
 
+def _setup_number(value, where: str) -> float:
+    """One number of the ``setup`` section, which YAML may hand over as text
+    (``5.0e6`` and ``nan`` are strings to PyYAML)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"key {where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"key {where} must be finite, got {value!r}")
+    return number
+
+
 def build_setup(scenario: dict) -> PhysicalSetup:
     raw = scenario["setup"]
+    mech, cavity, atoms = (
+        {key: _setup_number(value, f"setup.{sub}.{key}") for key, value in raw[sub].items()}
+        for sub in ("mech", "cavity", "atoms")
+    )
     two_pi = 2.0 * math.pi
     try:
         cavity_kwargs = {
-            "finesse": float(raw["cavity"]["finesse"]),
-            "length": float(raw["cavity"]["length_m"]),
-            "power": float(raw["cavity"]["power_w"]),
-            "tau": float(raw["cavity"]["tau_s"]),
+            "finesse": cavity["finesse"],
+            "length": cavity["length_m"],
+            "power": cavity["power_w"],
+            "tau": cavity["tau_s"],
         }
-        if "wavelength_m" in raw["cavity"]:
-            cavity_kwargs["wavelength"] = float(raw["cavity"]["wavelength_m"])
+        if "wavelength_m" in cavity:
+            cavity_kwargs["wavelength"] = cavity["wavelength_m"]
         return PhysicalSetup(
             mech=MechanicalSpec(
-                omega_m=two_pi * float(raw["mech"]["omega_m_hz"]),
-                mass=float(raw["mech"]["mass_kg"]),
-                q_factor=float(raw["mech"]["q_factor"]),
-                temperature=float(raw["mech"]["temperature_k"]),
+                omega_m=two_pi * mech["omega_m_hz"],
+                mass=mech["mass_kg"],
+                q_factor=mech["q_factor"],
+                temperature=mech["temperature_k"],
             ),
             cavity=CavitySpec(**cavity_kwargs),
             atoms=AtomSpec(
-                gamma=two_pi * float(raw["atoms"]["gamma_hz"]),
-                delta=two_pi * float(raw["atoms"]["delta_hz"]),
-                sigma_scatter=float(raw["atoms"]["sigma_m2"]),
-                beam_area=float(raw["atoms"]["area_m2"]),
-                n_atoms=float(raw["atoms"]["n_atoms"]),
-                larmor=two_pi * float(raw["atoms"]["larmor_hz"]),
+                gamma=two_pi * atoms["gamma_hz"],
+                delta=two_pi * atoms["delta_hz"],
+                sigma_scatter=atoms["sigma_m2"],
+                beam_area=atoms["area_m2"],
+                n_atoms=atoms["n_atoms"],
+                larmor=two_pi * atoms["larmor_hz"],
             ),
-            cooling_factor=float(raw.get("cooling_factor", 1.0)),
+            cooling_factor=_setup_number(raw.get("cooling_factor", 1.0), "setup.cooling_factor"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ScenarioError(f"invalid 'setup' section: {err}") from err
@@ -380,10 +419,8 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         state, gen_report, _ = run_epr_generation(
             _initial_state(params), params, FeedbackConfig.conditional()
         )
-        shots = scenario["verify"].get("shots")
-        inferred, post = verify_epr(
-            state, params, shots=int(shots) if shots else None, rng=rng
-        )
+        shots = scenario["verify"].get("shots") or None  # 0: exact statistics
+        inferred, post = verify_epr(state, params, shots=shots, rng=rng)
         results["achieved"] = _report_dict(gen_report)
         results["inferred"] = _report_dict(inferred)
         results["post_verification"] = _report_dict(epr_variance(post, "m", "a"))
@@ -435,10 +472,7 @@ def _teleport_config(scenario: dict) -> TeleportConfig:
         raise ScenarioError("key 'teleport.input_mean' must be a pair [x, p]")
     try:
         return TeleportConfig(
-            kappa_qnd=float(section.get("kappa_qnd", 0.0)),
-            bell_gain=float(section.get("bell_gain", 0.0)),
-            input_mean=(float(mean[0]), float(mean[1])),
-            asymptotic=bool(section.get("asymptotic", False)),
+            **_keywords(section, input_mean=lambda pair: tuple(map(float, pair)), asymptotic=bool)
         )
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"invalid 'teleport' section: {err}") from err
@@ -447,9 +481,7 @@ def _teleport_config(scenario: dict) -> TeleportConfig:
 def _compare_results(
     scenario: dict, params: ProtocolParams, losses: LossBudget, oracle_steps: int | None
 ) -> dict:
-    steps = oracle_steps or int(
-        scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
-    )
+    steps = oracle_steps or scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
     predicted = predict_epr_variance(params.kappa, params.n_i)
 
     _, ideal_report, _ = run_epr_generation(
@@ -498,6 +530,7 @@ def execute_sweep(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         sub.pop("sweep")
         node, leaf = _resolve_sweep_target(sub, sweep["path"])
         node[leaf] = value
+        _require_typed_keys(sub)
         results = execute(sub, oracle_steps=oracle_steps)
         points.append({"value": value, "results": results})
     return {"path": sweep["path"], "points": points}

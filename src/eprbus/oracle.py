@@ -33,21 +33,27 @@ read off :meth:`DriftNoiseModel.drift_matrix` and
 RK4 kernel steps either a state or a 73 x 73 matrix of states, and two
 routes use it:
 
-* the *period route*.  When ``q = 2 pi / (Omega dt)`` is a whole number
-  (within roundoff), every Larmor period repeats the same ``q`` step maps.
-  Stepping the identity through one period gives the period map ``P`` (the
-  monodromy matrix of Floquet theory); the pulse is ``P`` applied once per
-  whole period, then the remaining steps of a fractional period.
-* the *stepped route* steps the state itself.  It serves per-step output
-  (trajectory rows, the conservation drift) and grids that are not
-  commensurate.
+* the *period route*, for every grid commensurate with the Larmor period.
+  When ``q = 2 pi / (Omega dt)`` is a whole number (within roundoff), every
+  Larmor period repeats the same ``q`` step maps.  Stepping the identity
+  through one period gives the period map ``P`` (the monodromy matrix of
+  Floquet theory); the pulse is ``P`` applied once per whole period, then
+  the remaining steps of a fractional period.  Per-step output (trajectory
+  rows, the conservation drift) is read off the same visit: it records
+  the rows ``L C_j`` for each step ``j`` of the period, with ``C_j`` the map
+  from the period start to step ``j`` and ``L`` the five output forms, so
+  every step's output is those rows applied to its period-start state.
+* the *stepped route* steps the state itself.  It serves grids that are
+  not commensurate.
 
 Either way the result is the same RK4 scheme on the same grid: each RK4
 step is a linear map of ``x``, so composing the step maps of a period first
 changes only the order of the floating-point operations (agreement to about
-1e-14 relative in the covariance).  ``P`` is cached per drift model with
-``n_i`` cleared (``n_i`` only sets the initial state), so a grid over initial
-occupations builds it once.
+1e-13 relative in the covariance and the per-step output).  Without
+per-step output, ``P`` is cached per drift model with ``n_i`` cleared
+(``n_i`` only sets the initial state), so a grid over initial occupations
+builds it once.  With per-step output, ``P`` and its rows are built afresh
+and not cached: the rows take about 0.6 MB a drift model, ten times the map.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -73,7 +79,6 @@ from .gaussian import (
     atomic_mode,
     condition_on_homodyne,
     epr_forms,
-    epr_pair,
     epr_variance,
     mechanical_mode,
 )
@@ -92,12 +97,32 @@ _N_SIGMA = 64
 _MEAN = slice(_N_SIGMA, _N_SIGMA + 8)
 _DIM = _N_SIGMA + 8 + 1
 
-# the EPR pair of the system modes, mechanics (index 0) and atoms (index 1)
-_EPR_PAIR = epr_pair(0, 1)
-
 #: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
 #: the grid counts as commensurate with the Larmor period (roundoff only).
 _COMMENSURATE_RTOL = 1e-12
+
+
+def _output_forms() -> np.ndarray:
+    """Linear forms on ``x`` giving the per-step output (``L`` above).
+
+    The rows are ``Var(X_m + X_a)``, the covariance of that with
+    ``P_m - P_a``, ``Var(P_m - P_a)``, ``Var(Y_pc)`` and ``Var(Y_ps)``.
+    """
+    pair = epr_forms(8, 0, 1)
+    ypc, yps = np.eye(8)[[_YPC, _YPS]]
+    forms = np.zeros((5, _DIM))
+    for row, (a, b) in enumerate(
+        ((pair[0], pair[0]), (pair[0], pair[1]), (pair[1], pair[1]), (ypc, ypc), (yps, yps))
+    ):
+        forms[row, :_N_SIGMA] = ((np.outer(a, b) + np.outer(b, a)) / 2.0).ravel()
+    return forms
+
+
+_OUTPUT_FORMS = _output_forms()
+
+#: Trajectory rows formatted per write; about one Larmor period, so the text
+#: of a whole pulse is never held at once.
+_CSV_CHUNK_ROWS = MIN_STEPS_PER_PERIOD
 
 
 @dataclass(frozen=True)
@@ -244,16 +269,19 @@ def propagate_moments(
     mode).  With ``return_info=True`` also returns a dict with the maximum
     relative drift of the conserved EPR variances along the trajectory and
     the grid actually used.  ``trajectory`` receives CSV rows
-    ``t, var_xsum, var_pdiff, var_ypc, var_yps`` when given.
+    ``t, var_xsum, var_pdiff, var_ypc, var_yps`` at ``t = k dt`` for every
+    step ``k = 0 .. n_steps`` when given.
 
     Both routes (see the module docstring) take the same ``model.n_steps``
     RK4 steps of ``model.dt`` and differ only in the order of floating-point
-    operations.  The period route is taken when the grid is commensurate
-    with the Larmor period and neither ``trajectory`` nor ``return_info``
-    asks for every step.  It takes the model's period map from the cache or
-    builds and caches it; the route, and so the result, never depends on
-    what the cache holds.  Otherwise the stepped route visits every step;
-    the conservation drift is computed only under ``return_info``.
+    operations.  A grid commensurate with the Larmor period takes the period
+    route, whatever output is asked for; any other grid takes the stepped
+    route.  Without per-step output the period route takes the model's
+    period map from the cache or builds and caches it.  With ``trajectory``
+    or ``return_info`` it builds the map afresh along with the output rows of
+    every step of the period, and does not cache them; the returned state is
+    the same either way.  The route, and so the result, never depends on
+    what the cache holds.
 
     The accumulated temporal modes only become canonical pairs once the pulse
     is complete (and exactly so only for an integer number of Larmor
@@ -261,64 +289,109 @@ def propagate_moments(
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
     x = np.concatenate((cov.ravel(), mean, (1.0,)))
-    dt, omega = model.dt, model.params.Omega
     q = _period_steps(model)
     per_step = trajectory is not None or return_info
-    max_drift = {"max_rel_drift_xsum": 0.0, "max_rel_drift_pdiff": 0.0}
 
-    if not per_step and q:
+    if q and not per_step:
         basis, period_map = _period_map(replace(model, params=replace(model.params, n_i=0.0)))
         whole, rest = divmod(model.n_steps, q)
         for _ in range(whole):
             x = period_map @ x
         x = _advance(model, basis, x, whole * q, rest)
+    elif q:
+        x, values = _period_outputs(model, x, q)
     else:
         basis = _generator_basis(model)
-        pair = epr_forms(8, 0, 1)
+        if per_step:
+            x, values = _outputs_along(model, basis, x, model.n_steps)
+        else:
+            x = _advance(model, basis, x, 0, model.n_steps)
 
-        def conserved_variances(sigma: np.ndarray, phase: float) -> tuple[float, float]:
-            """Variances of the conserved QND observables, the EPR pair
-            co-rotating at the Larmor frequency: ``R pair`` with the rotation
-            ``R = [[cos, -sin], [sin, cos]]`` of ``phase``."""
-            (xx, xp), (_, pp) = (pair @ sigma @ pair.T).tolist()
-            cos, sin = math.cos(phase), math.sin(phase)
-            # the diagonal of R M R^T, M the covariance of the pair
-            cross = 2.0 * cos * sin * xp
-            return cos * cos * xx - cross + sin * sin * pp, sin * sin * xx + cross + cos * cos * pp
-
-        refs = conserved_variances(cov, 0.0)
-
-        def visit(k: int, x: np.ndarray) -> None:
-            sigma = x[:_N_SIGMA].reshape(8, 8)
-            if trajectory is not None:
-                _dump_row(trajectory, k * dt, sigma)
-            if return_info:
-                values = conserved_variances(sigma, omega * (k * dt))
-                for name, value, ref in zip(max_drift, values, refs):
-                    if ref > 0.0:
-                        max_drift[name] = max(max_drift[name], abs(value - ref) / ref)
-
-        if trajectory is not None:
-            trajectory.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
-            visit(0, x)
-        x = _advance(model, basis, x, 0, model.n_steps, visit if per_step else None)
-
+    if trajectory is not None:
+        _write_trajectory(trajectory, model.dt, values)
     cov = x[:_N_SIGMA].reshape(8, 8)
     cov = (cov + cov.T) / 2.0
     state = GaussianState((mech, atom, COS_MODE, SIN_MODE), x[_MEAN], cov, validate=False)
     if not return_info:
         return state
-    return state, {"n_steps": model.n_steps, "dt": dt, **max_drift}
+    return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(model, values)}
 
 
-def _dump_row(stream: TextIO, t: float, cov: np.ndarray) -> None:
-    var_xsum, var_pdiff = (
-        float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j]) for i, j, s in _EPR_PAIR
+def _outputs_along(
+    model: DriftNoiseModel, basis: tuple[np.ndarray, np.ndarray], x: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Take RK4 steps ``0 .. count - 1`` from ``x`` and record the output forms.
+
+    Returns the advanced ``x`` and ``out`` with ``out[k]`` the output forms
+    applied to ``x`` after ``k`` steps.  For a state these are the output
+    values; for the identity they are the rows ``L C_k``, with ``C_k`` the
+    map of the first ``k`` steps.
+    """
+    out = np.empty((count + 1, len(_OUTPUT_FORMS), *x.shape[1:]))
+
+    def record(k: int, x: np.ndarray) -> None:
+        out[k] = _OUTPUT_FORMS @ x
+
+    record(0, x)
+    return _advance(model, basis, x, 0, count, record), out
+
+
+def _period_outputs(
+    model: DriftNoiseModel, x: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The period route with per-step output, from ``x`` over the pulse.
+
+    Builds the period map with the output rows of every step of the period,
+    uncached, and returns the final ``x`` and the output values of every
+    step: step ``p q + j`` of the pulse is step ``j`` of period ``p``, so its
+    values are row ``j`` applied to the start of period ``p``.
+    """
+    basis = _generator_basis(model)
+    period_map, rows = _outputs_along(model, basis, np.eye(_DIM), q)
+    whole, rest = divmod(model.n_steps, q)
+    starts = np.empty((whole + 1, _DIM))
+    starts[0] = x
+    for p in range(whole):
+        starts[p + 1] = period_map @ starts[p]
+    values = np.concatenate(
+        (
+            (starts[:whole] @ rows[:q].reshape(-1, _DIM).T).reshape(whole * q, len(rows[0])),
+            rows[: rest + 1] @ starts[whole],
+        )
     )
-    stream.write(
-        f"{float(t)!r},{var_xsum!r},{var_pdiff!r},"
-        f"{float(cov[_YPC, _YPC])!r},{float(cov[_YPS, _YPS])!r}\n"
-    )
+    return _advance(model, basis, starts[whole], whole * q, rest), values
+
+
+def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
+    stream.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):
+        chunk = values[start : start + _CSV_CHUNK_ROWS, [0, 2, 3, 4]].tolist()
+        stream.write(
+            "".join(
+                f"{k * dt!r},{xsum!r},{pdiff!r},{ypc!r},{yps!r}\n"
+                for k, (xsum, pdiff, ypc, yps) in enumerate(chunk, start)
+            )
+        )
+
+
+def _max_drift(model: DriftNoiseModel, values: np.ndarray) -> dict[str, float]:
+    """Maximum relative drift of the conserved QND variances over the steps.
+
+    The conserved observables are the EPR pair co-rotating at the Larmor
+    frequency: ``R pair`` with the rotation ``R = [[cos, -sin], [sin, cos]]``
+    of the phase.  Their variances are the diagonal of ``R M R^T``, with
+    ``M`` the covariance of the pair (the first three output values).
+    """
+    xx, xp, pp = values[:, :3].T
+    phases = model.params.Omega * (np.arange(len(values)) * model.dt)
+    cos, sin = np.cos(phases), np.sin(phases)
+    cross = 2.0 * cos * sin * xp
+    conserved = (cos * cos * xx - cross + sin * sin * pp, sin * sin * xx + cross + cos * cos * pp)
+    drift = {}
+    for name, value in zip(("max_rel_drift_xsum", "max_rel_drift_pdiff"), conserved):
+        ref = value[0]
+        drift[name] = float(np.max(np.abs(value - ref)) / ref) if ref > 0.0 else 0.0
+    return drift
 
 
 def _period_steps(model: DriftNoiseModel) -> int:

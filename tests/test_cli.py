@@ -184,6 +184,85 @@ class TestValidation:
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
         assert "invalid 'feedback' section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_asymptotic_must_be_a_boolean(self, tmp_path, capsys, value):
+        # any non-empty string used to run the asymptotic Bell limit
+        payload = {
+            "protocol": "teleport",
+            "model": {"kappa": 1.0},
+            "teleport": {"asymptotic": value, "kappa_qnd": 4.0, "bell_gain": 0.25},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'teleport.asymptotic' must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["verify", "epr_conditional", "oracle_compare"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("verify.shots", "abc"),
+            ("verify.shots", 1),
+            ("verify.shots", -4000),
+            ("verify.shots", 4000.5),
+            ("verify.shots", True),
+            ("oracle.steps_per_period", "abc"),
+            ("oracle.steps_per_period", 100),
+            ("oracle.steps_per_period", 250.0),
+            ("oracle.steps_per_period", None),
+        ],
+    )
+    def test_integer_keys_checked_for_every_protocol(self, tmp_path, capsys, protocol, key, value):
+        section, leaf = key.split(".")
+        payload = {"protocol": protocol, "model": {"kappa": 1.0}, section: {leaf: value}}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        verb = "compare" if protocol == "oracle_compare" else "run"
+        assert main([verb, "--scenario", path]) == EXIT_VALIDATION
+        assert f"key '{key}' must be" in capsys.readouterr().err
+
+    def test_swept_integer_key_checked_per_point(self, tmp_path, capsys):
+        payload = {
+            "protocol": "oracle_compare",
+            "model": {"kappa": 1.0, "larmor_periods": 8},
+            "oracle": {"steps_per_period": 200},
+            "sweep": {"path": "oracle.steps_per_period", "values": [200, 100]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'oracle.steps_per_period' must be an integer >= 200, got 100" in (
+            capsys.readouterr().err
+        )
+
+    def test_exact_and_sampled_shots_accepted(self, tmp_path):
+        for shots in (0, 2, 500):
+            out = tmp_path / f"{shots}.json"
+            payload = {"protocol": "verify", "model": {"kappa": 1.0}, "verify": {"shots": shots}}
+            path = write_scenario(tmp_path, "s.yaml", payload)
+            assert main(["run", "--scenario", path, "--out", str(out)]) == EXIT_OK
+            assert ("stderr" in read_json(out)["results"]["inferred"]) == (shots > 0)
+
+    @pytest.mark.parametrize("verb", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "sub, key, text",
+        [
+            ("mech", "temperature_k", "nan"),
+            ("cavity", "power_w", "inf"),
+            ("atoms", "n_atoms", "-inf"),
+            (None, "cooling_factor", "nan"),
+            ("mech", "mass_kg", "abc"),
+        ],
+    )
+    def test_setup_numbers_named(self, tmp_path, capsys, verb, sub, key, text):
+        # PyYAML reads a bare nan, inf or 5.0e6 as a string, which float() takes
+        setup = {name: dict(MICROMIRROR_SETUP[name]) for name in ("mech", "cavity", "atoms")}
+        (setup[sub] if sub else setup)[key] = "PLACEHOLDER"
+        payload = {"protocol": "epr_conditional", "setup": setup}
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(payload).replace("PLACEHOLDER", text))
+        assert main([verb, "--scenario", str(path)]) == EXIT_VALIDATION
+        where = f"setup.{sub}.{key}" if sub else f"setup.{key}"
+        message = "must be a number" if text == "abc" else "must be finite"
+        assert f"key {where} {message}, got '{text}'" in capsys.readouterr().err
+
     def test_sweep_path_must_name_a_key_of_its_section(self, tmp_path, capsys):
         # a scenario's pulse is the unit of time, so model.tau is not a key
         path = write_scenario(

@@ -22,6 +22,9 @@ INTEGRATION_TOL = 1e-5
 #: Agreement of two orderings of the same RK4 arithmetic, relative to the
 #: largest covariance entry.
 ROUTE_RTOL = 1e-10
+#: Agreement of per-step output values (trajectory rows, conservation drift)
+#: of two routes, relative.
+PER_STEP_RTOL = 1e-12
 
 
 def unit_pulse(kappa: float, n_i: float, periods: float, **extra) -> ProtocolParams:
@@ -46,10 +49,71 @@ def assert_same_moments(state, cov, mean) -> None:
     np.testing.assert_allclose(state.mean, mean, rtol=ROUTE_RTOL, atol=ROUTE_RTOL * scale)
 
 
+def step_through(model, initial=None):
+    """The RK4 kernel stepping the state itself through every step.
+
+    This is the stepped route taken directly, whatever route
+    ``propagate_moments`` picks.  Returns the final state, the trajectory
+    rows ``(t, var_xsum, var_pdiff, var_ypc, var_yps)`` of every step and
+    the conservation drift, with the outputs written out by hand.
+    """
+    mean, cov, modes = oracle._initial_moments(model, initial)
+    rows, conserved = [], []
+    f_xsum, f_pdiff = np.eye(8)[0] + np.eye(8)[2], np.eye(8)[1] - np.eye(8)[3]
+
+    def visit(k, x):
+        s = x[:64].reshape(8, 8)
+        rows.append((k * model.dt, s[0, 0] + s[2, 2] + 2 * s[0, 2],
+                     s[1, 1] + s[3, 3] - 2 * s[1, 3], s[5, 5], s[7, 7]))
+        # the EPR pair co-rotating with the Larmor phase is conserved
+        phase = model.params.Omega * (k * model.dt)
+        cos, sin = math.cos(phase), math.sin(phase)
+        pair = (cos * f_xsum - sin * f_pdiff, sin * f_xsum + cos * f_pdiff)
+        conserved.append([v @ s @ v for v in pair])
+
+    x = np.concatenate((cov.ravel(), mean, (1.0,)))
+    visit(0, x)
+    x = oracle._advance(model, oracle._generator_basis(model), x, 0, model.n_steps, visit)
+    sigma = x[:64].reshape(8, 8)
+    state = GaussianState(
+        (*modes, COS_MODE, SIN_MODE), x[64:72], (sigma + sigma.T) / 2, validate=False
+    )
+    conserved = np.array(conserved)
+    drift = np.max(np.abs(conserved - conserved[0]), axis=0) / conserved[0]
+    return state, rows, {"max_rel_drift_xsum": drift[0], "max_rel_drift_pdiff": drift[1]}
+
+
 def stepped(model, initial=None):
-    """The stepped route: per-step output forces it."""
-    state, _ = propagate_moments(model, initial=initial, return_info=True)
-    return state
+    """The final state of the stepped route, taken directly."""
+    return step_through(model, initial)[0]
+
+
+def assert_same_per_step_output(model, initial=None):
+    """Trajectory and drift of ``propagate_moments`` against the stepped kernel.
+
+    Returns the stepped kernel's final state.
+    """
+    buffer = io.StringIO()
+    state, info = propagate_moments(model, initial=initial, trajectory=buffer, return_info=True)
+    reference, rows, drift = step_through(model, initial)
+    assert_same_moments(state, reference.cov, reference.mean)
+    lines = buffer.getvalue().splitlines()
+    assert lines[0] == "t,var_xsum,var_pdiff,var_ypc,var_yps"
+    assert len(lines) == model.n_steps + 1 + 1
+    written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    expected = np.array(rows)
+    np.testing.assert_array_equal(written[:, 0], expected[:, 0])
+    np.testing.assert_allclose(written[:, 1:], expected[:, 1:], rtol=PER_STEP_RTOL, atol=0.0)
+    # the last row is the returned state at t = tau
+    c = state.cov
+    final = (c[0, 0] + c[2, 2] + 2 * c[0, 2], c[1, 1] + c[3, 3] - 2 * c[1, 3], c[5, 5], c[7, 7])
+    assert written[-1, 0] == pytest.approx(model.tau, rel=1e-12)
+    np.testing.assert_allclose(written[-1, 1:], final, rtol=PER_STEP_RTOL, atol=0.0)
+    assert (info["n_steps"], info["dt"]) == (model.n_steps, model.dt)
+    for name, value in drift.items():
+        # the drift is itself relative: compare it absolutely
+        assert abs(info[name] - value) <= PER_STEP_RTOL, name
+    return reference
 
 
 class TestBuildModel:
@@ -399,7 +463,7 @@ class TestRoutes:
         oracle._period_map.cache_clear()
         state = propagate_moments(model)
         assert oracle._period_map.cache_info().misses == 1  # the period route ran
-        reference = stepped(model)
+        reference = assert_same_per_step_output(model)
         assert_same_moments(state, reference.cov, reference.mean)
 
     def test_second_n_i_reuses_the_period_map(self):
@@ -413,14 +477,37 @@ class TestRoutes:
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
 
-    def test_per_step_output_steps_without_caching(self):
+    def test_per_step_output_takes_the_period_route_uncached(self, monkeypatch):
         oracle._period_map.cache_clear()
         model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=1))
-        propagate_moments(model, return_info=True)
+        kernel, advanced = oracle._advance, []
+
+        def spy(model, basis, x, k0, count, visit=None):
+            advanced.append((x.shape, count))
+            return kernel(model, basis, x, k0, count, visit)
+
+        monkeypatch.setattr(oracle, "_advance", spy)
+        state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
-        assert oracle._period_map.cache_info().misses == 0
-        propagate_moments(model)  # one period is enough for the period route
+        # each call stepped the identity through the one period, no state
+        assert advanced == [((73, 73), 200), ((73,), 0)] * 2
+        assert oracle._period_map.cache_info().currsize == 0
+        plain = propagate_moments(model)  # one period is enough for the period route
         assert oracle._period_map.cache_info().misses == 1
+        # the same period map, so per-step output leaves the state as it is
+        np.testing.assert_array_equal(state.cov, plain.cov)
+        np.testing.assert_array_equal(state.mean, plain.mean)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_per_step_output_matches_the_stepped_kernel(self, name):
+        model = REGRESSION_CASES[name]()
+        assert_same_per_step_output(model, DISPLACED_INITIAL.get(name, lambda: None)())
+
+    def test_per_step_output_of_a_pulse_shorter_than_a_period(self):
+        # 200 steps of a 400-step period: no whole period, only the remainder
+        model = build_model(unit_pulse(1.0, 3.0, 0.5))
+        assert (model.n_steps, oracle._period_steps(model)) == (200, 400)
+        assert_same_per_step_output(model)
 
     def test_cache_is_bounded(self):
         oracle._period_map.cache_clear()

@@ -30,6 +30,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -199,7 +200,7 @@ def validate_scenario(raw: dict) -> dict:
             for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
         },
     }
-    _require_typed_keys(scenario)
+    _check_sections(scenario)
     if "model" in raw:
         model = _section(raw, "model")
         if "kappa" not in model:
@@ -227,22 +228,30 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_typed_keys(scenario: dict) -> None:
-    """Check the keys that take a YAML boolean or integer, whatever the protocol."""
-    asymptotic = scenario["teleport"].get("asymptotic", False)
-    if not isinstance(asymptotic, bool):
-        raise ScenarioError(f"key 'teleport.asymptotic' must be true or false, got {asymptotic!r}")
+def _check_sections(scenario: dict) -> None:
+    """Check every section, whatever the protocol reads: ``losses`` and the
+    present ``feedback`` and ``teleport`` sections through the objects they
+    configure, and the keys that take a YAML integer."""
+    build_losses(scenario)
+    if scenario["feedback"]:
+        _feedback_config(scenario["feedback"])
+    if scenario["teleport"]:
+        _teleport_config(scenario["teleport"])
     shots = scenario["verify"].get("shots", 0)
     if not _is_integer(shots) or shots < 0 or shots == 1:
         raise ScenarioError(
             f"key 'verify.shots' must be 0 (exact statistics) or an integer >= 2, got {shots!r}"
         )
-    steps = scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
+    _require_steps(
+        scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD),
+        "key 'oracle.steps_per_period'",
+    )
+
+
+def _require_steps(steps, name: str) -> None:
+    """Oracle steps per Larmor period, from the scenario or ``--oracle-steps``."""
     if not _is_integer(steps) or steps < MIN_STEPS_PER_PERIOD:
-        raise ScenarioError(
-            f"key 'oracle.steps_per_period' must be an integer >= {MIN_STEPS_PER_PERIOD}, "
-            f"got {steps!r}"
-        )
+        raise ScenarioError(f"{name} must be an integer >= {MIN_STEPS_PER_PERIOD}, got {steps!r}")
 
 
 def _validate_setup(section: dict) -> dict:
@@ -279,20 +288,37 @@ def _resolve_sweep_target(scenario: dict, path: str) -> tuple[dict, str]:
 # scenario -> objects
 
 
-def _keywords(section: dict, **convert) -> dict:
-    """The section as keyword arguments, each value through ``float`` unless
-    ``convert`` gives the key another type."""
-    return {key: convert.get(key, float)(value) for key, value in section.items()}
+def _configure(factory, section: dict, where: str, **convert):
+    """``factory`` called with the section at ``where`` as keywords.
+
+    Each value goes through ``float`` unless ``convert`` gives the key
+    another type.  A value that does not convert, or that ``factory``
+    rejects, is an error naming its dotted key: the objects' messages start
+    with the name of the argument.
+    """
+    keywords = {}
+    for key, value in section.items():
+        try:
+            keywords[key] = convert.get(key, float)(value)
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"invalid {where!r} section: key '{where}.{key}' must be numeric, got {value!r}"
+            ) from None
+    try:
+        return factory(**keywords)
+    except (TypeError, ValueError) as err:
+        message = str(err)
+        name, _, rest = message.partition(" ")
+        if name in inspect.signature(factory).parameters:
+            message = f"key '{where}.{name}' {rest}"
+        raise ScenarioError(f"invalid {where!r} section: {message}") from err
 
 
 def build_params(scenario: dict) -> ProtocolParams:
     if "model" in scenario:
-        try:
-            return ProtocolParams.dimensionless(
-                **_keywords(scenario["model"], larmor_periods=int)
-            )
-        except (TypeError, ValueError) as err:
-            raise ScenarioError(f"invalid 'model' section: {err}") from err
+        return _configure(
+            ProtocolParams.dimensionless, scenario["model"], "model", larmor_periods=int
+        )
     params, _ = derive_params(build_setup(scenario))
     return params
 
@@ -348,10 +374,7 @@ def build_setup(scenario: dict) -> PhysicalSetup:
 
 
 def build_losses(scenario: dict) -> LossBudget:
-    try:
-        return LossBudget(**_keywords(scenario["losses"]))
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid 'losses' section: {err}") from err
+    return _configure(LossBudget, scenario["losses"], "losses")
 
 
 def _initial_state(params: ProtocolParams):
@@ -394,12 +417,12 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
     }
 
     if protocol in ("epr_conditional", "epr_feedback"):
-        fb = _feedback_config(scenario, protocol)
+        feedback = protocol == "epr_feedback"
         state, report, records = run_epr_generation(
             _initial_state(params),
             params,
-            fb,
-            rng=rng if protocol == "epr_feedback" else None,
+            _feedback_config(scenario["feedback"]) if feedback else FeedbackConfig.conditional(),
+            rng=rng if feedback else None,
         )
         results["achieved"] = _report_dict(report)
         results["records"] = [
@@ -428,7 +451,7 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         state, gen_report, _ = run_epr_generation(
             _initial_state(params), params, FeedbackConfig.conditional()
         )
-        cfg = _teleport_config(scenario)
+        cfg = _teleport_config(scenario["teleport"])
         final, fidelity = teleport(state, params, cfg)
         results["achieved"] = _report_dict(gen_report)
         results["teleport"] = {
@@ -448,34 +471,32 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
     return results
 
 
-def _feedback_config(scenario: dict, protocol: str) -> FeedbackConfig:
-    if protocol == "epr_conditional":
-        return FeedbackConfig.conditional()
-    section = scenario["feedback"]
+def _feedback_config(section: dict) -> FeedbackConfig:
+    """The feedback of ``epr_feedback``; ``epr_conditional`` keeps the record."""
     mode = section.get("mode", "optimal")
     if mode == "optimal":
         return FeedbackConfig.optimal()
     if mode == "fixed":
         if "gain" not in section:
             raise ScenarioError("key 'feedback.gain' is required for mode 'fixed'")
-        try:
-            return FeedbackConfig.with_gain(float(section["gain"]))
-        except (TypeError, ValueError) as err:
-            raise ScenarioError(f"invalid 'feedback' section: {err}") from err
+        return _configure(FeedbackConfig.with_gain, {"gain": section["gain"]}, "feedback")
     raise ScenarioError(f"key 'feedback.mode' must be 'optimal' or 'fixed', got {mode!r}")
 
 
-def _teleport_config(scenario: dict) -> TeleportConfig:
-    section = scenario["teleport"]
+def _teleport_config(section: dict) -> TeleportConfig:
+    asymptotic = section.get("asymptotic", False)
+    if not isinstance(asymptotic, bool):
+        raise ScenarioError(f"key 'teleport.asymptotic' must be true or false, got {asymptotic!r}")
     mean = section.get("input_mean", (0.0, 0.0))
     if not isinstance(mean, (list, tuple)) or len(mean) != 2:
         raise ScenarioError("key 'teleport.input_mean' must be a pair [x, p]")
-    try:
-        return TeleportConfig(
-            **_keywords(section, input_mean=lambda pair: tuple(map(float, pair)), asymptotic=bool)
-        )
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid 'teleport' section: {err}") from err
+    return _configure(
+        TeleportConfig,
+        section,
+        "teleport",
+        input_mean=lambda pair: tuple(map(float, pair)),
+        asymptotic=bool,
+    )
 
 
 def _compare_results(
@@ -530,7 +551,7 @@ def execute_sweep(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         sub.pop("sweep")
         node, leaf = _resolve_sweep_target(sub, sweep["path"])
         node[leaf] = value
-        _require_typed_keys(sub)
+        _check_sections(sub)
         results = execute(sub, oracle_steps=oracle_steps)
         points.append({"value": value, "results": results})
     return {"path": sweep["path"], "points": points}
@@ -644,6 +665,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.oracle_steps is not None:
+            _require_steps(args.oracle_steps, "--oracle-steps")
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario["seed"] = args.seed

@@ -24,18 +24,20 @@ second moments are exact and obey ``dSigma/dt = A Sigma + Sigma A^T + D``
 and ``dmean/dt = A mean``; a fixed-step fourth-order (RK4) integrator
 propagates them.
 
-Both equations are linear in the augmented state ``x = [vec Sigma; mean; 1]``
-of 73 entries, ``dx/dt = G(t) x``, and ``G`` depends on time only through
-the Larmor phase: ``G(t) = sum_j f_j(t) B_j`` with
-``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The ``B_j`` are
-read off :meth:`DriftNoiseModel.drift_matrix` and
+Both equations are linear in the augmented state ``x = [vech Sigma; mean; 1]``
+of 45 entries (the 36 entries of the upper triangle of the symmetric
+``Sigma``, the 8 means and a constant), ``dx/dt = G(t) x``, and ``G``
+depends on time only through the Larmor phase: ``G(t) = sum_j f_j(t) B_j``
+with ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The
+``B_j`` are read off :meth:`DriftNoiseModel.drift_matrix` and
 :meth:`DriftNoiseModel.noise_columns`, so the physics is written once.  One
-RK4 kernel steps either a state or a 73 x 73 matrix of states, and two
+RK4 kernel steps either a state or a 45 x 45 matrix of states, and two
 routes use it:
 
-* the *period route*, for every grid commensurate with the Larmor period.
-  When ``q = 2 pi / (Omega dt)`` is a whole number (within roundoff), every
-  Larmor period repeats the same ``q`` step maps.  Stepping the identity
+* the *period route*, for every grid commensurate with the Larmor period
+  on a pulse of at least one period.  When ``q = 2 pi / (Omega dt)`` is a
+  whole number (within roundoff), every Larmor period repeats the same
+  ``q`` step maps.  Stepping the identity
   through one period gives the period map ``P`` (the monodromy matrix of
   Floquet theory); the pulse is ``P`` applied once per whole period, then
   the remaining steps of a fractional period.  Per-step output (trajectory
@@ -44,7 +46,7 @@ routes use it:
   from the period start to step ``j`` and ``L`` the five output forms, so
   every step's output is those rows applied to its period-start state.
 * the *stepped route* steps the state itself.  It serves grids that are
-  not commensurate.
+  not commensurate, and pulses shorter than one period.
 
 Either way the result is the same RK4 scheme on the same grid: each RK4
 step is a linear map of ``x``, so composing the step maps of a period first
@@ -53,7 +55,7 @@ changes only the order of the floating-point operations (agreement to about
 per-step output, ``P`` is cached per drift model with ``n_i`` cleared
 (``n_i`` only sets the initial state), so a grid over initial occupations
 builds it once.  With per-step output, ``P`` and its rows are built afresh
-and not cached: the rows take about 0.6 MB a drift model, ten times the map.
+and not cached: the rows take about 0.36 MB a drift model.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -92,10 +94,15 @@ MIN_STEPS_PER_PERIOD = 200
 # state vector ordering
 _XM, _PM, _XA, _PA, _YXC, _YPC, _YXS, _YPS = range(8)
 
-# augmented state x = [vec Sigma (row-major); mean; 1]
-_N_SIGMA = 64
+# augmented state x = [vech Sigma; mean; 1], vech the row-major upper triangle
+_TRIU = np.triu_indices(8)
+_N_SIGMA = len(_TRIU[0])
 _MEAN = slice(_N_SIGMA, _N_SIGMA + 8)
 _DIM = _N_SIGMA + 8 + 1
+# where vech sits in the row-major vec (the elimination), and vec = _DUP vech
+_VECH = 8 * _TRIU[0] + _TRIU[1]
+_DUP = np.zeros((64, _N_SIGMA))
+_DUP[_VECH, range(_N_SIGMA)] = _DUP[8 * _TRIU[1] + _TRIU[0], range(_N_SIGMA)] = 1.0
 
 #: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
 #: the grid counts as commensurate with the Larmor period (roundoff only).
@@ -110,11 +117,9 @@ def _output_forms() -> np.ndarray:
     """
     pair = epr_forms(8, 0, 1)
     ypc, yps = np.eye(8)[[_YPC, _YPS]]
+    pairs = ((pair[0], pair[0]), (pair[0], pair[1]), (pair[1], pair[1]), (ypc, ypc), (yps, yps))
     forms = np.zeros((5, _DIM))
-    for row, (a, b) in enumerate(
-        ((pair[0], pair[0]), (pair[0], pair[1]), (pair[1], pair[1]), (ypc, ypc), (yps, yps))
-    ):
-        forms[row, :_N_SIGMA] = ((np.outer(a, b) + np.outer(b, a)) / 2.0).ravel()
+    forms[:, :_N_SIGMA] = [np.kron(a, b) @ _DUP for a, b in pairs]  # a^T Sigma b
     return forms
 
 
@@ -275,31 +280,31 @@ def propagate_moments(
     Both routes (see the module docstring) take the same ``model.n_steps``
     RK4 steps of ``model.dt`` and differ only in the order of floating-point
     operations.  A grid commensurate with the Larmor period takes the period
-    route, whatever output is asked for; any other grid takes the stepped
-    route.  Without per-step output the period route takes the model's
-    period map from the cache or builds and caches it.  With ``trajectory``
-    or ``return_info`` it builds the map afresh along with the output rows of
-    every step of the period, and does not cache them; the returned state is
-    the same either way.  The route, and so the result, never depends on
-    what the cache holds.
+    route on a pulse of at least one period, whatever output is asked for;
+    any other grid or pulse takes the stepped route.  Without per-step output
+    the period route takes the model's period map from the cache or builds
+    and caches it.  With ``trajectory`` or ``return_info`` it builds the map
+    afresh along with the output rows of every step of the period, and does
+    not cache them; the returned state is the same either way.  The route,
+    and so the result, never depends on what the cache holds.
 
     The accumulated temporal modes only become canonical pairs once the pulse
     is complete (and exactly so only for an integer number of Larmor
     periods), so the returned state skips the uncertainty validation.
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
-    x = np.concatenate((cov.ravel(), mean, (1.0,)))
+    x = np.concatenate((cov[_TRIU], mean, (1.0,)))
     q = _period_steps(model)
+    whole, rest = divmod(model.n_steps, q) if q else (0, model.n_steps)
     per_step = trajectory is not None or return_info
 
-    if q and not per_step:
+    if whole and not per_step:
         basis, period_map = _period_map(replace(model, params=replace(model.params, n_i=0.0)))
-        whole, rest = divmod(model.n_steps, q)
         for _ in range(whole):
             x = period_map @ x
         x = _advance(model, basis, x, whole * q, rest)
-    elif q:
-        x, values = _period_outputs(model, x, q)
+    elif whole:
+        x, values = _period_outputs(model, x, q, whole, rest)
     else:
         basis = _generator_basis(model)
         if per_step:
@@ -309,8 +314,7 @@ def propagate_moments(
 
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
-    cov = x[:_N_SIGMA].reshape(8, 8)
-    cov = (cov + cov.T) / 2.0
+    cov = (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
     state = GaussianState((mech, atom, COS_MODE, SIN_MODE), x[_MEAN], cov, validate=False)
     if not return_info:
         return state
@@ -318,7 +322,7 @@ def propagate_moments(
 
 
 def _outputs_along(
-    model: DriftNoiseModel, basis: tuple[np.ndarray, np.ndarray], x: np.ndarray, count: int
+    model: DriftNoiseModel, basis: np.ndarray, x: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Take RK4 steps ``0 .. count - 1`` from ``x`` and record the output forms.
 
@@ -337,18 +341,18 @@ def _outputs_along(
 
 
 def _period_outputs(
-    model: DriftNoiseModel, x: np.ndarray, q: int
+    model: DriftNoiseModel, x: np.ndarray, q: int, whole: int, rest: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The period route with per-step output, from ``x`` over the pulse.
 
     Builds the period map with the output rows of every step of the period,
-    uncached, and returns the final ``x`` and the output values of every
-    step: step ``p q + j`` of the pulse is step ``j`` of period ``p``, so its
-    values are row ``j`` applied to the start of period ``p``.
+    uncached, and returns ``x`` after ``whole`` periods of ``q`` steps and
+    ``rest`` more, and the output values of every step: step ``p q + j`` of
+    the pulse is step ``j`` of period ``p``, so its values are row ``j``
+    applied to the start of period ``p``.
     """
     basis = _generator_basis(model)
     period_map, rows = _outputs_along(model, basis, np.eye(_DIM), q)
-    whole, rest = divmod(model.n_steps, q)
     starts = np.empty((whole + 1, _DIM))
     starts[0] = x
     for p in range(whole):
@@ -401,17 +405,17 @@ def _period_steps(model: DriftNoiseModel) -> int:
     return q if q >= 1 and abs(steps - q) <= _COMMENSURATE_RTOL * q else 0
 
 
-def _generator_basis(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j`` in sparse form.
+def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
+    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``.
 
-    ``dx/dt = G(t) x`` on ``x = [vec Sigma; mean; 1]`` (row-major ``vec``) is
+    ``dx/dt = G(t) x`` on ``x = [vech Sigma; mean; 1]`` is
     ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
-    ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of the Larmor phase
-    ``Omega t``.  The drift and the noise columns are affine in (cos, sin);
-    their three parts are solved from ``drift_matrix`` and ``noise_columns``
-    at three phases, so the physics stays written there.  Returned are the
-    flat positions where some ``B_j`` is nonzero (under 200 of the 5329) and
-    the ``(6, n)`` values of the ``B_j`` there.
+    ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of the Larmor phase.  The
+    flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma`` symmetric, so
+    on ``vech`` it is ``E (A (x) I + I (x) A) Dup``.  The drift and the noise
+    columns are affine in (cos, sin); their three parts are solved from
+    ``drift_matrix`` and ``noise_columns`` at three phases, so the physics
+    stays written there.
     """
     omega = model.params.Omega
     times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
@@ -430,26 +434,22 @@ def _generator_basis(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     basis = np.zeros((6, _DIM, _DIM))
     eye = np.eye(8)
     for j, a in enumerate(drift):
-        basis[j, :_N_SIGMA, :_N_SIGMA] = np.kron(a, eye) + np.kron(eye, a)
+        basis[j, :_N_SIGMA, :_N_SIGMA] = (np.kron(a, eye) + np.kron(eye, a))[_VECH] @ _DUP
         basis[j, _MEAN, _MEAN] = a
-    basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, _N_SIGMA))
-    basis = basis.reshape(6, -1)
-    support = np.flatnonzero(basis.any(axis=0))
-    return support, basis[:, support]
+    basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, 64))[:, _VECH]
+    return basis
 
 
-def _generator(basis: tuple[np.ndarray, np.ndarray], phase: float) -> np.ndarray:
-    """``G`` at Larmor phase ``phase``, a dense 73 x 73 matrix."""
-    support, values = basis
+def _generator(basis: np.ndarray, phase: float) -> np.ndarray:
+    """``G`` at Larmor phase ``phase``, a dense 45 x 45 matrix."""
     cos, sin = math.cos(phase), math.sin(phase)
-    g = np.zeros(_DIM * _DIM)
-    g[support] = np.array((1.0, cos, sin, cos * cos, sin * sin, cos * sin)) @ values
-    return g.reshape(_DIM, _DIM)
+    f = np.array((1.0, cos, sin, cos * cos, sin * sin, cos * sin))
+    return (f @ basis.reshape(6, -1)).reshape(_DIM, _DIM)
 
 
 def _advance(
     model: DriftNoiseModel,
-    basis: tuple[np.ndarray, np.ndarray],
+    basis: np.ndarray,
     x: np.ndarray,
     k0: int,
     count: int,
@@ -458,7 +458,7 @@ def _advance(
     """Take RK4 steps ``k0 .. k0 + count - 1`` of ``dx/dt = G(t) x``.
 
     Step ``k`` runs from ``t = k dt`` to ``(k + 1) dt``.  ``x`` is one
-    augmented state or a 73 x 73 matrix whose columns are states; the period
+    augmented state or a 45 x 45 matrix whose columns are states; the period
     map is the identity advanced over one period.  ``visit(k + 1, x)`` sees
     the state after each step.
     """
@@ -480,13 +480,13 @@ def _advance(
 
 
 @functools.lru_cache(maxsize=4)
-def _period_map(model: DriftNoiseModel) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+def _period_map(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """The generator basis and the map of one Larmor period of ``model``.
 
     Callers clear ``n_i``, which only sets the initial state, so every pulse
-    on one drift shares the entry.  An entry takes about 55 kB; four leave
-    room for a model that alternates with its matched baseline, as
-    ``compare`` does in a sweep.
+    on one drift shares the entry.  An entry takes about 115 kB, most of it
+    the dense basis; four leave room for a model that alternates with its
+    matched baseline, as ``compare`` does in a sweep.
     """
     basis = _generator_basis(model)
     return basis, _advance(model, basis, np.eye(_DIM), 0, _period_steps(model))

@@ -305,7 +305,7 @@ class TeleportConfig:
         if self.kappa_qnd < 0.0:
             raise ValueError("kappa_qnd must be non-negative")
         if not self.asymptotic and self.kappa_qnd == 0.0:
-            raise ValueError("finite-strength teleportation requires kappa_qnd > 0")
+            raise ValueError("kappa_qnd must be positive for finite-strength teleportation")
 
 
 INPUT_ENSEMBLE = atomic_mode("input")

@@ -232,6 +232,68 @@ class TestValidation:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("verb", ["compare", "run", "sweep"])
+    @pytest.mark.parametrize("steps", ["100", "0", "-200"])
+    def test_oracle_steps_flag_checked_like_the_key(self, tmp_path, capsys, verb, steps):
+        # used to reach the oracle and exit 3 as a numerical failure
+        payload = {
+            "protocol": "oracle_compare",
+            "model": {"kappa": 1.0, "n_i": 30.0},
+            "sweep": {"path": "model.kappa", "values": [1.0]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main([verb, "--scenario", path, "--oracle-steps", steps]) == EXIT_VALIDATION
+        assert f"--oracle-steps must be an integer >= 200, got {steps}" in capsys.readouterr().err
+
+    def test_oracle_steps_flag_sets_the_grid(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        payload = {"protocol": "oracle_compare", "model": {"kappa": 1.0, "larmor_periods": 8}}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        argv = ["compare", "--scenario", path, "--out", str(out), "--oracle-steps", "250"]
+        assert main(argv) == EXIT_OK
+        assert read_json(out)["results"]["oracle_steps_per_period"] == 250
+
+    @pytest.mark.parametrize("protocol", ["epr_conditional", "verify", "oracle_compare"])
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"feedback": {"mode": "nonsense"}}, "key 'feedback.mode' must be 'optimal' or 'fixed'"),
+            ({"feedback": {"mode": "fixed"}}, "key 'feedback.gain' is required"),
+            ({"feedback": {"mode": "fixed", "gain": "abc"}},
+             "key 'feedback.gain' must be numeric, got 'abc'"),
+            ({"feedback": {"mode": "fixed", "gain": -0.5}},
+             "key 'feedback.gain' must be non-negative"),
+            ({"teleport": {"input_mean": "abc", "asymptotic": True}},
+             "key 'teleport.input_mean' must be a pair"),
+            ({"teleport": {"input_mean": ["a", 0.0], "asymptotic": True}},
+             "key 'teleport.input_mean' must be numeric"),
+            ({"teleport": {"kappa_qnd": "xyz"}}, "key 'teleport.kappa_qnd' must be numeric"),
+            ({"teleport": {"kappa_qnd": -1.0}}, "key 'teleport.kappa_qnd' must be non-negative"),
+            ({"teleport": {"bell_gain": 0.5}}, "key 'teleport.kappa_qnd' must be positive"),
+            ({"losses": {"photon_loss": 1.5}}, "key 'losses.photon_loss' must not exceed 1"),
+            ({"losses": {"n_th": "warm"}}, "key 'losses.n_th' must be numeric"),
+        ],
+    )
+    def test_sections_checked_whatever_the_protocol_reads(
+        self, tmp_path, capsys, protocol, section, message
+    ):
+        payload = {"protocol": protocol, "model": {"kappa": 1.0}, **section}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        verb = "compare" if protocol == "oracle_compare" else "run"
+        assert main([verb, "--scenario", path]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_swept_section_value_checked_per_point(self, tmp_path, capsys):
+        payload = {
+            "protocol": "epr_conditional",
+            "model": {"kappa": 1.0},
+            "teleport": {"kappa_qnd": 4.0, "bell_gain": 0.25},
+            "sweep": {"path": "teleport.kappa_qnd", "values": [4.0, -4.0]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'teleport.kappa_qnd' must be non-negative" in capsys.readouterr().err
+
     def test_exact_and_sampled_shots_accepted(self, tmp_path):
         for shots in (0, 2, 500):
             out = tmp_path / f"{shots}.json"

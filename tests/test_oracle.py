@@ -50,19 +50,20 @@ def assert_same_moments(state, cov, mean) -> None:
 
 
 def step_through(model, initial=None):
-    """The RK4 kernel stepping the state itself through every step.
+    """A plain RK4 on ``(Sigma, mean)`` through every step of the grid.
 
-    This is the stepped route taken directly, whatever route
-    ``propagate_moments`` picks.  Returns the final state, the trajectory
-    rows ``(t, var_xsum, var_pdiff, var_ypc, var_yps)`` of every step and
-    the conservation drift, with the outputs written out by hand.
+    It shares no code with the oracle's kernel: ``dSigma/dt = A Sigma +
+    Sigma A^T + b b^T`` and ``dmean/dt = A mean``, with the drift ``A`` and
+    the noise columns ``b`` read straight off the model at each time.
+    Returns the final state, the trajectory rows ``(t, var_xsum, var_pdiff,
+    var_ypc, var_yps)`` of every step and the conservation drift, with the
+    outputs written out by hand.
     """
     mean, cov, modes = oracle._initial_moments(model, initial)
     rows, conserved = [], []
     f_xsum, f_pdiff = np.eye(8)[0] + np.eye(8)[2], np.eye(8)[1] - np.eye(8)[3]
 
-    def visit(k, x):
-        s = x[:64].reshape(8, 8)
+    def visit(k, s):
         rows.append((k * model.dt, s[0, 0] + s[2, 2] + 2 * s[0, 2],
                      s[1, 1] + s[3, 3] - 2 * s[1, 3], s[5, 5], s[7, 7]))
         # the EPR pair co-rotating with the Larmor phase is conserved
@@ -71,16 +72,44 @@ def step_through(model, initial=None):
         pair = (cos * f_xsum - sin * f_pdiff, sin * f_xsum + cos * f_pdiff)
         conserved.append([v @ s @ v for v in pair])
 
-    x = np.concatenate((cov.ravel(), mean, (1.0,)))
-    visit(0, x)
-    x = oracle._advance(model, oracle._generator_basis(model), x, 0, model.n_steps, visit)
-    sigma = x[:64].reshape(8, 8)
-    state = GaussianState(
-        (*modes, COS_MODE, SIN_MODE), x[64:72], (sigma + sigma.T) / 2, validate=False
-    )
+    def coefficients(t):
+        b = model.noise_columns(t)
+        return model.drift_matrix(t), b @ b.T
+
+    def rates(drift_noise, s, m):
+        a, d = drift_noise
+        a_s = a @ s
+        return a_s + a_s.T + d, a @ m
+
+    h = model.dt
+    start = coefficients(0.0)
+    visit(0, cov)
+    for k in range(model.n_steps):
+        mid, end = coefficients(k * h + h / 2), coefficients((k + 1) * h)
+        ds1, dm1 = rates(start, cov, mean)
+        ds2, dm2 = rates(mid, cov + h / 2 * ds1, mean + h / 2 * dm1)
+        ds3, dm3 = rates(mid, cov + h / 2 * ds2, mean + h / 2 * dm2)
+        ds4, dm4 = rates(end, cov + h * ds3, mean + h * dm3)
+        cov = cov + h / 6 * (ds1 + 2.0 * (ds2 + ds3) + ds4)
+        mean = mean + h / 6 * (dm1 + 2.0 * (dm2 + dm3) + dm4)
+        start = end
+        visit(k + 1, cov)
+    state = GaussianState((*modes, COS_MODE, SIN_MODE), mean, cov, validate=False)
     conserved = np.array(conserved)
     drift = np.max(np.abs(conserved - conserved[0]), axis=0) / conserved[0]
     return state, rows, {"max_rel_drift_xsum": drift[0], "max_rel_drift_pdiff": drift[1]}
+
+
+def spy_on_advance(monkeypatch) -> list:
+    """Record ``(x.shape, k0, count)`` of every call of the oracle's RK4 kernel."""
+    kernel, calls = oracle._advance, []
+
+    def spy(model, basis, x, k0, count, visit=None):
+        calls.append((x.shape, k0, count))
+        return kernel(model, basis, x, k0, count, visit)
+
+    monkeypatch.setattr(oracle, "_advance", spy)
+    return calls
 
 
 def stepped(model, initial=None):
@@ -480,17 +509,12 @@ class TestRoutes:
     def test_per_step_output_takes_the_period_route_uncached(self, monkeypatch):
         oracle._period_map.cache_clear()
         model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=1))
-        kernel, advanced = oracle._advance, []
-
-        def spy(model, basis, x, k0, count, visit=None):
-            advanced.append((x.shape, count))
-            return kernel(model, basis, x, k0, count, visit)
-
-        monkeypatch.setattr(oracle, "_advance", spy)
+        advanced = spy_on_advance(monkeypatch)
         state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
         # each call stepped the identity through the one period, no state
-        assert advanced == [((73, 73), 200), ((73,), 0)] * 2
+        dim = oracle._DIM
+        assert advanced == [((dim, dim), 0, 200), ((dim,), 200, 0)] * 2
         assert oracle._period_map.cache_info().currsize == 0
         plain = propagate_moments(model)  # one period is enough for the period route
         assert oracle._period_map.cache_info().misses == 1
@@ -503,11 +527,18 @@ class TestRoutes:
         model = REGRESSION_CASES[name]()
         assert_same_per_step_output(model, DISPLACED_INITIAL.get(name, lambda: None)())
 
-    def test_per_step_output_of_a_pulse_shorter_than_a_period(self):
-        # 200 steps of a 400-step period: no whole period, only the remainder
+    def test_per_step_output_of_a_pulse_shorter_than_a_period(self, monkeypatch):
+        # 200 steps of a 400-step period: no whole period, so the stepped route
         model = build_model(unit_pulse(1.0, 3.0, 0.5))
         assert (model.n_steps, oracle._period_steps(model)) == (200, 400)
+        advanced = spy_on_advance(monkeypatch)
+        oracle._period_map.cache_clear()
         assert_same_per_step_output(model)
+        propagate_moments(model)
+        # both stepped the state through the 200 steps, never the identity
+        # through a period the pulse does not complete
+        assert advanced == [((oracle._DIM,), 0, 200)] * 2
+        assert oracle._period_map.cache_info().misses == 0
 
     def test_cache_is_bounded(self):
         oracle._period_map.cache_clear()

@@ -34,8 +34,6 @@ from .iomaps import (
     MatchingError,
     ProtocolParams,
     PulseOutput,
-    cascade_io_map,
-    cavity_io_map,
     qnd_bigstep,
 )
 from .oracle import DriftNoiseModel, build_model, oracle_epr_after_measurement, propagate_moments
@@ -67,12 +65,10 @@ from .planner import (
     FeasibilityReport,
     MechanicalSpec,
     PhysicalSetup,
-    check_matching,
     coherence_budget,
     derive_params,
     membrane_setup,
     micromirror_setup,
-    solve_power_for_matching,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

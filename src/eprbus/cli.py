@@ -465,7 +465,7 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
             "added_noise_p": final.cov[1, 1] - 0.5,
         }
     elif protocol == "oracle_compare":
-        results.update(_compare_results(scenario, params, losses, oracle_steps))
+        results.update(_compare_results(scenario, params, oracle_steps))
     else:  # pragma: no cover - guarded by validation
         raise ScenarioError(f"unsupported protocol {protocol!r}")
     return results
@@ -499,9 +499,7 @@ def _teleport_config(section: dict) -> TeleportConfig:
     )
 
 
-def _compare_results(
-    scenario: dict, params: ProtocolParams, losses: LossBudget, oracle_steps: int | None
-) -> dict:
+def _compare_results(scenario: dict, params: ProtocolParams, oracle_steps: int | None) -> dict:
     steps = oracle_steps or scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
     predicted = predict_epr_variance(params.kappa, params.n_i)
 
@@ -662,7 +660,10 @@ def main(argv: list[str] | None = None) -> int:
             default=None,
             help="oracle integration steps per Larmor period",
         )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:  # argparse printed its usage or --help
+        return EXIT_VALIDATION if err.code else EXIT_OK
 
     try:
         if args.oracle_steps is not None:

@@ -147,8 +147,11 @@ def apply_budget(
     mismatch = mismatch_penalty(budget.eps_mismatch, kappa, n_i)
     damping = damping_penalty(budget.gamma_m_tau, budget.n_th) if budget.gamma_m_tau else 0.0
     eps_opt = budget.photon_loss
-    var_xsum = (1.0 - eps_opt) * (report.var_xsum + mismatch / 2.0 + damping) + eps_opt
-    var_pdiff = (1.0 - eps_opt) * (report.var_pdiff + mismatch / 2.0 + damping) + eps_opt
+    # the loss map per quadrature, on twice its variance (exact in floating point)
+    var_xsum, var_pdiff = (
+        photon_loss_map(2.0 * (var + mismatch / 2.0 + damping), eps_opt) / 2.0
+        for var in (report.var_xsum, report.var_pdiff)
+    )
     corrections = {
         "mismatch_penalty": mismatch,
         "damping_penalty_per_quadrature": damping,

@@ -88,7 +88,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _check_uncertainty(cov: np.ndarray, tol: float = UNCERTAINTY_TOL) -> float:
+def _check_uncertainty(cov: np.ndarray) -> float:
     """Smallest eigenvalue of the real embedding of ``cov + i/2 * Omega``.
 
     ``cov + (i/2) Omega >= 0`` is equivalent to PSD-ness of the real symmetric

@@ -1,26 +1,22 @@
-"""Idealized big-step input-output maps of the cascaded protocol.
+"""Idealized big-step input-output map of the cascaded protocol.
 
-Three levels are exposed:
+The light reflects off the optomechanical cavity after adiabatic
+elimination (``p_out = -p_in - g sqrt(2/gamma_c) X_m``) and then crosses the
+ensemble; with matched strengths ``g / sqrt(gamma_c) = kappa / sqrt(tau)``
+it reads ``p'_out = -p_in - kappa sqrt(2/tau) (X_m + X_a)``.
+:func:`qnd_bigstep` collapses the whole pulse into one symplectic map that
+attaches two temporal light modes (cos/sin Fourier components at the Larmor
+frequency) carrying the EPR observables:
 
-* :func:`cavity_io_map` -- reflection off the optomechanical cavity after
-  adiabatic elimination: ``x_out = -x_in``,
-  ``p_out = -p_in - g sqrt(2/gamma_c) X_m``,
-* :func:`cascade_io_map` -- the same after the beam has also crossed the
-  ensemble, with matched strengths:
-  ``p'_out = -p_in - kappa sqrt(2/tau) (X_m + X_a)``,
-* :func:`qnd_bigstep` -- the whole pulse collapsed into one symplectic map
-  that attaches two temporal light modes (cos/sin Fourier components at the
-  Larmor frequency) carrying the EPR observables:
+    p_out_cos = p_in_cos + kappa (X_m + X_a)
+    p_out_sin = p_in_sin + kappa (P_m - P_a)
 
-      p_out_cos = p_in_cos + kappa (X_m + X_a)
-      p_out_sin = p_in_sin + kappa (P_m - P_a)
-
-  The EPR combinations themselves are conserved exactly.  The map is
-  completed into a valid symplectic transformation by the back-action the
-  shared drive puts on the orthogonal combinations: ``X_m - X_a`` and
-  ``P_m + P_a`` each gain ``2 kappa^2`` of variance.  This completion is the
-  unique one consistent with the underlying Langevin model and is
-  cross-checked against the moment-propagation oracle.
+The EPR combinations themselves are conserved exactly.  The map is
+completed into a valid symplectic transformation by the back-action the
+shared drive puts on the orthogonal combinations: ``X_m - X_a`` and
+``P_m + P_a`` each gain ``2 kappa^2`` of variance.  This completion is the
+unique one consistent with the underlying Langevin model and is
+cross-checked against the moment-propagation oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -185,41 +180,6 @@ def _require_matching(params: ProtocolParams) -> None:
         )
 
 
-def cavity_io_map(g: float, gamma_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Input-output matrix of the driven cavity on ``(x, p, X_m, P_m)``.
-
-    Returns ``(S, noise)`` with zero noise.  The mechanical quadratures are
-    passed through untouched -- the momentum back-action belongs to the pulse
-    dynamics, not to this instantaneous reflection relation -- so the pair is
-    only a valid channel on states with enough mechanical uncertainty.
-    """
-    if gamma_c <= 0.0:
-        raise ValueError("gamma_c must be positive")
-    c = g * math.sqrt(2.0 / gamma_c)
-    s = np.eye(4)
-    s[0, 0] = -1.0
-    s[1, 1] = -1.0
-    s[1, 2] = -c
-    return s, np.zeros((4, 4))
-
-
-def cascade_io_map(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Total input-output matrix on ``(x, p, X_m, P_m, X_a, P_a)``.
-
-    Requires the matching condition within the declared mismatch; the
-    mechanical and atomic signals then enter with equal weight
-    ``kappa sqrt(2/tau)``.
-    """
-    _require_matching(params)
-    c = params.kappa * math.sqrt(2.0 / params.tau)
-    s = np.eye(6)
-    s[0, 0] = -1.0
-    s[1, 1] = -1.0
-    s[1, 2] = -c
-    s[1, 4] = -c
-    return s, np.zeros((6, 6))
-
-
 def _resolve_roles(
     state: GaussianState,
     positive_mass: ModeLabel | str | None,
@@ -306,15 +266,13 @@ def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(matrix @ omega @ matrix.T - omega)) <= tol)
 
 
-def apply_light_loss(
-    pulse: PulseOutput, modes: Iterable[ModeLabel | str] | None = None
-) -> PulseOutput:
+def apply_light_loss(pulse: PulseOutput) -> PulseOutput:
     """Propagation plus detection loss on the temporal modes, vacuum noise in."""
     params = pulse.params_used
     eta = params.eta_light * params.eta_det
     if eta >= 1.0:
         return pulse
     joint = pulse.joint
-    for mode in modes if modes is not None else (COS_MODE, SIN_MODE):
+    for mode in (COS_MODE, SIN_MODE):
         joint = loss_channel(joint, mode, eta)
     return replace(pulse, joint=joint)

@@ -30,32 +30,22 @@ of 45 entries (the 36 entries of the upper triangle of the symmetric
 depends on time only through the Larmor phase: ``G(t) = sum_j f_j(t) B_j``
 with ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The
 ``B_j`` are read off :meth:`DriftNoiseModel.drift_matrix` and
-:meth:`DriftNoiseModel.noise_columns`, so the physics is written once.  One
-RK4 kernel steps either a state or a 45 x 45 matrix of states, and two
-routes use it:
+:meth:`DriftNoiseModel.noise_columns`, so the physics is written once.
 
-* the *period route*, for every grid commensurate with the Larmor period
-  on a pulse of at least one period.  When ``q = 2 pi / (Omega dt)`` is a
-  whole number (within roundoff), every Larmor period repeats the same
-  ``q`` step maps.  Stepping the identity
-  through one period gives the period map ``P`` (the monodromy matrix of
-  Floquet theory); the pulse is ``P`` applied once per whole period, then
-  the remaining steps of a fractional period.  Per-step output (trajectory
-  rows, the conservation drift) is read off the same visit: it records
-  the rows ``L C_j`` for each step ``j`` of the period, with ``C_j`` the map
-  from the period start to step ``j`` and ``L`` the five output forms, so
-  every step's output is those rows applied to its period-start state.
-* the *stepped route* steps the state itself.  It serves grids that are
-  not commensurate, and pulses shorter than one period.
-
-Either way the result is the same RK4 scheme on the same grid: each RK4
-step is a linear map of ``x``, so composing the step maps of a period first
-changes only the order of the floating-point operations (agreement to about
-1e-13 relative in the covariance and the per-step output).  Without
-per-step output, ``P`` is cached per drift model with ``n_i`` cleared
-(``n_i`` only sets the initial state), so a grid over initial occupations
-builds it once.  With per-step output, ``P`` and its rows are built afresh
-and not cached: the rows take about 0.36 MB a drift model.
+One RK4 kernel steps either a state or a 45 x 45 matrix of states, and
+every pulse takes one route through it.  When ``q = 2 pi / (Omega dt)`` is
+a whole number (within roundoff), every Larmor period repeats the same
+``q`` step maps; stepping the identity through them gives the period map
+``P`` (the monodromy matrix of Floquet theory).  A pulse of ``whole``
+periods and ``rest`` more steps is ``P`` once per whole period, then the
+kernel for the rest; an incommensurate grid or a pulse shorter than a
+period is the case ``whole = 0``.  Per-step output (trajectory rows, the
+conservation drift) is recorded by the kernel over the rest, and read off
+the period starts for the whole periods: with ``C_j`` the map of the first
+``j`` steps of a period and ``L`` the five output forms, step ``j`` of a
+period outputs ``L C_j`` applied to its start.  Each RK4 step is a linear
+map of ``x``, so composing a period first changes only the order of the
+floating-point operations (agreement to about 1e-13 relative).
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -277,41 +267,18 @@ def propagate_moments(
     ``t, var_xsum, var_pdiff, var_ypc, var_yps`` at ``t = k dt`` for every
     step ``k = 0 .. n_steps`` when given.
 
-    Both routes (see the module docstring) take the same ``model.n_steps``
-    RK4 steps of ``model.dt`` and differ only in the order of floating-point
-    operations.  A grid commensurate with the Larmor period takes the period
-    route on a pulse of at least one period, whatever output is asked for;
-    any other grid or pulse takes the stepped route.  Without per-step output
-    the period route takes the model's period map from the cache or builds
-    and caches it.  With ``trajectory`` or ``return_info`` it builds the map
-    afresh along with the output rows of every step of the period, and does
-    not cache them; the returned state is the same either way.  The route,
-    and so the result, never depends on what the cache holds.
+    The period map comes from the cache unless per-step output
+    (``trajectory`` or ``return_info``) is asked for; then it is built afresh
+    with its output rows and not cached.  The returned state is the same
+    either way, and never depends on what the cache holds.
 
     The accumulated temporal modes only become canonical pairs once the pulse
     is complete (and exactly so only for an integer number of Larmor
     periods), so the returned state skips the uncertainty validation.
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
-    x = np.concatenate((cov[_TRIU], mean, (1.0,)))
-    q = _period_steps(model)
-    whole, rest = divmod(model.n_steps, q) if q else (0, model.n_steps)
     per_step = trajectory is not None or return_info
-
-    if whole and not per_step:
-        basis, period_map = _period_map(replace(model, params=replace(model.params, n_i=0.0)))
-        for _ in range(whole):
-            x = period_map @ x
-        x = _advance(model, basis, x, whole * q, rest)
-    elif whole:
-        x, values = _period_outputs(model, x, q, whole, rest)
-    else:
-        basis = _generator_basis(model)
-        if per_step:
-            x, values = _outputs_along(model, basis, x, model.n_steps)
-        else:
-            x = _advance(model, basis, x, 0, model.n_steps)
-
+    x, values = _pulse(model, np.concatenate((cov[_TRIU], mean, (1.0,))), per_step)
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
     cov = (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
@@ -321,49 +288,55 @@ def propagate_moments(
     return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(model, values)}
 
 
-def _outputs_along(
-    model: DriftNoiseModel, basis: np.ndarray, x: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Take RK4 steps ``0 .. count - 1`` from ``x`` and record the output forms.
+def _pulse(
+    model: DriftNoiseModel, x: np.ndarray, per_step: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``model.n_steps`` RK4 steps from ``x``: ``P`` per whole period, then the kernel.
 
-    Returns the advanced ``x`` and ``out`` with ``out[k]`` the output forms
-    applied to ``x`` after ``k`` steps.  For a state these are the output
-    values; for the identity they are the rows ``L C_k``, with ``C_k`` the
-    map of the first ``k`` steps.
+    Returns the final ``x`` and, with ``per_step``, the output values of
+    steps ``0 .. n_steps`` (else ``None``).  Its own function, so that the
+    period's output rows (about 0.36 MB) are freed before the caller writes
+    the trajectory.
     """
+    q = _period_steps(model)
+    whole, rest = divmod(model.n_steps, q) if q else (0, model.n_steps)
+    if whole:
+        build = _period_map.__wrapped__ if per_step else _period_map
+        cleared = replace(model, params=replace(model.params, n_i=0.0))
+        basis, period_map, rows = build(cleared, per_step)
+    else:
+        basis, period_map, rows = _generator_basis(model), None, None
+    starts = [x]
+    for _ in range(whole):
+        starts.append(period_map @ starts[-1])
+    x, values = _steps(model, basis, starts[-1], whole * q, rest, per_step)
+    if per_step and whole:
+        # step p q + j of the pulse is step j of period p: row j applied to
+        # the start of period p
+        periods = np.array(starts[:whole]) @ rows[:q].reshape(-1, _DIM).T
+        values = np.concatenate((periods.reshape(whole * q, len(_OUTPUT_FORMS)), values))
+    return x, values
+
+
+def _steps(
+    model: DriftNoiseModel, basis: np.ndarray, x: np.ndarray, k0: int, count: int, outputs: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Take RK4 steps ``k0 .. k0 + count - 1`` from ``x``, with their output.
+
+    Returns the advanced ``x`` and, when ``outputs`` is set, ``out`` with
+    ``out[k]`` the output forms applied to ``x`` after ``k`` of the steps
+    (else ``None``).  For a state these are the output values; for the
+    identity from ``k0 = 0`` they are the rows ``L C_k``.
+    """
+    if not outputs:
+        return _advance(model, basis, x, k0, count), None
     out = np.empty((count + 1, len(_OUTPUT_FORMS), *x.shape[1:]))
 
     def record(k: int, x: np.ndarray) -> None:
-        out[k] = _OUTPUT_FORMS @ x
+        out[k - k0] = _OUTPUT_FORMS @ x
 
-    record(0, x)
-    return _advance(model, basis, x, 0, count, record), out
-
-
-def _period_outputs(
-    model: DriftNoiseModel, x: np.ndarray, q: int, whole: int, rest: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The period route with per-step output, from ``x`` over the pulse.
-
-    Builds the period map with the output rows of every step of the period,
-    uncached, and returns ``x`` after ``whole`` periods of ``q`` steps and
-    ``rest`` more, and the output values of every step: step ``p q + j`` of
-    the pulse is step ``j`` of period ``p``, so its values are row ``j``
-    applied to the start of period ``p``.
-    """
-    basis = _generator_basis(model)
-    period_map, rows = _outputs_along(model, basis, np.eye(_DIM), q)
-    starts = np.empty((whole + 1, _DIM))
-    starts[0] = x
-    for p in range(whole):
-        starts[p + 1] = period_map @ starts[p]
-    values = np.concatenate(
-        (
-            (starts[:whole] @ rows[:q].reshape(-1, _DIM).T).reshape(whole * q, len(rows[0])),
-            rows[: rest + 1] @ starts[whole],
-        )
-    )
-    return _advance(model, basis, starts[whole], whole * q, rest), values
+    record(k0, x)
+    return _advance(model, basis, x, k0, count, record), out
 
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
@@ -480,23 +453,27 @@ def _advance(
 
 
 @functools.lru_cache(maxsize=4)
-def _period_map(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """The generator basis and the map of one Larmor period of ``model``.
+def _period_map(
+    model: DriftNoiseModel, outputs: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The generator basis, the map of one Larmor period and its output rows.
 
-    Callers clear ``n_i``, which only sets the initial state, so every pulse
-    on one drift shares the entry.  An entry takes about 115 kB, most of it
-    the dense basis; four leave room for a model that alternates with its
-    matched baseline, as ``compare`` does in a sweep.
+    The rows ``L C_j`` of every step of the period come only with
+    ``outputs``, from the uncached ``_period_map.__wrapped__``: they take
+    about 0.36 MB a drift model.  Callers clear ``n_i``, which only sets the
+    initial state, so a grid over initial occupations shares the cached map.
+    An entry takes about 115 kB, most of it the dense basis; four leave room
+    for a model that alternates with its matched baseline, as ``compare``
+    does in a sweep.
     """
     basis = _generator_basis(model)
-    return basis, _advance(model, basis, np.eye(_DIM), 0, _period_steps(model))
+    return basis, *_steps(model, basis, np.eye(_DIM), 0, _period_steps(model), outputs)
 
 
 def oracle_epr_after_measurement(
     model: DriftNoiseModel,
     *,
     initial: GaussianState | None = None,
-    return_state: bool = False,
 ):
     """Propagate, condition on both accumulated p-quadratures, report EPR.
 
@@ -508,7 +485,4 @@ def oracle_epr_after_measurement(
     half_pi = math.pi / 2.0
     state, _ = condition_on_homodyne(state, COS_MODE, half_pi, 0.0)
     state, _ = condition_on_homodyne(state, SIN_MODE, half_pi, 0.0)
-    report = epr_variance(state, mech, atom, provenance=Provenance.ORACLE)
-    if return_state:
-        return report, state
-    return report
+    return epr_variance(state, mech, atom, provenance=Provenance.ORACLE)

@@ -227,18 +227,6 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
     return params, FeasibilityReport(tuple(checks), derived)
 
 
-def check_matching(params: ProtocolParams) -> float:
-    """Signed residual of the time-scale matching condition.
-
-    Zero iff ``kappa / sqrt(tau) = g / sqrt(gamma_c)``; negative when the
-    atomic strength is the smaller side.
-    """
-    eps = params.matching_residual()
-    if math.isnan(eps):
-        raise ValueError("matching is degenerate: both coupling strengths vanish")
-    return eps
-
-
 @dataclass(frozen=True)
 class CoherenceBudget:
     tau_thermal: float  # raw bound Q_m hbar / (k_B T)
@@ -256,27 +244,6 @@ def coherence_budget(setup: PhysicalSetup) -> CoherenceBudget:
     if math.isinf(tau_thermal):
         return CoherenceBudget(math.inf, math.inf, "none")
     return CoherenceBudget(tau_thermal, tau_thermal / MARGIN_PASS, "mechanical_thermalization")
-
-
-def solve_power_for_matching(setup: PhysicalSetup, kappa_target: float | None = None) -> float:
-    """Drive power putting the light side exactly on a target QND strength.
-
-    Both ``kappa`` and ``g sqrt(tau/gamma_c)`` scale as ``sqrt(P tau)``, so
-    the residual between them is power independent; matching by power only
-    makes sense against a fixed target strength (by default the atomic-side
-    ``kappa`` of the setup as given, e.g. after the ensemble and detuning
-    have been frozen).
-    """
-    params, report = derive_params(setup)
-    if kappa_target is None:
-        kappa_target = params.kappa
-    if kappa_target <= 0.0:
-        raise ValueError("kappa_target must be positive")
-    g0 = report.derived["g0_rad_s"]
-    gamma_c = report.derived["gamma_c_rad_s"]
-    omega_c = report.derived["omega_c_rad_s"]
-    # g sqrt(tau/gamma_c) = g0 sqrt(P tau) / (gamma_c sqrt(hbar omega_c))
-    return (kappa_target * gamma_c / g0) ** 2 * HBAR * omega_c / setup.cavity.tau
 
 
 def matched_atom_number(setup: PhysicalSetup) -> float:

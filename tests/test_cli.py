@@ -253,6 +253,13 @@ class TestValidation:
         assert main(argv) == EXIT_OK
         assert read_json(out)["results"]["oracle_steps_per_period"] == 250
 
+    @pytest.mark.parametrize("flag, value", [("--oracle-steps", "abc"), ("--seed", "x")])
+    def test_mistyped_flag_returns_the_validation_code(self, capsys, flag, value):
+        # argparse used to raise SystemExit(2) out of main
+        argv = ["compare", "--scenario", "scenarios/oracle_compare.yaml", flag, value]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("protocol", ["epr_conditional", "verify", "oracle_compare"])
     @pytest.mark.parametrize(
         "section, message",

@@ -5,14 +5,11 @@ import pytest
 
 from eprbus.gaussian import (
     GaussianState,
-    apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
     epr_variance,
-    light_mode,
     make_state,
     mechanical_mode,
-    tensor,
     vacuum_state,
 )
 from eprbus.iomaps import (
@@ -20,15 +17,12 @@ from eprbus.iomaps import (
     SIN_MODE,
     MatchingError,
     ProtocolParams,
-    cascade_io_map,
-    cavity_io_map,
     is_symplectic,
     qnd_bigstep,
 )
 
 M = mechanical_mode("m")
 A = atomic_mode("a")
-LIGHT = light_mode("probe")
 
 HALF_PI = math.pi / 2
 
@@ -63,60 +57,6 @@ class TestProtocolParams:
         assert math.isnan(params.matching_residual())
 
 
-class TestCavityIOMap:
-    def test_decoupled_is_pure_reflection(self):
-        s, noise = cavity_io_map(0.0, 2.0)
-        assert np.allclose(s, np.diag([-1.0, -1.0, 1.0, 1.0]))
-        assert np.allclose(noise, 0.0)
-
-    def test_mean_substitution(self):
-        # g sqrt(2/gamma_c) = 1 and <X_m> = 2 shifts <p_out> by -2.  The
-        # reflection relation leaves the momentum back-action to the dynamics
-        # modules, so its output misses the uncertainty bound by ~c^2/(4 V)
-        # and the channel validation is skipped here.
-        s, noise = cavity_io_map(1.0, 2.0)
-        state = tensor(
-            make_state([(LIGHT, 0.0, (0.0, 0.5))]),
-            make_state([(M, 100.0, (2.0, 0.0))]),
-        )
-        out = apply_linear_map(state, s, noise, validate=False)
-        assert out.mean[1] == pytest.approx(-0.5 - 2.0)
-
-    def test_involution_on_x(self):
-        s, _ = cavity_io_map(0.7, 3.0)
-        twice = s @ s
-        assert twice[0, 0] == pytest.approx(1.0)
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError, match="gamma_c"):
-            cavity_io_map(1.0, 0.0)
-
-
-class TestCascadeIOMap:
-    def params(self, kappa: float, tau: float = 2.0) -> ProtocolParams:
-        return ProtocolParams.dimensionless(kappa, tau=tau)
-
-    def test_kappa_zero_sign_flips_only(self):
-        s, _ = cascade_io_map(self.params(0.0))
-        assert np.allclose(s, np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
-
-    def test_epr_symmetric_cancellation(self):
-        # kappa sqrt(2/tau) = 1 with tau = 2
-        s, _ = cascade_io_map(self.params(1.0))
-        mean = np.array([0.0, 0.2, 1.0, 0.0, -1.0, 0.0])
-        assert (s @ mean)[1] == pytest.approx(-0.2)
-
-    def test_equal_means_shift(self):
-        s, _ = cascade_io_map(self.params(1.0))
-        mean = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        assert (s @ mean)[1] == pytest.approx(-2.0)
-
-    def test_mismatch_rejected(self):
-        params = ProtocolParams(kappa=1.0, g=0.9 * math.sqrt(1e6), gamma_c=1e6, tau=1.0)
-        with pytest.raises(MatchingError):
-            cascade_io_map(params)
-
-
 class TestQndBigstep:
     def test_kappa_zero_leaves_everything_alone(self):
         pulse = qnd_bigstep(system_vacuum(3.0), ProtocolParams.dimensionless(0.0))
@@ -125,6 +65,11 @@ class TestQndBigstep:
             joint.cov,
             np.diag([3.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
         )
+
+    def test_mismatch_rejected(self):
+        params = ProtocolParams(kappa=1.0, g=0.9 * math.sqrt(1e6), gamma_c=1e6, tau=1.0)
+        with pytest.raises(MatchingError):
+            qnd_bigstep(system_vacuum(), params)
 
     def test_readout_variance(self):
         pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))

@@ -12,13 +12,11 @@ from eprbus.planner import (
     CheckStatus,
     MechanicalSpec,
     PhysicalSetup,
-    check_matching,
     coherence_budget,
     derive_params,
     matched_atom_number,
     membrane_setup,
     micromirror_setup,
-    solve_power_for_matching,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -105,16 +103,13 @@ class TestScalings:
 
 
 class TestMatching:
-    def test_matched_params(self):
-        assert check_matching(ProtocolParams.dimensionless(1.3)) == pytest.approx(0.0, abs=1e-14)
-
     def test_reference_residual(self):
         gamma_c, tau = 1e6, 1.0
         params = ProtocolParams(
             kappa=1.0, g=0.98 * math.sqrt(gamma_c / tau), gamma_c=gamma_c, tau=tau,
             eps_mismatch=0.05,
         )
-        assert check_matching(params) == pytest.approx(0.02 / 1.98, rel=1e-9)
+        assert params.matching_residual() == pytest.approx(0.02 / 1.98, rel=1e-9)
 
     def test_sign_antisymmetry(self):
         gamma_c, tau = 1e6, 1.0
@@ -122,21 +117,7 @@ class TestMatching:
             kappa=0.98, g=1.0 * math.sqrt(gamma_c / tau), gamma_c=gamma_c, tau=tau,
             eps_mismatch=0.05,
         )
-        assert check_matching(small) == pytest.approx(-0.02 / 1.98, rel=1e-9)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            check_matching(ProtocolParams(kappa=0.0, g=0.0))
-
-    def test_power_solve_round_trip(self):
-        setup = micromirror_setup()
-        target = 1.0
-        power = solve_power_for_matching(setup, kappa_target=target)
-        solved = scaled(setup, cavity_power=power)
-        params, report = derive_params(solved)
-        matched = dataclasses.replace(params, kappa=target, eps_mismatch=0.0)
-        assert abs(check_matching(matched)) < 1e-10
-        assert report.derived["kappa_optical"] == pytest.approx(target, rel=1e-12)
+        assert small.matching_residual() == pytest.approx(-0.02 / 1.98, rel=1e-9)
 
     def test_matched_atom_number_round_trip(self):
         setup = scaled(micromirror_setup(), atoms_n_atoms=3.33e5)

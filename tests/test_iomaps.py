@@ -17,6 +17,7 @@ from eprbus.iomaps import (
     SIN_MODE,
     MatchingError,
     ProtocolParams,
+    apply_light_loss,
     is_symplectic,
     qnd_bigstep,
 )
@@ -57,6 +58,64 @@ class TestProtocolParams:
         assert math.isnan(params.matching_residual())
 
 
+class TestCavityIOMap:
+    """The cavity half of the cascade, ``p_out = -p_in - g sqrt(2/gamma_c) X_m``.
+
+    Its strength is the light-side ``kappa_optical = g sqrt(tau/gamma_c)``,
+    and it reaches the readout through :func:`qnd_bigstep`.
+    """
+
+    def test_decoupled_is_pure_reflection(self):
+        # g = 0 (and so kappa = 0 by matching): the light carries nothing of
+        # the system out, and the system means pass through untouched
+        params = ProtocolParams(kappa=0.0, g=0.0, gamma_c=2.0, Omega=2 * math.pi * 64)
+        state = make_state([(M, 3.0, (1.5, -0.5)), (A, 0.0, (0.7, 0.2))])
+        joint = qnd_bigstep(state, params).joint
+        assert joint.mean[joint.p_index(COS_MODE)] == 0.0
+        assert joint.mean[joint.p_index(SIN_MODE)] == 0.0
+        assert joint.mean[[joint.x_index(M), joint.p_index(M)]] == pytest.approx([1.5, -0.5])
+
+    def test_mean_substitution(self):
+        # <X_m> = 2 with the atoms at rest shifts the cos readout by
+        # kappa_optical <X_m>
+        params = ProtocolParams.dimensionless(0.5)
+        state = make_state([(M, 100.0, (2.0, 0.0)), (A, 0.0, (0.0, 0.0))])
+        joint = qnd_bigstep(state, params).joint
+        assert params.kappa_optical == pytest.approx(0.5, rel=1e-12)
+        assert joint.mean[joint.p_index(COS_MODE)] == pytest.approx(0.5 * 2.0)
+        assert joint.mean[joint.p_index(SIN_MODE)] == pytest.approx(0.0)
+
+    def test_invalid_gamma(self):
+        with pytest.raises(ValueError, match="gamma_c"):
+            ProtocolParams(kappa=1.0, g=1.0, gamma_c=0.0)
+
+
+class TestCascadeIOMap:
+    """The matched cascade, ``p_out_cos = p_in_cos + kappa (X_m + X_a)`` and
+    ``p_out_sin = p_in_sin + kappa (P_m - P_a)``, on the readout means."""
+
+    def readout(self, kappa: float, mech: tuple, atom: tuple) -> tuple[float, float]:
+        state = make_state([(M, 0.0, mech), (A, 0.0, atom)])
+        joint = qnd_bigstep(state, ProtocolParams.dimensionless(kappa)).joint
+        return joint.mean[joint.p_index(COS_MODE)], joint.mean[joint.p_index(SIN_MODE)]
+
+    def test_epr_symmetric_cancellation(self):
+        # X_m + X_a = 0 and P_m - P_a = 0: both readouts stay at zero
+        cos, sin = self.readout(1.0, (1.0, 0.3), (-1.0, 0.3))
+        assert cos == pytest.approx(0.0, abs=1e-14)
+        assert sin == pytest.approx(0.0, abs=1e-14)
+
+    def test_equal_means_shift(self):
+        cos, sin = self.readout(1.0, (1.0, 1.0), (1.0, -1.0))
+        assert cos == pytest.approx(2.0)
+        assert sin == pytest.approx(2.0)
+
+    def test_mismatch_rejected(self):
+        params = ProtocolParams(kappa=1.0, g=0.9 * math.sqrt(1e6), gamma_c=1e6, tau=1.0)
+        with pytest.raises(MatchingError):
+            qnd_bigstep(system_vacuum(), params)
+
+
 class TestQndBigstep:
     def test_kappa_zero_leaves_everything_alone(self):
         pulse = qnd_bigstep(system_vacuum(3.0), ProtocolParams.dimensionless(0.0))
@@ -65,11 +124,6 @@ class TestQndBigstep:
             joint.cov,
             np.diag([3.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
         )
-
-    def test_mismatch_rejected(self):
-        params = ProtocolParams(kappa=1.0, g=0.9 * math.sqrt(1e6), gamma_c=1e6, tau=1.0)
-        with pytest.raises(MatchingError):
-            qnd_bigstep(system_vacuum(), params)
 
     def test_readout_variance(self):
         pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
@@ -171,6 +225,25 @@ class TestQndBigstep:
         params = ProtocolParams.dimensionless(1.0, larmor_periods=2)
         with pytest.warns(UserWarning, match="Omega"):
             qnd_bigstep(system_vacuum(), params)
+
+
+@pytest.mark.parametrize("eta_light, eta_det", [(0.8, 0.9), (1.0, 0.5)])
+def test_light_loss_on_both_temporal_modes(eta_light, eta_det):
+    params = ProtocolParams.dimensionless(1.0, eta_light=eta_light, eta_det=eta_det)
+    pulse = qnd_bigstep(system_vacuum(), params)
+    lossy = apply_light_loss(pulse).joint
+    eta = eta_light * eta_det
+    for mode in (COS_MODE, SIN_MODE):
+        p = lossy.p_index(mode)
+        assert lossy.cov[p, p] == pytest.approx(eta * 1.5 + (1.0 - eta) * 0.5, rel=1e-12)
+    system = [lossy.x_index(M), lossy.p_index(M), lossy.x_index(A), lossy.p_index(A)]
+    block = np.ix_(system, system)
+    assert np.array_equal(lossy.cov[block], pulse.joint.cov[block])
+
+
+def test_light_loss_is_identity_without_loss():
+    pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
+    assert apply_light_loss(pulse) is pulse
 
 
 def test_is_symplectic_helper(rng):

@@ -96,6 +96,18 @@ class TestScalings:
         quadrupled, _ = derive_params(scaled(setup, cavity_power=4.0 * setup.cavity.power))
         assert quadrupled.g == pytest.approx(2.0 * base.g, rel=1e-12)
 
+    def test_matching_residual_is_power_independent(self):
+        # both kappa and g sqrt(tau/gamma_c) scale as sqrt(P tau), so the
+        # power cannot put a setup on matching
+        setup = micromirror_setup()
+        _, base = derive_params(setup)
+        _, quadrupled = derive_params(scaled(setup, cavity_power=4.0 * setup.cavity.power))
+        for key in ("kappa", "kappa_optical"):
+            assert quadrupled.derived[key] == pytest.approx(2.0 * base.derived[key], rel=1e-12)
+        assert quadrupled.derived["eps_mismatch_signed"] == pytest.approx(
+            base.derived["eps_mismatch_signed"], rel=1e-12
+        )
+
     def test_derivation_is_deterministic(self):
         a, _ = derive_params(micromirror_setup())
         b, _ = derive_params(micromirror_setup())
@@ -103,6 +115,19 @@ class TestScalings:
 
 
 class TestMatching:
+    def test_matched_params(self):
+        for kappa, tau in ((1.3, 1.0), (0.4, 2.5)):
+            params = ProtocolParams.dimensionless(kappa, tau=tau)
+            assert params.kappa_optical == pytest.approx(kappa, rel=1e-12)
+            assert params.matching_residual() == pytest.approx(0.0, abs=1e-14)
+
+    def test_degenerate(self):
+        # both strengths vanish: the residual is undefined, and the planner
+        # scores the zero-power drive as a full mismatch
+        params, report = derive_params(scaled(micromirror_setup(), cavity_power=0.0))
+        assert math.isnan(params.matching_residual())
+        assert params.eps_mismatch == 1.0
+
     def test_reference_residual(self):
         gamma_c, tau = 1e6, 1.0
         params = ProtocolParams(

@@ -30,6 +30,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -164,6 +165,11 @@ def _section(raw: dict, where: str) -> dict:
     return dict(value)
 
 
+#: libyaml's parser where PyYAML was built with it.  The resolver and the
+#: constructors are the same Python ones, so every scalar reads the same.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate a scenario file into a plain dict."""
     try:
@@ -171,7 +177,7 @@ def load_scenario(path: str | Path) -> dict:
     except OSError as err:
         raise ScenarioError(f"cannot read scenario file: {err}") from err
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as err:
         raise ScenarioError(f"scenario is not valid YAML: {err}") from err
     if not isinstance(raw, dict):
@@ -636,7 +642,8 @@ def _run_plan(scenario: dict) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprbus",
         description="simulate pulsed QND entanglement between a mechanical "
@@ -660,8 +667,12 @@ def main(argv: list[str] | None = None) -> int:
             default=None,
             help="oracle integration steps per Larmor period",
         )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:  # argparse printed its usage or --help
         return EXIT_VALIDATION if err.code else EXIT_OK
 

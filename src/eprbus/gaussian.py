@@ -18,6 +18,7 @@ stochastic (sampling a homodyne outcome) takes an explicit
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
@@ -27,7 +28,9 @@ import numpy as np
 #: Absolute tolerance for covariance-symmetry and symplectic-identity checks.
 SYMMETRY_TOL = 1e-10
 #: Eigenvalues of the uncertainty test matrix may dip this far below zero
-#: before a state is rejected (absorbs accumulated roundoff).
+#: before a state is rejected (absorbs accumulated roundoff).  The fast test
+#: adds it to the diagonal of that matrix and accepts on a Cholesky factor, so
+#: pure states, whose smallest eigenvalue is zero, pass without ``eigvalsh``.
 UNCERTAINTY_TOL = 1e-9
 #: Marginal variances below this are treated as degenerate, not conditioned on.
 DEGENERATE_VARIANCE = 1e-12
@@ -79,25 +82,62 @@ def light_mode(name: str) -> ModeLabel:
     return ModeLabel(ModeKind.LIGHT, name)
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form in XPXP ordering."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
+    """Standard symplectic form in XPXP ordering; shared and read-only."""
+    omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    omega.setflags(write=False)
     return omega
 
 
-def _check_uncertainty(cov: np.ndarray) -> float:
+@functools.cache
+def _shifted_embedding_base(n_modes: int) -> np.ndarray:
+    """``[[tol I, -Omega/2], [Omega/2, tol I]]``: the shifted real embedding
+    of ``cov + i/2 * Omega`` without ``cov``, with ``tol = UNCERTAINTY_TOL``."""
+    dim = 2 * n_modes
+    half = symplectic_form(n_modes) / 2.0
+    base = np.zeros((2 * dim, 2 * dim))
+    base[:dim, dim:] = -half
+    base[dim:, :dim] = half
+    base[np.diag_indices(2 * dim)] = UNCERTAINTY_TOL
+    base.setflags(write=False)
+    return base
+
+
+def _min_uncertainty_eigenvalue(cov: np.ndarray) -> float:
     """Smallest eigenvalue of the real embedding of ``cov + i/2 * Omega``.
 
     ``cov + (i/2) Omega >= 0`` is equivalent to PSD-ness of the real symmetric
     matrix ``[[cov, -Omega/2], [Omega/2, cov]]``.
     """
-    n = cov.shape[0] // 2
-    omega = symplectic_form(n)
-    test = np.block([[cov, -omega / 2.0], [omega / 2.0, cov]])
-    return float(np.linalg.eigvalsh(test)[0])
+    half = symplectic_form(cov.shape[0] // 2) / 2.0
+    return float(np.linalg.eigvalsh(np.block([[cov, -half], [half, cov]]))[0])
+
+
+def _check_uncertainty(cov: np.ndarray) -> None:
+    """Raise :class:`InvalidStateError` unless ``cov + i/2 * Omega >= 0``
+    holds to within ``UNCERTAINTY_TOL``.
+
+    The embedding shifted by ``UNCERTAINTY_TOL * I`` has a Cholesky factor
+    whenever its smallest eigenvalue lies above ``-UNCERTAINTY_TOL``, so a
+    finite factor accepts the state.  Pure states put a zero eigenvalue in
+    the unshifted embedding, and the shift keeps them on the fast side.  When
+    the factorization fails, or LAPACK carries a NaN or infinity through it
+    without failing, ``eigvalsh`` decides and names the smallest eigenvalue:
+    a state is rejected only when ``eigvalsh`` rejects it.
+    """
+    dim = cov.shape[0]
+    test = _shifted_embedding_base(dim // 2).copy()
+    test[:dim, :dim] += cov
+    test[dim:, dim:] += cov
+    try:
+        if np.isfinite(np.linalg.cholesky(test)).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
+    lam = _min_uncertainty_eigenvalue(cov)
+    if lam < -UNCERTAINTY_TOL:
+        raise InvalidStateError(f"uncertainty relation violated (min eigenvalue {lam:.2e})")
 
 
 @dataclass(frozen=True)
@@ -133,11 +173,7 @@ class GaussianState:
             raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
         cov = (cov + cov.T) / 2.0
         if validate and dim:
-            lam = _check_uncertainty(cov)
-            if lam < -UNCERTAINTY_TOL:
-                raise InvalidStateError(
-                    f"uncertainty relation violated (min eigenvalue {lam:.2e})"
-                )
+            _check_uncertainty(cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "modes", modes)

@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
 
 from eprbus.cli import (
+    _LOADER,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -12,6 +14,8 @@ from eprbus.cli import (
     main,
 )
 from eprbus.decoherence import mismatch_excess, mismatch_penalty
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MICROMIRROR_SETUP = {
     "mech": {"omega_m_hz": 5.0e6, "mass_kg": 1.0e-12, "q_factor": 5.0e5, "temperature_k": 0.2},
@@ -60,7 +64,10 @@ class TestValidation:
         path = tmp_path / "broken.yaml"
         path.write_text("protocol: [unclosed\n")
         assert main(["run", "--scenario", str(path)]) == EXIT_VALIDATION
-        assert "YAML" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # libyaml gives the line and column without PyYAML's caret snippet
+        assert err.startswith("error: scenario is not valid YAML: ")
+        assert "line 1, column 11" in err
 
     def test_model_and_setup_both_present(self, tmp_path, capsys):
         path = write_scenario(
@@ -358,6 +365,51 @@ class TestValidation:
             tmp_path, "v.yaml", {"protocol": "verify", "model": {"kappa": 0.0}}
         )
         assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+
+
+class TestParser:
+    def test_cached_parser_carries_no_state_between_calls(self, capsys):
+        scenario = str(SCENARIOS / "epr_conditional.yaml")
+        assert main(["run", "--scenario", scenario, "--seed", "7", "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("value,delta_epr_predicted,")
+        # neither the seed nor the format of the previous call sticks
+        assert main(["run", "--scenario", scenario]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scenario"]["seed"] == 1
+        argv = ["run", "--scenario", scenario, "--oracle-steps", "abc"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "argument --oracle-steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_help_twice(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert first.startswith("usage: eprbus")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLoader:
+    def test_cli_parses_with_libyaml(self):
+        assert _LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_scenarios_parse_alike(self, path):
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize(
+        "scalar, expected",
+        [("nan", "nan"), ("5.0e6", "5.0e6"), ("true", True), ('"false"', "false")],
+    )
+    def test_scalars_resolve_alike(self, scalar, expected):
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            value = yaml.load(f"key: {scalar}\n", Loader=loader)["key"]
+            assert value == expected and type(value) is type(expected)
+
+    def test_dot_nan_is_a_float_nan(self):
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            value = yaml.load("key: .nan\n", Loader=loader)["key"]
+            assert isinstance(value, float) and math.isnan(value)
 
 
 class TestRun:

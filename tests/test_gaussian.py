@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprbus import gaussian
 from eprbus.gaussian import (
+    UNCERTAINTY_TOL,
     EPRReport,
     GaussianState,
     InvalidChannelError,
@@ -260,6 +262,107 @@ def test_conditioning_never_adds_noise(seed, n_modes, squeeze, measured, angle):
     assert gap[0] >= -1e-12 * np.abs(marginal.cov).max()
 
 
+def eigvalsh_rejects(cov: np.ndarray) -> bool:
+    """The reference decision: the smallest eigenvalue of the real embedding
+    of ``cov + i/2 * Omega`` lies below ``-UNCERTAINTY_TOL``."""
+    half = symplectic_form(cov.shape[0] // 2) / 2.0
+    embedding = np.block([[cov, -half], [half, cov]])
+    return bool(np.linalg.eigvalsh(embedding)[0] < -UNCERTAINTY_TOL)
+
+
+def squeezed_vacuum(r: float, angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([math.exp(2 * r) / 2, math.exp(-2 * r) / 2]) @ rot.T
+    return (cov + cov.T) / 2
+
+
+def two_mode_squeezed_vacuum(r: float) -> np.ndarray:
+    c, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    return np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+
+
+def random_pure_state(n_modes: int, squeeze: float) -> np.ndarray:
+    s = random_symplectic(n_modes, np.random.default_rng(17 + n_modes), max_squeeze=squeeze)
+    return s @ s.T / 2
+
+
+PURE_STATES = {
+    **{f"squeezed-r{r}": squeezed_vacuum(r, 0.7) for r in (0.0, 1.0, 2.0, 4.0, 6.0, 8.0)},
+    **{f"tmsv-r{r}": two_mode_squeezed_vacuum(r) for r in (0.5, 2.0, 4.0, 5.0)},
+    **{
+        f"random{n}-s{squeeze}": random_pure_state(n, squeeze)
+        for n in (1, 2, 3)
+        for squeeze in (0.5, 3.0)
+    },
+}
+
+
+class TestUncertaintyCheck:
+    """The shifted Cholesky decides as ``eigvalsh`` does, and decides alone
+    for every state it accepts."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch) -> list:
+        calls = []
+        exact = gaussian._min_uncertainty_eigenvalue
+
+        def counted(cov):
+            calls.append(cov)
+            return exact(cov)
+
+        monkeypatch.setattr(gaussian, "_min_uncertainty_eigenvalue", counted)
+        return calls
+
+    @staticmethod
+    def build(cov: np.ndarray) -> GaussianState:
+        modes = tuple(light_mode(f"q{i}") for i in range(cov.shape[0] // 2))
+        return GaussianState(modes, np.zeros(cov.shape[0]), cov)
+
+    def rejects(self, cov: np.ndarray) -> bool:
+        try:
+            self.build(cov)
+        except InvalidStateError:
+            return True
+        return False
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.integers(1, 3),
+        squeeze=st.floats(0.0, 1.5),
+        scale=st.floats(0.3, 1.0),
+    )
+    def test_decides_as_eigvalsh(self, seed, n_modes, squeeze, scale):
+        cov = random_valid_state(n_modes, np.random.default_rng(seed), squeeze).cov * scale
+        assert self.rejects(cov) == eigvalsh_rejects(cov)
+
+    @pytest.mark.parametrize("name", PURE_STATES)
+    def test_pure_states_pass_without_eigvalsh(self, name, fallbacks):
+        cov = PURE_STATES[name]
+        assert not eigvalsh_rejects(cov)
+        assert not self.rejects(cov)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("name", PURE_STATES)
+    def test_just_below_the_boundary_rejected(self, name, fallbacks):
+        cov = PURE_STATES[name] - 10 * UNCERTAINTY_TOL * np.eye(len(PURE_STATES[name]))
+        assert eigvalsh_rejects(cov)
+        with pytest.raises(InvalidStateError, match="uncertainty relation violated") as err:
+            self.build(cov)
+        lam = float(str(err.value).rpartition("min eigenvalue ")[2].rstrip(")"))
+        assert lam == pytest.approx(-10 * UNCERTAINTY_TOL, rel=0.05)
+        assert len(fallbacks) == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariance_left_to_eigvalsh(self, bad, fallbacks):
+        # LAPACK's Cholesky can carry a NaN through without failing
+        with pytest.raises(np.linalg.LinAlgError):
+            self.build(np.diag([bad, 0.5]))
+        assert len(fallbacks) == 1
+
+
 class TestLossChannel:
     def test_unit_transmission_identity(self, rng):
         state = random_valid_state(2, rng)
@@ -316,6 +419,17 @@ class TestLossChannel:
 
 
 class TestInvariants:
+    def test_symplectic_form_shared_and_read_only(self):
+        omega = symplectic_form(3)
+        expected = np.zeros((6, 6))
+        for i in range(3):
+            expected[2 * i, 2 * i + 1] = 1.0
+            expected[2 * i + 1, 2 * i] = -1.0
+        assert np.array_equal(omega, expected)
+        assert symplectic_form(3) is omega
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0, 1] = 2.0
+
     def test_symplectic_maps_preserve_form(self, rng):
         for n in (1, 2, 3):
             for _ in range(10):

@@ -145,10 +145,11 @@ class GaussianState:
     """Mean vector and covariance matrix over an ordered set of labeled modes.
 
     ``mean`` has length ``2n`` and ``cov`` shape ``(2n, 2n)`` in the
-    ``(X1, P1, ..., Xn, Pn)`` ordering.  Construction validates symmetry and
-    the uncertainty relation unless ``validate=False`` (used internally for
-    partially accumulated temporal modes, which are legitimate sub-vacuum
-    objects until the pulse completes).
+    ``(X1, P1, ..., Xn, Pn)`` ordering.  Construction rejects a non-finite
+    mean or covariance and checks symmetry always, and the uncertainty
+    relation unless ``validate=False`` (used internally for partially
+    accumulated temporal modes, which are legitimate sub-vacuum objects until
+    the pulse completes).
     """
 
     modes: tuple[ModeLabel, ...]
@@ -168,6 +169,12 @@ class GaussianState:
             raise InvalidStateError(f"mean must have length {dim}, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise InvalidStateError(f"cov must be {dim}x{dim}, got {cov.shape}")
+        # a NaN or infinity makes the sum of squares non-finite, and so can
+        # overflow, which the test by entry then lets pass
+        if not math.isfinite(np.vdot(mean, mean) + np.vdot(cov, cov)):
+            for name, value in (("mean", mean), ("cov", cov)):
+                if not np.isfinite(value).all():
+                    raise InvalidStateError(f"{name} must be finite")
         asym = float(np.max(np.abs(cov - cov.T))) if dim else 0.0
         if asym > SYMMETRY_TOL:
             raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")

@@ -35,17 +35,27 @@ with ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The
 One RK4 kernel steps either a state or a 45 x 45 matrix of states, and
 every pulse takes one route through it.  When ``q = 2 pi / (Omega dt)`` is
 a whole number (within roundoff), every Larmor period repeats the same
-``q`` step maps; stepping the identity through them gives the period map
-``P`` (the monodromy matrix of Floquet theory).  A pulse of ``whole``
+``q`` step maps, whose product is the period map ``P`` (the monodromy
+matrix of Floquet theory).  The Larmor phase enters only through the
+cos/sin accumulators, so a quarter period later the generator is the same
+up to the quarter turn ``T: (Y_c, Y_s) -> (Y_s, -Y_c)`` of both pairs,
+``G(phi + pi/2) = T^T G(phi) T``, with ``T`` a signed permutation of ``x``
+and ``T^4 = I``.  The identity is therefore stepped through one unit of
+``q / r`` steps only, ``r = gcd(q, 4)``, and ``P = (T^(4/r) Q)^r`` with
+``Q`` the unit's map: a quarter of the period when ``4 | q``, the whole
+period when ``q`` is odd.  The symmetry is checked on the generator at
+every build, which raises if it fails.  A pulse of ``whole``
 periods and ``rest`` more steps is ``P`` once per whole period, then the
 kernel for the rest; an incommensurate grid or a pulse shorter than a
 period is the case ``whole = 0``.  Per-step output (trajectory rows, the
 conservation drift) is recorded by the kernel over the rest, and read off
 the period starts for the whole periods: with ``C_j`` the map of the first
 ``j`` steps of a period and ``L`` the five output forms, step ``j`` of a
-period outputs ``L C_j`` applied to its start.  Each RK4 step is a linear
-map of ``x``, so composing a period first changes only the order of the
-floating-point operations (agreement to about 1e-13 relative).
+period outputs ``L C_j`` applied to its start; the rows of units after the
+first are read off the first unit's steps, turned.  Each RK4 step is a
+linear map of ``x``, so composing a period first, or turning a unit, changes
+only the order of the floating-point operations (agreement to about 1e-13
+relative).
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -114,6 +124,34 @@ def _output_forms() -> np.ndarray:
 
 
 _OUTPUT_FORMS = _output_forms()
+
+
+def _quarter_turn() -> np.ndarray:
+    """``T``: the quarter turn ``(Y_c, Y_s) -> (Y_s, -Y_c)`` of both
+    accumulator pairs, acting on ``x``.
+
+    A signed permutation, so exact in floating point, with ``T^4 = I``.
+    Shifting the Larmor phase by a quarter period turns the generator to
+    ``G(phi + pi / 2) = T^T G(phi) T``.
+    """
+    s = np.eye(8)
+    for cos, sin in ((_YXC, _YXS), (_YPC, _YPS)):
+        s[[cos, sin, cos, sin], [cos, sin, sin, cos]] = 0.0, 0.0, 1.0, -1.0
+    turn = np.zeros((_DIM, _DIM))
+    turn[:_N_SIGMA, :_N_SIGMA] = np.kron(s, s)[_VECH] @ _DUP  # Sigma -> s Sigma s^T
+    turn[_MEAN, _MEAN] = s
+    turn[-1, -1] = 1.0
+    return turn
+
+
+_QUARTER_TURN = _quarter_turn()
+#: The generator basis shifted by a quarter period is ``sign_j B_{index_j}``
+#: (see ``_turn``).
+_QUARTER_SHIFT = np.array([0, 2, 1, 4, 3, 5])
+_QUARTER_SHIFT_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+#: Largest entry of ``R^T B_j R`` minus its shifted ``B_j``, relative to the
+#: largest entry of the basis, that still counts as roundoff.
+_SYMMETRY_RTOL = 1e-12
 
 #: Trajectory rows formatted per write; about one Larmor period, so the text
 #: of a whole pulse is never held at once.
@@ -313,7 +351,7 @@ def _pulse(
     if per_step and whole:
         # step p q + j of the pulse is step j of period p: row j applied to
         # the start of period p
-        periods = np.array(starts[:whole]) @ rows[:q].reshape(-1, _DIM).T
+        periods = np.array(starts[:whole]) @ rows.reshape(-1, _DIM).T
         values = np.concatenate((periods.reshape(whole * q, len(_OUTPUT_FORMS)), values))
     return x, values
 
@@ -452,14 +490,48 @@ def _advance(
     return x
 
 
+def _turn(basis: np.ndarray, r: int) -> np.ndarray:
+    """The turn ``R = T^(4/r)`` with ``G(phi + 2 pi / r) = R^T G(phi) R``.
+
+    The identity is checked on ``basis``: shifting the phase by a quarter
+    period maps ``f`` to ``(1, -sin, cos, sin^2, cos^2, -cos sin)``, so it
+    holds for every phase exactly when ``R^T B_j R`` is the ``B_j`` of the
+    shifted ``f``.  Raises ``RuntimeError`` when it does not hold to
+    roundoff: a drift or noise term that breaks the symmetry must stop the
+    build, not give a wrong period map.
+    """
+    turn, index, signs = np.eye(_DIM), np.arange(6), np.ones(6)
+    for _ in range(4 // r):
+        turn = turn @ _QUARTER_TURN
+        index, signs = index[_QUARTER_SHIFT], signs[_QUARTER_SHIFT] * _QUARTER_SHIFT_SIGNS
+    error = max(
+        float(np.max(np.abs(turn.T @ b @ turn - sign * basis[j])))
+        for b, j, sign in zip(basis, index, signs)
+    )
+    if error > _SYMMETRY_RTOL * float(np.max(np.abs(basis))):
+        raise RuntimeError(
+            f"the generator breaks the Larmor turn symmetry (shift 2 pi / {r}) by {error:.2e}; "
+            "the period map cannot be built from a part of the period"
+        )
+    return turn
+
+
 @functools.lru_cache(maxsize=4)
 def _period_map(
     model: DriftNoiseModel, outputs: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The generator basis, the map of one Larmor period and its output rows.
 
-    The rows ``L C_j`` of every step of the period come only with
-    ``outputs``, from the uncached ``_period_map.__wrapped__``: they take
+    The identity is stepped through one unit of ``u = q / r`` steps only,
+    with ``r = gcd(q, 4)``, giving its map ``Q``.  Unit ``m`` repeats the
+    first unit turned by ``R^m`` (see :func:`_turn`, which checks the
+    symmetry), so the period map is ``P = (R Q)^r`` and the first ``j``
+    steps of unit ``m`` end at ``R^-m C_j (R Q)^m``.  An odd ``q`` has
+    ``r = 1`` and steps the whole period.  The rows ``L C_k`` of every step
+    ``k < q`` of the period come only with ``outputs``: the stacked forms
+    ``L R^-m`` are recorded over the unit and multiplied by ``(R Q)^m``.
+
+    Rows come from the uncached ``_period_map.__wrapped__``: they take
     about 0.36 MB a drift model.  Callers clear ``n_i``, which only sets the
     initial state, so a grid over initial occupations shares the cached map.
     An entry takes about 115 kB, most of it the dense basis; four leave room
@@ -467,7 +539,28 @@ def _period_map(
     does in a sweep.
     """
     basis = _generator_basis(model)
-    return basis, *_steps(model, basis, np.eye(_DIM), 0, _period_steps(model), outputs)
+    q = _period_steps(model)
+    r = math.gcd(q, 4)
+    unit = q // r
+    turn = _turn(basis, r)
+    rows, record = None, None
+    if outputs:
+        # rows[m, j] = L R^-m C_j over the first unit, then times (R Q)^m
+        rows = np.empty((r, unit, len(_OUTPUT_FORMS), _DIM))
+        forms = np.stack([_OUTPUT_FORMS @ np.linalg.matrix_power(turn.T, m) for m in range(r)])
+        rows[:, 0] = forms
+
+        def record(j: int, x: np.ndarray) -> None:
+            if j < unit:
+                rows[:, j] = forms @ x
+
+    step = turn @ _advance(model, basis, np.eye(_DIM), 0, unit, record)
+    period = np.linalg.matrix_power(step, r)
+    if outputs:
+        for m in range(1, r):
+            rows[m] = rows[m] @ np.linalg.matrix_power(step, m)
+        rows = rows.reshape(q, len(_OUTPUT_FORMS), _DIM)
+    return basis, period, rows
 
 
 def oracle_epr_after_measurement(

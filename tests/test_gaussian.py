@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,13 +355,26 @@ class TestUncertaintyCheck:
         assert lam == pytest.approx(-10 * UNCERTAINTY_TOL, rel=0.05)
         assert len(fallbacks) == 1
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_covariance_left_to_eigvalsh(self, bad, fallbacks):
-        # LAPACK's Cholesky can carry a NaN through without failing
-        with pytest.raises(np.linalg.LinAlgError):
-            self.build(np.diag([bad, 0.5]))
-        assert len(fallbacks) == 1
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_non_finite_moments_rejected_before_eigvalsh(self, field, bad, validate, fallbacks):
+        # checked first: LAPACK's Cholesky can carry a NaN through without
+        # failing, and an infinity makes cov - cov.T warn
+        mean, cov = np.zeros(2), np.diag([0.5, 0.5])
+        {"mean": mean, "cov": cov}[field][0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match=f"^{field} must be finite$"):
+                GaussianState((light_mode("q0"),), mean, cov, validate=validate)
+        assert fallbacks == []
+
+    def test_huge_finite_moments_are_not_taken_for_infinite(self):
+        # their sum of squares overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = GaussianState((light_mode("q0"),), [1e200, 0.0], np.diag([1e200, 1e200]))
+        assert np.isfinite(state.cov).all() and np.isfinite(state.mean).all()
 
 
 class TestLossChannel:

@@ -485,10 +485,19 @@ class TestRoutes:
         eps=st.floats(-0.05, 0.05),
         periods=st.integers(1, 10),
         quarters=st.integers(0, 3),
+        steps_per_period=st.sampled_from([200, 201, 202]),
+        damping=st.booleans(),
     )
-    def test_period_route_equals_stepped_route(self, kappa, n_i, eps, periods, quarters):
-        params = unit_pulse(kappa, n_i, periods + quarters / 4, eps_mismatch=eps)
-        model = build_model(params, mismatch=True)
+    def test_period_route_equals_stepped_route(
+        self, kappa, n_i, eps, periods, quarters, steps_per_period, damping
+    ):
+        # the remainder is the whole step nearest the quarter, so the grid
+        # stays commensurate with the period when its steps are not a
+        # multiple of four
+        rest = round(quarters * steps_per_period / 4) / steps_per_period
+        extra = {"gamma_m": 0.02, "n_th": 1.5} if damping else {}
+        params = unit_pulse(kappa, n_i, periods + rest, eps_mismatch=eps, **extra)
+        model = build_model(params, mismatch=True, damping=damping, steps_per_period=steps_per_period)
         oracle._period_map.cache_clear()
         state = propagate_moments(model)
         assert oracle._period_map.cache_info().misses == 1  # the period route ran
@@ -512,9 +521,10 @@ class TestRoutes:
         advanced = spy_on_advance(monkeypatch)
         state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
-        # each call stepped the identity through the one period, no state
+        # each call stepped the identity through a quarter of the one period,
+        # no state
         dim = oracle._DIM
-        assert advanced == [((dim, dim), 0, 200), ((dim,), 200, 0)] * 2
+        assert advanced == [((dim, dim), 0, 50), ((dim,), 200, 0)] * 2
         assert oracle._period_map.cache_info().currsize == 0
         plain = propagate_moments(model)  # one period is enough for the period route
         assert oracle._period_map.cache_info().misses == 1
@@ -546,6 +556,84 @@ class TestRoutes:
             propagate_moments(build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1)))
         info = oracle._period_map.cache_info()
         assert info.currsize == info.maxsize == 4
+
+
+SYMMETRY_CASES = {
+    "plain": lambda steps: build_model(
+        ProtocolParams.dimensionless(1.2, 3.0, larmor_periods=8), steps_per_period=steps
+    ),
+    "hot": lambda steps: build_model(unit_pulse(0.9, 600.0, 12), steps_per_period=steps),
+    "mismatch": lambda steps: build_model(
+        ProtocolParams.dimensionless(1.5, 20.0, larmor_periods=16, eps_mismatch=0.03),
+        mismatch=True,
+        steps_per_period=steps,
+    ),
+    "damping": lambda steps: build_model(
+        ProtocolParams.dimensionless(0.8, 5.0, larmor_periods=16, gamma_m=0.02, n_th=1.5),
+        damping=True,
+        steps_per_period=steps,
+    ),
+}
+
+
+class TestLarmorTurn:
+    """The period map is built from a part of the period: ``r = gcd(q, 4)``
+    units of ``q / r`` steps, each the first turned by a power of the quarter
+    turn ``T`` of the accumulator pairs."""
+
+    def test_quarter_turn_is_a_signed_permutation_of_order_four(self):
+        turn = oracle._QUARTER_TURN
+        assert set(np.unique(turn)) == {-1.0, 0.0, 1.0}
+        nonzero = turn != 0.0
+        assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+        powers = [np.linalg.matrix_power(turn, k) for k in range(1, 5)]
+        assert not any(np.array_equal(p, np.eye(oracle._DIM)) for p in powers[:3])
+        np.testing.assert_array_equal(powers[3], np.eye(oracle._DIM))
+
+    @pytest.mark.parametrize("steps, r", [(200, 4), (202, 2), (201, 1)])
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+    def test_generator_conjugation_identity(self, name, steps, r):
+        model = SYMMETRY_CASES[name](steps)
+        assert math.gcd(oracle._period_steps(model), 4) == r
+        basis = oracle._generator_basis(model)
+        turn = np.linalg.matrix_power(oracle._QUARTER_TURN, 4 // r)
+        np.testing.assert_array_equal(oracle._turn(basis, r), turn)
+        scale = np.abs(basis).max()
+        for phase in (0.0, 0.3, 1.7, 2.9, 5.5):
+            shifted = oracle._generator(basis, phase + 2.0 * math.pi / r)
+            turned = turn.T @ oracle._generator(basis, phase) @ turn
+            np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("steps", [200, 202, 201])
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+    def test_unit_build_matches_the_stepped_period(self, name, steps):
+        model = SYMMETRY_CASES[name](steps)
+        q = oracle._period_steps(model)
+        basis, period, rows = oracle._period_map.__wrapped__(model, True)
+        full, full_rows = oracle._steps(model, basis, np.eye(oracle._DIM), 0, q, True)
+        np.testing.assert_allclose(period, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
+        assert rows.shape == (q, *full_rows.shape[1:])
+        np.testing.assert_allclose(rows, full_rows[:q], rtol=0.0, atol=1e-12 * np.abs(full_rows).max())
+        # the rows leave the period map as it is
+        np.testing.assert_array_equal(oracle._period_map.__wrapped__(model, False)[1], period)
+
+    @pytest.mark.parametrize("steps", [200, 202])
+    def test_drift_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
+        drift = oracle.DriftNoiseModel.drift_matrix
+
+        def phase_dependent(self, t):
+            a = drift(self, t)
+            a[oracle._PM, oracle._XM] += 0.1 * math.cos(self.params.Omega * t)
+            return a
+
+        monkeypatch.setattr(oracle.DriftNoiseModel, "drift_matrix", phase_dependent)
+        model = SYMMETRY_CASES["plain"](steps)
+        oracle._period_map.cache_clear()
+        with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
+            propagate_moments(model)
+        # an odd grid steps the whole period and needs no symmetry
+        propagate_moments(SYMMETRY_CASES["plain"](201))
+        oracle._period_map.cache_clear()
 
 
 class TestMismatchRealization:

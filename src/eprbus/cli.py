@@ -64,6 +64,7 @@ from .oracle import MIN_STEPS_PER_PERIOD, build_model, oracle_epr_after_measurem
 from .planner import (
     AtomSpec,
     CavitySpec,
+    FeasibilityReport,
     MechanicalSpec,
     PhysicalSetup,
     coherence_budget,
@@ -72,7 +73,6 @@ from .planner import (
 from .protocols import (
     FeedbackConfig,
     TeleportConfig,
-    predict_epr_variance,
     predicted_report,
     run_epr_generation,
     teleport,
@@ -105,16 +105,7 @@ def _field_names(cls) -> set[str]:
 #: the arguments of :meth:`ProtocolParams.dimensionless` except ``tau`` (the
 #: pulse is the unit of time), and the ``setup`` keys carry SI units.
 _SECTION_KEYS = {
-    "model": {
-        "kappa",
-        "n_i",
-        "larmor_periods",
-        "gamma_m",
-        "n_th",
-        "eps_mismatch",
-        "eta_light",
-        "eta_det",
-    },
+    "model": set(inspect.signature(ProtocolParams.dimensionless).parameters) - {"tau"},
     "setup": {"mech", "cavity", "atoms", "cooling_factor"},
     "setup.mech": {"omega_m_hz", "mass_kg", "q_factor", "temperature_k"},
     "setup.cavity": {"finesse", "length_m", "wavelength_m", "power_w", "tau_s"},
@@ -171,7 +162,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse and validate a scenario file into a plain dict."""
+    """Parse a scenario file into a plain dict and check its shape: keys,
+    types, finiteness and the sweep path.  The values of the sections are
+    checked when a run is built from them."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -206,7 +199,6 @@ def validate_scenario(raw: dict) -> dict:
             for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
         },
     }
-    _check_sections(scenario)
     if "model" in raw:
         model = _section(raw, "model")
         if "kappa" not in model:
@@ -232,26 +224,6 @@ def validate_scenario(raw: dict) -> dict:
 
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_sections(scenario: dict) -> None:
-    """Check every section, whatever the protocol reads: ``losses`` and the
-    present ``feedback`` and ``teleport`` sections through the objects they
-    configure, and the keys that take a YAML integer."""
-    build_losses(scenario)
-    if scenario["feedback"]:
-        _feedback_config(scenario["feedback"])
-    if scenario["teleport"]:
-        _teleport_config(scenario["teleport"])
-    shots = scenario["verify"].get("shots", 0)
-    if not _is_integer(shots) or shots < 0 or shots == 1:
-        raise ScenarioError(
-            f"key 'verify.shots' must be 0 (exact statistics) or an integer >= 2, got {shots!r}"
-        )
-    _require_steps(
-        scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD),
-        "key 'oracle.steps_per_period'",
-    )
 
 
 def _require_steps(steps, name: str) -> None:
@@ -320,13 +292,46 @@ def _configure(factory, section: dict, where: str, **convert):
         raise ScenarioError(f"invalid {where!r} section: {message}") from err
 
 
-def build_params(scenario: dict) -> ProtocolParams:
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """A scenario's sections as a run reads them.  ``setup`` and
+    ``feasibility`` are ``None`` for a ``model`` scenario, ``teleport`` where
+    nothing configures it, and ``shots`` for exact verification statistics."""
+
+    params: ProtocolParams
+    setup: PhysicalSetup | None
+    feasibility: FeasibilityReport | None
+    losses: LossBudget
+    feedback: FeedbackConfig
+    teleport: TeleportConfig | None
+    shots: int | None
+    steps: int
+
+
+def _build(scenario: dict) -> _Run:
+    """Every section of ``scenario`` built, whatever its protocol reads.  A
+    value that does not build is a :class:`ScenarioError` naming its key."""
+    losses = _configure(LossBudget, scenario["losses"], "losses")
+    feedback = _feedback_config(scenario["feedback"])
+    teleport = None
+    if scenario["teleport"] or scenario["protocol"] == "teleport":
+        teleport = _teleport_config(scenario["teleport"])
+    shots = scenario["verify"].get("shots", 0)
+    if not _is_integer(shots) or shots < 0 or shots == 1:
+        raise ScenarioError(
+            f"key 'verify.shots' must be 0 (exact statistics) or an integer >= 2, got {shots!r}"
+        )
+    steps = scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
+    _require_steps(steps, "key 'oracle.steps_per_period'")
+    setup = feasibility = None
     if "model" in scenario:
-        return _configure(
+        params = _configure(
             ProtocolParams.dimensionless, scenario["model"], "model", larmor_periods=int
         )
-    params, _ = derive_params(build_setup(scenario))
-    return params
+    else:
+        setup = build_setup(scenario)
+        params, feasibility = derive_params(setup)
+    return _Run(params, setup, feasibility, losses, feedback, teleport, shots or None, steps)
 
 
 def _setup_number(value, where: str) -> float:
@@ -379,19 +384,6 @@ def build_setup(scenario: dict) -> PhysicalSetup:
         raise ScenarioError(f"invalid 'setup' section: {err}") from err
 
 
-def build_losses(scenario: dict) -> LossBudget:
-    return _configure(LossBudget, scenario["losses"], "losses")
-
-
-def _initial_state(params: ProtocolParams):
-    return make_state(
-        [
-            (mechanical_mode("m"), params.n_i, (0.0, 0.0)),
-            (atomic_mode("a"), 0.0, (0.0, 0.0)),
-        ]
-    )
-
-
 def _report_dict(report: EPRReport) -> dict:
     payload = {
         "delta_epr": report.delta_epr,
@@ -411,26 +403,33 @@ def _report_dict(report: EPRReport) -> dict:
 # protocol execution
 
 
-def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
-    """Run the scenario's protocol once and return the results section."""
-    params = build_params(scenario)
-    losses = build_losses(scenario)
+def execute(scenario: dict) -> dict:
+    """Run the scenario's protocol once and return the results section.
+
+    Every protocol starts from one generation pulse, with the scenario's
+    feedback under ``epr_feedback`` and conditioned on its record otherwise.
+    """
+    run = _build(scenario)
+    params, losses = run.params, run.losses
     rng = np.random.default_rng(scenario["seed"])
     protocol = scenario["protocol"]
-    results: dict = {
-        "params": dataclasses.asdict(params),
-        "predicted": _report_dict(predicted_report(params.kappa, params.n_i)),
-    }
+    predicted = predicted_report(params.kappa, params.n_i)
+    feedback = protocol == "epr_feedback"
+    state, report, records = run_epr_generation(
+        make_state(
+            [(mechanical_mode("m"), params.n_i, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+        ),
+        params,
+        run.feedback if feedback else FeedbackConfig.conditional(),
+        rng=rng if feedback else None,
+    )
+    results: dict = {"params": dataclasses.asdict(params), "predicted": _report_dict(predicted)}
+    if protocol == "oracle_compare":
+        results.update(_compare_results(run, report, predicted.delta_epr))
+        return results
 
+    results["achieved"] = _report_dict(report)
     if protocol in ("epr_conditional", "epr_feedback"):
-        feedback = protocol == "epr_feedback"
-        state, report, records = run_epr_generation(
-            _initial_state(params),
-            params,
-            _feedback_config(scenario["feedback"]) if feedback else FeedbackConfig.conditional(),
-            rng=rng if feedback else None,
-        )
-        results["achieved"] = _report_dict(report)
         results["records"] = [
             {"mode": rec.mode.name, "outcome": rec.outcome, "variance": rec.outcome_variance}
             for rec in records
@@ -445,35 +444,18 @@ def execute(scenario: dict, *, oracle_steps: int | None = None) -> dict:
                     losses.eps_mismatch, params.kappa, params.n_i
                 )
     elif protocol == "verify":
-        state, gen_report, _ = run_epr_generation(
-            _initial_state(params), params, FeedbackConfig.conditional()
-        )
-        shots = scenario["verify"].get("shots") or None  # 0: exact statistics
-        inferred, post = verify_epr(state, params, shots=shots, rng=rng)
-        results["achieved"] = _report_dict(gen_report)
+        inferred, post = verify_epr(state, params, shots=run.shots, rng=rng)
         results["inferred"] = _report_dict(inferred)
         results["post_verification"] = _report_dict(epr_variance(post, "m", "a"))
     elif protocol == "teleport":
-        state, gen_report, _ = run_epr_generation(
-            _initial_state(params), params, FeedbackConfig.conditional()
-        )
-        cfg = _teleport_config(scenario["teleport"])
-        final, fidelity = teleport(state, params, cfg)
-        results["achieved"] = _report_dict(gen_report)
+        final, fidelity = teleport(state, params, run.teleport)
         results["teleport"] = {
+            **dataclasses.asdict(run.teleport),
             "fidelity": fidelity,
-            "asymptotic": cfg.asymptotic,
-            "kappa_qnd": cfg.kappa_qnd,
-            "bell_gain": cfg.bell_gain,
-            "input_mean": list(cfg.input_mean),
             "output_mean": final.mean.tolist(),
             "added_noise_x": final.cov[0, 0] - 0.5,
             "added_noise_p": final.cov[1, 1] - 0.5,
         }
-    elif protocol == "oracle_compare":
-        results.update(_compare_results(scenario, params, oracle_steps))
-    else:  # pragma: no cover - guarded by validation
-        raise ScenarioError(f"unsupported protocol {protocol!r}")
     return results
 
 
@@ -505,23 +487,19 @@ def _teleport_config(section: dict) -> TeleportConfig:
     )
 
 
-def _compare_results(scenario: dict, params: ProtocolParams, oracle_steps: int | None) -> dict:
-    steps = oracle_steps or scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
-    predicted = predict_epr_variance(params.kappa, params.n_i)
-
-    _, ideal_report, _ = run_epr_generation(
-        _initial_state(params), params, FeedbackConfig.conditional()
-    )
+def _compare_results(run: _Run, idealized: EPRReport, predicted: float) -> dict:
+    """The oracle against the closed form ``predicted`` and the idealized map."""
+    params, steps = run.params, run.steps
     mismatch = params.eps_mismatch > 0.0
     damping = params.gamma_m > 0.0
     model = build_model(params, damping=damping, mismatch=mismatch, steps_per_period=steps)
     oracle_report = oracle_epr_after_measurement(model)
 
     out = {
-        "idealized": _report_dict(ideal_report),
+        "idealized": _report_dict(idealized),
         "oracle": _report_dict(oracle_report),
         "oracle_steps_per_period": steps,
-        "rel_deviation_idealized": ideal_report.delta_epr / predicted - 1.0,
+        "rel_deviation_idealized": idealized.delta_epr / predicted - 1.0,
         "rel_deviation_oracle": oracle_report.delta_epr / predicted - 1.0,
     }
     if mismatch or damping:
@@ -547,7 +525,7 @@ def _compare_results(scenario: dict, params: ProtocolParams, oracle_steps: int |
 # sweeps and output
 
 
-def execute_sweep(scenario: dict, *, oracle_steps: int | None = None) -> dict:
+def execute_sweep(scenario: dict) -> dict:
     sweep = scenario["sweep"]
     points = []
     for value in sweep["values"]:
@@ -555,9 +533,7 @@ def execute_sweep(scenario: dict, *, oracle_steps: int | None = None) -> dict:
         sub.pop("sweep")
         node, leaf = _resolve_sweep_target(sub, sweep["path"])
         node[leaf] = value
-        _check_sections(sub)
-        results = execute(sub, oracle_steps=oracle_steps)
-        points.append({"value": value, "results": results})
+        points.append({"value": value, "results": execute(sub)})
     return {"path": sweep["path"], "points": points}
 
 
@@ -623,17 +599,16 @@ def write_report(report: dict, path: str | None, fmt: str) -> str:
 def _run_plan(scenario: dict) -> dict:
     if "setup" not in scenario:
         raise ScenarioError("the 'plan' verb requires a 'setup' section")
-    setup = build_setup(scenario)
-    params, feasibility = derive_params(setup)
-    budget = coherence_budget(setup)
+    run = _build(scenario)
+    budget = coherence_budget(run.setup)
     return {
-        "params": dataclasses.asdict(params),
-        "derived": feasibility.derived,
+        "params": dataclasses.asdict(run.params),
+        "derived": run.feasibility.derived,
         "checks": [
             {"name": c.name, "ratio": c.ratio, "status": c.status.value, "detail": c.detail}
-            for c in feasibility.checks
+            for c in run.feasibility.checks
         ],
-        "feasible": feasibility.ok,
+        "feasible": run.feasibility.ok,
         "coherence": {
             "tau_thermal_s": budget.tau_thermal,
             "tau_max_s": budget.tau_max,
@@ -677,26 +652,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if err.code else EXIT_OK
 
     try:
-        if args.oracle_steps is not None:
-            _require_steps(args.oracle_steps, "--oracle-steps")
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario["seed"] = args.seed
+        if args.oracle_steps is not None:
+            _require_steps(args.oracle_steps, "--oracle-steps")
+            scenario["oracle"]["steps_per_period"] = args.oracle_steps
+        if args.verb == "sweep" and "sweep" not in scenario:
+            raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
+        if args.verb == "compare" and scenario["protocol"] != "oracle_compare":
+            raise ScenarioError("the 'compare' verb requires protocol 'oracle_compare'")
         if args.verb == "plan":
             results = _run_plan(scenario)
-        elif args.verb == "sweep":
-            if "sweep" not in scenario:
-                raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
-            results = {"sweep": execute_sweep(scenario, oracle_steps=args.oracle_steps)}
-        elif args.verb == "compare":
-            if scenario["protocol"] != "oracle_compare":
-                raise ScenarioError("the 'compare' verb requires protocol 'oracle_compare'")
-            results = execute(scenario, oracle_steps=args.oracle_steps)
+        elif "sweep" in scenario and args.verb != "compare":
+            results = {"sweep": execute_sweep(scenario)}
         else:
-            if "sweep" in scenario:
-                results = {"sweep": execute_sweep(scenario, oracle_steps=args.oracle_steps)}
-            else:
-                results = execute(scenario, oracle_steps=args.oracle_steps)
+            results = execute(scenario)
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -705,7 +676,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidStateError,
         MatchingError,
         np.linalg.LinAlgError,
-        FloatingPointError,
+        ArithmeticError,
         ValueError,
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -157,6 +157,6 @@ def apply_budget(
         "damping_penalty_per_quadrature": damping,
         "photon_loss": eps_opt,
     }
-    return EPRReport.from_variances(
+    return EPRReport(
         var_xsum, var_pdiff, report.provenance, corrections=corrections, stderr=report.stderr
     )

@@ -178,7 +178,8 @@ class GaussianState:
         asym = float(np.max(np.abs(cov - cov.T))) if dim else 0.0
         if asym > SYMMETRY_TOL:
             raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
-        cov = (cov + cov.T) / 2.0
+        if asym:  # averaging changes no exactly symmetric matrix, and may overflow
+            cov = (cov + cov.T) / 2.0
         if validate and dim:
             _check_uncertainty(cov)
         mean.setflags(write=False)
@@ -227,42 +228,24 @@ class EPRReport:
     finite-shot verification estimate.
     """
 
-    delta_epr: float
     var_xsum: float
     var_pdiff: float
-    entangled: bool
     provenance: Provenance
     corrections: dict | None = None
     stderr: float | None = None
 
     def __post_init__(self) -> None:
-        total = self.var_xsum + self.var_pdiff
-        if not math.isclose(self.delta_epr, total, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"delta_epr={self.delta_epr} inconsistent with components {total}"
-            )
-        if self.entangled != (self.delta_epr < ENTANGLEMENT_BOUND):
-            raise ValueError("entangled flag inconsistent with delta_epr")
+        # numpy scalars in, plain floats out: the verdict is then a bool that JSON takes
+        object.__setattr__(self, "var_xsum", float(self.var_xsum))
+        object.__setattr__(self, "var_pdiff", float(self.var_pdiff))
 
-    @classmethod
-    def from_variances(
-        cls,
-        var_xsum: float,
-        var_pdiff: float,
-        provenance: Provenance,
-        corrections: dict | None = None,
-        stderr: float | None = None,
-    ) -> "EPRReport":
-        total = float(var_xsum) + float(var_pdiff)
-        return cls(
-            delta_epr=total,
-            var_xsum=float(var_xsum),
-            var_pdiff=float(var_pdiff),
-            entangled=total < ENTANGLEMENT_BOUND,
-            provenance=provenance,
-            corrections=corrections,
-            stderr=stderr,
-        )
+    @property
+    def delta_epr(self) -> float:
+        return self.var_xsum + self.var_pdiff
+
+    @property
+    def entangled(self) -> bool:
+        return self.delta_epr < ENTANGLEMENT_BOUND
 
 
 @dataclass(frozen=True)
@@ -522,4 +505,4 @@ def epr_variance(
         c[i, i] + c[j, j] + 2.0 * s * c[i, j]
         for i, j, s in epr_pair(state.mode_index(mech), state.mode_index(atom))
     )
-    return EPRReport.from_variances(var_xsum, var_pdiff, provenance)
+    return EPRReport(var_xsum, var_pdiff, provenance)

@@ -97,7 +97,7 @@ def predict_epr_variance(kappa: float, n_i: float) -> float:
 
 def predicted_report(kappa: float, n_i: float) -> EPRReport:
     delta = predict_epr_variance(kappa, n_i)
-    return EPRReport.from_variances(delta / 2.0, delta / 2.0, Provenance.PREDICTED)
+    return EPRReport(delta / 2.0, delta / 2.0, Provenance.PREDICTED)
 
 
 def optimal_gain(kappa: float, n_i: float) -> float:
@@ -159,7 +159,11 @@ def feedback_ensemble_state(
     """
     if gain_sin is None:
         gain_sin = gain_cos
-    pulse = apply_light_loss(qnd_bigstep(initial, params))
+    return _feedback_ensemble(apply_light_loss(qnd_bigstep(initial, params)), gain_cos, gain_sin)
+
+
+def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
+    """:func:`feedback_ensemble_state` of a pulse already taken."""
     joint = apply_linear_map(
         pulse.joint,
         _feedback_transform(pulse.joint, pulse.negative_mass, gain_cos, gain_sin),
@@ -224,7 +228,7 @@ def run_epr_generation(
         gain_cos = gain_sin = fb.gain
     # single-run state: conditional covariance, record-displaced mean
     state = displace(conditioned, atom, -gain_cos * rec_cos.outcome, +gain_sin * rec_sin.outcome)
-    ensemble = feedback_ensemble_state(initial, params, gain_cos, gain_sin)
+    ensemble = _feedback_ensemble(pulse, gain_cos, gain_sin)
     report = epr_variance(ensemble, mech, atom, provenance=Provenance.IDEALIZED_MAP)
     return state, report, (rec_cos, rec_sin)
 
@@ -274,9 +278,7 @@ def verify_epr(
 
     var_xsum = (var_cos - 0.5) / kappa_sq
     var_pdiff = (var_sin - 0.5) / kappa_sq
-    report = EPRReport.from_variances(
-        var_xsum, var_pdiff, Provenance.VERIFICATION_READOUT, stderr=stderr
-    )
+    report = EPRReport(var_xsum, var_pdiff, Provenance.VERIFICATION_READOUT, stderr=stderr)
 
     post, _ = condition_on_homodyne(joint, COS_MODE, _HALF_PI, 0.0)
     post, _ = condition_on_homodyne(post, SIN_MODE, _HALF_PI, 0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,22 @@ class TestValidation:
         argv = ["compare", "--scenario", path, "--out", str(out), "--oracle-steps", "250"]
         assert main(argv) == EXIT_OK
         assert read_json(out)["results"]["oracle_steps_per_period"] == 250
+        assert read_json(out)["scenario"]["oracle"]["steps_per_period"] == 250
+
+    def test_swept_oracle_steps_run_at_their_value(self, tmp_path):
+        # the flag sets the scenario's grid, which the sweep then moves
+        out = tmp_path / "sweep.json"
+        payload = {
+            "protocol": "oracle_compare",
+            "model": {"kappa": 1.0, "larmor_periods": 8},
+            "sweep": {"path": "oracle.steps_per_period", "values": [200, 250]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        argv = ["sweep", "--scenario", path, "--out", str(out), "--oracle-steps", "300"]
+        assert main(argv) == EXIT_OK
+        points = read_json(out)["results"]["sweep"]["points"]
+        assert [p["value"] for p in points] == [200, 250]
+        assert [p["results"]["oracle_steps_per_period"] for p in points] == [200, 250]
 
     @pytest.mark.parametrize("flag, value", [("--oracle-steps", "abc"), ("--seed", "x")])
     def test_mistyped_flag_returns_the_validation_code(self, capsys, flag, value):
@@ -296,6 +313,33 @@ class TestValidation:
         verb = "compare" if protocol == "oracle_compare" else "run"
         assert main([verb, "--scenario", path]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    def test_teleport_needs_its_section(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": "teleport", "model": {"kappa": 1.0}})
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'teleport.kappa_qnd' must be positive" in capsys.readouterr().err
+
+    def test_plan_checks_every_section(self, tmp_path, capsys):
+        payload = {
+            "protocol": "epr_conditional",
+            "setup": MICROMIRROR_SETUP,
+            "feedback": {"mode": "nonsense"},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'feedback.mode' must be 'optimal' or 'fixed'" in capsys.readouterr().err
+
+    def test_sections_checked_when_the_run_is_built(self, tmp_path, capsys):
+        # loading checks the shape only, so the verb is rejected first
+        payload = {
+            "protocol": "epr_conditional",
+            "model": {"kappa": 1.0},
+            "feedback": {"mode": "nonsense"},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert load_scenario(path)["feedback"] == {"mode": "nonsense"}
+        assert main(["compare", "--scenario", path]) == EXIT_VALIDATION
+        assert "the 'compare' verb requires protocol 'oracle_compare'" in capsys.readouterr().err
 
     def test_swept_section_value_checked_per_point(self, tmp_path, capsys):
         payload = {
@@ -358,6 +402,24 @@ class TestValidation:
         path = write_scenario(tmp_path, "s.yaml", payload)
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
         assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "protocol, section",
+        [
+            ("epr_conditional", {"model": {"kappa": 1.0e200}}),
+            ("verify", {"model": {"kappa": 1.0e200}}),
+            ("epr_conditional", {"model": {"kappa": 1.0}, "losses": {"eps_mismatch": 1.0e200}}),
+            ("epr_conditional", {"model": {"kappa": 1.0, "n_i": 1.0e308}}),
+        ],
+    )
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, protocol, section):
+        # finite and valid, but the arithmetic overflows
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": protocol, **section})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # verification with kappa = 0 passes validation but fails at run time

@@ -15,7 +15,7 @@ from eprbus.oracle import build_model, oracle_epr_after_measurement
 
 
 def report_for(delta: float) -> EPRReport:
-    return EPRReport.from_variances(delta / 2, delta / 2, Provenance.PREDICTED)
+    return EPRReport(delta / 2, delta / 2, Provenance.PREDICTED)
 
 
 class TestMismatchPenalty:

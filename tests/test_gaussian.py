@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from eprbus import gaussian
 from eprbus.gaussian import (
     UNCERTAINTY_TOL,
-    EPRReport,
     GaussianState,
     InvalidChannelError,
     InvalidStateError,
-    Provenance,
     apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
@@ -197,10 +195,6 @@ class TestEPRVariance:
             assert report.var_xsum == pytest.approx(na + nb + 1.0, rel=1e-12)
             assert report.var_pdiff == pytest.approx(na + nb + 1.0, rel=1e-12)
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            EPRReport(1.0, 0.2, 0.2, True, Provenance.PREDICTED)
-
     def test_pair_is_xsum_and_pdiff(self):
         assert epr_pair(2, 0) == ((4, 0, 1.0), (5, 1, -1.0))
         expected = np.zeros((2, 6))
@@ -375,6 +369,14 @@ class TestUncertaintyCheck:
             warnings.simplefilter("error")
             state = GaussianState((light_mode("q0"),), [1e200, 0.0], np.diag([1e200, 1e200]))
         assert np.isfinite(state.cov).all() and np.isfinite(state.mean).all()
+
+    def test_symmetric_covariance_near_the_float_limit_kept(self):
+        # averaging it with its transpose overflows to infinity
+        cov = np.full((2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = GaussianState((light_mode("q0"),), [0.0, 0.0], cov, validate=False)
+        assert np.array_equal(state.cov, cov)
 
 
 class TestLossChannel:

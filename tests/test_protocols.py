@@ -180,6 +180,15 @@ class TestRunEprGeneration:
         xsum_mean = state.mean[state.x_index(M)] + state.mean[state.x_index(A)]
         assert xsum_mean == pytest.approx(0.0, abs=1e-12)
 
+    def test_feedback_takes_one_pulse(self):
+        # each pulse taken below Omega*tau = 50 warns once
+        params = ProtocolParams.dimensionless(1.0, larmor_periods=1)
+        with pytest.warns(UserWarning, match="below 50") as caught:
+            run_epr_generation(
+                system_state(), params, FeedbackConfig.optimal(), outcomes=(0.0, 0.0)
+            )
+        assert len(caught) == 1
+
     def test_detection_loss_reduces_effective_strength(self):
         eta = 0.9
         params = ProtocolParams.dimensionless(1.0, eta_det=eta)

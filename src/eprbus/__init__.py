@@ -34,6 +34,7 @@ from .iomaps import (
     MatchingError,
     ProtocolParams,
     PulseOutput,
+    condition_on_readout,
     qnd_bigstep,
 )
 from .oracle import DriftNoiseModel, build_model, oracle_epr_after_measurement, propagate_moments

@@ -325,6 +325,9 @@ def _build(scenario: dict) -> _Run:
     _require_steps(steps, "key 'oracle.steps_per_period'")
     setup = feasibility = None
     if "model" in scenario:
+        periods = scenario["model"].get("larmor_periods", 64)
+        if not _is_integer(periods):
+            raise ScenarioError(f"key 'model.larmor_periods' must be an integer, got {periods!r}")
         params = _configure(
             ProtocolParams.dimensionless, scenario["model"], "model", larmor_periods=int
         )

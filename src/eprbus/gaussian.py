@@ -313,8 +313,6 @@ def apply_linear_map(
     transform: np.ndarray,
     noise: np.ndarray | None = None,
     displacement: np.ndarray | None = None,
-    *,
-    validate: bool = True,
 ) -> GaussianState:
     """General Gaussian channel ``mean -> S mean + d``, ``cov -> S cov S^T + N``.
 
@@ -346,7 +344,7 @@ def apply_linear_map(
     if noise is not None:
         cov = cov + noise
     try:
-        return GaussianState(state.modes, mean, cov, validate=validate)
+        return GaussianState(state.modes, mean, cov)
     except InvalidStateError as err:
         raise InvalidChannelError(str(err)) from err
 

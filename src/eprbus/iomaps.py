@@ -16,22 +16,28 @@ completed into a valid symplectic transformation by the back-action the
 shared drive puts on the orthogonal combinations: ``X_m - X_a`` and
 ``P_m + P_a`` each gain ``2 kappa^2`` of variance.  This completion is the
 unique one consistent with the underlying Langevin model and is
-cross-checked against the moment-propagation oracle.
+cross-checked against the moment-propagation oracle.  Propagation and
+detection loss on the light then act on the two readout modes.
+
+The readout is the p-quadrature of both temporal modes;
+:func:`condition_on_readout` conditions a pulse's joint state on it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .gaussian import (
     GaussianState,
     ModeKind,
+    MeasurementRecord,
     ModeLabel,
     apply_linear_map,
+    condition_on_homodyne,
     epr_forms,
     light_mode,
     loss_channel,
@@ -46,6 +52,8 @@ OMEGA_TAU_INDEPENDENT = 50.0
 
 COS_MODE = light_mode("cos")
 SIN_MODE = light_mode("sin")
+#: Homodyne angle of the readout: the p-quadrature of each temporal mode.
+_READOUT_ANGLE = math.pi / 2.0
 
 
 class MatchingError(ValueError):
@@ -154,10 +162,14 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class PulseOutput:
-    """Joint state after one pulse: system modes plus the cos/sin readout."""
+    """Joint state after one pulse: system modes plus the cos/sin readout.
+
+    The pulse map is symplectic; ``joint`` is its output after the light
+    loss of the parameters, so it is the image of a symplectic map only
+    when ``eta_light * eta_det = 1``.
+    """
 
     joint: GaussianState
-    params_used: ProtocolParams
     positive_mass: ModeLabel
     negative_mass: ModeLabel
 
@@ -224,7 +236,9 @@ def qnd_bigstep(
     roles are assigned to the state's mechanical and atomic mode; for a Bell
     measurement between two ensembles pass them explicitly.
 
-    Fresh vacuum modes named ``cos`` and ``sin`` are appended.
+    Fresh vacuum modes named ``cos`` and ``sin`` are appended.  The map is
+    symplectic; after it, propagation and detection loss ``eta_light *
+    eta_det`` admix vacuum into the cos and then the sin mode.
     """
     pos, neg = _resolve_roles(state, positive_mass, negative_mass)
     _require_matching(params)
@@ -256,7 +270,29 @@ def qnd_bigstep(
     s[[pc, ps]] += kappa * epr_forms(joint.dim, joint.mode_index(pos), joint.mode_index(neg))
 
     out = apply_linear_map(joint, s)
-    return PulseOutput(joint=out, params_used=params, positive_mass=pos, negative_mass=neg)
+    eta = params.eta_light * params.eta_det
+    if eta < 1.0:
+        for mode in (COS_MODE, SIN_MODE):
+            out = loss_channel(out, mode, eta)
+    return PulseOutput(joint=out, positive_mass=pos, negative_mass=neg)
+
+
+def condition_on_readout(
+    joint: GaussianState,
+    outcomes: tuple[float, float] | None = (0.0, 0.0),
+    *,
+    rng: np.random.Generator | None = None,
+) -> tuple[GaussianState, tuple[MeasurementRecord, MeasurementRecord]]:
+    """Condition a pulse's joint state on the p-quadrature of the cos mode,
+    then of the sin mode, and drop both.
+
+    ``outcomes`` gives the two results; ``None`` samples them, in that order,
+    with ``rng``.  Returns the conditioned state and the two records.
+    """
+    xi_cos, xi_sin = ("sample", "sample") if outcomes is None else map(float, outcomes)
+    joint, rec_cos = condition_on_homodyne(joint, COS_MODE, _READOUT_ANGLE, xi_cos, rng=rng)
+    joint, rec_sin = condition_on_homodyne(joint, SIN_MODE, _READOUT_ANGLE, xi_sin, rng=rng)
+    return joint, (rec_cos, rec_sin)
 
 
 def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
@@ -265,14 +301,3 @@ def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
     omega = symplectic_form(matrix.shape[0] // 2)
     return bool(np.max(np.abs(matrix @ omega @ matrix.T - omega)) <= tol)
 
-
-def apply_light_loss(pulse: PulseOutput) -> PulseOutput:
-    """Propagation plus detection loss on the temporal modes, vacuum noise in."""
-    params = pulse.params_used
-    eta = params.eta_light * params.eta_det
-    if eta >= 1.0:
-        return pulse
-    joint = pulse.joint
-    for mode in (COS_MODE, SIN_MODE):
-        joint = loss_channel(joint, mode, eta)
-    return replace(pulse, joint=joint)

@@ -76,15 +76,13 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    ModeKind,
     Provenance,
     atomic_mode,
-    condition_on_homodyne,
     epr_forms,
     epr_variance,
     mechanical_mode,
 )
-from .iomaps import COS_MODE, SIN_MODE, ProtocolParams
+from .iomaps import COS_MODE, SIN_MODE, ProtocolParams, _resolve_roles, condition_on_readout
 
 #: Minimum integration resolution from the convergence study: the
 #: fourth-order scheme holds the EPR-conservation drift below 1e-6 relative
@@ -278,14 +276,11 @@ def _initial_moments(
     else:
         if initial.n_modes != 2:
             raise ValueError("initial state must contain exactly the two system modes")
-        mech, atom = initial.modes
-        if mech.kind is not ModeKind.MECHANICAL or atom.kind is not ModeKind.ATOMIC:
-            raise ValueError(
-                "initial state must be ordered (mechanical, atomic); "
-                f"got ({mech}, {atom})"
-            )
-        mean[:4] = initial.mean
-        cov[:4, :4] = initial.cov
+        mech, atom = _resolve_roles(initial, None, None)
+        quads = [initial.x_index(mech), initial.p_index(mech)]
+        quads += [initial.x_index(atom), initial.p_index(atom)]
+        mean[:4] = initial.mean[quads]
+        cov[:4, :4] = initial.cov[np.ix_(quads, quads)]
     return mean, cov, (mech, atom)
 
 
@@ -575,7 +570,5 @@ def oracle_epr_after_measurement(
     """
     state = propagate_moments(model, initial=initial)
     mech, atom = state.modes[0], state.modes[1]
-    half_pi = math.pi / 2.0
-    state, _ = condition_on_homodyne(state, COS_MODE, half_pi, 0.0)
-    state, _ = condition_on_homodyne(state, SIN_MODE, half_pi, 0.0)
+    state, _ = condition_on_readout(state)
     return epr_variance(state, mech, atom, provenance=Provenance.ORACLE)

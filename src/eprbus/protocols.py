@@ -29,15 +29,12 @@ from .gaussian import (
     EPRReport,
     GaussianState,
     Provenance,
-    apply_linear_map,
     atomic_mode,
-    condition_on_homodyne,
     displace,
     epr_forms,
     epr_variance,
     linear_form_moments,
     make_state,
-    partial_trace,
     tensor,
 )
 from .iomaps import (
@@ -46,11 +43,9 @@ from .iomaps import (
     ProtocolParams,
     PulseOutput,
     _resolve_roles,
-    apply_light_loss,
+    condition_on_readout,
     qnd_bigstep,
 )
-
-_HALF_PI = math.pi / 2.0
 
 
 class FeedbackMode(Enum):
@@ -131,45 +126,34 @@ def _moment_gains(pulse: PulseOutput) -> tuple[float, float]:
     return cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
 
 
-def _feedback_transform(joint: GaussianState, atom, gain_cos: float, gain_sin: float) -> np.ndarray:
-    """Heisenberg map of measure-and-displace on the ensemble level.
+def feedback_ensemble_state(
+    initial: GaussianState, params: ProtocolParams, gain: float
+) -> GaussianState:
+    """Unconditional (ensemble-averaged) system state after feedback with
+    ``gain`` on both channels.
+
+    Computed deterministically from the input-output relations: displacing by
+    the measured record and discarding the light makes each system quadrature
+    a linear form on the joint state, so no sampling is involved.
+    """
+    return _feedback_ensemble(qnd_bigstep(initial, params), gain, gain)
+
+
+def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
+    """:func:`feedback_ensemble_state` of a pulse already taken, per-channel gains.
 
     The cos record is fed back as ``X_a -> X_a - g xi_cos``; the sin channel
     needs the opposite sign, ``P_a -> P_a + g xi_sin``, because the sin
     readout carries ``+kappa (P_m - P_a)`` so only the positive kick shrinks
     the difference.
     """
-    s = np.eye(joint.dim)
-    s[joint.x_index(atom), joint.p_index(COS_MODE)] = -gain_cos
-    s[joint.p_index(atom), joint.p_index(SIN_MODE)] = +gain_sin
-    return s
-
-
-def feedback_ensemble_state(
-    initial: GaussianState,
-    params: ProtocolParams,
-    gain_cos: float,
-    gain_sin: float | None = None,
-) -> GaussianState:
-    """Unconditional (ensemble-averaged) system state after feedback.
-
-    Computed deterministically from the input-output relations: displacing by
-    the measured record and discarding the light is a linear map on the joint
-    state followed by a partial trace, so no sampling is involved.
-    """
-    if gain_sin is None:
-        gain_sin = gain_cos
-    return _feedback_ensemble(apply_light_loss(qnd_bigstep(initial, params)), gain_cos, gain_sin)
-
-
-def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
-    """:func:`feedback_ensemble_state` of a pulse already taken."""
-    joint = apply_linear_map(
-        pulse.joint,
-        _feedback_transform(pulse.joint, pulse.negative_mass, gain_cos, gain_sin),
-        validate=False,
-    )
-    return partial_trace(joint, [pulse.positive_mass, pulse.negative_mass])
+    joint, mech, atom = pulse.joint, pulse.positive_mass, pulse.negative_mass
+    forms = np.eye(joint.dim)[
+        [joint.x_index(mech), joint.p_index(mech), joint.x_index(atom), joint.p_index(atom)]
+    ]
+    forms[2, joint.p_index(COS_MODE)] = -gain_cos
+    forms[3, joint.p_index(SIN_MODE)] = +gain_sin
+    return GaussianState((mech, atom), *linear_form_moments(joint, forms))
 
 
 def run_epr_generation(
@@ -194,28 +178,16 @@ def run_epr_generation(
     covariance of the EPR observables, which at the optimal gain coincides
     with the conditional one.
     """
-    pulse = apply_light_loss(qnd_bigstep(initial, params))
+    pulse = qnd_bigstep(initial, params)
     mech, atom = pulse.positive_mass, pulse.negative_mass
-
-    if outcomes is not None:
-        xi_cos, xi_sin = (float(outcomes[0]), float(outcomes[1]))
-    elif rng is not None:
-        xi_cos = xi_sin = None  # sampled inside conditioning
-    elif fb.mode is FeedbackMode.CONDITIONAL:
-        xi_cos = xi_sin = 0.0
-    else:
-        raise ValueError(
-            "feedback requires measurement outcomes: pass rng to sample them "
-            "or inject them via outcomes=(xi_cos, xi_sin)"
-        )
-
-    def measure(joint: GaussianState, mode, value):
-        if value is None:
-            return condition_on_homodyne(joint, mode, _HALF_PI, "sample", rng=rng)
-        return condition_on_homodyne(joint, mode, _HALF_PI, value)
-
-    conditioned, rec_cos = measure(pulse.joint, COS_MODE, xi_cos)
-    conditioned, rec_sin = measure(conditioned, SIN_MODE, xi_sin)
+    if outcomes is None and rng is None:
+        if fb.mode is not FeedbackMode.CONDITIONAL:
+            raise ValueError(
+                "feedback requires measurement outcomes: pass rng to sample them "
+                "or inject them via outcomes=(xi_cos, xi_sin)"
+            )
+        outcomes = (0.0, 0.0)
+    conditioned, (rec_cos, rec_sin) = condition_on_readout(pulse.joint, outcomes, rng=rng)
 
     if fb.mode is FeedbackMode.CONDITIONAL:
         state = conditioned
@@ -254,8 +226,7 @@ def verify_epr(
     """
     if params.kappa <= 0.0:
         raise ValueError("verification needs kappa > 0, otherwise light carries no signal")
-    pulse = apply_light_loss(qnd_bigstep(state, params))
-    joint = pulse.joint
+    joint = qnd_bigstep(state, params).joint
     pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
     kappa_sq = params.kappa**2
 
@@ -280,8 +251,7 @@ def verify_epr(
     var_pdiff = (var_sin - 0.5) / kappa_sq
     report = EPRReport(var_xsum, var_pdiff, Provenance.VERIFICATION_READOUT, stderr=stderr)
 
-    post, _ = condition_on_homodyne(joint, COS_MODE, _HALF_PI, 0.0)
-    post, _ = condition_on_homodyne(post, SIN_MODE, _HALF_PI, 0.0)
+    post, _ = condition_on_readout(joint)
     return report, post
 
 
@@ -304,6 +274,11 @@ class TeleportConfig:
     asymptotic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("kappa_qnd", "bell_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.input_mean)):
+            raise ValueError("input_mean must be finite")
         if self.kappa_qnd < 0.0:
             raise ValueError("kappa_qnd must be non-negative")
         if not self.asymptotic and self.kappa_qnd == 0.0:
@@ -377,11 +352,10 @@ def teleport(
             joint, bell_params, positive_mass=INPUT_ENSEMBLE, negative_mass=atom
         )
         bj = pulse.joint
-        s = np.eye(bj.dim)
-        s[bj.x_index(mech), bj.p_index(COS_MODE)] = cfg.bell_gain
-        s[bj.p_index(mech), bj.p_index(SIN_MODE)] = cfg.bell_gain
-        moved = apply_linear_map(bj, s, validate=False)
-        final = partial_trace(moved, [mech])
+        forms = np.eye(bj.dim)[[bj.x_index(mech), bj.p_index(mech)]]
+        forms[0, bj.p_index(COS_MODE)] = cfg.bell_gain
+        forms[1, bj.p_index(SIN_MODE)] = cfg.bell_gain
+        final = GaussianState((mech,), *linear_form_moments(bj, forms))
 
     fidelity = gaussian_overlap_fidelity(
         final.mean,

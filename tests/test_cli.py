@@ -227,6 +227,31 @@ class TestValidation:
         assert main([verb, "--scenario", path]) == EXIT_VALIDATION
         assert f"key '{key}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("periods", [64.9, 64.0])
+    def test_larmor_periods_must_be_an_integer(self, tmp_path, capsys, periods):
+        # a fractional count used to run int(periods) periods and echo the float
+        payload = {"protocol": "epr_conditional", "model": {"kappa": 1.0, "larmor_periods": periods}}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert f"key 'model.larmor_periods' must be an integer, got {periods!r}" in (
+            capsys.readouterr().err
+        )
+
+    def test_larmor_periods_sweep_runs(self, tmp_path):
+        out = tmp_path / "report.json"
+        payload = {
+            "protocol": "epr_conditional",
+            "model": {"kappa": 1.0},
+            "sweep": {"path": "model.larmor_periods", "values": [64, 128]},
+            "output": {"path": str(out)},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["sweep", "--scenario", path]) == EXIT_OK
+        points = read_json(out)["results"]["sweep"]["points"]
+        periods = [p["results"]["params"]["omega_m"] / (2.0 * math.pi) for p in points]
+        assert periods == pytest.approx([64.0, 128.0], rel=1e-15)
+        assert [p["value"] for p in points] == [64, 128]
+
     def test_swept_integer_key_checked_per_point(self, tmp_path, capsys):
         payload = {
             "protocol": "oracle_compare",

@@ -8,8 +8,10 @@ from eprbus.gaussian import (
     atomic_mode,
     condition_on_homodyne,
     epr_variance,
+    loss_channel,
     make_state,
     mechanical_mode,
+    symplectic_form,
     vacuum_state,
 )
 from eprbus.iomaps import (
@@ -17,7 +19,7 @@ from eprbus.iomaps import (
     SIN_MODE,
     MatchingError,
     ProtocolParams,
-    apply_light_loss,
+    condition_on_readout,
     is_symplectic,
     qnd_bigstep,
 )
@@ -229,21 +231,60 @@ class TestQndBigstep:
 
 @pytest.mark.parametrize("eta_light, eta_det", [(0.8, 0.9), (1.0, 0.5)])
 def test_light_loss_on_both_temporal_modes(eta_light, eta_det):
-    params = ProtocolParams.dimensionless(1.0, eta_light=eta_light, eta_det=eta_det)
-    pulse = qnd_bigstep(system_vacuum(), params)
-    lossy = apply_light_loss(pulse).joint
-    eta = eta_light * eta_det
+    params = ProtocolParams.dimensionless(1.3, 2.0, eta_light=eta_light, eta_det=eta_det)
+    state = make_state([(M, 2.0, (0.4, -0.2)), (A, 0.0, (0.1, 0.3))])
+    lossy = qnd_bigstep(state, params).joint
+    lossless = qnd_bigstep(state, ProtocolParams.dimensionless(1.3, 2.0)).joint
+    expected = lossless
     for mode in (COS_MODE, SIN_MODE):
-        p = lossy.p_index(mode)
-        assert lossy.cov[p, p] == pytest.approx(eta * 1.5 + (1.0 - eta) * 0.5, rel=1e-12)
+        expected = loss_channel(expected, mode, eta_light * eta_det)
+    assert lossy.modes == expected.modes
+    assert np.array_equal(lossy.mean, expected.mean)
+    assert np.array_equal(lossy.cov, expected.cov)
     system = [lossy.x_index(M), lossy.p_index(M), lossy.x_index(A), lossy.p_index(A)]
     block = np.ix_(system, system)
-    assert np.array_equal(lossy.cov[block], pulse.joint.cov[block])
+    assert np.array_equal(lossy.cov[block], lossless.cov[block])
 
 
-def test_light_loss_is_identity_without_loss():
-    pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
-    assert apply_light_loss(pulse) is pulse
+def test_unit_efficiency_gives_the_lossless_joint_unchanged():
+    # from vacuum, the lossless pulse is a symplectic image: pure, (2 cov Omega)^2 = -1
+    params = ProtocolParams.dimensionless(1.0, eta_light=1.0, eta_det=1.0)
+    joint = qnd_bigstep(system_vacuum(), params).joint
+    cov_omega = 2.0 * joint.cov @ symplectic_form(joint.n_modes)
+    assert np.allclose(cov_omega @ cov_omega, -np.eye(joint.dim), atol=1e-12)
+    p = joint.p_index(COS_MODE)
+    assert joint.cov[p, p] == 1.5
+
+
+class TestConditionOnReadout:
+    def test_p_of_cos_then_p_of_sin(self):
+        joint = qnd_bigstep(system_vacuum(2.0), ProtocolParams.dimensionless(1.3, 2.0)).joint
+        state, records = condition_on_readout(joint, (0.3, -0.4))
+        expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, 0.3)
+        expected, rec_sin = condition_on_homodyne(expected, SIN_MODE, HALF_PI, -0.4)
+        assert state.modes == (M, A)
+        assert np.array_equal(state.mean, expected.mean)
+        assert np.array_equal(state.cov, expected.cov)
+        assert records == (rec_cos, rec_sin)
+
+    def test_default_outcomes_are_zero(self):
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
+        state, records = condition_on_readout(joint)
+        assert [r.outcome for r in records] == [0.0, 0.0]
+        assert np.array_equal(state.cov, condition_on_readout(joint, (0.0, 0.0))[0].cov)
+
+    def test_sampled_in_readout_order(self):
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
+        _, records = condition_on_readout(joint, None, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        reduced, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, "sample", rng=rng)
+        _, rec_sin = condition_on_homodyne(reduced, SIN_MODE, HALF_PI, "sample", rng=rng)
+        assert records == (rec_cos, rec_sin)
+
+    def test_sampling_needs_an_rng(self):
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
+        with pytest.raises(ValueError, match="rng"):
+            condition_on_readout(joint, None)
 
 
 def test_is_symplectic_helper(rng):

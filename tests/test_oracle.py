@@ -248,6 +248,31 @@ class TestPropagateMoments:
         # means rotate but keep their magnitude under free evolution
         assert np.hypot(state.mean[0], state.mean[1]) == pytest.approx(0.3, rel=1e-5)
 
+    def test_initial_mode_order_is_free(self):
+        mech, atom = mechanical_mode("osc"), atomic_mode("spin")
+        cov = np.diag([2.0, 1.0, 0.5, 0.7])
+        cov[0, 1] = cov[1, 0] = 0.2
+        cov[0, 2] = cov[2, 0] = 0.1
+        forward = GaussianState((mech, atom), [0.3, -0.1, 0.2, 0.4], cov)
+        swap = [2, 3, 0, 1]
+        backward = GaussianState((atom, mech), forward.mean[swap], cov[np.ix_(swap, swap)])
+        model = build_model(ProtocolParams.dimensionless(1.2, 1.0, larmor_periods=8))
+        expected = propagate_moments(model, initial=forward)
+        state = propagate_moments(model, initial=backward)
+        assert state.modes == expected.modes == (mech, atom, COS_MODE, SIN_MODE)
+        assert np.array_equal(state.mean, expected.mean)
+        assert np.array_equal(state.cov, expected.cov)
+
+    def test_two_atomic_modes_refused(self):
+        initial = make_state(
+            [(atomic_mode("a1"), 0.0, (0.0, 0.0)), (atomic_mode("a2"), 0.0, (0.0, 0.0))]
+        )
+        model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=8))
+        with pytest.raises(
+            ValueError, match="exactly one mechanical mode to infer the readout roles, found 0"
+        ):
+            propagate_moments(model, initial=initial)
+
     def test_trajectory_dump(self):
         buffer = io.StringIO()
         propagate_moments(

@@ -15,7 +15,7 @@ from eprbus.gaussian import (
     mechanical_mode,
     vacuum_state,
 )
-from eprbus.iomaps import ProtocolParams
+from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, qnd_bigstep
 from eprbus.protocols import (
     FeedbackConfig,
     TeleportConfig,
@@ -28,6 +28,7 @@ from eprbus.protocols import (
     teleport,
     verify_epr,
 )
+from eprbus.protocols import _feedback_ensemble
 
 M = mechanical_mode("m")
 A = atomic_mode("a")
@@ -152,6 +153,41 @@ class TestRunEprGeneration:
         )
         block = linear_form_moments(ensemble, epr_forms(ensemble.dim, 0, 1))[1]
         assert np.allclose(np.diag(block), 1.0 + n_i, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fb", [FeedbackConfig.conditional(), FeedbackConfig.optimal()], ids=["conditional", "optimal"]
+    )
+    def test_outcomes_may_be_an_array(self, fb):
+        params = ProtocolParams.dimensionless(1.0, 3.0)
+        as_tuple = run_epr_generation(system_state(3.0), params, fb, outcomes=(0.9, -0.3))
+        as_array = run_epr_generation(
+            system_state(3.0), params, fb, outcomes=np.array([0.9, -0.3])
+        )
+        assert np.array_equal(as_array[0].mean, as_tuple[0].mean)
+        assert np.array_equal(as_array[0].cov, as_tuple[0].cov)
+        assert as_array[1] == as_tuple[1]
+        assert as_array[2] == as_tuple[2]
+
+    def test_feedback_ensemble_is_the_traced_feedback_map(self, rng):
+        # reference: the joint displaced by the record, then the light traced out
+        for _ in range(50):
+            n_i = float(rng.uniform(0.0, 100.0))
+            params = ProtocolParams.dimensionless(
+                float(rng.uniform(0.1, 3.0)), n_i, eta_det=float(rng.uniform(0.3, 1.0))
+            )
+            gain_cos, gain_sin = rng.uniform(0.0, 2.0, size=2)
+            pulse = qnd_bigstep(system_state(n_i), params)
+            joint = pulse.joint
+            s = np.eye(joint.dim)
+            s[joint.x_index(A), joint.p_index(COS_MODE)] = -gain_cos
+            s[joint.p_index(A), joint.p_index(SIN_MODE)] = +gain_sin
+            keep = [joint.x_index(M), joint.p_index(M), joint.x_index(A), joint.p_index(A)]
+            mean = (s @ joint.mean)[keep]
+            cov = (s @ joint.cov @ s.T)[np.ix_(keep, keep)]
+            ensemble = _feedback_ensemble(pulse, gain_cos, gain_sin)
+            assert ensemble.modes == (M, A)
+            np.testing.assert_allclose(ensemble.mean, mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(ensemble.cov, cov, rtol=1e-12, atol=1e-12)
 
     def test_feedback_requires_outcomes(self):
         with pytest.raises(ValueError, match="outcomes"):
@@ -309,6 +345,24 @@ class TestTeleport:
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="kappa_qnd"):
             TeleportConfig(kappa_qnd=0.0, bell_gain=1.0)
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    @pytest.mark.parametrize(
+        "name, settings",
+        [
+            ("kappa_qnd", {"kappa_qnd": math.nan}),
+            ("kappa_qnd", {"kappa_qnd": math.inf}),
+            ("bell_gain", {"bell_gain": math.nan}),
+            ("bell_gain", {"bell_gain": -math.inf}),
+            ("input_mean", {"input_mean": (0.0, math.inf)}),
+            ("input_mean", {"input_mean": (math.nan, 0.0)}),
+        ],
+    )
+    def test_non_finite_field_named(self, asymptotic, name, settings):
+        # a NaN gain used to reach the pulse and fail there naming no field
+        config = {"kappa_qnd": 2.0, "bell_gain": 0.5, "asymptotic": asymptotic, **settings}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            TeleportConfig(**config)
 
     def test_reserved_mode_name(self):
         bad = make_state(

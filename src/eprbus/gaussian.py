@@ -140,6 +140,42 @@ def _check_uncertainty(cov: np.ndarray) -> None:
         raise InvalidStateError(f"uncertainty relation violated (min eigenvalue {lam:.2e})")
 
 
+def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``cov`` as a state holds it, after the checks every state passes.
+
+    Raises :class:`InvalidStateError` on a non-finite mean or covariance and
+    on a covariance asymmetric beyond ``SYMMETRY_TOL``; roundoff asymmetry
+    below that is averaged away.
+    """
+    # a NaN or infinity makes the sum of squares non-finite, and so can
+    # overflow, which the test by entry then lets pass
+    if not math.isfinite(np.vdot(mean, mean) + np.vdot(cov, cov)):
+        for name, value in (("mean", mean), ("cov", cov)):
+            if not np.isfinite(value).all():
+                raise InvalidStateError(f"{name} must be finite")
+    asym = float(np.abs(cov - cov.T).max()) if cov.size else 0.0
+    if asym > SYMMETRY_TOL:
+        raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
+    if asym:  # averaging changes no exactly symmetric matrix, and may overflow
+        cov = (cov + cov.T) / 2.0
+    return cov
+
+
+def _channel_output(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The settled covariance of a channel's output, checked against the
+    uncertainty relation.
+
+    A failed check means the channel was not physical for its input, so
+    every :class:`InvalidStateError` is raised as :class:`InvalidChannelError`.
+    """
+    try:
+        cov = _settled(mean, cov)
+        _check_uncertainty(cov)
+    except InvalidStateError as err:
+        raise InvalidChannelError(str(err)) from err
+    return cov
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Mean vector and covariance matrix over an ordered set of labeled modes.
@@ -147,9 +183,13 @@ class GaussianState:
     ``mean`` has length ``2n`` and ``cov`` shape ``(2n, 2n)`` in the
     ``(X1, P1, ..., Xn, Pn)`` ordering.  Construction rejects a non-finite
     mean or covariance and checks symmetry always, and the uncertainty
-    relation unless ``validate=False`` (used internally for partially
-    accumulated temporal modes, which are legitimate sub-vacuum objects until
-    the pulse completes).
+    relation unless ``validate=False``.  The package passes that for a
+    channel output it has just checked (:func:`apply_linear_map`, and the
+    pulse of ``iomaps.qnd_bigstep``, whose light loss follows the check), and
+    for outputs that are physical whenever their input is: a homodyne
+    conditioning, a marginal and a displacement.  It passes it too for the
+    oracle's partially accumulated temporal modes, which are legitimate
+    sub-vacuum objects until the pulse completes.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -169,17 +209,7 @@ class GaussianState:
             raise InvalidStateError(f"mean must have length {dim}, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise InvalidStateError(f"cov must be {dim}x{dim}, got {cov.shape}")
-        # a NaN or infinity makes the sum of squares non-finite, and so can
-        # overflow, which the test by entry then lets pass
-        if not math.isfinite(np.vdot(mean, mean) + np.vdot(cov, cov)):
-            for name, value in (("mean", mean), ("cov", cov)):
-                if not np.isfinite(value).all():
-                    raise InvalidStateError(f"{name} must be finite")
-        asym = float(np.max(np.abs(cov - cov.T))) if dim else 0.0
-        if asym > SYMMETRY_TOL:
-            raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
-        if asym:  # averaging changes no exactly symmetric matrix, and may overflow
-            cov = (cov + cov.T) / 2.0
+        cov = _settled(mean, cov)
         if validate and dim:
             _check_uncertainty(cov)
         mean.setflags(write=False)
@@ -343,10 +373,7 @@ def apply_linear_map(
     cov = transform @ state.cov @ transform.T
     if noise is not None:
         cov = cov + noise
-    try:
-        return GaussianState(state.modes, mean, cov)
-    except InvalidStateError as err:
-        raise InvalidChannelError(str(err)) from err
+    return GaussianState(state.modes, mean, _channel_output(mean, cov), validate=False)
 
 
 def displace(state: GaussianState, mode: ModeLabel | str, dx: float, dp: float) -> GaussianState:
@@ -373,18 +400,27 @@ def loss_channel(
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     if noise_occupation < 0.0:
         raise ValueError("noise occupation must be non-negative")
-    i = state.mode_index(mode)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    _admix_loss(mean, cov, state.mode_index(mode), transmission, noise_occupation)
+    return GaussianState(state.modes, mean, cov)
+
+
+def _admix_loss(
+    mean: np.ndarray, cov: np.ndarray, i: int, transmission: float, noise_occupation: float
+) -> None:
+    """:func:`loss_channel` on mode ``i`` of the moments, in place and unchecked.
+
+    A symmetric ``cov`` stays exactly symmetric.
+    """
     sl = slice(2 * i, 2 * i + 2)
     root = math.sqrt(transmission)
-    mean = state.mean.copy()
+    block = transmission * cov[sl, sl]
     mean[sl] *= root
-    cov = state.cov.copy()
     cov[sl, :] *= root
     cov[:, sl] *= root
     # diagonal block picked up eta once from each side; fix it to eta * block
-    cov[sl, sl] = transmission * state.cov[sl, sl]
+    cov[sl, sl] = block
     cov[sl, sl] += (1.0 - transmission) * (noise_occupation + VACUUM_VARIANCE) * np.eye(2)
-    return GaussianState(state.modes, mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +442,37 @@ def condition_on_homodyne(
     outcome value.  ``outcome="sample"`` draws the result from the marginal
     using ``rng`` (required in that case).
     """
-    idx = state.mode_index(mode)
-    label = state.modes[idx]
-    v = np.zeros(state.dim)
+    modes, mean, cov, record = _homodyne(
+        state.modes, state.mean, state.cov, state.mode_index(mode), angle, outcome, rng
+    )
+    return GaussianState(modes, mean, cov, validate=False), record
+
+
+def _homodyne(
+    modes: tuple[ModeLabel, ...],
+    mean: np.ndarray,
+    cov: np.ndarray,
+    idx: int,
+    angle: float,
+    outcome: float | str,
+    rng: np.random.Generator | None,
+) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray, MeasurementRecord]:
+    """:func:`condition_on_homodyne` of mode ``idx`` on the moments.
+
+    Returns the remaining modes, their mean and their covariance, settled as
+    a state settles it, and the record.  The uncertainty relation is not
+    checked: conditioning a physical state gives a physical one.
+    """
+    label = modes[idx]
+    v = np.zeros(len(mean))
     v[2 * idx] = math.cos(angle)
     v[2 * idx + 1] = math.sin(angle)
-    var_b = float(v @ state.cov @ v)
+    var_b = float(v @ cov @ v)
     if var_b < DEGENERATE_VARIANCE:
         raise ValueError(
             f"measured quadrature of {label} has degenerate variance {var_b:.3e}"
         )
-    mean_b = float(v @ state.mean)
+    mean_b = float(v @ mean)
     if isinstance(outcome, str):
         if outcome != "sample":
             raise ValueError(f"outcome must be a number or 'sample', got {outcome!r}")
@@ -426,18 +482,18 @@ def condition_on_homodyne(
     else:
         xi = float(outcome)
 
-    cross = state.cov @ v
+    cross = cov @ v
     gain = cross / var_b
-    mean = state.mean + gain * (xi - mean_b)
-    cov = state.cov - np.outer(gain, cross)
+    mean = mean + gain * (xi - mean_b)
+    cov = cov - np.outer(gain, cross)
 
-    keep = [j for j in range(state.dim) if j not in (2 * idx, 2 * idx + 1)]
-    labels = tuple(m for j, m in enumerate(state.modes) if j != idx)
-    reduced = GaussianState(labels, mean[keep], cov[np.ix_(keep, keep)], validate=False)
+    # an index array picks rows, then columns, at a third of the cost of np.ix_
+    keep = np.array([j for j in range(len(mean)) if j not in (2 * idx, 2 * idx + 1)])
+    mean, cov = mean[keep], cov[keep][:, keep]
     record = MeasurementRecord(
         mode=label, quadrature_angle=angle, outcome=xi, outcome_variance=var_b
     )
-    return reduced, record
+    return modes[:idx] + modes[idx + 1 :], mean, _settled(mean, cov), record
 
 
 def partial_trace(

@@ -32,18 +32,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .gaussian import (
+    VACUUM_VARIANCE,
     GaussianState,
     ModeKind,
     MeasurementRecord,
     ModeLabel,
-    apply_linear_map,
-    condition_on_homodyne,
+    _admix_loss,
+    _channel_output,
+    _homodyne,
     epr_forms,
     light_mode,
-    loss_channel,
-    make_state,
     symplectic_form,
-    tensor,
 )
 
 #: Below this value of Omega*tau the cos/sin temporal modes are not cleanly
@@ -239,6 +238,13 @@ def qnd_bigstep(
     Fresh vacuum modes named ``cos`` and ``sin`` are appended.  The map is
     symplectic; after it, propagation and detection loss ``eta_light *
     eta_det`` admix vacuum into the cos and then the sin mode.
+
+    The pulse works on the moments and builds one state.  Its one check of
+    the uncertainty relation is on the map's output, and a failure raises
+    :class:`InvalidChannelError`.  A symplectic map of the input and two
+    vacua is physical exactly when the input is, so that check also covers
+    an input built with ``validate=False``; the loss that follows keeps a
+    physical state physical.
     """
     pos, neg = _resolve_roles(state, positive_mass, negative_mass)
     _require_matching(params)
@@ -251,30 +257,33 @@ def qnd_bigstep(
         )
     kappa = params.kappa
 
-    joint = tensor(
-        state,
-        make_state([(COS_MODE, 0.0, (0.0, 0.0)), (SIN_MODE, 0.0, (0.0, 0.0))]),
-    )
-    xm, pm = joint.x_index(pos), joint.p_index(pos)
-    xa, pa = joint.x_index(neg), joint.p_index(neg)
-    xc, pc = joint.x_index(COS_MODE), joint.p_index(COS_MODE)
-    xs, ps = joint.x_index(SIN_MODE), joint.p_index(SIN_MODE)
+    # the input (+) the vacua of the cos and sin modes, at indices n and n + 1
+    n, dim = state.n_modes, state.dim + 4
+    mean = np.zeros(dim)
+    mean[: state.dim] = state.mean
+    cov = np.diag(np.full(dim, VACUUM_VARIANCE))
+    cov[: state.dim, : state.dim] = state.cov
+    i_pos, i_neg = state.mode_index(pos), state.mode_index(neg)
+    xm, pm, xa, pa = 2 * i_pos, 2 * i_pos + 1, 2 * i_neg, 2 * i_neg + 1
+    xc, pc, xs, ps = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
 
-    s = np.eye(joint.dim)
+    s = np.eye(dim)
     # back-action of the shared drive, split across the cos/sin input modes
     s[xm, xs] = -kappa
     s[pm, xc] = kappa
     s[xa, xs] = kappa
     s[pa, xc] = kappa
     # readout: the EPR pair
-    s[[pc, ps]] += kappa * epr_forms(joint.dim, joint.mode_index(pos), joint.mode_index(neg))
+    s[[pc, ps]] += kappa * epr_forms(dim, i_pos, i_neg)
 
-    out = apply_linear_map(joint, s)
+    mean = s @ mean
+    cov = _channel_output(mean, s @ cov @ s.T)
     eta = params.eta_light * params.eta_det
     if eta < 1.0:
-        for mode in (COS_MODE, SIN_MODE):
-            out = loss_channel(out, mode, eta)
-    return PulseOutput(joint=out, positive_mass=pos, negative_mass=neg)
+        for i in (n, n + 1):
+            _admix_loss(mean, cov, i, eta, 0.0)
+    joint = GaussianState(state.modes + (COS_MODE, SIN_MODE), mean, cov, validate=False)
+    return PulseOutput(joint=joint, positive_mass=pos, negative_mass=neg)
 
 
 def condition_on_readout(
@@ -290,9 +299,12 @@ def condition_on_readout(
     with ``rng``.  Returns the conditioned state and the two records.
     """
     xi_cos, xi_sin = ("sample", "sample") if outcomes is None else map(float, outcomes)
-    joint, rec_cos = condition_on_homodyne(joint, COS_MODE, _READOUT_ANGLE, xi_cos, rng=rng)
-    joint, rec_sin = condition_on_homodyne(joint, SIN_MODE, _READOUT_ANGLE, xi_sin, rng=rng)
-    return joint, (rec_cos, rec_sin)
+    i_cos, i_sin = joint.mode_index(COS_MODE), joint.mode_index(SIN_MODE)
+    moments = joint.modes, joint.mean, joint.cov
+    # dropping the cos mode moves a sin mode that follows it down one place
+    *moments, rec_cos = _homodyne(*moments, i_cos, _READOUT_ANGLE, xi_cos, rng)
+    *moments, rec_sin = _homodyne(*moments, i_sin - (i_sin > i_cos), _READOUT_ANGLE, xi_sin, rng)
+    return GaussianState(*moments, validate=False), (rec_cos, rec_sin)
 
 
 def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:

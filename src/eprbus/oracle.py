@@ -468,6 +468,8 @@ def _advance(
     map is the identity advanced over one period.  ``visit(k + 1, x)`` sees
     the state after each step.
     """
+    if not count:
+        return x
     h = model.dt
     omega = model.params.Omega
     g_start = _generator(basis, omega * (k0 * h))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eprbus import gaussian
 from eprbus.gaussian import GaussianState, light_mode
 
 
@@ -47,3 +48,22 @@ def random_valid_state(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def state_counts(monkeypatch) -> dict:
+    """Counts of ``GaussianState`` constructions and uncertainty checks."""
+    counts = {"states": 0, "checks": 0}
+    post_init, check = GaussianState.__post_init__, gaussian._check_uncertainty
+
+    def counted_post_init(self, validate):
+        counts["states"] += 1
+        post_init(self, validate)
+
+    def counted_check(cov):
+        counts["checks"] += 1
+        check(cov)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(gaussian, "_check_uncertainty", counted_check)
+    return counts

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_symplectic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprbus.gaussian import (
     GaussianState,
+    apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
     epr_variance,
@@ -12,6 +16,7 @@ from eprbus.gaussian import (
     make_state,
     mechanical_mode,
     symplectic_form,
+    tensor,
     vacuum_state,
 )
 from eprbus.iomaps import (
@@ -32,6 +37,74 @@ HALF_PI = math.pi / 2
 
 def system_vacuum(n_i: float = 0.0) -> GaussianState:
     return make_state([(M, n_i, (0.0, 0.0)), (A, 0.0, (0.0, 0.0))])
+
+
+#: The pulse inputs of the properties below: the modes in either order, with
+#: the roles inferred from their kinds, or two ensembles with explicit roles
+#: (the teleportation Bell pulse).
+ROLE_SETUPS = {
+    "mech-atom": ((M, A), {}),
+    "atom-mech": ((A, M), {}),
+    "bell": (
+        (atomic_mode("input"), A),
+        {"positive_mass": atomic_mode("input"), "negative_mass": A},
+    ),
+}
+
+
+def two_mode_state(kind: str, seed: int, modes: tuple) -> GaussianState:
+    """A random physical two-mode state of one of four families."""
+    rng = np.random.default_rng(seed)
+    occupations = rng.exponential(5.0, size=2)
+    mean = np.zeros(4)
+    if kind == "thermal":
+        cov = np.diag(np.repeat(occupations + 0.5, 2))
+    elif kind == "squeezed":  # a squeezed thermal state on each mode
+        cov = np.zeros((4, 4))
+        for i, nbar in enumerate(occupations):
+            s = random_symplectic(1, rng, max_squeeze=1.5)
+            cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = (nbar + 0.5) * s @ s.T
+    else:  # "correlated" and "displaced": a two-mode symplectic image of a thermal state
+        s = random_symplectic(2, rng, max_squeeze=1.0)
+        cov = s @ np.diag(np.repeat(occupations + 0.5, 2)) @ s.T
+        if kind == "displaced":
+            mean = rng.normal(scale=3.0, size=4)
+    return GaussianState(modes, mean, (cov + cov.T) / 2.0)
+
+
+@st.composite
+def pulse_inputs(draw) -> tuple[GaussianState, dict]:
+    """A random physical input and the role keywords of its pulse."""
+    modes, roles = ROLE_SETUPS[draw(st.sampled_from(sorted(ROLE_SETUPS)))]
+    kind = draw(st.sampled_from(["thermal", "squeezed", "correlated", "displaced"]))
+    return two_mode_state(kind, draw(st.integers(0, 2**32 - 1)), modes), roles
+
+
+def reference_pulse(state: GaussianState, params: ProtocolParams, roles: dict) -> GaussianState:
+    """The pulse written out: the input and two vacua, the map ``S`` of the
+    module docstring, then the light loss on cos and on sin."""
+    joint = tensor(state, vacuum_state([COS_MODE, SIN_MODE]))
+    pos = roles.get("positive_mass", M)
+    neg = roles.get("negative_mass", A)
+    xp, pp, xn, pn = joint.x_index(pos), joint.p_index(pos), joint.x_index(neg), joint.p_index(neg)
+    xc, pc = joint.x_index(COS_MODE), joint.p_index(COS_MODE)
+    xs, ps = joint.x_index(SIN_MODE), joint.p_index(SIN_MODE)
+    k = params.kappa
+    s = np.eye(joint.dim)
+    s[xp, xs], s[pp, xc], s[xn, xs], s[pn, xc] = -k, k, k, k  # back-action
+    s[pc, xp], s[pc, xn], s[ps, pp], s[ps, pn] = k, k, k, -k  # the EPR readout
+    out = apply_linear_map(joint, s)
+    eta = params.eta_light * params.eta_det
+    if eta < 1.0:
+        for mode in (COS_MODE, SIN_MODE):
+            out = loss_channel(out, mode, eta)
+    return out
+
+
+def assert_same_state(actual: GaussianState, expected: GaussianState) -> None:
+    assert actual.modes == expected.modes
+    assert np.array_equal(actual.mean, expected.mean)
+    assert np.array_equal(actual.cov, expected.cov)
 
 
 class TestProtocolParams:
@@ -229,19 +302,18 @@ class TestQndBigstep:
             qnd_bigstep(system_vacuum(), params)
 
 
-@pytest.mark.parametrize("eta_light, eta_det", [(0.8, 0.9), (1.0, 0.5)])
-def test_light_loss_on_both_temporal_modes(eta_light, eta_det):
-    params = ProtocolParams.dimensionless(1.3, 2.0, eta_light=eta_light, eta_det=eta_det)
-    state = make_state([(M, 2.0, (0.4, -0.2)), (A, 0.0, (0.1, 0.3))])
-    lossy = qnd_bigstep(state, params).joint
-    lossless = qnd_bigstep(state, ProtocolParams.dimensionless(1.3, 2.0)).joint
-    expected = lossless
-    for mode in (COS_MODE, SIN_MODE):
-        expected = loss_channel(expected, mode, eta_light * eta_det)
-    assert lossy.modes == expected.modes
-    assert np.array_equal(lossy.mean, expected.mean)
-    assert np.array_equal(lossy.cov, expected.cov)
-    system = [lossy.x_index(M), lossy.p_index(M), lossy.x_index(A), lossy.p_index(A)]
+@pytest.mark.parametrize("eta_light, eta_det", [(0.8, 0.9), (1.0, 0.5), (1.0, 1.0)])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(given_input=pulse_inputs(), kappa=st.floats(0.0, 4.0))
+def test_light_loss_on_both_temporal_modes(eta_light, eta_det, given_input, kappa):
+    # the pulse on moments equals the pulse written out with states, bit for bit
+    state, roles = given_input
+    params = ProtocolParams.dimensionless(kappa, eta_light=eta_light, eta_det=eta_det)
+    lossy = qnd_bigstep(state, params, **roles).joint
+    assert_same_state(lossy, reference_pulse(state, params, roles))
+    # the loss touches the readout modes only
+    lossless = qnd_bigstep(state, ProtocolParams.dimensionless(kappa), **roles).joint
+    system = [q for mode in state.modes for q in (lossy.x_index(mode), lossy.p_index(mode))]
     block = np.ix_(system, system)
     assert np.array_equal(lossy.cov[block], lossless.cov[block])
 
@@ -257,14 +329,22 @@ def test_unit_efficiency_gives_the_lossless_joint_unchanged():
 
 
 class TestConditionOnReadout:
-    def test_p_of_cos_then_p_of_sin(self):
-        joint = qnd_bigstep(system_vacuum(2.0), ProtocolParams.dimensionless(1.3, 2.0)).joint
-        state, records = condition_on_readout(joint, (0.3, -0.4))
-        expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, 0.3)
-        expected, rec_sin = condition_on_homodyne(expected, SIN_MODE, HALF_PI, -0.4)
-        assert state.modes == (M, A)
-        assert np.array_equal(state.mean, expected.mean)
-        assert np.array_equal(state.cov, expected.cov)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        given_input=pulse_inputs(),
+        kappa=st.floats(0.1, 4.0),
+        eta=st.sampled_from([1.0, 0.9, 0.3]),
+        outcomes=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    )
+    def test_p_of_cos_then_p_of_sin(self, given_input, kappa, eta, outcomes):
+        state, roles = given_input
+        params = ProtocolParams.dimensionless(kappa, eta_det=eta)
+        joint = qnd_bigstep(state, params, **roles).joint
+        conditioned, records = condition_on_readout(joint, outcomes)
+        expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, outcomes[0])
+        expected, rec_sin = condition_on_homodyne(expected, SIN_MODE, HALF_PI, outcomes[1])
+        assert conditioned.modes == state.modes
+        assert_same_state(conditioned, expected)
         assert records == (rec_cos, rec_sin)
 
     def test_default_outcomes_are_zero(self):
@@ -273,12 +353,22 @@ class TestConditionOnReadout:
         assert [r.outcome for r in records] == [0.0, 0.0]
         assert np.array_equal(state.cov, condition_on_readout(joint, (0.0, 0.0))[0].cov)
 
-    def test_sampled_in_readout_order(self):
-        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
-        _, records = condition_on_readout(joint, None, rng=np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        reduced, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, "sample", rng=rng)
-        _, rec_sin = condition_on_homodyne(reduced, SIN_MODE, HALF_PI, "sample", rng=rng)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        given_input=pulse_inputs(),
+        kappa=st.floats(0.1, 4.0),
+        eta=st.sampled_from([1.0, 0.9, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_in_readout_order(self, given_input, kappa, eta, seed):
+        state, roles = given_input
+        params = ProtocolParams.dimensionless(kappa, eta_light=eta)
+        joint = qnd_bigstep(state, params, **roles).joint
+        conditioned, records = condition_on_readout(joint, None, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, "sample", rng=rng)
+        expected, rec_sin = condition_on_homodyne(expected, SIN_MODE, HALF_PI, "sample", rng=rng)
+        assert_same_state(conditioned, expected)
         assert records == (rec_cos, rec_sin)
 
     def test_sampling_needs_an_rng(self):
@@ -288,7 +378,5 @@ class TestConditionOnReadout:
 
 
 def test_is_symplectic_helper(rng):
-    from conftest import random_symplectic
-
     assert is_symplectic(random_symplectic(3, rng))
     assert not is_symplectic(np.diag([2.0, 2.0]))

@@ -314,6 +314,18 @@ class TestOracleEPR:
         assert report.delta_epr == pytest.approx(10.0, rel=1e-9)
         assert not report.entangled
 
+    @pytest.mark.parametrize("initial", [None, "state"])
+    def test_two_states(self, initial, state_counts):
+        # the pulse's joint state and the conditioned one; neither is checked
+        model = build_model(ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8, eta_det=0.8))
+        if initial:
+            initial = make_state(
+                [(mechanical_mode("m"), 2.0, (0.1, 0.2)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+            )
+        state_counts.update(states=0, checks=0)
+        oracle_epr_after_measurement(model, initial=initial)
+        assert state_counts == {"states": 2, "checks": 0}
+
 
 REGRESSION_CASES = {
     "plain@8": lambda: build_model(ProtocolParams.dimensionless(1.2, 3.0, larmor_periods=8)),

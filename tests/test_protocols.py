@@ -5,6 +5,7 @@ import pytest
 
 from eprbus.gaussian import (
     GaussianState,
+    InvalidChannelError,
     Provenance,
     atomic_mode,
     epr_forms,
@@ -277,6 +278,58 @@ class TestVerifyEpr:
     def test_kappa_zero_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             verify_epr(system_state(), ProtocolParams.dimensionless(0.0))
+
+
+class TestOneCheckPerPulse:
+    """The pulse checks the uncertainty relation once, on its map's output,
+    and a pulse with its readout conditioning builds two states."""
+
+    ETAS = [1.0, 0.7]
+
+    @staticmethod
+    def unphysical() -> GaussianState:
+        # Var(X_m) Var(P_m) = 1/100 < 1/4
+        cov = np.diag([0.1, 0.1, 0.5, 0.5])
+        return GaussianState((M, A), np.zeros(4), cov, validate=False)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda state, params: qnd_bigstep(state, params),
+            lambda state, params: run_epr_generation(state, params, FeedbackConfig.conditional()),
+            lambda state, params: verify_epr(state, params),
+        ],
+        ids=["qnd_bigstep", "run_epr_generation", "verify_epr"],
+    )
+    def test_unphysical_input_fails_at_the_pulse(self, run, eta, state_counts):
+        params = ProtocolParams.dimensionless(1.0, eta_det=eta)
+        state = self.unphysical()
+        with pytest.raises(InvalidChannelError, match="uncertainty relation violated"):
+            run(state, params)
+        assert state_counts["checks"] == 1
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda state, params: run_epr_generation(state, params, FeedbackConfig.conditional()),
+            lambda state, params: run_epr_generation(
+                state, params, FeedbackConfig.conditional(), rng=np.random.default_rng(3)
+            ),
+            lambda state, params: verify_epr(state, params),
+            lambda state, params: verify_epr(
+                state, params, shots=10, rng=np.random.default_rng(3)
+            ),
+        ],
+        ids=["conditional", "conditional-sampled", "verify", "verify-shots"],
+    )
+    def test_two_states_and_one_check(self, run, eta, state_counts):
+        state = system_state(3.0)
+        params = ProtocolParams.dimensionless(1.2, 3.0, eta_light=eta, eta_det=eta)
+        state_counts.update(states=0, checks=0)
+        run(state, params)
+        assert state_counts == {"states": 2, "checks": 1}
 
 
 class TestTeleport:

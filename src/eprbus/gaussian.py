@@ -20,18 +20,23 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 #: Absolute tolerance for covariance-symmetry and symplectic-identity checks.
 SYMMETRY_TOL = 1e-10
-#: Eigenvalues of the uncertainty test matrix may dip this far below zero
-#: before a state is rejected (absorbs accumulated roundoff).  The fast test
-#: adds it to the diagonal of that matrix and accepts on a Cholesky factor, so
-#: pure states, whose smallest eigenvalue is zero, pass without ``eigvalsh``.
+#: Eigenvalues of the uncertainty test matrix may dip below zero by this plus
+#: ``UNCERTAINTY_ROUNDOFF * eps * max|cov|`` before a state is rejected: the
+#: roundoff grows with the largest entry, about 1e8 for a resonator at room
+#: temperature.
 UNCERTAINTY_TOL = 1e-9
+UNCERTAINTY_ROUNDOFF = 4.0
+#: Channel outputs with a larger covariance entry are refused: roundoff there
+#: (``eps * 1e12 ~ 2e-4``) nears the vacuum variance, and a conditioning on
+#: such an output loses its digits.
+MAX_CHANNEL_VARIANCE = 1e12
 #: Marginal variances below this are treated as degenerate, not conditioned on.
 DEGENERATE_VARIANCE = 1e-12
 
@@ -91,52 +96,51 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 @functools.cache
-def _shifted_embedding_base(n_modes: int) -> np.ndarray:
-    """``[[tol I, -Omega/2], [Omega/2, tol I]]``: the shifted real embedding
-    of ``cov + i/2 * Omega`` without ``cov``, with ``tol = UNCERTAINTY_TOL``."""
+def _embedding_base(n_modes: int) -> np.ndarray:
+    """``[[0, -Omega/2], [Omega/2, 0]]``; shared and read-only."""
     dim = 2 * n_modes
     half = symplectic_form(n_modes) / 2.0
     base = np.zeros((2 * dim, 2 * dim))
     base[:dim, dim:] = -half
     base[dim:, :dim] = half
-    base[np.diag_indices(2 * dim)] = UNCERTAINTY_TOL
     base.setflags(write=False)
     return base
 
 
-def _min_uncertainty_eigenvalue(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of the real embedding of ``cov + i/2 * Omega``.
+def _embedding(cov: np.ndarray) -> np.ndarray:
+    """The real embedding ``[[cov, -Omega/2], [Omega/2, cov]]`` of
+    ``cov + i/2 * Omega``, which is PSD exactly when the latter is."""
+    dim = cov.shape[0]
+    test = _embedding_base(dim // 2).copy()
+    test[:dim, :dim] = test[dim:, dim:] = cov
+    return test
 
-    ``cov + (i/2) Omega >= 0`` is equivalent to PSD-ness of the real symmetric
-    matrix ``[[cov, -Omega/2], [Omega/2, cov]]``.
-    """
-    half = symplectic_form(cov.shape[0] // 2) / 2.0
-    return float(np.linalg.eigvalsh(np.block([[cov, -half], [half, cov]]))[0])
+
+def _min_uncertainty_eigenvalue(cov: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_embedding(cov))[0])
 
 
 def _check_uncertainty(cov: np.ndarray) -> None:
     """Raise :class:`InvalidStateError` unless ``cov + i/2 * Omega >= 0``
-    holds to within ``UNCERTAINTY_TOL``.
+    holds to within ``tol`` (see ``UNCERTAINTY_TOL``).
 
-    The embedding shifted by ``UNCERTAINTY_TOL * I`` has a Cholesky factor
-    whenever its smallest eigenvalue lies above ``-UNCERTAINTY_TOL``, so a
-    finite factor accepts the state.  Pure states put a zero eigenvalue in
-    the unshifted embedding, and the shift keeps them on the fast side.  When
+    The embedding shifted by ``tol * I`` has a Cholesky factor whenever its
+    smallest eigenvalue lies above ``-tol``, so a finite factor accepts the
+    state; pure states, with a zero eigenvalue, stay on this fast side.  When
     the factorization fails, or LAPACK carries a NaN or infinity through it
-    without failing, ``eigvalsh`` decides and names the smallest eigenvalue:
-    a state is rejected only when ``eigvalsh`` rejects it.
+    without failing, ``eigvalsh`` decides against the same ``tol`` and names
+    the smallest eigenvalue.
     """
-    dim = cov.shape[0]
-    test = _shifted_embedding_base(dim // 2).copy()
-    test[:dim, :dim] += cov
-    test[dim:, dim:] += cov
+    tol = UNCERTAINTY_TOL + UNCERTAINTY_ROUNDOFF * np.finfo(float).eps * float(np.abs(cov).max())
+    test = _embedding(cov)
+    test.reshape(-1)[:: len(test) + 1] += tol  # the diagonal, as a view
     try:
         if np.isfinite(np.linalg.cholesky(test)).all():
             return
     except np.linalg.LinAlgError:
         pass
     lam = _min_uncertainty_eigenvalue(cov)
-    if lam < -UNCERTAINTY_TOL:
+    if lam < -tol:
         raise InvalidStateError(f"uncertainty relation violated (min eigenvalue {lam:.2e})")
 
 
@@ -163,13 +167,16 @@ def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def _channel_output(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """The settled covariance of a channel's output, checked against the
-    uncertainty relation.
+    uncertainty relation and ``MAX_CHANNEL_VARIANCE``.
 
-    A failed check means the channel was not physical for its input, so
-    every :class:`InvalidStateError` is raised as :class:`InvalidChannelError`.
+    A failed check means the channel was not physical, or not representable,
+    for its input: every :class:`InvalidStateError` is raised as
+    :class:`InvalidChannelError`.
     """
     try:
         cov = _settled(mean, cov)
+        if np.abs(cov).max() > MAX_CHANNEL_VARIANCE:
+            raise InvalidStateError("covariance above 1e12: roundoff would swamp the vacuum noise")
         _check_uncertainty(cov)
     except InvalidStateError as err:
         raise InvalidChannelError(str(err)) from err
@@ -181,27 +188,19 @@ class GaussianState:
     """Mean vector and covariance matrix over an ordered set of labeled modes.
 
     ``mean`` has length ``2n`` and ``cov`` shape ``(2n, 2n)`` in the
-    ``(X1, P1, ..., Xn, Pn)`` ordering.  Construction rejects a non-finite
-    mean or covariance and checks symmetry always, and the uncertainty
-    relation unless ``validate=False``.  The package passes that for a
-    channel output it has just checked (:func:`apply_linear_map`, and the
-    pulse of ``iomaps.qnd_bigstep``, whose light loss follows the check), and
-    for outputs that are physical whenever their input is: a homodyne
-    conditioning, a marginal and a displacement.  It passes it too for the
-    oracle's partially accumulated temporal modes, which are legitimate
-    sub-vacuum objects until the pulse completes.
+    ``(X1, P1, ..., Xn, Pn)`` ordering.  Construction, the way states come in
+    from outside the package, copies both and checks everything: shapes,
+    unique mode names, finite moments, a symmetric covariance and the
+    uncertainty relation.  Inside, :meth:`_wrap` takes the arrays of outputs
+    that are physical whenever their input is as they are.
     """
 
     modes: tuple[ModeLabel, ...]
     mean: np.ndarray
     cov: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         modes = tuple(self.modes)
-        names = [m.name for m in modes]
-        if len(set(names)) != len(names):
-            raise InvalidStateError(f"mode names must be unique, got {names}")
         dim = 2 * len(modes)
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.array(self.cov, dtype=float)
@@ -210,13 +209,27 @@ class GaussianState:
         if cov.shape != (dim, dim):
             raise InvalidStateError(f"cov must be {dim}x{dim}, got {cov.shape}")
         cov = _settled(mean, cov)
-        if validate and dim:
+        if dim:
             _check_uncertainty(cov)
+        self._take(modes, mean, cov)
+
+    @classmethod
+    def _wrap(cls, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):
+        """A state over fresh float arrays the package has just built and
+        settled: not copied, settled again or checked for uncertainty."""
+        state = object.__new__(cls)
+        state._take(modes, mean, cov)
+        return state
+
+    def _take(self, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray) -> None:
+        """Set the fields, read-only, after the one test every state passes."""
+        names = [m.name for m in modes]
+        if len(set(names)) != len(names):
+            raise InvalidStateError(f"mode names must be unique, got {names}")
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        for field, value in (("modes", modes), ("mean", mean), ("cov", cov)):
+            object.__setattr__(self, field, value)
 
     @property
     def n_modes(self) -> int:
@@ -302,20 +315,22 @@ def make_state(
     """Product state of thermal/displaced modes.
 
     Each spec is ``(label, nbar, (mean_x, mean_p))``; the mode gets a diagonal
-    covariance ``nbar + 1/2`` per quadrature.  Negative occupations are
-    rejected.
+    covariance ``nbar + 1/2`` per quadrature.  Non-finite values and negative
+    occupations are rejected; a finite ``nbar >= 0`` makes the state
+    physical exactly, so it is not checked further.
     """
-    labels = []
-    mean = []
-    diag = []
+    labels, mean, diag = [], [], []
     for label, nbar, displacement in specs:
+        dx, dp = map(float, displacement)
+        if not all(map(math.isfinite, (nbar, dx, dp))):
+            raise InvalidStateError(f"occupation and displacement of {label} must be finite")
         if nbar < 0:
             raise ValueError(f"occupation must be non-negative, got {nbar} for {label}")
-        dx, dp = displacement
         labels.append(label)
-        mean.extend([float(dx), float(dp)])
+        mean.extend([dx, dp])
         diag.extend([nbar + VACUUM_VARIANCE] * 2)
-    return GaussianState(tuple(labels), np.array(mean), np.diag(diag))
+    diag = np.array(diag, dtype=float)
+    return GaussianState._wrap(tuple(labels), np.array(mean, dtype=float), np.diag(diag))
 
 
 def vacuum_state(labels: Iterable[ModeLabel]) -> GaussianState:
@@ -324,9 +339,6 @@ def vacuum_state(labels: Iterable[ModeLabel]) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product of two states on disjoint mode sets."""
-    overlap = {m.name for m in a.modes} & {m.name for m in b.modes}
-    if overlap:
-        raise ValueError(f"mode names present in both factors: {sorted(overlap)}")
     mean = np.concatenate([a.mean, b.mean])
     cov = np.zeros((a.dim + b.dim, a.dim + b.dim))
     cov[: a.dim, : a.dim] = a.cov
@@ -342,9 +354,8 @@ def apply_linear_map(
     state: GaussianState,
     transform: np.ndarray,
     noise: np.ndarray | None = None,
-    displacement: np.ndarray | None = None,
 ) -> GaussianState:
-    """General Gaussian channel ``mean -> S mean + d``, ``cov -> S cov S^T + N``.
+    """General Gaussian channel ``mean -> S mean``, ``cov -> S cov S^T + N``.
 
     ``noise`` must be symmetric PSD.  If the output would violate the
     uncertainty relation the pair ``(S, noise)`` was not a physical channel
@@ -362,26 +373,22 @@ def apply_linear_map(
             raise ValueError("noise matrix must be symmetric")
         if np.linalg.eigvalsh((noise + noise.T) / 2.0)[0] < -UNCERTAINTY_TOL:
             raise ValueError("noise matrix must be positive semidefinite")
-    if displacement is not None:
-        displacement = np.asarray(displacement, dtype=float).reshape(-1)
-        if displacement.shape != (dim,):
-            raise ValueError(f"displacement must have length {dim}")
 
     mean = transform @ state.mean
-    if displacement is not None:
-        mean = mean + displacement
     cov = transform @ state.cov @ transform.T
     if noise is not None:
         cov = cov + noise
-    return GaussianState(state.modes, mean, _channel_output(mean, cov), validate=False)
+    return GaussianState._wrap(state.modes, mean, _channel_output(mean, cov))
 
 
 def displace(state: GaussianState, mode: ModeLabel | str, dx: float, dp: float) -> GaussianState:
     """Shift the mean of one mode; the covariance is untouched."""
+    i = state.x_index(mode)
     mean = state.mean.copy()
-    mean[state.x_index(mode)] += dx
-    mean[state.p_index(mode)] += dp
-    return GaussianState(state.modes, mean, state.cov, validate=False)
+    mean[i : i + 2] += (dx, dp)
+    if not np.isfinite(mean[i : i + 2]).all():
+        raise InvalidStateError("displaced mean must be finite")
+    return GaussianState._wrap(state.modes, mean, state.cov)
 
 
 def loss_channel(
@@ -445,7 +452,7 @@ def condition_on_homodyne(
     modes, mean, cov, record = _homodyne(
         state.modes, state.mean, state.cov, state.mode_index(mode), angle, outcome, rng
     )
-    return GaussianState(modes, mean, cov, validate=False), record
+    return GaussianState._wrap(modes, mean, cov), record
 
 
 def _homodyne(
@@ -507,9 +514,7 @@ def partial_trace(
         raise ValueError("duplicate modes requested")
     quad = [q for i in indices for q in (2 * i, 2 * i + 1)]
     labels = tuple(state.modes[i] for i in indices)
-    return GaussianState(
-        labels, state.mean[quad], state.cov[np.ix_(quad, quad)], validate=False
-    )
+    return GaussianState._wrap(labels, state.mean[quad], state.cov[np.ix_(quad, quad)])
 
 
 def linear_form_moments(

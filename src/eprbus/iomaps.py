@@ -172,12 +172,6 @@ class PulseOutput:
     positive_mass: ModeLabel
     negative_mass: ModeLabel
 
-    def __post_init__(self) -> None:
-        names = {m.name for m in self.joint.modes}
-        for required in (COS_MODE.name, SIN_MODE.name):
-            if required not in names:
-                raise ValueError(f"joint state is missing temporal mode {required!r}")
-
 
 def _require_matching(params: ProtocolParams) -> None:
     eps = params.matching_residual()
@@ -239,12 +233,11 @@ def qnd_bigstep(
     symplectic; after it, propagation and detection loss ``eta_light *
     eta_det`` admix vacuum into the cos and then the sin mode.
 
-    The pulse works on the moments and builds one state.  Its one check of
-    the uncertainty relation is on the map's output, and a failure raises
-    :class:`InvalidChannelError`.  A symplectic map of the input and two
-    vacua is physical exactly when the input is, so that check also covers
-    an input built with ``validate=False``; the loss that follows keeps a
-    physical state physical.
+    The pulse works on the moments and wraps one state.  Its one check of
+    the uncertainty relation is on the map's output (failure raises
+    :class:`InvalidChannelError`): a symplectic map of the input and two
+    vacua is physical exactly when the input is, and the loss that follows
+    keeps a physical state physical.
     """
     pos, neg = _resolve_roles(state, positive_mass, negative_mass)
     _require_matching(params)
@@ -282,7 +275,7 @@ def qnd_bigstep(
     if eta < 1.0:
         for i in (n, n + 1):
             _admix_loss(mean, cov, i, eta, 0.0)
-    joint = GaussianState(state.modes + (COS_MODE, SIN_MODE), mean, cov, validate=False)
+    joint = GaussianState._wrap(state.modes + (COS_MODE, SIN_MODE), mean, cov)
     return PulseOutput(joint=joint, positive_mass=pos, negative_mass=neg)
 
 
@@ -304,7 +297,7 @@ def condition_on_readout(
     # dropping the cos mode moves a sin mode that follows it down one place
     *moments, rec_cos = _homodyne(*moments, i_cos, _READOUT_ANGLE, xi_cos, rng)
     *moments, rec_sin = _homodyne(*moments, i_sin - (i_sin > i_cos), _READOUT_ANGLE, xi_sin, rng)
-    return GaussianState(*moments, validate=False), (rec_cos, rec_sin)
+    return GaussianState._wrap(*moments), (rec_cos, rec_sin)
 
 
 def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:

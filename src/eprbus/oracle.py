@@ -77,6 +77,7 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     Provenance,
+    _settled,
     atomic_mode,
     epr_forms,
     epr_variance,
@@ -305,17 +306,18 @@ def propagate_moments(
     with its output rows and not cached.  The returned state is the same
     either way, and never depends on what the cache holds.
 
-    The accumulated temporal modes only become canonical pairs once the pulse
-    is complete (and exactly so only for an integer number of Larmor
-    periods), so the returned state skips the uncertainty validation.
+    The returned moments are settled once and not checked against the
+    uncertainty relation: the accumulated temporal modes only become
+    canonical pairs once the pulse is complete (exactly so only for an
+    integer number of Larmor periods), and may lie below vacuum before.
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
     per_step = trajectory is not None or return_info
     x, values = _pulse(model, np.concatenate((cov[_TRIU], mean, (1.0,))), per_step)
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
-    cov = (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
-    state = GaussianState((mech, atom, COS_MODE, SIN_MODE), x[_MEAN], cov, validate=False)
+    mean, cov = x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
+    state = GaussianState._wrap((mech, atom, COS_MODE, SIN_MODE), mean, _settled(mean, cov))
     if not return_info:
         return state
     return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(model, values)}

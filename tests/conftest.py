@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eprbus import gaussian
+from eprbus import gaussian, oracle
 from eprbus.gaussian import GaussianState, light_mode
 
 
@@ -52,18 +52,24 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def state_counts(monkeypatch) -> dict:
-    """Counts of ``GaussianState`` constructions and uncertainty checks."""
-    counts = {"states": 0, "checks": 0}
-    post_init, check = GaussianState.__post_init__, gaussian._check_uncertainty
+    """Counts of states built by the checked constructor (``checked``) and by
+    ``GaussianState._wrap`` (``wrapped``), of ``_settled`` calls and of
+    uncertainty checks."""
+    counts = {"checked": 0, "wrapped": 0, "settles": 0, "checks": 0}
+    post_init, wrap = GaussianState.__post_init__, GaussianState._wrap
+    settled, check = gaussian._settled, gaussian._check_uncertainty
 
-    def counted_post_init(self, validate):
-        counts["states"] += 1
-        post_init(self, validate)
+    def counted(key, function):
+        def call(*args):
+            counts[key] += 1
+            return function(*args)
 
-    def counted_check(cov):
-        counts["checks"] += 1
-        check(cov)
+        return call
 
-    monkeypatch.setattr(GaussianState, "__post_init__", counted_post_init)
-    monkeypatch.setattr(gaussian, "_check_uncertainty", counted_check)
+    monkeypatch.setattr(GaussianState, "__post_init__", counted("checked", post_init))
+    monkeypatch.setattr(GaussianState, "_wrap", staticmethod(counted("wrapped", wrap)))
+    monkeypatch.setattr(gaussian, "_check_uncertainty", counted("checks", check))
+    # the oracle imports ``_settled`` by name
+    for module in (gaussian, oracle):
+        monkeypatch.setattr(module, "_settled", counted("settles", settled))
     return counts

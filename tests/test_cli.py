@@ -521,6 +521,22 @@ class TestRun:
         # the resolved parameter set is embedded
         assert report["results"]["params"]["kappa"] == 1.0
 
+    def test_room_temperature_resonator(self, tmp_path):
+        # about 1e8 phonons, as a 60 kHz oscillator holds at room temperature
+        out = tmp_path / "hot.json"
+        path = write_scenario(
+            tmp_path,
+            "hot.yaml",
+            {
+                "protocol": "epr_conditional",
+                "model": {"kappa": 1.0, "n_i": 1.0e8},
+                "output": {"path": str(out)},
+            },
+        )
+        assert main(["run", "--scenario", path]) == EXIT_OK
+        achieved = read_json(out)["results"]["achieved"]
+        assert achieved["delta_epr"] == pytest.approx(2.0 / (1.0 / (1.0 + 1e8) + 2.0), rel=1e-5)
+
     def test_losses_fold_into_corrected_report(self, tmp_path):
         out = tmp_path / "r.json"
         path = write_scenario(

@@ -66,6 +66,33 @@ class TestMakeState:
         with pytest.raises(InvalidStateError, match="uncertainty"):
             GaussianState((L1,), np.zeros(2), 0.1 * np.eye(2))
 
+    def test_wraps_one_state_unsettled_and_unchecked(self, state_counts):
+        make_state([(M, 1e8, (0.3, -0.2)), (A, 0.0, (0.0, 0.0))])
+        assert state_counts == {"checked": 0, "wrapped": 1, "settles": 0, "checks": 0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["nbar", "dx", "dp"])
+    def test_non_finite_rejected(self, where, bad):
+        values = {"nbar": 1.0, "dx": 0.0, "dp": 0.0, where: bad}
+        with pytest.raises(InvalidStateError, match="must be finite"):
+            make_state([(L1, values["nbar"], (values["dx"], values["dp"]))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nbars=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=4),
+    displacements=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8
+    ),
+)
+def test_thermal_product_states_are_physical(nbars, displacements):
+    """``make_state`` checks nothing a finite ``nbar >= 0`` could fail."""
+    specs = [
+        (light_mode(f"q{i}"), nbar, (displacements[2 * i], displacements[2 * i + 1]))
+        for i, nbar in enumerate(nbars)
+    ]
+    gaussian._check_uncertainty(make_state(specs).cov)
+
 
 class TestApplyLinearMap:
     def test_identity(self, rng):
@@ -124,7 +151,7 @@ class TestConditioning:
                 [0.0, 0.0, 0.0, 0.5],
             ]
         )
-        state = GaussianState((L1, L2), np.zeros(4), cov, validate=False)
+        state = GaussianState._wrap((L1, L2), np.zeros(4), cov)
         out, _ = condition_on_homodyne(state, L2, 0.0, 0.0)
         assert out.cov[0, 0] == pytest.approx(v / (1.0 + 2.0 * kappa**2 * v), rel=1e-12)
 
@@ -174,6 +201,12 @@ class TestDisplace:
         once = displace(displace(state, "q0", 0.3, -0.4), "q0", 1.1, 0.9)
         combined = displace(state, "q0", 1.4, 0.5)
         assert np.allclose(once.mean, combined.mean, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for dx, dp in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(InvalidStateError, match="must be finite"):
+                displace(vacuum_state([L1]), L1, dx, dp)
 
 
 class TestEPRVariance:
@@ -349,10 +382,9 @@ class TestUncertaintyCheck:
         assert lam == pytest.approx(-10 * UNCERTAINTY_TOL, rel=0.05)
         assert len(fallbacks) == 1
 
-    @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["mean", "cov"])
-    def test_non_finite_moments_rejected_before_eigvalsh(self, field, bad, validate, fallbacks):
+    def test_non_finite_moments_rejected_before_eigvalsh(self, field, bad, fallbacks):
         # checked first: LAPACK's Cholesky can carry a NaN through without
         # failing, and an infinity makes cov - cov.T warn
         mean, cov = np.zeros(2), np.diag([0.5, 0.5])
@@ -360,8 +392,15 @@ class TestUncertaintyCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidStateError, match=f"^{field} must be finite$"):
-                GaussianState((light_mode("q0"),), mean, cov, validate=validate)
+                GaussianState((light_mode("q0"),), mean, cov)
         assert fallbacks == []
+
+    def test_hot_state_below_the_boundary_rejected(self):
+        # the allowance for roundoff grows with the largest entry; beside
+        # 1e8 quanta it stays far below a 1e-3 dip of the atomic variance
+        cov = np.diag([1e8 + 0.5, 1e8 + 0.5, 0.5 - 1e-3, 0.5 - 1e-3])
+        with pytest.raises(InvalidStateError, match="uncertainty relation violated"):
+            self.build(cov)
 
     def test_huge_finite_moments_are_not_taken_for_infinite(self):
         # their sum of squares overflows
@@ -375,8 +414,8 @@ class TestUncertaintyCheck:
         cov = np.full((2, 2), 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state = GaussianState((light_mode("q0"),), [0.0, 0.0], cov, validate=False)
-        assert np.array_equal(state.cov, cov)
+            settled = gaussian._settled(np.zeros(2), cov)
+        assert np.array_equal(settled, cov)
 
 
 class TestLossChannel:

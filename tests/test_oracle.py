@@ -14,7 +14,7 @@ from eprbus.oracle import (
     oracle_epr_after_measurement,
     propagate_moments,
 )
-from eprbus.protocols import predict_epr_variance
+from eprbus.protocols import FeedbackConfig, predict_epr_variance, run_epr_generation
 
 #: Declared integration tolerance: halving dt moves no reported variance by
 #: more than this (relative).
@@ -94,7 +94,7 @@ def step_through(model, initial=None):
         mean = mean + h / 6 * (dm1 + 2.0 * (dm2 + dm3) + dm4)
         start = end
         visit(k + 1, cov)
-    state = GaussianState((*modes, COS_MODE, SIN_MODE), mean, cov, validate=False)
+    state = GaussianState._wrap((*modes, COS_MODE, SIN_MODE), mean, cov)
     conserved = np.array(conserved)
     drift = np.max(np.abs(conserved - conserved[0]), axis=0) / conserved[0]
     return state, rows, {"max_rel_drift_xsum": drift[0], "max_rel_drift_pdiff": drift[1]}
@@ -316,15 +316,31 @@ class TestOracleEPR:
 
     @pytest.mark.parametrize("initial", [None, "state"])
     def test_two_states(self, initial, state_counts):
-        # the pulse's joint state and the conditioned one; neither is checked
+        # the pulse's joint state and the conditioned one, wrapped unchecked
+        # over one settle of the pulse's moments and one per conditioning
         model = build_model(ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8, eta_det=0.8))
         if initial:
             initial = make_state(
                 [(mechanical_mode("m"), 2.0, (0.1, 0.2)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
             )
-        state_counts.update(states=0, checks=0)
+        state_counts.update(wrapped=0)
         oracle_epr_after_measurement(model, initial=initial)
-        assert state_counts == {"states": 2, "checks": 0}
+        assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 0}
+
+
+def test_cached_sweep_operation(state_counts):
+    """One ``oracle_sweep`` operation over a cached period map: the oracle's
+    pulse and readout, the thermal input and a conditional generation wrap
+    five states over six settles and run one uncertainty check."""
+    params = ProtocolParams.dimensionless(1.2, 40.0, larmor_periods=8)
+    oracle_epr_after_measurement(build_model(params))
+    state_counts.update(dict.fromkeys(state_counts, 0))
+    oracle_epr_after_measurement(build_model(params))
+    initial = make_state(
+        [(mechanical_mode("m"), 40.0, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+    )
+    run_epr_generation(initial, params, FeedbackConfig.conditional())
+    assert state_counts == {"checked": 0, "wrapped": 5, "settles": 6, "checks": 1}
 
 
 REGRESSION_CASES = {

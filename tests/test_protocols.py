@@ -282,7 +282,8 @@ class TestVerifyEpr:
 
 class TestOneCheckPerPulse:
     """The pulse checks the uncertainty relation once, on its map's output,
-    and a pulse with its readout conditioning builds two states."""
+    and a pulse with its readout conditioning wraps two states and settles
+    three covariances."""
 
     ETAS = [1.0, 0.7]
 
@@ -290,7 +291,7 @@ class TestOneCheckPerPulse:
     def unphysical() -> GaussianState:
         # Var(X_m) Var(P_m) = 1/100 < 1/4
         cov = np.diag([0.1, 0.1, 0.5, 0.5])
-        return GaussianState((M, A), np.zeros(4), cov, validate=False)
+        return GaussianState._wrap((M, A), np.zeros(4), cov)
 
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize(
@@ -327,9 +328,56 @@ class TestOneCheckPerPulse:
     def test_two_states_and_one_check(self, run, eta, state_counts):
         state = system_state(3.0)
         params = ProtocolParams.dimensionless(1.2, 3.0, eta_light=eta, eta_det=eta)
-        state_counts.update(states=0, checks=0)
+        state_counts.update(wrapped=0)
         run(state, params)
-        assert state_counts == {"states": 2, "checks": 1}
+        assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 1}
+
+
+HOT = [(n_i, kappa) for n_i in (1e8, 1e9, 1e10) for kappa in (0.5, 1.0, 3.0)]
+
+
+class TestHotResonator:
+    """Resonators far above their ground state (a 60 kHz one holds about 1e8
+    phonons at room temperature) run: the uncertainty check allows roundoff
+    in proportion to the largest covariance entry."""
+
+    @pytest.mark.parametrize("n_i, kappa", HOT)
+    def test_conditional(self, n_i, kappa):
+        params = ProtocolParams.dimensionless(kappa, n_i)
+        _, report, _ = run_epr_generation(system_state(n_i), params, FeedbackConfig.conditional())
+        assert report.delta_epr == pytest.approx(predict_epr_variance(kappa, n_i), rel=1e-5)
+
+    @pytest.mark.parametrize("n_i, kappa", HOT)
+    def test_optimal_feedback(self, n_i, kappa):
+        params = ProtocolParams.dimensionless(kappa, n_i)
+        _, report, _ = run_epr_generation(
+            system_state(n_i), params, FeedbackConfig.optimal(), outcomes=(0.3, -0.2)
+        )
+        # the ensemble's linear forms cancel terms of order kappa^2 n_i: at
+        # n_i = 1e10 and kappa = 3 that leaves 4e-5 of roundoff
+        assert report.delta_epr == pytest.approx(predict_epr_variance(kappa, n_i), rel=1e-4)
+
+    @pytest.mark.parametrize("n_i, kappa", HOT)
+    def test_verify(self, n_i, kappa):
+        report, _ = verify_epr(system_state(n_i), ProtocolParams.dimensionless(kappa, n_i))
+        assert report.delta_epr == pytest.approx(2.0 * (1.0 + n_i), rel=1e-5)
+
+    @pytest.mark.parametrize("n_i, kappa", HOT)
+    def test_finite_teleport(self, n_i, kappa):
+        # with kappa_qnd * gain = 1 each output quadrature carries the
+        # resource's EPR variance, the input's 1/2 and the gain's g^2 / 2
+        gain = 0.125
+        _, fidelity = teleport(
+            system_state(n_i),
+            ProtocolParams.dimensionless(kappa, n_i),
+            TeleportConfig(kappa_qnd=1.0 / gain, bell_gain=gain),
+        )
+        assert fidelity == pytest.approx(1.0 / (n_i + 2.0 + gain**2 / 2.0), rel=1e-5)
+
+    def test_pulse_refuses_entries_roundoff_would_swamp(self):
+        n_i = 1e13
+        with pytest.raises(InvalidChannelError, match="roundoff would swamp the vacuum noise"):
+            qnd_bigstep(system_state(n_i), ProtocolParams.dimensionless(1.0, n_i))
 
 
 class TestTeleport:

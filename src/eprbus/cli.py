@@ -36,6 +36,7 @@ import io
 import json
 import math
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,10 +63,7 @@ from .gaussian import (
 from .iomaps import MatchingError, ProtocolParams
 from .oracle import MIN_STEPS_PER_PERIOD, build_model, oracle_epr_after_measurement
 from .planner import (
-    AtomSpec,
-    CavitySpec,
     FeasibilityReport,
-    MechanicalSpec,
     PhysicalSetup,
     coherence_budget,
     derive_params,
@@ -100,16 +98,27 @@ def _field_names(cls) -> set[str]:
     return {field.name for field in dataclasses.fields(cls)}
 
 
-#: The keys each section takes, by dotted name.  ``losses``, ``feedback`` and
-#: ``teleport`` take the fields of the object they configure.  ``model`` takes
-#: the arguments of :meth:`ProtocolParams.dimensionless` except ``tau`` (the
-#: pulse is the unit of time), and the ``setup`` keys carry SI units.
+def _required_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+
+
+#: The spec of each ``setup`` subsection, by the :class:`PhysicalSetup` field
+#: that holds it.
+_SETUP_SPECS = {
+    name: spec
+    for name, spec in typing.get_type_hints(PhysicalSetup).items()
+    if dataclasses.is_dataclass(spec)
+}
+
+#: The keys each section takes, by dotted name.  ``setup``, its subsections,
+#: ``losses``, ``feedback`` and ``teleport`` take the fields of the object
+#: they configure.  ``model`` takes the arguments of
+#: :meth:`ProtocolParams.dimensionless` except ``tau`` (the pulse is the unit
+#: of time).
 _SECTION_KEYS = {
     "model": set(inspect.signature(ProtocolParams.dimensionless).parameters) - {"tau"},
-    "setup": {"mech", "cavity", "atoms", "cooling_factor"},
-    "setup.mech": {"omega_m_hz", "mass_kg", "q_factor", "temperature_k"},
-    "setup.cavity": {"finesse", "length_m", "wavelength_m", "power_w", "tau_s"},
-    "setup.atoms": {"gamma_hz", "delta_hz", "sigma_m2", "area_m2", "n_atoms", "larmor_hz"},
+    "setup": _field_names(PhysicalSetup),
+    **{f"setup.{name}": _field_names(spec) for name, spec in _SETUP_SPECS.items()},
     "losses": _field_names(LossBudget),
     "feedback": _field_names(FeedbackConfig),
     "teleport": _field_names(TeleportConfig),
@@ -233,13 +242,12 @@ def _require_steps(steps, name: str) -> None:
 
 
 def _validate_setup(section: dict) -> dict:
-    for sub in ("mech", "cavity", "atoms"):
-        if sub not in section:
-            raise ScenarioError(f"key 'setup.{sub}' is required")
-        values = _section(section, f"setup.{sub}")
-        missing = _SECTION_KEYS[f"setup.{sub}"] - set(values) - {"wavelength_m"}
+    for name, spec in _SETUP_SPECS.items():
+        if name not in section:
+            raise ScenarioError(f"key 'setup.{name}' is required")
+        missing = _required_names(spec) - set(_section(section, f"setup.{name}"))
         if missing:
-            raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{sub}'")
+            raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{name}'")
     return section
 
 
@@ -337,54 +345,13 @@ def _build(scenario: dict) -> _Run:
     return _Run(params, setup, feasibility, losses, feedback, teleport, shots or None, steps)
 
 
-def _setup_number(value, where: str) -> float:
-    """One number of the ``setup`` section, which YAML may hand over as text
-    (``5.0e6`` and ``nan`` are strings to PyYAML)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"key {where} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ScenarioError(f"key {where} must be finite, got {value!r}")
-    return number
-
-
 def build_setup(scenario: dict) -> PhysicalSetup:
     raw = scenario["setup"]
-    mech, cavity, atoms = (
-        {key: _setup_number(value, f"setup.{sub}.{key}") for key, value in raw[sub].items()}
-        for sub in ("mech", "cavity", "atoms")
-    )
-    two_pi = 2.0 * math.pi
-    try:
-        cavity_kwargs = {
-            "finesse": cavity["finesse"],
-            "length": cavity["length_m"],
-            "power": cavity["power_w"],
-            "tau": cavity["tau_s"],
-        }
-        if "wavelength_m" in cavity:
-            cavity_kwargs["wavelength"] = cavity["wavelength_m"]
-        return PhysicalSetup(
-            mech=MechanicalSpec(
-                omega_m=two_pi * mech["omega_m_hz"],
-                mass=mech["mass_kg"],
-                q_factor=mech["q_factor"],
-                temperature=mech["temperature_k"],
-            ),
-            cavity=CavitySpec(**cavity_kwargs),
-            atoms=AtomSpec(
-                gamma=two_pi * atoms["gamma_hz"],
-                delta=two_pi * atoms["delta_hz"],
-                sigma_scatter=atoms["sigma_m2"],
-                beam_area=atoms["area_m2"],
-                n_atoms=atoms["n_atoms"],
-                larmor=two_pi * atoms["larmor_hz"],
-            ),
-            cooling_factor=_setup_number(raw.get("cooling_factor", 1.0), "setup.cooling_factor"),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid 'setup' section: {err}") from err
+    specs = {
+        name: _configure(spec, raw[name], f"setup.{name}") for name, spec in _SETUP_SPECS.items()
+    }
+    rest = {key: value for key, value in raw.items() if key not in specs}
+    return _configure(functools.partial(PhysicalSetup, **specs), rest, "setup")
 
 
 def _report_dict(report: EPRReport) -> dict:
@@ -451,7 +418,7 @@ def execute(scenario: dict) -> dict:
         results["inferred"] = _report_dict(inferred)
         results["post_verification"] = _report_dict(epr_variance(post, "m", "a"))
     elif protocol == "teleport":
-        final, fidelity = teleport(state, params, run.teleport)
+        final, fidelity = teleport(state, run.teleport)
         results["teleport"] = {
             **dataclasses.asdict(run.teleport),
             "fidelity": fidelity,

@@ -350,34 +350,18 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 # channels
 
 
-def apply_linear_map(
-    state: GaussianState,
-    transform: np.ndarray,
-    noise: np.ndarray | None = None,
-) -> GaussianState:
-    """General Gaussian channel ``mean -> S mean``, ``cov -> S cov S^T + N``.
+def apply_linear_map(state: GaussianState, transform: np.ndarray) -> GaussianState:
+    """Gaussian channel ``mean -> S mean``, ``cov -> S cov S^T``.
 
-    ``noise`` must be symmetric PSD.  If the output would violate the
-    uncertainty relation the pair ``(S, noise)`` was not a physical channel
-    for this input and :class:`InvalidChannelError` is raised.
+    If the output would violate the uncertainty relation ``S`` was not a
+    physical map for this input and :class:`InvalidChannelError` is raised.
     """
     dim = state.dim
     transform = np.asarray(transform, dtype=float)
     if transform.shape != (dim, dim):
         raise ValueError(f"transform must be {dim}x{dim}, got {transform.shape}")
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (dim, dim):
-            raise ValueError(f"noise must be {dim}x{dim}, got {noise.shape}")
-        if np.max(np.abs(noise - noise.T)) > SYMMETRY_TOL:
-            raise ValueError("noise matrix must be symmetric")
-        if np.linalg.eigvalsh((noise + noise.T) / 2.0)[0] < -UNCERTAINTY_TOL:
-            raise ValueError("noise matrix must be positive semidefinite")
-
     mean = transform @ state.mean
     cov = transform @ state.cov @ transform.T
-    if noise is not None:
-        cov = cov + noise
     return GaussianState._wrap(state.modes, mean, _channel_output(mean, cov))
 
 
@@ -392,29 +376,21 @@ def displace(state: GaussianState, mode: ModeLabel | str, dx: float, dp: float) 
 
 
 def loss_channel(
-    state: GaussianState,
-    mode: ModeLabel | str,
-    transmission: float,
-    noise_occupation: float = 0.0,
+    state: GaussianState, mode: ModeLabel | str, transmission: float
 ) -> GaussianState:
-    """Beam-splitter admixture of a thermal environment on one mode.
+    """Beam-splitter admixture of vacuum on one mode (photon loss).
 
-    The lossy mode's block becomes ``eta * block + (1 - eta)(nbar + 1/2) I``,
-    cross-covariances and means scale by ``sqrt(eta)``.  ``nbar = 0`` is the
-    plain photon-loss model where the admixed noise is vacuum.
+    The lossy mode's block becomes ``eta * block + (1 - eta) I / 2``,
+    cross-covariances and means scale by ``sqrt(eta)``.
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    if noise_occupation < 0.0:
-        raise ValueError("noise occupation must be non-negative")
     mean, cov = state.mean.copy(), state.cov.copy()
-    _admix_loss(mean, cov, state.mode_index(mode), transmission, noise_occupation)
+    _admix_loss(mean, cov, state.mode_index(mode), transmission)
     return GaussianState(state.modes, mean, cov)
 
 
-def _admix_loss(
-    mean: np.ndarray, cov: np.ndarray, i: int, transmission: float, noise_occupation: float
-) -> None:
+def _admix_loss(mean: np.ndarray, cov: np.ndarray, i: int, transmission: float) -> None:
     """:func:`loss_channel` on mode ``i`` of the moments, in place and unchecked.
 
     A symmetric ``cov`` stays exactly symmetric.
@@ -427,7 +403,7 @@ def _admix_loss(
     cov[:, sl] *= root
     # diagonal block picked up eta once from each side; fix it to eta * block
     cov[sl, sl] = block
-    cov[sl, sl] += (1.0 - transmission) * (noise_occupation + VACUUM_VARIANCE) * np.eye(2)
+    cov[sl, sl] += (1.0 - transmission) * VACUUM_VARIANCE * np.eye(2)
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def qnd_bigstep(
     eta = params.eta_light * params.eta_det
     if eta < 1.0:
         for i in (n, n + 1):
-            _admix_loss(mean, cov, i, eta, 0.0)
+            _admix_loss(mean, cov, i, eta)
     joint = GaussianState._wrap(state.modes + (COS_MODE, SIN_MODE), mean, cov)
     return PulseOutput(joint=joint, positive_mass=pos, negative_mass=neg)
 

@@ -15,7 +15,7 @@ here, and the corresponding acceptance tolerances are deliberately loose):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .iomaps import OMEGA_TAU_INDEPENDENT, ProtocolParams
@@ -23,6 +23,7 @@ from .iomaps import OMEGA_TAU_INDEPENDENT, ProtocolParams
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
 C_LIGHT = 299792458.0  # m / s
+TWO_PI = 2.0 * math.pi
 
 DEFAULT_WAVELENGTH = 1.064e-6  # m
 
@@ -38,64 +39,82 @@ class CheckStatus(Enum):
     FAIL = "fail"
 
 
+def _require_positive(spec, *nonnegative: str) -> None:
+    """Every field of ``spec`` finite and positive, or non-negative where
+    ``nonnegative`` names it.  Messages start with the field's name."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+        if field.name in nonnegative:
+            if value < 0.0:
+                raise ValueError(f"{field.name} must be non-negative, got {value}")
+        elif value <= 0.0:
+            raise ValueError(f"{field.name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class MechanicalSpec:
-    omega_m: float  # rad/s
-    mass: float  # kg
+    """The resonator: frequency in Hz, mass in kg, quality factor and bath
+    temperature in K."""
+
+    omega_m_hz: float
+    mass_kg: float
     q_factor: float
-    temperature: float  # K
+    temperature_k: float
+
+    def __post_init__(self) -> None:
+        _require_positive(self)
 
 
 @dataclass(frozen=True)
 class CavitySpec:
+    """The optical bus: finesse, length in m, drive power in W (zero allowed),
+    pulse length in s and wavelength in m."""
+
     finesse: float
-    length: float  # m
-    power: float  # W
-    tau: float  # s
-    wavelength: float = DEFAULT_WAVELENGTH  # m
+    length_m: float
+    power_w: float
+    tau_s: float
+    wavelength_m: float = DEFAULT_WAVELENGTH
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "power_w")
 
 
 @dataclass(frozen=True)
 class AtomSpec:
-    gamma: float  # spontaneous decay rate, rad/s
-    delta: float  # detuning, rad/s
-    sigma_scatter: float  # m^2
-    beam_area: float  # m^2
+    """The ensemble: spontaneous decay rate and detuning in Hz, scattering
+    cross section and beam area in m^2, atom number and Larmor frequency in
+    Hz."""
+
+    gamma_hz: float
+    delta_hz: float
+    sigma_m2: float
+    area_m2: float
     n_atoms: float
-    larmor: float  # rad/s
+    larmor_hz: float
+
+    def __post_init__(self) -> None:
+        _require_positive(self)
 
 
 @dataclass(frozen=True)
 class PhysicalSetup:
+    """A hardware setup in SI units.  The spec fields are the keys of a
+    scenario's ``setup`` section; Hz become rad/s in :func:`derive_params`.
+    ``cooling_factor`` divides the thermal occupation (pre-cooling)."""
+
     mech: MechanicalSpec
     cavity: CavitySpec
     atoms: AtomSpec
     cooling_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        positive = {
-            "mech.omega_m": self.mech.omega_m,
-            "mech.mass": self.mech.mass,
-            "mech.q_factor": self.mech.q_factor,
-            "mech.temperature": self.mech.temperature,
-            "cavity.finesse": self.cavity.finesse,
-            "cavity.length": self.cavity.length,
-            "cavity.wavelength": self.cavity.wavelength,
-            "cavity.tau": self.cavity.tau,
-            "atoms.gamma": self.atoms.gamma,
-            "atoms.delta": self.atoms.delta,
-            "atoms.sigma_scatter": self.atoms.sigma_scatter,
-            "atoms.beam_area": self.atoms.beam_area,
-            "atoms.n_atoms": self.atoms.n_atoms,
-            "atoms.larmor": self.atoms.larmor,
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.cavity.power < 0.0:
-            raise ValueError("cavity.power must be non-negative")
+        if not math.isfinite(self.cooling_factor):
+            raise ValueError(f"cooling_factor must be finite, got {self.cooling_factor}")
         if self.cooling_factor < 1.0:
-            raise ValueError("cooling_factor must be at least 1")
+            raise ValueError(f"cooling_factor must be at least 1, got {self.cooling_factor}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,11 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     return K_B * temperature / (HBAR * omega_m)
 
 
+def _atomic_prefactor(atoms: AtomSpec) -> float:
+    """``sigma Gamma / (A Delta)``, with both rates in rad/s."""
+    return atoms.sigma_m2 * (TWO_PI * atoms.gamma_hz) / (atoms.area_m2 * (TWO_PI * atoms.delta_hz))
+
+
 def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityReport]:
     """Dimensionless protocol parameters plus a validity scorecard.
 
@@ -138,20 +162,21 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
     difference is the stored matching residual.
     """
     mech, cav, atoms = setup.mech, setup.cavity, setup.atoms
-    x0 = math.sqrt(HBAR / (2.0 * mech.mass * mech.omega_m))
-    omega_c = 2.0 * math.pi * C_LIGHT / cav.wavelength
-    g0 = (x0 / cav.length) * omega_c
-    gamma_c = math.pi * C_LIGHT / (2.0 * cav.finesse * cav.length)
-    n_ph = cav.power * cav.tau / (HBAR * omega_c)
-    alpha = math.sqrt(n_ph / (cav.tau * gamma_c))
+    omega_m = TWO_PI * mech.omega_m_hz
+    larmor = TWO_PI * atoms.larmor_hz
+    tau = cav.tau_s
+    x0 = math.sqrt(HBAR / (2.0 * mech.mass_kg * omega_m))
+    omega_c = TWO_PI * C_LIGHT / cav.wavelength_m
+    g0 = (x0 / cav.length_m) * omega_c
+    gamma_c = math.pi * C_LIGHT / (2.0 * cav.finesse * cav.length_m)
+    n_ph = cav.power_w * tau / (HBAR * omega_c)
+    alpha = math.sqrt(n_ph / (tau * gamma_c))
     g = g0 * alpha
-    kappa = (atoms.sigma_scatter * atoms.gamma / (atoms.beam_area * atoms.delta)) * math.sqrt(
-        atoms.n_atoms * n_ph
-    )
-    kappa_optical = g * math.sqrt(cav.tau / gamma_c)
-    n_th = thermal_occupation(mech.omega_m, mech.temperature)
+    kappa = _atomic_prefactor(atoms) * math.sqrt(atoms.n_atoms * n_ph)
+    kappa_optical = g * math.sqrt(tau / gamma_c)
+    n_th = thermal_occupation(omega_m, mech.temperature_k)
     n_i = n_th / setup.cooling_factor
-    gamma_m = mech.omega_m / mech.q_factor
+    gamma_m = omega_m / mech.q_factor
 
     total = kappa + kappa_optical
     eps = (kappa - kappa_optical) / total if total > 0.0 else 1.0
@@ -161,9 +186,9 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
         n_i=n_i,
         g=g,
         gamma_c=gamma_c,
-        omega_m=mech.omega_m,
-        Omega=atoms.larmor,
-        tau=cav.tau,
+        omega_m=omega_m,
+        Omega=larmor,
+        tau=tau,
         gamma_m=gamma_m,
         n_th=n_th,
         eps_mismatch=abs(eps),
@@ -183,17 +208,17 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
     )
     add(
         "adiabatic_elimination_vs_omega_m",
-        gamma_c / mech.omega_m,
-        f"gamma_c/omega_m = {gamma_c / mech.omega_m:.1f}",
+        gamma_c / omega_m,
+        f"gamma_c/omega_m = {gamma_c / omega_m:.1f}",
     )
     add(
         "temporal_mode_separation",
-        atoms.larmor * cav.tau / 1.0,
-        f"Omega*tau = {atoms.larmor * cav.tau:.1f} "
+        larmor * tau / 1.0,
+        f"Omega*tau = {larmor * tau:.1f} "
         f"(idealized map reliable above {OMEGA_TAU_INDEPENDENT:.0f})",
     )
     thermal_ratio = (
-        1.0 / (gamma_m * cav.tau * n_th) if gamma_m * cav.tau * n_th > 0 else math.inf
+        1.0 / (gamma_m * tau * n_th) if gamma_m * tau * n_th > 0 else math.inf
     )
     add(
         "pulse_within_coherence",
@@ -240,7 +265,7 @@ def coherence_budget(setup: PhysicalSetup) -> CoherenceBudget:
     The raw bound is ``Q_m hbar / (k_B T)``; the recommended maximum applies
     the factor-10 margin for the strict inequality.
     """
-    tau_thermal = setup.mech.q_factor * HBAR / (K_B * setup.mech.temperature)
+    tau_thermal = setup.mech.q_factor * HBAR / (K_B * setup.mech.temperature_k)
     if math.isinf(tau_thermal):
         return CoherenceBudget(math.inf, math.inf, "none")
     return CoherenceBudget(tau_thermal, tau_thermal / MARGIN_PASS, "mechanical_thermalization")
@@ -251,23 +276,17 @@ def matched_atom_number(setup: PhysicalSetup) -> float:
     params, report = derive_params(setup)
     kappa_opt = report.derived["kappa_optical"]
     n_ph = report.derived["n_ph"]
-    prefactor = setup.atoms.sigma_scatter * setup.atoms.gamma / (
-        setup.atoms.beam_area * setup.atoms.delta
-    )
-    return (kappa_opt / prefactor) ** 2 / n_ph
+    return (kappa_opt / _atomic_prefactor(setup.atoms)) ** 2 / n_ph
 
 
 # ---------------------------------------------------------------------------
 # reference setups
 
 
-_DEFAULT_ATOMS = AtomSpec(
-    gamma=2.0 * math.pi * 5.2e6,  # alkali D-line scale
-    delta=2.0 * math.pi * 1.0e9,
-    sigma_scatter=1.0e-13,
-    beam_area=1.0e-8,
-    n_atoms=1.0e5,  # placeholder, matched below
-    larmor=0.0,  # filled per setup: Larmor tuned to omega_m
+#: Alkali D-line scale; ``n_atoms`` is a placeholder that each setup matches
+#: to its light side, and each setup tunes the Larmor frequency to its resonator.
+_DEFAULT_ATOMS = dict(
+    gamma_hz=5.2e6, delta_hz=1.0e9, sigma_m2=1.0e-13, area_m2=1.0e-8, n_atoms=1.0e5
 )
 
 
@@ -279,11 +298,10 @@ def _with_matched_atoms(setup: PhysicalSetup) -> PhysicalSetup:
 def micromirror_setup() -> PhysicalSetup:
     """Moving end-mirror example: 5 MHz, 1 ng, Q = 5e5 at 0.2 K, pre-cooled
     by a factor 30; finesse 4500, 100 uW drive, 300 um cavity."""
-    omega_m = 2.0 * math.pi * 5.0e6
     setup = PhysicalSetup(
-        mech=MechanicalSpec(omega_m=omega_m, mass=1.0e-12, q_factor=5.0e5, temperature=0.2),
-        cavity=CavitySpec(finesse=4500.0, length=300.0e-6, power=100.0e-6, tau=2.0e-6),
-        atoms=replace(_DEFAULT_ATOMS, larmor=omega_m),
+        mech=MechanicalSpec(omega_m_hz=5.0e6, mass_kg=1.0e-12, q_factor=5.0e5, temperature_k=0.2),
+        cavity=CavitySpec(finesse=4500.0, length_m=300.0e-6, power_w=100.0e-6, tau_s=2.0e-6),
+        atoms=AtomSpec(**_DEFAULT_ATOMS, larmor_hz=5.0e6),
         cooling_factor=30.0,
     )
     return _with_matched_atoms(setup)
@@ -292,11 +310,10 @@ def micromirror_setup() -> PhysicalSetup:
 def membrane_setup() -> PhysicalSetup:
     """Dispersively coupled membrane example: 30 MHz, 10 fg, Q = 1e5 at
     0.04 K, no pre-cooling; finesse 1100, 100 uW drive, 250 um cavity."""
-    omega_m = 2.0 * math.pi * 30.0e6
     setup = PhysicalSetup(
-        mech=MechanicalSpec(omega_m=omega_m, mass=1.0e-14, q_factor=1.0e5, temperature=0.04),
-        cavity=CavitySpec(finesse=1100.0, length=250.0e-6, power=100.0e-6, tau=2.0e-6),
-        atoms=replace(_DEFAULT_ATOMS, larmor=omega_m),
+        mech=MechanicalSpec(omega_m_hz=30.0e6, mass_kg=1.0e-14, q_factor=1.0e5, temperature_k=0.04),
+        cavity=CavitySpec(finesse=1100.0, length_m=250.0e-6, power_w=100.0e-6, tau_s=2.0e-6),
+        atoms=AtomSpec(**_DEFAULT_ATOMS, larmor_hz=30.0e6),
         cooling_factor=1.0,
     )
     return _with_matched_atoms(setup)

@@ -214,21 +214,25 @@ def verify_epr(
 ):
     """Infer the EPR variance by repeating the protocol and reading light.
 
-    A second pulse is run on ``state``; the readout statistics obey
-    ``Var(p_out_cos) = 1/2 + kappa^2 Var(X_m + X_a)`` (same for sin/P), which
-    is inverted for the EPR variances.  With ``shots`` given, that variance
-    is estimated from sampled outcomes instead of taken exactly, and the
-    report carries the standard error of the estimate.
+    A second pulse is run on ``state``; after the light loss
+    ``eta = eta_light * eta_det`` the readout statistics obey
+    ``Var(p_out_cos) = 1/2 + eta kappa^2 Var(X_m + X_a)`` (same for sin/P),
+    which is inverted for the EPR variances.  With ``shots`` given, that
+    variance is estimated from sampled outcomes instead of taken exactly,
+    and the report carries the standard error of the estimate.
 
     Returns ``(report, post_state)`` where ``post_state`` is the system after
     the verification pulse was itself conditioned on -- verification squeezes
     further.
     """
-    if params.kappa <= 0.0:
-        raise ValueError("verification needs kappa > 0, otherwise light carries no signal")
+    eta = params.eta_light * params.eta_det
+    if eta * params.kappa == 0.0:
+        raise ValueError(
+            "verification needs eta_light * eta_det * kappa > 0, otherwise light carries no signal"
+        )
     joint = qnd_bigstep(state, params).joint
     pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
-    kappa_sq = params.kappa**2
+    signal = eta * params.kappa**2
 
     stderr = None
     if shots is None:
@@ -245,10 +249,10 @@ def verify_epr(
         )
         var_cos, var_sin = np.var(samples, axis=0, ddof=1)
         se = np.array([var_cos, var_sin]) * math.sqrt(2.0 / (shots - 1))
-        stderr = float(np.hypot(se[0], se[1]) / kappa_sq)
+        stderr = float(np.hypot(se[0], se[1]) / signal)
 
-    var_xsum = (var_cos - 0.5) / kappa_sq
-    var_pdiff = (var_sin - 0.5) / kappa_sq
+    var_xsum = (var_cos - 0.5) / signal
+    var_pdiff = (var_sin - 0.5) / signal
     report = EPRReport(var_xsum, var_pdiff, Provenance.VERIFICATION_READOUT, stderr=stderr)
 
     post, _ = condition_on_readout(joint)
@@ -305,11 +309,7 @@ def gaussian_overlap_fidelity(
     return math.exp(exponent) / math.sqrt(det)
 
 
-def teleport(
-    epr_state: GaussianState,
-    params: ProtocolParams,
-    cfg: TeleportConfig,
-):
+def teleport(epr_state: GaussianState, cfg: TeleportConfig):
     """Teleport a coherent spin state onto the mechanical mode.
 
     A second ensemble prepared coherent at ``cfg.input_mean`` is appended,
@@ -326,6 +326,7 @@ def teleport(
     quadrature gains half the resource EPR variance.  The fidelity against
     the input coherent state is the Gaussian overlap.
 
+    The finite Bell pulse is lossless and reads only ``cfg.kappa_qnd``.
     Returns ``(final mechanical state, fidelity)``.  As with feedback-based
     generation, the output is the unconditional ensemble state, computed
     without sampling.
@@ -345,11 +346,11 @@ def teleport(
         mean_out, cov_out = linear_form_moments(joint, forms)
         final = GaussianState((mech,), mean_out, cov_out)
     else:
-        bell_params = ProtocolParams.dimensionless(
-            cfg.kappa_qnd, tau=params.tau, larmor_periods=max(round(params.omega_tau / (2 * math.pi)), 64)
-        )
         pulse = qnd_bigstep(
-            joint, bell_params, positive_mass=INPUT_ENSEMBLE, negative_mass=atom
+            joint,
+            ProtocolParams.dimensionless(cfg.kappa_qnd),
+            positive_mass=INPUT_ENSEMBLE,
+            negative_mass=atom,
         )
         bj = pulse.joint
         forms = np.eye(bj.dim)[[bj.x_index(mech), bj.p_index(mech)]]

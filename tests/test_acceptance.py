@@ -320,7 +320,7 @@ def test_criterion_09_teleportation():
     state_hot, _, _ = run_epr_generation(
         system_state(850.0), params_hot, FeedbackConfig.conditional()
     )
-    _, f_hot = teleport(state_hot, params_hot, TeleportConfig(asymptotic=True))
+    _, f_hot = teleport(state_hot, TeleportConfig(asymptotic=True))
     hot_ok = abs(f_hot - 2.0 / 3.0) <= TOL_TELEPORT_HOT * (2.0 / 3.0)
     details.append(f"F(n_i=850)={f_hot:.6f}")
 
@@ -328,7 +328,7 @@ def test_criterion_09_teleportation():
     state_cold, _, _ = run_epr_generation(
         system_state(0.0), params_cold, FeedbackConfig.conditional()
     )
-    _, f_cold = teleport(state_cold, params_cold, TeleportConfig(asymptotic=True))
+    _, f_cold = teleport(state_cold, TeleportConfig(asymptotic=True))
     cold_ok = abs(f_cold - 0.75) <= TOL_TELEPORT_COLD
     details.append(f"F(n_i=0)={f_cold:.12f}")
 
@@ -337,7 +337,6 @@ def test_criterion_09_teleportation():
     for kq in kappas:
         _, f = teleport(
             state_cold,
-            params_cold,
             TeleportConfig(kappa_qnd=kq, bell_gain=1.0 / kq, input_mean=(0.2, -0.4)),
         )
         gaps.append(abs(f - f_cold))

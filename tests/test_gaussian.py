@@ -110,11 +110,6 @@ class TestApplyLinearMap:
         out = apply_linear_map(state, rot)
         assert np.allclose(out.cov, 0.5 * np.eye(2))
 
-    def test_additive_classical_noise(self):
-        gamma = 0.37
-        out = apply_linear_map(vacuum_state([L1]), np.eye(2), gamma * np.eye(2))
-        assert np.allclose(out.cov, np.diag([0.5 + gamma, 0.5 + gamma]))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="must be 2x2"):
             apply_linear_map(vacuum_state([L1]), np.eye(4))
@@ -122,10 +117,6 @@ class TestApplyLinearMap:
     def test_invalid_channel_flagged(self):
         with pytest.raises(InvalidChannelError):
             apply_linear_map(vacuum_state([L1]), 0.5 * np.eye(2))
-
-    def test_non_psd_noise_rejected(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            apply_linear_map(vacuum_state([L1]), np.eye(2), -0.1 * np.eye(2))
 
 
 class TestConditioning:

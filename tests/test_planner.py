@@ -61,7 +61,7 @@ class TestReferenceSetups:
     def test_coherence_budget_limits(self):
         setup = micromirror_setup()
         cold = dataclasses.replace(
-            setup, mech=dataclasses.replace(setup.mech, temperature=1e-12)
+            setup, mech=dataclasses.replace(setup.mech, temperature_k=1e-12)
         )
         assert coherence_budget(cold).tau_thermal > 1.0e3
         doubled = dataclasses.replace(
@@ -72,7 +72,7 @@ class TestReferenceSetups:
         )
 
     def test_zero_power_drive(self):
-        setup = scaled(micromirror_setup(), cavity_power=0.0)
+        setup = scaled(micromirror_setup(), cavity_power_w=0.0)
         params, report = derive_params(setup)
         assert params.g == 0.0
         assert params.kappa == 0.0
@@ -93,7 +93,7 @@ class TestScalings:
     def test_g_scales_as_sqrt_power(self):
         setup = micromirror_setup()
         base, _ = derive_params(setup)
-        quadrupled, _ = derive_params(scaled(setup, cavity_power=4.0 * setup.cavity.power))
+        quadrupled, _ = derive_params(scaled(setup, cavity_power_w=4.0 * setup.cavity.power_w))
         assert quadrupled.g == pytest.approx(2.0 * base.g, rel=1e-12)
 
     def test_matching_residual_is_power_independent(self):
@@ -101,7 +101,7 @@ class TestScalings:
         # power cannot put a setup on matching
         setup = micromirror_setup()
         _, base = derive_params(setup)
-        _, quadrupled = derive_params(scaled(setup, cavity_power=4.0 * setup.cavity.power))
+        _, quadrupled = derive_params(scaled(setup, cavity_power_w=4.0 * setup.cavity.power_w))
         for key in ("kappa", "kappa_optical"):
             assert quadrupled.derived[key] == pytest.approx(2.0 * base.derived[key], rel=1e-12)
         assert quadrupled.derived["eps_mismatch_signed"] == pytest.approx(
@@ -124,7 +124,7 @@ class TestMatching:
     def test_degenerate(self):
         # both strengths vanish: the residual is undefined, and the planner
         # scores the zero-power drive as a full mismatch
-        params, report = derive_params(scaled(micromirror_setup(), cavity_power=0.0))
+        params, report = derive_params(scaled(micromirror_setup(), cavity_power_w=0.0))
         assert math.isnan(params.matching_residual())
         assert params.eps_mismatch == 1.0
 
@@ -151,19 +151,47 @@ class TestMatching:
         assert report.derived["eps_mismatch_signed"] == pytest.approx(0.0, abs=1e-12)
 
 
+#: Each spec with every required field at 1.
+UNIT_FIELDS = {
+    "mech": (MechanicalSpec, dict(omega_m_hz=1.0, mass_kg=1.0, q_factor=1.0, temperature_k=1.0)),
+    "cavity": (CavitySpec, dict(finesse=1.0, length_m=1.0, power_w=1.0, tau_s=1.0)),
+    "atoms": (
+        AtomSpec,
+        dict(gamma_hz=1.0, delta_hz=1.0, sigma_m2=1.0, area_m2=1.0, n_atoms=1.0, larmor_hz=1.0),
+    ),
+}
+
+
 class TestValidation:
-    def test_rejects_nonpositive_quantities(self):
-        with pytest.raises(ValueError, match="mech.mass"):
-            PhysicalSetup(
-                mech=MechanicalSpec(omega_m=1.0, mass=0.0, q_factor=1.0, temperature=1.0),
-                cavity=CavitySpec(finesse=1.0, length=1.0, power=1.0, tau=1.0),
-                atoms=AtomSpec(
-                    gamma=1.0, delta=1.0, sigma_scatter=1.0, beam_area=1.0,
-                    n_atoms=1.0, larmor=1.0,
-                ),
-            )
+    @pytest.mark.parametrize(
+        "sub, name, value, message",
+        [
+            ("mech", "mass_kg", 0.0, "must be positive"),
+            ("cavity", "power_w", -1.0e-6, "must be non-negative"),
+            ("atoms", "larmor_hz", 0.0, "must be positive"),
+        ],
+    )
+    def test_rejects_nonpositive_quantities(self, sub, name, value, message):
+        spec, values = UNIT_FIELDS[sub]
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            spec(**dict(values, **{name: value}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "spec, values, name",
+        [
+            pytest.param(spec, values, field.name, id=f"{spec.__name__}.{field.name}")
+            for spec, values in UNIT_FIELDS.values()
+            for field in dataclasses.fields(spec)
+        ],
+    )
+    def test_rejects_non_finite_fields(self, spec, values, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            spec(**dict(values, **{name: value}))
 
     def test_rejects_cooling_below_one(self):
         setup = micromirror_setup()
-        with pytest.raises(ValueError, match="cooling_factor"):
+        with pytest.raises(ValueError, match="^cooling_factor must be at least 1"):
             dataclasses.replace(setup, cooling_factor=0.5)
+        with pytest.raises(ValueError, match="^cooling_factor must be finite"):
+            dataclasses.replace(setup, cooling_factor=math.nan)

@@ -275,9 +275,27 @@ class TestVerifyEpr:
             assert report.var_xsum >= 0.0
             assert report.var_pdiff >= 0.0
 
-    def test_kappa_zero_rejected(self):
-        with pytest.raises(ValueError, match="kappa"):
-            verify_epr(system_state(), ProtocolParams.dimensionless(0.0))
+    @pytest.mark.parametrize("eta", [0.5, 0.8])
+    @pytest.mark.parametrize("lossy", ["eta_light", "eta_det"])
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["product", "conditioned"])
+    def test_inference_undoes_light_loss(self, eta, lossy, conditioned):
+        params = ProtocolParams.dimensionless(1.3, 4.0, **{lossy: eta})
+        state = system_state(4.0)
+        if conditioned:
+            state, _, _ = run_epr_generation(state, params, FeedbackConfig.conditional())
+        inferred, _ = verify_epr(state, params)
+        actual = epr_variance(state, M, A)
+        assert inferred.var_xsum == pytest.approx(actual.var_xsum, abs=1e-12)
+        assert inferred.var_pdiff == pytest.approx(actual.var_pdiff, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [ProtocolParams.dimensionless(0.0), ProtocolParams.dimensionless(1.0, eta_det=0.0)],
+        ids=["kappa", "eta"],
+    )
+    def test_no_signal_rejected(self, params):
+        with pytest.raises(ValueError, match="eta_light \\* eta_det \\* kappa > 0"):
+            verify_epr(system_state(), params)
 
 
 class TestOneCheckPerPulse:
@@ -369,7 +387,6 @@ class TestHotResonator:
         gain = 0.125
         _, fidelity = teleport(
             system_state(n_i),
-            ProtocolParams.dimensionless(kappa, n_i),
             TeleportConfig(kappa_qnd=1.0 / gain, bell_gain=gain),
         )
         assert fidelity == pytest.approx(1.0 / (n_i + 2.0 + gain**2 / 2.0), rel=1e-5)
@@ -386,14 +403,14 @@ class TestTeleport:
         state, _, _ = run_epr_generation(
             system_state(850.0), params, FeedbackConfig.conditional()
         )
-        final, fidelity = teleport(state, params, TeleportConfig(asymptotic=True))
+        final, fidelity = teleport(state, TeleportConfig(asymptotic=True))
         assert fidelity == pytest.approx(2.0 / 3.0, rel=0.01)
         assert final.cov[0, 0] - 0.5 == pytest.approx(0.5, rel=0.01)  # added noise
 
     def test_asymptotic_ground_state_resource(self):
         params = ProtocolParams.dimensionless(1.0)
         state, _, _ = run_epr_generation(system_state(), params, FeedbackConfig.conditional())
-        final, fidelity = teleport(state, params, TeleportConfig(asymptotic=True))
+        final, fidelity = teleport(state, TeleportConfig(asymptotic=True))
         assert fidelity == pytest.approx(0.75, abs=1e-10)
 
     def test_perfect_resource_gives_unit_fidelity(self):
@@ -412,9 +429,7 @@ class TestTeleport:
         assert epr_variance(resource, M, A).delta_epr == pytest.approx(
             2.0 * math.exp(-2 * r), rel=1e-6
         )
-        _, fidelity = teleport(
-            resource, ProtocolParams.dimensionless(1.0), TeleportConfig(asymptotic=True)
-        )
+        _, fidelity = teleport(resource, TeleportConfig(asymptotic=True))
         assert fidelity > 0.999
 
     def test_mean_transfer_exact_in_asymptotic_mode(self):
@@ -423,20 +438,19 @@ class TestTeleport:
             system_state(30.0), params, FeedbackConfig.conditional()
         )
         cfg = TeleportConfig(input_mean=(0.31, -0.77), asymptotic=True)
-        final, _ = teleport(state, params, cfg)
+        final, _ = teleport(state, cfg)
         assert final.mean[0] == pytest.approx(0.31, abs=1e-12)
         assert final.mean[1] == pytest.approx(-0.77, abs=1e-12)
 
     def test_finite_strength_converges_quadratically(self):
         params = ProtocolParams.dimensionless(1.0)
         state, _, _ = run_epr_generation(system_state(), params, FeedbackConfig.conditional())
-        _, f_asym = teleport(state, params, TeleportConfig(asymptotic=True))
+        _, f_asym = teleport(state, TeleportConfig(asymptotic=True))
         kappas = [4.0, 8.0, 16.0, 32.0]
         gaps = []
         for kq in kappas:
             _, f = teleport(
                 state,
-                params,
                 TeleportConfig(kappa_qnd=kq, bell_gain=1.0 / kq, input_mean=(0.2, 0.1)),
             )
             gaps.append(abs(f - f_asym))
@@ -473,7 +487,7 @@ class TestTeleport:
             ]
         )
         with pytest.raises(ValueError, match="reserved"):
-            teleport(bad, ProtocolParams.dimensionless(1.0), TeleportConfig(asymptotic=True))
+            teleport(bad, TeleportConfig(asymptotic=True))
 
 
 @pytest.mark.parametrize(
@@ -481,7 +495,7 @@ class TestTeleport:
     [
         lambda state, params: run_epr_generation(state, params, FeedbackConfig.conditional()),
         lambda state, params: verify_epr(state, params),
-        lambda state, params: teleport(state, params, TeleportConfig(asymptotic=True)),
+        lambda state, params: teleport(state, TeleportConfig(asymptotic=True)),
     ],
     ids=["run_epr_generation", "verify_epr", "teleport"],
 )

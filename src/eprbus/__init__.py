@@ -24,9 +24,7 @@ from .gaussian import (
     loss_channel,
     make_state,
     mechanical_mode,
-    partial_trace,
     tensor,
-    vacuum_state,
 )
 from .iomaps import (
     COS_MODE,
@@ -50,7 +48,6 @@ from .protocols import (
     FeedbackConfig,
     FeedbackMode,
     TeleportConfig,
-    feedback_ensemble_state,
     gaussian_overlap_fidelity,
     optimal_gain,
     predict_epr_variance,

@@ -27,6 +27,7 @@ reports up to the ``metadata`` block, which holds the timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -37,6 +38,7 @@ import json
 import math
 import sys
 import typing
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,10 +115,9 @@ _SETUP_SPECS = {
 #: The keys each section takes, by dotted name.  ``setup``, its subsections,
 #: ``losses``, ``feedback`` and ``teleport`` take the fields of the object
 #: they configure.  ``model`` takes the arguments of
-#: :meth:`ProtocolParams.dimensionless` except ``tau`` (the pulse is the unit
-#: of time).
+#: :meth:`ProtocolParams.dimensionless`.
 _SECTION_KEYS = {
-    "model": set(inspect.signature(ProtocolParams.dimensionless).parameters) - {"tau"},
+    "model": set(inspect.signature(ProtocolParams.dimensionless).parameters),
     "setup": _field_names(PhysicalSetup),
     **{f"setup.{name}": _field_names(spec) for name, spec in _SETUP_SPECS.items()},
     "losses": _field_names(LossBudget),
@@ -196,13 +197,9 @@ def validate_scenario(raw: dict) -> dict:
     if ("model" in raw) == ("setup" in raw):
         raise ScenarioError("exactly one of the keys 'model'/'setup' must be present")
 
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"key 'seed' must be an integer: {err}") from err
     scenario = {
         "protocol": protocol,
-        "seed": seed,
+        "seed": raw.get("seed", 0),
         **{
             name: _section(raw, name)
             for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
@@ -219,6 +216,9 @@ def validate_scenario(raw: dict) -> dict:
     fmt = scenario["output"].get("format", "json")
     if fmt not in ("json", "csv"):
         raise ScenarioError(f"key 'output.format' must be 'json' or 'csv', got {fmt!r}")
+    path = scenario["output"].get("path")
+    if path is not None and not isinstance(path, str):
+        raise ScenarioError(f"key 'output.path' must be a file path, got {path!r}")
 
     if "sweep" in raw:
         sweep = _section(raw, "sweep")
@@ -274,10 +274,17 @@ def _resolve_sweep_target(scenario: dict, path: str) -> tuple[dict, str]:
 # scenario -> objects
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean: ``true`` is not the number 1."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _configure(factory, section: dict, where: str, **convert):
     """``factory`` called with the section at ``where`` as keywords.
 
-    Each value goes through ``float`` unless ``convert`` gives the key
+    Each value goes through :func:`_real` unless ``convert`` gives the key
     another type.  A value that does not convert, or that ``factory``
     rejects, is an error naming its dotted key: the objects' messages start
     with the name of the argument.
@@ -285,7 +292,7 @@ def _configure(factory, section: dict, where: str, **convert):
     keywords = {}
     for key, value in section.items():
         try:
-            keywords[key] = convert.get(key, float)(value)
+            keywords[key] = convert.get(key, _real)(value)
         except (TypeError, ValueError):
             raise ScenarioError(
                 f"invalid {where!r} section: key '{where}.{key}' must be numeric, got {value!r}"
@@ -319,6 +326,9 @@ class _Run:
 def _build(scenario: dict) -> _Run:
     """Every section of ``scenario`` built, whatever its protocol reads.  A
     value that does not build is a :class:`ScenarioError` naming its key."""
+    seed = scenario["seed"]
+    if not _is_integer(seed) or seed < 0:
+        raise ScenarioError(f"key 'seed' must be an integer >= 0, got {seed!r}")
     losses = _configure(LossBudget, scenario["losses"], "losses")
     feedback = _feedback_config(scenario["feedback"])
     teleport = None
@@ -452,7 +462,7 @@ def _teleport_config(section: dict) -> TeleportConfig:
         TeleportConfig,
         section,
         "teleport",
-        input_mean=lambda pair: tuple(map(float, pair)),
+        input_mean=lambda pair: tuple(map(_real, pair)),
         asymptotic=bool,
     )
 
@@ -622,22 +632,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if err.code else EXIT_OK
 
     try:
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario["seed"] = args.seed
-        if args.oracle_steps is not None:
-            _require_steps(args.oracle_steps, "--oracle-steps")
-            scenario["oracle"]["steps_per_period"] = args.oracle_steps
-        if args.verb == "sweep" and "sweep" not in scenario:
-            raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
-        if args.verb == "compare" and scenario["protocol"] != "oracle_compare":
-            raise ScenarioError("the 'compare' verb requires protocol 'oracle_compare'")
-        if args.verb == "plan":
-            results = _run_plan(scenario)
-        elif "sweep" in scenario and args.verb != "compare":
-            results = {"sweep": execute_sweep(scenario)}
-        else:
-            results = execute(scenario)
+        with _each_warning_once():
+            scenario = load_scenario(args.scenario)
+            if args.seed is not None:
+                scenario["seed"] = args.seed
+            if args.oracle_steps is not None:
+                _require_steps(args.oracle_steps, "--oracle-steps")
+                scenario["oracle"]["steps_per_period"] = args.oracle_steps
+            if args.verb == "sweep" and "sweep" not in scenario:
+                raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
+            if args.verb == "compare" and scenario["protocol"] != "oracle_compare":
+                raise ScenarioError("the 'compare' verb requires protocol 'oracle_compare'")
+            if args.verb == "plan":
+                results = _run_plan(scenario)
+            elif "sweep" in scenario and args.verb != "compare":
+                results = {"sweep": execute_sweep(scenario)}
+            else:
+                results = execute(scenario)
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -655,12 +666,41 @@ def main(argv: list[str] | None = None) -> int:
     report = assemble_report(scenario, results)
     fmt = args.format or scenario["output"].get("format", "json")
     path = args.out or scenario["output"].get("path")
-    text = write_report(report, path, fmt)
+    try:
+        text = write_report(report, path, fmt)
+    except OSError as err:
+        print(f"error: cannot write report: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     if path:
         print(f"report written to {path}")
     else:
         print(text, end="")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _each_warning_once():
+    """Print each distinct :class:`UserWarning` raised inside once, as
+    ``warning: <message>`` on stderr, when the block ends.
+
+    Only the ``UserWarning`` filter is set: every other warning meets the
+    caller's filters, and one that is shown rather than raised is passed on
+    to them when the block ends.
+    """
+    caught: list = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            yield
+    finally:
+        messages = {}
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                messages[str(w.message)] = None
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        for message in messages:
+            print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

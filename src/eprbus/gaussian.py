@@ -21,7 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -333,10 +333,6 @@ def make_state(
     return GaussianState._wrap(tuple(labels), np.array(mean, dtype=float), np.diag(diag))
 
 
-def vacuum_state(labels: Iterable[ModeLabel]) -> GaussianState:
-    return make_state([(label, 0.0, (0.0, 0.0)) for label in labels])
-
-
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product of two states on disjoint mode sets."""
     mean = np.concatenate([a.mean, b.mean])
@@ -477,20 +473,6 @@ def _homodyne(
         mode=label, quadrature_angle=angle, outcome=xi, outcome_variance=var_b
     )
     return modes[:idx] + modes[idx + 1 :], mean, _settled(mean, cov), record
-
-
-def partial_trace(
-    state: GaussianState, modes_to_keep: Sequence[ModeLabel | str]
-) -> GaussianState:
-    """Marginal over the requested modes (exact for Gaussian states)."""
-    if not modes_to_keep:
-        raise ValueError("modes_to_keep must be non-empty")
-    indices = [state.mode_index(m) for m in modes_to_keep]
-    if len(set(indices)) != len(indices):
-        raise ValueError("duplicate modes requested")
-    quad = [q for i in indices for q in (2 * i, 2 * i + 1)]
-    labels = tuple(state.modes[i] for i in indices)
-    return GaussianState._wrap(labels, state.mean[quad], state.cov[np.ix_(quad, quad)])
 
 
 def linear_form_moments(

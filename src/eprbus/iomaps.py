@@ -42,7 +42,6 @@ from .gaussian import (
     _homodyne,
     epr_forms,
     light_mode,
-    symplectic_form,
 )
 
 #: Below this value of Omega*tau the cos/sin temporal modes are not cleanly
@@ -123,7 +122,6 @@ class ProtocolParams:
         n_i: float = 0.0,
         *,
         larmor_periods: int = 64,
-        tau: float = 1.0,
         gamma_m: float = 0.0,
         n_th: float = 0.0,
         eps_mismatch: float = 0.0,
@@ -140,9 +138,9 @@ class ProtocolParams:
         """
         if larmor_periods < 1:
             raise ValueError("larmor_periods must be at least 1")
-        omega = 2.0 * math.pi * larmor_periods / tau
-        gamma_c = 1e6 / tau
-        g = kappa * math.sqrt(gamma_c / tau)
+        omega = 2.0 * math.pi * larmor_periods
+        gamma_c = 1e6
+        g = kappa * math.sqrt(gamma_c)
         return cls(
             kappa=kappa,
             n_i=n_i,
@@ -150,7 +148,6 @@ class ProtocolParams:
             gamma_c=gamma_c,
             omega_m=omega,
             Omega=omega,
-            tau=tau,
             gamma_m=gamma_m,
             n_th=n_th,
             eps_mismatch=eps_mismatch,
@@ -243,7 +240,8 @@ def qnd_bigstep(
     _require_matching(params)
     if 0.0 < params.omega_tau < OMEGA_TAU_INDEPENDENT:
         warnings.warn(
-            f"Omega*tau = {params.omega_tau:.1f} is below "
+            # rounded down, so that a value below the bound never prints as it
+            f"Omega*tau = {math.floor(10.0 * params.omega_tau) / 10.0:.1f} is below "
             f"{OMEGA_TAU_INDEPENDENT:.0f}; the cos/sin temporal modes are not "
             "independent there and the idealized map is unreliable",
             stacklevel=2,
@@ -298,11 +296,3 @@ def condition_on_readout(
     *moments, rec_cos = _homodyne(*moments, i_cos, _READOUT_ANGLE, xi_cos, rng)
     *moments, rec_sin = _homodyne(*moments, i_sin - (i_sin > i_cos), _READOUT_ANGLE, xi_sin, rng)
     return GaussianState._wrap(*moments), (rec_cos, rec_sin)
-
-
-def is_symplectic(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """Check ``S Omega S^T = Omega`` for XPXP ordering."""
-    matrix = np.asarray(matrix, dtype=float)
-    omega = symplectic_form(matrix.shape[0] // 2)
-    return bool(np.max(np.abs(matrix @ omega @ matrix.T - omega)) <= tol)
-

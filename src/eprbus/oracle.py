@@ -47,15 +47,17 @@ period when ``q`` is odd.  The symmetry is checked on the generator at
 every build, which raises if it fails.  A pulse of ``whole``
 periods and ``rest`` more steps is ``P`` once per whole period, then the
 kernel for the rest; an incommensurate grid or a pulse shorter than a
-period is the case ``whole = 0``.  Per-step output (trajectory rows, the
-conservation drift) is recorded by the kernel over the rest, and read off
-the period starts for the whole periods: with ``C_j`` the map of the first
-``j`` steps of a period and ``L`` the five output forms, step ``j`` of a
-period outputs ``L C_j`` applied to its start; the rows of units after the
-first are read off the first unit's steps, turned.  Each RK4 step is a
-linear map of ``x``, so composing a period first, or turning a unit, changes
-only the order of the floating-point operations (agreement to about 1e-13
-relative).
+period is the case ``whole = 0``.  The kernel records per-step output one
+way: given linear forms, it returns them applied to ``x`` after every step.
+Per-step output (trajectory rows, the conservation drift) is the five
+output forms ``L`` recorded on the state over the rest, and read off the
+period starts for the whole periods: with ``C_j`` the map of the first
+``j`` steps of a period, step ``j`` of a period outputs ``L C_j`` applied
+to its start.  The rows ``L C_j`` of every unit come from one pass of the
+identity through the first unit, which records ``L`` turned once per unit.
+Each RK4 step is a linear map of ``x``, so composing a period first, or
+turning a unit, changes only the order of the floating-point operations
+(agreement to about 1e-13 relative).
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -70,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -167,10 +169,6 @@ class DriftNoiseModel:
     damping: bool
     n_steps: int
     dt: float
-
-    @property
-    def tau(self) -> float:
-        return self.params.tau
 
     @property
     def thermal_diffusion(self) -> float:
@@ -344,34 +342,15 @@ def _pulse(
     starts = [x]
     for _ in range(whole):
         starts.append(period_map @ starts[-1])
-    x, values = _steps(model, basis, starts[-1], whole * q, rest, per_step)
+    x, values = _advance(
+        model, basis, starts[-1], whole * q, rest, _OUTPUT_FORMS if per_step else None
+    )
     if per_step and whole:
         # step p q + j of the pulse is step j of period p: row j applied to
         # the start of period p
         periods = np.array(starts[:whole]) @ rows.reshape(-1, _DIM).T
         values = np.concatenate((periods.reshape(whole * q, len(_OUTPUT_FORMS)), values))
     return x, values
-
-
-def _steps(
-    model: DriftNoiseModel, basis: np.ndarray, x: np.ndarray, k0: int, count: int, outputs: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Take RK4 steps ``k0 .. k0 + count - 1`` from ``x``, with their output.
-
-    Returns the advanced ``x`` and, when ``outputs`` is set, ``out`` with
-    ``out[k]`` the output forms applied to ``x`` after ``k`` of the steps
-    (else ``None``).  For a state these are the output values; for the
-    identity from ``k0 = 0`` they are the rows ``L C_k``.
-    """
-    if not outputs:
-        return _advance(model, basis, x, k0, count), None
-    out = np.empty((count + 1, len(_OUTPUT_FORMS), *x.shape[1:]))
-
-    def record(k: int, x: np.ndarray) -> None:
-        out[k - k0] = _OUTPUT_FORMS @ x
-
-    record(k0, x)
-    return _advance(model, basis, x, k0, count, record), out
 
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
@@ -461,21 +440,28 @@ def _advance(
     x: np.ndarray,
     k0: int,
     count: int,
-    visit: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
+    forms: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Take RK4 steps ``k0 .. k0 + count - 1`` of ``dx/dt = G(t) x``.
 
     Step ``k`` runs from ``t = k dt`` to ``(k + 1) dt``.  ``x`` is one
     augmented state or a 45 x 45 matrix whose columns are states; the period
-    map is the identity advanced over one period.  ``visit(k + 1, x)`` sees
-    the state after each step.
+    map is the identity advanced over one period.  Returns the advanced ``x``
+    and, when ``forms`` is given, ``out`` with ``out[j] = forms @ x`` after
+    ``j`` of the steps, ``j = 0 .. count`` (else ``None``).  For a state and
+    the output forms these are the output values; for the identity from
+    ``k0 = 0`` they are the rows ``L C_j``.
     """
+    out = None
+    if forms is not None:
+        out = np.empty((count + 1, *forms.shape[:-1], *x.shape[1:]))
+        out[0] = forms @ x
     if not count:
-        return x
+        return x, out
     h = model.dt
     omega = model.params.Omega
     g_start = _generator(basis, omega * (k0 * h))
-    for k in range(k0, k0 + count):
+    for j, k in enumerate(range(k0, k0 + count), 1):
         g_mid = _generator(basis, omega * (k * h + h / 2))
         g_end = _generator(basis, omega * ((k + 1) * h))
         k1 = g_start @ x
@@ -484,9 +470,9 @@ def _advance(
         k4 = g_end @ (x + h * k3)
         x = x + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
         g_start = g_end
-        if visit is not None:
-            visit(k + 1, x)
-    return x
+        if out is not None:
+            out[j] = forms @ x
+    return x, out
 
 
 def _turn(basis: np.ndarray, r: int) -> np.ndarray:
@@ -527,8 +513,9 @@ def _period_map(
     symmetry), so the period map is ``P = (R Q)^r`` and the first ``j``
     steps of unit ``m`` end at ``R^-m C_j (R Q)^m``.  An odd ``q`` has
     ``r = 1`` and steps the whole period.  The rows ``L C_k`` of every step
-    ``k < q`` of the period come only with ``outputs``: the stacked forms
-    ``L R^-m`` are recorded over the unit and multiplied by ``(R Q)^m``.
+    ``k < q`` of the period come only with ``outputs``: the kernel records
+    the stacked forms ``L R^-m`` over the unit, and unit ``m``'s are
+    multiplied by ``(R Q)^m`` into the rows in period order.
 
     Rows come from the uncached ``_period_map.__wrapped__``: they take
     about 0.36 MB a drift model.  Callers clear ``n_i``, which only sets the
@@ -542,22 +529,20 @@ def _period_map(
     r = math.gcd(q, 4)
     unit = q // r
     turn = _turn(basis, r)
-    rows, record = None, None
+    forms = None
     if outputs:
-        # rows[m, j] = L R^-m C_j over the first unit, then times (R Q)^m
-        rows = np.empty((r, unit, len(_OUTPUT_FORMS), _DIM))
+        # out[j, m] = L R^-m C_j over the first unit
         forms = np.stack([_OUTPUT_FORMS @ np.linalg.matrix_power(turn.T, m) for m in range(r)])
-        rows[:, 0] = forms
-
-        def record(j: int, x: np.ndarray) -> None:
-            if j < unit:
-                rows[:, j] = forms @ x
-
-    step = turn @ _advance(model, basis, np.eye(_DIM), 0, unit, record)
+    unit_map, out = _advance(model, basis, np.eye(_DIM), 0, unit, forms)
+    step = turn @ unit_map
     period = np.linalg.matrix_power(step, r)
+    rows = None
     if outputs:
+        # rows[m, j] = out[j, m] (R Q)^m, written once in period order
+        rows = np.empty((r, unit, len(_OUTPUT_FORMS), _DIM))
+        rows[0] = out[:unit, 0]
         for m in range(1, r):
-            rows[m] = rows[m] @ np.linalg.matrix_power(step, m)
+            np.matmul(out[:unit, m], np.linalg.matrix_power(step, m), out=rows[m])
         rows = rows.reshape(q, len(_OUTPUT_FORMS), _DIM)
     return basis, period, rows
 

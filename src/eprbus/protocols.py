@@ -126,21 +126,14 @@ def _moment_gains(pulse: PulseOutput) -> tuple[float, float]:
     return cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
 
 
-def feedback_ensemble_state(
-    initial: GaussianState, params: ProtocolParams, gain: float
-) -> GaussianState:
-    """Unconditional (ensemble-averaged) system state after feedback with
-    ``gain`` on both channels.
+def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
+    """Unconditional (ensemble-averaged) system state after feedback on a
+    pulse already taken, with gain ``gain_cos`` on the cos channel and
+    ``gain_sin`` on the sin channel.
 
     Computed deterministically from the input-output relations: displacing by
     the measured record and discarding the light makes each system quadrature
     a linear form on the joint state, so no sampling is involved.
-    """
-    return _feedback_ensemble(qnd_bigstep(initial, params), gain, gain)
-
-
-def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
-    """:func:`feedback_ensemble_state` of a pulse already taken, per-channel gains.
 
     The cos record is fed back as ``X_a -> X_a - g xi_cos``; the sin channel
     needs the opposite sign, ``P_a -> P_a + g xi_sin``, because the sin

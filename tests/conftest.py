@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from eprbus import gaussian, oracle
-from eprbus.gaussian import GaussianState, light_mode
+from eprbus.gaussian import GaussianState, light_mode, make_state
+
+
+def vacuum(*labels) -> GaussianState:
+    """The vacuum of the modes ``labels``."""
+    return make_state([(label, 0.0, (0.0, 0.0)) for label in labels])
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,7 +30,7 @@ from eprbus.gaussian import (
     make_state,
     mechanical_mode,
 )
-from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams
+from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, qnd_bigstep
 from eprbus.oracle import build_model, propagate_moments
 from eprbus.planner import (
     HBAR,
@@ -43,11 +43,11 @@ from eprbus.planner import (
 from eprbus.protocols import (
     FeedbackConfig,
     TeleportConfig,
-    feedback_ensemble_state,
     predict_epr_variance,
     run_epr_generation,
     teleport,
 )
+from eprbus.protocols import _feedback_ensemble
 
 M = mechanical_mode("m")
 A = atomic_mode("a")
@@ -178,7 +178,7 @@ def test_criterion_04_feedback_equals_conditioning():
                 system_state(n_i), params, FeedbackConfig.optimal(), outcomes=(0.0, 0.0)
             )
             gain = optimal_gain(kappa, n_i)
-            fb_state = feedback_ensemble_state(system_state(n_i), params, gain)
+            fb_state = _feedback_ensemble(qnd_bigstep(system_state(n_i), params), gain, gain)
             fb_block = epr_block(fb_state)
             worst = max(
                 worst,

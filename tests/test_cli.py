@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from eprbus import cli
 from eprbus.cli import (
     _LOADER,
     EXIT_NUMERICAL,
@@ -426,11 +427,73 @@ class TestValidation:
         assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
         assert "'model.tau'" in capsys.readouterr().err
 
-    def test_seed_must_be_an_integer(self, tmp_path, capsys):
-        payload = {"protocol": "epr_conditional", "seed": "abc", "model": {"kappa": 1.0}}
+    @pytest.mark.parametrize(
+        "route, seed",
+        [
+            *(("scenario", seed) for seed in ("abc", 1.5, 1.7, -5, True, "12")),
+            *(("sweep", seed) for seed in ("abc", 1.5, -5, True)),
+            ("flag", -1),
+        ],
+    )
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, route, seed):
+        # a float seed was truncated or ended in a numpy traceback, a negative
+        # one exited 3 naming no key, and true or "12" were taken
+        payload = {"protocol": "epr_feedback", "model": {"kappa": 1.0}}
+        verb, flags = "run", []
+        if route == "scenario":
+            payload["seed"] = seed
+        elif route == "sweep":
+            verb, payload["sweep"] = "sweep", {"path": "seed", "values": [3, seed]}
+        else:
+            flags = ["--seed", str(seed)]
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main([verb, "--scenario", path, *flags]) == EXIT_VALIDATION
+        assert f"key 'seed' must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"model": {"kappa": True}}, "model.kappa"),
+            ({"model": {"kappa": 1.0, "n_i": False}}, "model.n_i"),
+            ({"model": {"kappa": 1.0}, "losses": {"photon_loss": True}}, "losses.photon_loss"),
+            (
+                {"model": {"kappa": 1.0}, "feedback": {"mode": "fixed", "gain": True}},
+                "feedback.gain",
+            ),
+            ({"model": {"kappa": 1.0}, "teleport": {"input_mean": [True, 0.0]}}, "teleport.input_mean"),
+            (
+                {"setup": {**MICROMIRROR_SETUP, "cooling_factor": True}},
+                "setup.cooling_factor",
+            ),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, payload, key):
+        # true used to run as 1.0
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": "epr_feedback", **payload})
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert f"key '{key}' must be numeric, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, ["a"]])
+    def test_output_path_must_be_a_path(self, tmp_path, capsys, value):
+        # used to end in a TypeError traceback when the report was written
+        payload = {"protocol": "epr_conditional", "model": {"kappa": 1.0}, "output": {"path": value}}
         path = write_scenario(tmp_path, "s.yaml", payload)
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
-        assert "'seed'" in capsys.readouterr().err
+        assert f"key 'output.path' must be a file path, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "scenario"])
+    def test_unwritable_report_is_a_validation_error(self, tmp_path, capsys, where):
+        # used to end in a FileNotFoundError traceback
+        target = str(tmp_path / "missing" / "x.json")
+        payload = {"protocol": "epr_conditional", "model": {"kappa": 1.0}}
+        flags = ["--out", target] if where == "flag" else []
+        if where == "scenario":
+            payload["output"] = {"path": target}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path, *flags]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write report: ")
+        assert target in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "protocol, section",
@@ -456,6 +519,66 @@ class TestValidation:
             tmp_path, "v.yaml", {"protocol": "verify", "model": {"kappa": 0.0}}
         )
         assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+
+
+class TestWarnings:
+    def test_each_regime_warning_printed_once(self, tmp_path, capsys):
+        # generation and verification pulse both warn; each warning used to
+        # print with the library's file path and source line
+        payload = {"protocol": "verify", "model": {"kappa": 1.0, "larmor_periods": 7}}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(["run", "--scenario", path]) == EXIT_OK
+        assert escaped == []
+        assert capsys.readouterr().err == (
+            "warning: Omega*tau = 43.9 is below 50; the cos/sin temporal modes are not "
+            "independent there and the idealized map is unreliable\n"
+        )
+
+    def test_distinct_warnings_each_printed(self, tmp_path, capsys):
+        payload = {
+            "protocol": "epr_conditional",
+            "model": {"kappa": 1.0},
+            "sweep": {"path": "model.larmor_periods", "values": [7, 1, 7, 64]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["sweep", "--scenario", path]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.partition(";")[0] for line in lines] == [
+            "warning: Omega*tau = 43.9 is below 50",
+            "warning: Omega*tau = 6.2 is below 50",
+        ]
+
+    def test_warnings_printed_before_an_error(self, tmp_path, capsys):
+        payload = {
+            "protocol": "epr_conditional",
+            "model": {"kappa": 1.0},
+            "sweep": {"path": "model.larmor_periods", "values": [7, 0]},
+        }
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith("warning: Omega*tau = 43.9")
+        assert second == "error: invalid 'model' section: key 'model.larmor_periods' must be at least 1"
+
+    @pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])
+    def test_other_warnings_meet_the_callers_filters(self, monkeypatch, capsys, category):
+        def warn(scenario):
+            warnings.warn("from the run", category)
+            return {}
+
+        monkeypatch.setattr(cli, "execute", warn)
+        argv = ["run", "--scenario", str(SCENARIOS / "epr_conditional.yaml")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", category)
+            with pytest.raises(category, match="from the run"):
+                main(argv)
+        with warnings.catch_warnings(record=True) as passed:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_OK
+        assert [(w.category, str(w.message)) for w in passed] == [(category, "from the run")]
+        assert "warning:" not in capsys.readouterr().err
 
 
 class TestParser:

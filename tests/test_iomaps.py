@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_symplectic
+from conftest import random_symplectic, vacuum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from eprbus.gaussian import (
     mechanical_mode,
     symplectic_form,
     tensor,
-    vacuum_state,
 )
 from eprbus.iomaps import (
     COS_MODE,
@@ -25,7 +24,6 @@ from eprbus.iomaps import (
     MatchingError,
     ProtocolParams,
     condition_on_readout,
-    is_symplectic,
     qnd_bigstep,
 )
 
@@ -83,7 +81,7 @@ def pulse_inputs(draw) -> tuple[GaussianState, dict]:
 def reference_pulse(state: GaussianState, params: ProtocolParams, roles: dict) -> GaussianState:
     """The pulse written out: the input and two vacua, the map ``S`` of the
     module docstring, then the light loss on cos and on sin."""
-    joint = tensor(state, vacuum_state([COS_MODE, SIN_MODE]))
+    joint = tensor(state, vacuum(COS_MODE, SIN_MODE))
     pos = roles.get("positive_mass", M)
     neg = roles.get("negative_mass", A)
     xp, pp, xn, pn = joint.x_index(pos), joint.p_index(pos), joint.x_index(neg), joint.p_index(neg)
@@ -254,11 +252,28 @@ class TestQndBigstep:
         assert var_xdiff == pytest.approx(1.0 + 2.0 * kappa**2, rel=1e-12)
         assert var_psum == pytest.approx(1.0 + 2.0 * kappa**2, rel=1e-12)
 
-    def test_map_is_symplectic_and_preserves_purity(self):
-        kappa = 0.9
-        pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(kappa))
-        # vacuum in, symplectic map: output stays pure, det(2 cov) = 1
-        assert np.linalg.det(2.0 * pulse.joint.cov) == pytest.approx(1.0, rel=1e-10)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(0.0, 4.0),
+        squeeze=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+        displacement=st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+    )
+    def test_map_is_symplectic_and_preserves_purity(self, kappa, squeeze, angles, displacement):
+        # a pure input: each mode squeezed and rotated, the two mixed by a beam
+        # splitter, then displaced
+        s = np.zeros((4, 4))
+        for i, (r, theta) in enumerate(zip(squeeze, angles)):
+            c, t = math.cos(theta), math.sin(theta)
+            s[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -t], [t, c]] @ np.diag(
+                [math.exp(r), math.exp(-r)]
+            )
+        c, t = math.cos(angles[2]), math.sin(angles[2])
+        s = np.block([[c * np.eye(2), t * np.eye(2)], [-t * np.eye(2), c * np.eye(2)]]) @ s
+        state = GaussianState((M, A), np.array(displacement), 0.5 * s @ s.T)
+        pulse = qnd_bigstep(state, ProtocolParams.dimensionless(kappa))
+        # a symplectic map keeps a pure state pure: det(2 cov) = 1
+        assert np.linalg.det(2.0 * pulse.joint.cov) == pytest.approx(1.0, abs=1e-9)
 
     def test_composition_information_additivity(self):
         kappa1, kappa2 = 0.8, 1.1
@@ -292,7 +307,7 @@ class TestQndBigstep:
         assert joint.mean[joint.p_index(SIN_MODE)] == pytest.approx(2.0)  # kappa <P_a2 - P_a>
 
     def test_ambiguous_roles_rejected(self):
-        state = vacuum_state([atomic_mode("a"), atomic_mode("b")])
+        state = vacuum(atomic_mode("a"), atomic_mode("b"))
         with pytest.raises(ValueError, match="exactly one"):
             qnd_bigstep(state, ProtocolParams.dimensionless(1.0))
 
@@ -300,6 +315,16 @@ class TestQndBigstep:
         params = ProtocolParams.dimensionless(1.0, larmor_periods=2)
         with pytest.warns(UserWarning, match="Omega"):
             qnd_bigstep(system_vacuum(), params)
+
+    @pytest.mark.parametrize("omega_tau", [49.96, 49.999])
+    def test_omega_tau_just_below_the_bound_never_prints_as_it(self, omega_tau):
+        # the .1f format printed 49.96 as "50.0 is below 50"
+        params = ProtocolParams(
+            kappa=1.0, g=1.0e3, gamma_c=1.0e6, omega_m=omega_tau, Omega=omega_tau
+        )
+        with pytest.warns(UserWarning) as caught:
+            qnd_bigstep(system_vacuum(), params)
+        assert str(caught[0].message).startswith("Omega*tau = 49.9 is below 50;")
 
 
 @pytest.mark.parametrize("eta_light, eta_det", [(0.8, 0.9), (1.0, 0.5), (1.0, 1.0)])
@@ -375,8 +400,3 @@ class TestConditionOnReadout:
         joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
         with pytest.raises(ValueError, match="rng"):
             condition_on_readout(joint, None)
-
-
-def test_is_symplectic_helper(rng):
-    assert is_symplectic(random_symplectic(3, rng))
-    assert not is_symplectic(np.diag([2.0, 2.0]))

@@ -104,9 +104,9 @@ def spy_on_advance(monkeypatch) -> list:
     """Record ``(x.shape, k0, count)`` of every call of the oracle's RK4 kernel."""
     kernel, calls = oracle._advance, []
 
-    def spy(model, basis, x, k0, count, visit=None):
+    def spy(model, basis, x, k0, count, forms=None):
         calls.append((x.shape, k0, count))
-        return kernel(model, basis, x, k0, count, visit)
+        return kernel(model, basis, x, k0, count, forms)
 
     monkeypatch.setattr(oracle, "_advance", spy)
     return calls
@@ -136,7 +136,7 @@ def assert_same_per_step_output(model, initial=None):
     # the last row is the returned state at t = tau
     c = state.cov
     final = (c[0, 0] + c[2, 2] + 2 * c[0, 2], c[1, 1] + c[3, 3] - 2 * c[1, 3], c[5, 5], c[7, 7])
-    assert written[-1, 0] == pytest.approx(model.tau, rel=1e-12)
+    assert written[-1, 0] == pytest.approx(model.params.tau, rel=1e-12)
     np.testing.assert_allclose(written[-1, 1:], final, rtol=PER_STEP_RTOL, atol=0.0)
     assert (info["n_steps"], info["dt"]) == (model.n_steps, model.dt)
     for name, value in drift.items():
@@ -663,7 +663,9 @@ class TestLarmorTurn:
         model = SYMMETRY_CASES[name](steps)
         q = oracle._period_steps(model)
         basis, period, rows = oracle._period_map.__wrapped__(model, True)
-        full, full_rows = oracle._steps(model, basis, np.eye(oracle._DIM), 0, q, True)
+        full, full_rows = oracle._advance(
+            model, basis, np.eye(oracle._DIM), 0, q, oracle._OUTPUT_FORMS
+        )
         np.testing.assert_allclose(period, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
         assert rows.shape == (q, *full_rows.shape[1:])
         np.testing.assert_allclose(rows, full_rows[:q], rtol=0.0, atol=1e-12 * np.abs(full_rows).max())

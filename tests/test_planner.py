@@ -116,8 +116,8 @@ class TestScalings:
 
 class TestMatching:
     def test_matched_params(self):
-        for kappa, tau in ((1.3, 1.0), (0.4, 2.5)):
-            params = ProtocolParams.dimensionless(kappa, tau=tau)
+        for kappa in (1.3, 0.4):
+            params = ProtocolParams.dimensionless(kappa)
             assert params.kappa_optical == pytest.approx(kappa, rel=1e-12)
             assert params.matching_residual() == pytest.approx(0.0, abs=1e-14)
 

@@ -14,13 +14,11 @@ from eprbus.gaussian import (
     linear_form_moments,
     make_state,
     mechanical_mode,
-    vacuum_state,
 )
 from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, qnd_bigstep
 from eprbus.protocols import (
     FeedbackConfig,
     TeleportConfig,
-    feedback_ensemble_state,
     gaussian_overlap_fidelity,
     optimal_gain,
     predict_epr_variance,
@@ -149,9 +147,8 @@ class TestRunEprGeneration:
             outcomes=(0.7, 0.7),
         )
         assert report.delta_epr == pytest.approx(2.0 * (1.0 + n_i), rel=1e-12)
-        ensemble = feedback_ensemble_state(
-            system_state(n_i), ProtocolParams.dimensionless(1.0, n_i), 0.0
-        )
+        pulse = qnd_bigstep(system_state(n_i), ProtocolParams.dimensionless(1.0, n_i))
+        ensemble = _feedback_ensemble(pulse, 0.0, 0.0)
         block = linear_form_moments(ensemble, epr_forms(ensemble.dim, 0, 1))[1]
         assert np.allclose(np.diag(block), 1.0 + n_i, atol=1e-12)
 

@@ -110,9 +110,14 @@ def damping_penalty(gamma_m_tau: float, n_th: float) -> float:
     """
     if gamma_m_tau < 0.0 or n_th < 0.0:
         raise ValueError("gamma_m_tau and n_th must be non-negative")
-    if gamma_m_tau * n_th > DAMPING_PERTURBATIVE_LIMIT:
+    excess = gamma_m_tau * n_th
+    if excess > DAMPING_PERTURBATIVE_LIMIT:
+        if math.isfinite(excess):
+            # rounded up to three digits, so that a value above the limit never prints as it
+            scale = 10.0 ** (2 - math.floor(math.log10(excess)))
+            excess = math.ceil(excess * scale) / scale
         warnings.warn(
-            f"gamma_m*tau*n_th = {gamma_m_tau * n_th:.3g} exceeds the "
+            f"gamma_m*tau*n_th = {excess:.3g} exceeds the "
             f"perturbative regime (< {DAMPING_PERTURBATIVE_LIMIT})",
             stacklevel=2,
         )

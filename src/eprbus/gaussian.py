@@ -240,16 +240,20 @@ class GaussianState:
         return 2 * len(self.modes)
 
     def mode_index(self, mode: ModeLabel | str) -> int:
-        for i, label in enumerate(self.modes):
-            if label == mode or label.name == mode:
-                return i
-        raise ValueError(f"mode {mode!r} not present in state {list(map(str, self.modes))}")
+        return _mode_index(self.modes, mode)
 
     def x_index(self, mode: ModeLabel | str) -> int:
         return 2 * self.mode_index(mode)
 
     def p_index(self, mode: ModeLabel | str) -> int:
         return 2 * self.mode_index(mode) + 1
+
+
+def _mode_index(modes: tuple[ModeLabel, ...], mode: ModeLabel | str) -> int:
+    for i, label in enumerate(modes):
+        if label == mode or label.name == mode:
+            return i
+    raise ValueError(f"mode {mode!r} not present in state {list(map(str, modes))}")
 
 
 class Provenance(enum.Enum):
@@ -421,58 +425,54 @@ def condition_on_homodyne(
     outcome value.  ``outcome="sample"`` draws the result from the marginal
     using ``rng`` (required in that case).
     """
-    modes, mean, cov, record = _homodyne(
-        state.modes, state.mean, state.cov, state.mode_index(mode), angle, outcome, rng
-    )
-    return GaussianState._wrap(modes, mean, cov), record
+    state, (record,) = _condition(state, ((mode, angle, outcome),), rng)
+    return state, record
 
 
-def _homodyne(
-    modes: tuple[ModeLabel, ...],
-    mean: np.ndarray,
-    cov: np.ndarray,
-    idx: int,
-    angle: float,
-    outcome: float | str,
+def _condition(
+    state: GaussianState,
+    measurements: Sequence[tuple[ModeLabel | str, float, float | str]],
     rng: np.random.Generator | None,
-) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray, MeasurementRecord]:
-    """:func:`condition_on_homodyne` of mode ``idx`` on the moments.
-
-    Returns the remaining modes, their mean and their covariance, settled as
-    a state settles it, and the record.  The uncertainty relation is not
-    checked: conditioning a physical state gives a physical one.
+) -> tuple[GaussianState, tuple[MeasurementRecord, ...]]:
+    """:func:`condition_on_homodyne` of each ``(mode, angle, outcome)`` in turn,
+    each mode looked up among those still present: a rank-1 update, the drop
+    of the mode and a settle each, then one state wrapped unchecked, since
+    conditioning a physical state gives a physical one.  Returns the state
+    and one record per measurement.
     """
-    label = modes[idx]
-    v = np.zeros(len(mean))
-    v[2 * idx] = math.cos(angle)
-    v[2 * idx + 1] = math.sin(angle)
-    var_b = float(v @ cov @ v)
-    if var_b < DEGENERATE_VARIANCE:
-        raise ValueError(
-            f"measured quadrature of {label} has degenerate variance {var_b:.3e}"
-        )
-    mean_b = float(v @ mean)
-    if isinstance(outcome, str):
-        if outcome != "sample":
-            raise ValueError(f"outcome must be a number or 'sample', got {outcome!r}")
-        if rng is None:
-            raise ValueError("sampling an outcome requires an explicit rng")
-        xi = float(rng.normal(mean_b, math.sqrt(var_b)))
-    else:
-        xi = float(outcome)
+    modes, mean, cov = state.modes, state.mean, state.cov
+    records = []
+    for mode, angle, outcome in measurements:
+        idx = _mode_index(modes, mode)
+        label = modes[idx]
+        v = np.zeros(len(mean))
+        v[2 * idx] = math.cos(angle)
+        v[2 * idx + 1] = math.sin(angle)
+        var_b = float(v @ cov @ v)
+        if var_b < DEGENERATE_VARIANCE:
+            raise ValueError(f"measured quadrature of {label} has degenerate variance {var_b:.3e}")
+        mean_b = float(v @ mean)
+        if isinstance(outcome, str):
+            if outcome != "sample":
+                raise ValueError(f"outcome must be a number or 'sample', got {outcome!r}")
+            if rng is None:
+                raise ValueError("sampling an outcome requires an explicit rng")
+            xi = float(rng.normal(mean_b, math.sqrt(var_b)))
+        else:
+            xi = float(outcome)
+        records.append(MeasurementRecord(label, angle, xi, var_b))
 
-    cross = cov @ v
-    gain = cross / var_b
-    mean = mean + gain * (xi - mean_b)
-    cov = cov - np.outer(gain, cross)
+        cross = cov @ v
+        gain = cross / var_b
+        mean = mean + gain * (xi - mean_b)
+        cov = cov - np.outer(gain, cross)
 
-    # an index array picks rows, then columns, at a third of the cost of np.ix_
-    keep = np.array([j for j in range(len(mean)) if j not in (2 * idx, 2 * idx + 1)])
-    mean, cov = mean[keep], cov[keep][:, keep]
-    record = MeasurementRecord(
-        mode=label, quadrature_angle=angle, outcome=xi, outcome_variance=var_b
-    )
-    return modes[:idx] + modes[idx + 1 :], mean, _settled(mean, cov), record
+        # an index array picks rows, then columns, at a third of the cost of np.ix_
+        keep = np.array([j for j in range(len(mean)) if j not in (2 * idx, 2 * idx + 1)])
+        mean, cov = mean[keep], cov[keep][:, keep]
+        cov = _settled(mean, cov)
+        modes = modes[:idx] + modes[idx + 1 :]
+    return GaussianState._wrap(modes, mean, cov), tuple(records)
 
 
 def linear_form_moments(

@@ -39,7 +39,7 @@ from .gaussian import (
     ModeLabel,
     _admix_loss,
     _channel_output,
-    _homodyne,
+    _condition,
     epr_forms,
     light_mode,
 )
@@ -290,9 +290,6 @@ def condition_on_readout(
     with ``rng``.  Returns the conditioned state and the two records.
     """
     xi_cos, xi_sin = ("sample", "sample") if outcomes is None else map(float, outcomes)
-    i_cos, i_sin = joint.mode_index(COS_MODE), joint.mode_index(SIN_MODE)
-    moments = joint.modes, joint.mean, joint.cov
-    # dropping the cos mode moves a sin mode that follows it down one place
-    *moments, rec_cos = _homodyne(*moments, i_cos, _READOUT_ANGLE, xi_cos, rng)
-    *moments, rec_sin = _homodyne(*moments, i_sin - (i_sin > i_cos), _READOUT_ANGLE, xi_sin, rng)
-    return GaussianState._wrap(*moments), (rec_cos, rec_sin)
+    return _condition(
+        joint, ((COS_MODE, _READOUT_ANGLE, xi_cos), (SIN_MODE, _READOUT_ANGLE, xi_sin)), rng
+    )

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from typing import TextIO
 
 import numpy as np
@@ -146,11 +146,7 @@ def _quarter_turn() -> np.ndarray:
 
 
 _QUARTER_TURN = _quarter_turn()
-#: The generator basis shifted by a quarter period is ``sign_j B_{index_j}``
-#: (see ``_turn``).
-_QUARTER_SHIFT = np.array([0, 2, 1, 4, 3, 5])
-_QUARTER_SHIFT_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
-#: Largest entry of ``R^T B_j R`` minus its shifted ``B_j``, relative to the
+#: Largest entry of ``R^T G(phi) R - G(phi + 2 pi / r)``, relative to the
 #: largest entry of the basis, that still counts as roundoff.
 _SYMMETRY_RTOL = 1e-12
 
@@ -161,14 +157,23 @@ _CSV_CHUNK_ROWS = MIN_STEPS_PER_PERIOD
 
 @dataclass(frozen=True)
 class DriftNoiseModel:
-    """Drift/diffusion description of one pulse, ready to integrate."""
+    """Drift/diffusion description of one pulse, ready to integrate.
 
-    params: ProtocolParams
+    Its identity (equality and hash), computed once, leaves out ``params.n_i``,
+    which sets only the initial state: a grid over ``n_i`` shares a period map.
+    """
+
+    params: ProtocolParams = field(compare=False)
     kappa_mech: float
     kappa_atom: float
     damping: bool
     n_steps: int
     dt: float
+    _drift_params: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        drift = (getattr(self.params, f.name) for f in fields(ProtocolParams) if f.name != "n_i")
+        object.__setattr__(self, "_drift_params", tuple(drift))
 
     @property
     def thermal_diffusion(self) -> float:
@@ -335,8 +340,7 @@ def _pulse(
     whole, rest = divmod(model.n_steps, q) if q else (0, model.n_steps)
     if whole:
         build = _period_map.__wrapped__ if per_step else _period_map
-        cleared = replace(model, params=replace(model.params, n_i=0.0))
-        basis, period_map, rows = build(cleared, per_step)
+        basis, period_map, rows = build(model, per_step)
     else:
         basis, period_map, rows = _generator_basis(model), None, None
     starts = [x]
@@ -478,20 +482,17 @@ def _advance(
 def _turn(basis: np.ndarray, r: int) -> np.ndarray:
     """The turn ``R = T^(4/r)`` with ``G(phi + 2 pi / r) = R^T G(phi) R``.
 
-    The identity is checked on ``basis``: shifting the phase by a quarter
-    period maps ``f`` to ``(1, -sin, cos, sin^2, cos^2, -cos sin)``, so it
-    holds for every phase exactly when ``R^T B_j R`` is the ``B_j`` of the
-    shifted ``f``.  Raises ``RuntimeError`` when it does not hold to
-    roundoff: a drift or noise term that breaks the symmetry must stop the
-    build, not give a wrong period map.
+    The identity is checked at five equally spaced phases: both sides are
+    trigonometric polynomials of degree 2 in ``phi``, so they agree at every
+    phase exactly when they agree at five distinct ones.  Raises
+    ``RuntimeError`` when it does not hold to roundoff: a drift or noise term
+    that breaks the symmetry must stop the build, not give a wrong period map.
     """
-    turn, index, signs = np.eye(_DIM), np.arange(6), np.ones(6)
-    for _ in range(4 // r):
-        turn = turn @ _QUARTER_TURN
-        index, signs = index[_QUARTER_SHIFT], signs[_QUARTER_SHIFT] * _QUARTER_SHIFT_SIGNS
+    turn = np.linalg.matrix_power(_QUARTER_TURN, 4 // r)
+    shift = 2.0 * math.pi / r
     error = max(
-        float(np.max(np.abs(turn.T @ b @ turn - sign * basis[j])))
-        for b, j, sign in zip(basis, index, signs)
+        np.max(np.abs(turn.T @ _generator(basis, phi) @ turn - _generator(basis, phi + shift)))
+        for phi in 2.0 * math.pi * np.arange(5) / 5
     )
     if error > _SYMMETRY_RTOL * float(np.max(np.abs(basis))):
         raise RuntimeError(
@@ -518,8 +519,8 @@ def _period_map(
     multiplied by ``(R Q)^m`` into the rows in period order.
 
     Rows come from the uncached ``_period_map.__wrapped__``: they take
-    about 0.36 MB a drift model.  Callers clear ``n_i``, which only sets the
-    initial state, so a grid over initial occupations shares the cached map.
+    about 0.36 MB a drift model.  The cache key, the model's identity, leaves
+    out ``n_i``, so a grid over initial occupations shares the cached map.
     An entry takes about 115 kB, most of it the dense basis; four leave room
     for a model that alternates with its matched baseline, as ``compare``
     does in a sweep.

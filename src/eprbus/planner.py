@@ -135,8 +135,8 @@ class FeasibilityReport:
         return all(c.status is not CheckStatus.FAIL for c in self.checks)
 
 
-def _grade(ratio: float) -> CheckStatus:
-    if ratio >= MARGIN_PASS:
+def _grade(ratio: float, pass_from: float = MARGIN_PASS) -> CheckStatus:
+    if ratio >= pass_from:
         return CheckStatus.PASS
     if ratio >= MARGIN_WARN:
         return CheckStatus.WARN
@@ -211,11 +211,13 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
         gamma_c / omega_m,
         f"gamma_c/omega_m = {gamma_c / omega_m:.1f}",
     )
+    # graded by the pulse's own bound: the pulse warns below it
     add(
         "temporal_mode_separation",
         larmor * tau / 1.0,
         f"Omega*tau = {larmor * tau:.1f} "
         f"(idealized map reliable above {OMEGA_TAU_INDEPENDENT:.0f})",
+        status=_grade(larmor * tau, pass_from=OMEGA_TAU_INDEPENDENT),
     )
     thermal_ratio = (
         1.0 / (gamma_m * tau * n_th) if gamma_m * tau * n_th > 0 else math.inf

@@ -98,6 +98,12 @@ class TestDampingPenalty:
         with pytest.warns(UserWarning, match="perturbative"):
             damping_penalty(2e-4, 830.0)
 
+    @pytest.mark.parametrize("excess", [0.10004, 0.1 + 1e-12])
+    def test_value_just_above_the_limit_never_prints_as_it(self, excess):
+        # the warning fires above its limit, so its value is rounded up
+        with pytest.warns(UserWarning, match=r"gamma_m\*tau\*n_th = 0\.101 exceeds"):
+            damping_penalty(1.0, excess)
+
 
 class TestPhotonLossMap:
     def test_identity(self):

@@ -568,6 +568,46 @@ class TestRoutes:
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
 
+    def test_cached_pulse_builds_no_protocol_params(self, monkeypatch):
+        # the cache key is the model itself: no n_i-cleared copy per pulse
+        cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
+        hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
+        oracle._period_map.cache_clear()
+        propagate_moments(cold)
+        built = []
+        post_init = ProtocolParams.__post_init__
+        monkeypatch.setattr(
+            ProtocolParams, "__post_init__", lambda params: built.append(params) or post_init(params)
+        )
+        propagate_moments(cold)
+        propagate_moments(hot)
+        assert built == []
+        info = oracle._period_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "base, changed, flags",
+        [
+            ({}, {"n_i": 500.0}, {}),
+            ({}, {"eps_mismatch": 0.03}, {"mismatch": True}),
+            ({}, {"gamma_m": 0.02}, {"damping": True}),
+            ({"gamma_m": 0.02}, {"n_th": 1.5}, {"damping": True}),
+        ],
+    )
+    def test_only_models_that_differ_in_n_i_share_a_period_map(self, base, changed, flags):
+        first = build_model(ProtocolParams.dimensionless(1.3, **{"n_i": 2.0, **base}), **flags)
+        second = build_model(
+            ProtocolParams.dimensionless(1.3, **{"n_i": 2.0, **base, **changed}), **flags
+        )
+        shared = list(changed) == ["n_i"]
+        assert (first == second) is shared
+        if shared:
+            assert hash(first) == hash(second)
+        oracle._period_map.cache_clear()
+        propagate_moments(first)
+        propagate_moments(second)
+        assert oracle._period_map.cache_info().misses == 2 - shared
+
     def test_per_step_output_takes_the_period_route_uncached(self, monkeypatch):
         oracle._period_map.cache_clear()
         model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=1))

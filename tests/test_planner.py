@@ -81,6 +81,24 @@ class TestReferenceSetups:
         assert "matching_within_tolerance" in failed
 
 
+class TestTemporalModeSeparation:
+    @pytest.mark.parametrize(
+        "larmor_hz, status",
+        [
+            (5.0e6, CheckStatus.PASS),  # Omega tau = 62.8, the reference setup
+            (2.0e6, CheckStatus.WARN),  # 25.1
+            (1.0e6, CheckStatus.WARN),  # 12.6
+            (4.0 / (TWO_PI * 2.0e-6), CheckStatus.FAIL),  # 4
+        ],
+    )
+    def test_graded_by_the_pulse_bound(self, larmor_hz, status):
+        # the pulse warns below Omega tau = 50, so the plan passes only above it
+        _, report = derive_params(scaled(micromirror_setup(), atoms_larmor_hz=larmor_hz))
+        (check,) = [c for c in report.checks if c.name == "temporal_mode_separation"]
+        assert check.ratio == pytest.approx(TWO_PI * larmor_hz * 2.0e-6, rel=1e-12)
+        assert check.status is status
+
+
 class TestScalings:
     def test_kappa_scales_as_sqrt_atom_number(self):
         setup = micromirror_setup()

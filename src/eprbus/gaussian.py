@@ -25,14 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-#: Absolute tolerance for covariance-symmetry and symplectic-identity checks.
+#: A covariance may be asymmetric by this plus the roundoff below before a
+#: state is rejected.
 SYMMETRY_TOL = 1e-10
 #: Eigenvalues of the uncertainty test matrix may dip below zero by this plus
-#: ``UNCERTAINTY_ROUNDOFF * eps * max|cov|`` before a state is rejected: the
-#: roundoff grows with the largest entry, about 1e8 for a resonator at room
-#: temperature.
+#: the roundoff below before a state is rejected.
 UNCERTAINTY_TOL = 1e-9
-UNCERTAINTY_ROUNDOFF = 4.0
+#: Both checks allow ``ROUNDOFF_ULPS * eps * max|cov|`` more: the roundoff
+#: grows with the largest entry, about 1e8 for a resonator at room
+#: temperature.
+ROUNDOFF_ULPS = 4.0
 #: Channel outputs with a larger covariance entry are refused: roundoff there
 #: (``eps * 1e12 ~ 2e-4``) nears the vacuum variance, and a conditioning on
 #: such an output loses its digits.
@@ -131,7 +133,7 @@ def _check_uncertainty(cov: np.ndarray) -> None:
     without failing, ``eigvalsh`` decides against the same ``tol`` and names
     the smallest eigenvalue.
     """
-    tol = UNCERTAINTY_TOL + UNCERTAINTY_ROUNDOFF * np.finfo(float).eps * float(np.abs(cov).max())
+    tol = _roundoff_tol(UNCERTAINTY_TOL, cov)
     test = _embedding(cov)
     test.reshape(-1)[:: len(test) + 1] += tol  # the diagonal, as a view
     try:
@@ -144,12 +146,18 @@ def _check_uncertainty(cov: np.ndarray) -> None:
         raise InvalidStateError(f"uncertainty relation violated (min eigenvalue {lam:.2e})")
 
 
+def _roundoff_tol(tol: float, cov: np.ndarray) -> float:
+    """``tol`` plus the roundoff of entries as large as ``max|cov|``."""
+    return tol + ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(cov).max())
+
+
 def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """``cov`` as a state holds it, after the checks every state passes.
 
     Raises :class:`InvalidStateError` on a non-finite mean or covariance and
-    on a covariance asymmetric beyond ``SYMMETRY_TOL``; roundoff asymmetry
-    below that is averaged away.
+    on a covariance asymmetric beyond ``SYMMETRY_TOL`` plus the roundoff of
+    its largest entry (see ``ROUNDOFF_ULPS``); roundoff asymmetry below that
+    is averaged away.
     """
     # a NaN or infinity makes the sum of squares non-finite, and so can
     # overflow, which the test by entry then lets pass
@@ -158,7 +166,9 @@ def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
             if not np.isfinite(value).all():
                 raise InvalidStateError(f"{name} must be finite")
     asym = float(np.abs(cov - cov.T).max()) if cov.size else 0.0
-    if asym > SYMMETRY_TOL:
+    # the absolute bound first: nearly every state passes it, and an empty
+    # covariance has no largest entry
+    if asym > SYMMETRY_TOL and asym > _roundoff_tol(SYMMETRY_TOL, cov):
         raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
     if asym:  # averaging changes no exactly symmetric matrix, and may overflow
         cov = (cov + cov.T) / 2.0

@@ -32,32 +32,27 @@ with ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The
 ``B_j`` are read off :meth:`DriftNoiseModel.drift_matrix` and
 :meth:`DriftNoiseModel.noise_columns`, so the physics is written once.
 
-One RK4 kernel steps either a state or a 45 x 45 matrix of states, and
-every pulse takes one route through it.  When ``q = 2 pi / (Omega dt)`` is
-a whole number (within roundoff), every Larmor period repeats the same
-``q`` step maps, whose product is the period map ``P`` (the monodromy
-matrix of Floquet theory).  The Larmor phase enters only through the
-cos/sin accumulators, so a quarter period later the generator is the same
-up to the quarter turn ``T: (Y_c, Y_s) -> (Y_s, -Y_c)`` of both pairs,
-``G(phi + pi/2) = T^T G(phi) T``, with ``T`` a signed permutation of ``x``
-and ``T^4 = I``.  The identity is therefore stepped through one unit of
-``q / r`` steps only, ``r = gcd(q, 4)``, and ``P = (T^(4/r) Q)^r`` with
-``Q`` the unit's map: a quarter of the period when ``4 | q``, the whole
-period when ``q`` is odd.  The symmetry is checked on the generator at
-every build, which raises if it fails.  A pulse of ``whole``
-periods and ``rest`` more steps is ``P`` once per whole period, then the
-kernel for the rest; an incommensurate grid or a pulse shorter than a
-period is the case ``whole = 0``.  The kernel records per-step output one
-way: given linear forms, it returns them applied to ``x`` after every step.
-Per-step output (trajectory rows, the conservation drift) is the five
-output forms ``L`` recorded on the state over the rest, and read off the
-period starts for the whole periods: with ``C_j`` the map of the first
-``j`` steps of a period, step ``j`` of a period outputs ``L C_j`` applied
-to its start.  The rows ``L C_j`` of every unit come from one pass of the
-identity through the first unit, which records ``L`` turned once per unit.
-Each RK4 step is a linear map of ``x``, so composing a period first, or
-turning a unit, changes only the order of the floating-point operations
-(agreement to about 1e-13 relative).
+Every pulse takes one route, built from one RK4 step.  The Larmor phase
+enters only through the cos/sin accumulators, so rotating both pairs
+``(Y_xc, Y_xs)`` and ``(Y_pc, Y_ps)`` by any angle ``theta`` (the rotation
+``R_theta``, lifted onto ``x``) conjugates the generator,
+``G(phi + theta) = R_theta^-1 G(phi) R_theta``.  With ``delta = Omega dt``,
+step ``k`` of the grid is therefore ``S_k = R_delta^-k S_0 R_delta^k``, with
+``S_0`` the RK4 step from phase 0, and the ``n`` steps of a pulse compose to
+``C_n = R_(-n delta) M^n`` with ``M = R_delta S_0``: the same RK4 scheme
+with the floating-point operations in another order.  ``M^n`` comes from
+binary powering on the increment ``M - I``, which keeps the state within
+about 1e-14 of an extended-precision run of the steps, relative to its
+largest entry, and ``C_n`` is cached per drift model, so a cached pulse is
+one matrix-vector product.  The identity is checked on the generator at
+every build, which raises if it fails.  In the frame that rotates with the grid the state
+``z_k = M^k x_0`` evolves on its own, and the state at step ``k`` is
+``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
+conservation drift) is read off ``z_k`` in blocks of ``b`` steps: the rows
+``F M^j``, ``j < b``, of the output forms ``F`` applied to the block starts
+``(M^b)^p x_0`` give every step's values in one product, and the variances
+of ``Y_pc`` and ``Y_ps`` follow from the rotating ``Y_p`` block with each
+step's cos and sin.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -105,48 +100,65 @@ _VECH = 8 * _TRIU[0] + _TRIU[1]
 _DUP = np.zeros((64, _N_SIGMA))
 _DUP[_VECH, range(_N_SIGMA)] = _DUP[8 * _TRIU[1] + _TRIU[0], range(_N_SIGMA)] = 1.0
 
-#: Relative distance of ``2 pi / (Omega dt)`` from a whole number below which
-#: the grid counts as commensurate with the Larmor period (roundoff only).
+#: Relative distance of the step count ``steps_per_period Omega tau / (2 pi)``
+#: from a whole number below which it is taken as whole (roundoff only).
 _COMMENSURATE_RTOL = 1e-12
 
 
-def _output_forms() -> np.ndarray:
-    """Linear forms on ``x`` giving the per-step output (``L`` above).
+def _frame_forms() -> np.ndarray:
+    """Linear forms on ``x`` giving the per-step output (``F`` above).
 
     The rows are ``Var(X_m + X_a)``, the covariance of that with
-    ``P_m - P_a``, ``Var(P_m - P_a)``, ``Var(Y_pc)`` and ``Var(Y_ps)``.
+    ``P_m - P_a``, ``Var(P_m - P_a)``, and the ``Y_p`` block: ``Var(Y_pc)``,
+    ``Cov(Y_pc, Y_ps)`` and ``Var(Y_ps)``.  The first three do not see the
+    rotation of the accumulators; the last three give the lab variances of
+    ``Y_pc`` and ``Y_ps`` once turned back.
     """
     pair = epr_forms(8, 0, 1)
     ypc, yps = np.eye(8)[[_YPC, _YPS]]
-    pairs = ((pair[0], pair[0]), (pair[0], pair[1]), (pair[1], pair[1]), (ypc, ypc), (yps, yps))
-    forms = np.zeros((5, _DIM))
+    pairs = (
+        (pair[0], pair[0]), (pair[0], pair[1]), (pair[1], pair[1]),
+        (ypc, ypc), (ypc, yps), (yps, yps),
+    )
+    forms = np.zeros((len(pairs), _DIM))
     forms[:, :_N_SIGMA] = [np.kron(a, b) @ _DUP for a, b in pairs]  # a^T Sigma b
     return forms
 
 
-_OUTPUT_FORMS = _output_forms()
+_FRAME_FORMS = _frame_forms()
 
 
-def _quarter_turn() -> np.ndarray:
-    """``T``: the quarter turn ``(Y_c, Y_s) -> (Y_s, -Y_c)`` of both
-    accumulator pairs, acting on ``x``.
+def _rotation(theta: float) -> np.ndarray:
+    """``R_theta``: the rotation ``(Y_c, Y_s) -> (cos Y_c + sin Y_s,
+    cos Y_s - sin Y_c)`` of both accumulator pairs, acting on ``x``.
 
-    A signed permutation, so exact in floating point, with ``T^4 = I``.
-    Shifting the Larmor phase by a quarter period turns the generator to
-    ``G(phi + pi / 2) = T^T G(phi) T``.
+    ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
+    ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
+    turns the generator to ``G(phi + theta) = R_theta^-1 G(phi) R_theta``.
     """
-    s = np.eye(8)
-    for cos, sin in ((_YXC, _YXS), (_YPC, _YPS)):
-        s[[cos, sin, cos, sin], [cos, sin, sin, cos]] = 0.0, 0.0, 1.0, -1.0
+    return np.eye(_DIM) + _rotation_increment(theta)
+
+
+def _rotation_increment(theta: float) -> np.ndarray:
+    """``R_theta - I``, formed without ``R_theta``: with ``s = I + e`` the
+    rotation of the means, ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``,
+    and ``cos - 1 = -2 sin^2(theta / 2)`` keeps its digits."""
+    cos1, sin = -2.0 * math.sin(theta / 2.0) ** 2, math.sin(theta)
+    e = np.zeros((8, 8))
+    for yc, ys in ((_YXC, _YXS), (_YPC, _YPS)):
+        e[[yc, ys, yc, ys], [yc, ys, ys, yc]] = cos1, cos1, sin, -sin
     turn = np.zeros((_DIM, _DIM))
-    turn[:_N_SIGMA, :_N_SIGMA] = np.kron(s, s)[_VECH] @ _DUP  # Sigma -> s Sigma s^T
-    turn[_MEAN, _MEAN] = s
-    turn[-1, -1] = 1.0
+    turn[:_N_SIGMA, :_N_SIGMA] = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
+    turn[_MEAN, _MEAN] = e
     return turn
 
 
-_QUARTER_TURN = _quarter_turn()
-#: Largest entry of ``R^T G(phi) R - G(phi + 2 pi / r)``, relative to the
+def _vech_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of ``a (x) b`` at ``vech``: ``vec Sigma -> vech(a Sigma b^T)``."""
+    return (a[_TRIU[0], :, None] * b[_TRIU[1], None, :]).reshape(_N_SIGMA, 64)
+
+
+#: Largest entry of ``R^-1 G(phi) R - G(phi + delta)``, relative to the
 #: largest entry of the basis, that still counts as roundoff.
 _SYMMETRY_RTOL = 1e-12
 
@@ -160,7 +172,7 @@ class DriftNoiseModel:
     """Drift/diffusion description of one pulse, ready to integrate.
 
     Its identity (equality and hash), computed once, leaves out ``params.n_i``,
-    which sets only the initial state: a grid over ``n_i`` shares a period map.
+    which sets only the initial state: a grid over ``n_i`` shares a pulse map.
     """
 
     params: ProtocolParams = field(compare=False)
@@ -304,10 +316,10 @@ def propagate_moments(
     ``t, var_xsum, var_pdiff, var_ypc, var_yps`` at ``t = k dt`` for every
     step ``k = 0 .. n_steps`` when given.
 
-    The period map comes from the cache unless per-step output
-    (``trajectory`` or ``return_info``) is asked for; then it is built afresh
-    with its output rows and not cached.  The returned state is the same
-    either way, and never depends on what the cache holds.
+    The pulse map ``C_n`` comes from the cache, built on the first pulse
+    of a drift model; per-step output (``trajectory`` or ``return_info``)
+    reads the same entry's ``M``.  The returned state is always ``C_n x_0``,
+    so it is the same with or without per-step output.
 
     The returned moments are settled once and not checked against the
     uncertainty relation: the accumulated temporal modes only become
@@ -315,10 +327,12 @@ def propagate_moments(
     integer number of Larmor periods), and may lie below vacuum before.
     """
     mean, cov, (mech, atom) = _initial_moments(model, initial)
-    per_step = trajectory is not None or return_info
-    x, values = _pulse(model, np.concatenate((cov[_TRIU], mean, (1.0,))), per_step)
+    x = np.concatenate((cov[_TRIU], mean, (1.0,)))
+    step, pulse = _pulse_maps(model)
+    values = _per_step_values(model, step, x) if trajectory is not None or return_info else None
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
+    x = pulse @ x
     mean, cov = x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
     state = GaussianState._wrap((mech, atom, COS_MODE, SIN_MODE), mean, _settled(mean, cov))
     if not return_info:
@@ -326,35 +340,41 @@ def propagate_moments(
     return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(model, values)}
 
 
-def _pulse(
-    model: DriftNoiseModel, x: np.ndarray, per_step: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ``model.n_steps`` RK4 steps from ``x``: ``P`` per whole period, then the kernel.
+def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The output values of steps ``0 .. n_steps`` from ``x``, shape ``(n + 1, 5)``.
 
-    Returns the final ``x`` and, with ``per_step``, the output values of
-    steps ``0 .. n_steps`` (else ``None``).  Its own function, so that the
-    period's output rows (about 0.36 MB) are freed before the caller writes
-    the trajectory.
+    The columns are ``Var(X_m + X_a)``, its covariance with ``P_m - P_a``,
+    ``Var(P_m - P_a)``, ``Var(Y_pc)`` and ``Var(Y_ps)``.  Step ``p b + j``
+    of the rotating frame is ``F M^j`` applied to the block start
+    ``(M^b)^p x``; ``b`` is the power of two at or above ``sqrt(n + 1)``, so
+    both stacks take about ``sqrt(n)`` rows and ``log n`` squarings.
     """
-    q = _period_steps(model)
-    whole, rest = divmod(model.n_steps, q) if q else (0, model.n_steps)
-    if whole:
-        build = _period_map.__wrapped__ if per_step else _period_map
-        basis, period_map, rows = build(model, per_step)
-    else:
-        basis, period_map, rows = _generator_basis(model), None, None
-    starts = [x]
-    for _ in range(whole):
-        starts.append(period_map @ starts[-1])
-    x, values = _advance(
-        model, basis, starts[-1], whole * q, rest, _OUTPUT_FORMS if per_step else None
-    )
-    if per_step and whole:
-        # step p q + j of the pulse is step j of period p: row j applied to
-        # the start of period p
-        periods = np.array(starts[:whole]) @ rows.reshape(-1, _DIM).T
-        values = np.concatenate((periods.reshape(whole * q, len(_OUTPUT_FORMS)), values))
-    return x, values
+    count = model.n_steps + 1
+    rows, jump = _orbit(_FRAME_FORMS, step, math.isqrt(count))
+    starts, _ = _orbit(x, jump.T, -(-count // len(rows)))
+    # row p of the product holds steps p b .. p b + b - 1, in order
+    values = (starts @ rows.reshape(-1, _DIM).T).reshape(-1, len(_FRAME_FORMS))[:count]
+    # turn the Y_p block back by the phase of each step: x_k = R_(-k delta) z_k
+    phases = model.params.Omega * (np.arange(count) * model.dt)
+    cos, sin = np.cos(phases), np.sin(phases)
+    cc, cs, ss = values[:, 3:].T
+    cross = 2.0 * cos * sin * cs
+    ypc, yps = cos * cos * cc - cross + sin * sin * ss, sin * sin * cc + cross + cos * cos * ss
+    values[:, 3], values[:, 4] = ypc, yps
+    return values[:, :5]
+
+
+def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``first @ step^j`` for ``j < 2^m``, stacked, and ``step^(2^m)``.
+
+    ``2^m`` is the least power of two at or above ``count``; each doubling
+    appends the stack times the current power, then squares it.
+    """
+    orbit = first[None]
+    while len(orbit) < count:
+        orbit = np.concatenate((orbit, orbit @ step))
+        step = step @ step
+    return orbit, step
 
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
@@ -389,13 +409,6 @@ def _max_drift(model: DriftNoiseModel, values: np.ndarray) -> dict[str, float]:
     return drift
 
 
-def _period_steps(model: DriftNoiseModel) -> int:
-    """Steps per Larmor period when they are a whole number, else 0."""
-    steps = 2.0 * math.pi / (model.params.Omega * model.dt)
-    q = round(steps)
-    return q if q >= 1 and abs(steps - q) <= _COMMENSURATE_RTOL * q else 0
-
-
 def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
     """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``.
 
@@ -425,7 +438,7 @@ def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
     basis = np.zeros((6, _DIM, _DIM))
     eye = np.eye(8)
     for j, a in enumerate(drift):
-        basis[j, :_N_SIGMA, :_N_SIGMA] = (np.kron(a, eye) + np.kron(eye, a))[_VECH] @ _DUP
+        basis[j, :_N_SIGMA, :_N_SIGMA] = (_vech_kron(a, eye) + _vech_kron(eye, a)) @ _DUP
         basis[j, _MEAN, _MEAN] = a
     basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, 64))[:, _VECH]
     return basis
@@ -438,114 +451,84 @@ def _generator(basis: np.ndarray, phase: float) -> np.ndarray:
     return (f @ basis.reshape(6, -1)).reshape(_DIM, _DIM)
 
 
-def _advance(
-    model: DriftNoiseModel,
-    basis: np.ndarray,
-    x: np.ndarray,
-    k0: int,
-    count: int,
-    forms: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Take RK4 steps ``k0 .. k0 + count - 1`` of ``dx/dt = G(t) x``.
+def _rk4_increment(model: DriftNoiseModel, basis: np.ndarray) -> np.ndarray:
+    """``S_0 - I``: the RK4 step of ``dx/dt = G(t) x`` from ``t = 0`` to
+    ``dt``, as a 45 x 45 matrix less the identity.
 
-    Step ``k`` runs from ``t = k dt`` to ``(k + 1) dt``.  ``x`` is one
-    augmented state or a 45 x 45 matrix whose columns are states; the period
-    map is the identity advanced over one period.  Returns the advanced ``x``
-    and, when ``forms`` is given, ``out`` with ``out[j] = forms @ x`` after
-    ``j`` of the steps, ``j = 0 .. count`` (else ``None``).  For a state and
-    the output forms these are the output values; for the identity from
-    ``k0 = 0`` they are the rows ``L C_j``.
+    The stages are those of the step applied to the identity, ``k2 =
+    G_mid (I + h/2 k1)`` and so on, with the identity carried through the
+    products, so the increment is never rounded against it.
     """
-    out = None
-    if forms is not None:
-        out = np.empty((count + 1, *forms.shape[:-1], *x.shape[1:]))
-        out[0] = forms @ x
-    if not count:
-        return x, out
     h = model.dt
-    omega = model.params.Omega
-    g_start = _generator(basis, omega * (k0 * h))
-    for j, k in enumerate(range(k0, k0 + count), 1):
-        g_mid = _generator(basis, omega * (k * h + h / 2))
-        g_end = _generator(basis, omega * ((k + 1) * h))
-        k1 = g_start @ x
-        k2 = g_mid @ (x + h / 2 * k1)
-        k3 = g_mid @ (x + h / 2 * k2)
-        k4 = g_end @ (x + h * k3)
-        x = x + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
-        g_start = g_end
-        if out is not None:
-            out[j] = forms @ x
-    return x, out
+    delta = model.params.Omega * h
+    g_start, g_mid, g_end = (_generator(basis, phase) for phase in (0.0, delta / 2, delta))
+    k1 = g_start
+    k2 = g_mid + h / 2 * (g_mid @ k1)
+    k3 = g_mid + h / 2 * (g_mid @ k2)
+    k4 = g_end + h * (g_end @ k3)
+    return h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _turn(basis: np.ndarray, r: int) -> np.ndarray:
-    """The turn ``R = T^(4/r)`` with ``G(phi + 2 pi / r) = R^T G(phi) R``.
+def _power_increment(e: np.ndarray, n: int) -> np.ndarray:
+    """``(I + e)^n - I`` by binary powering, about ``2 log2 n`` products.
+
+    Each product is taken on increments, ``(I + a)(I + b) - I = a + b + a b``:
+    the identity is never added to a small increment, so the roundoff of
+    ``e``, which ``n`` factors would repeat, stays relative to ``e``.
+    """
+    power = None
+    while True:
+        if n & 1:
+            power = e if power is None else power + e + power @ e
+        n >>= 1
+        if not n:
+            return power
+        e = 2.0 * e + e @ e
+
+
+def _check_symmetry(basis: np.ndarray, delta: float) -> None:
+    """Check ``G(phi + delta) = R^-1 G(phi) R`` with ``R = R_delta``.
 
     The identity is checked at five equally spaced phases: both sides are
     trigonometric polynomials of degree 2 in ``phi``, so they agree at every
     phase exactly when they agree at five distinct ones.  Raises
     ``RuntimeError`` when it does not hold to roundoff: a drift or noise term
-    that breaks the symmetry must stop the build, not give a wrong period map.
+    that breaks the symmetry must stop the build, not give a wrong pulse map.
     """
-    turn = np.linalg.matrix_power(_QUARTER_TURN, 4 // r)
-    shift = 2.0 * math.pi / r
+    turn, back = _rotation(delta), _rotation(-delta)
     error = max(
-        np.max(np.abs(turn.T @ _generator(basis, phi) @ turn - _generator(basis, phi + shift)))
+        np.max(np.abs(back @ _generator(basis, phi) @ turn - _generator(basis, phi + delta)))
         for phi in 2.0 * math.pi * np.arange(5) / 5
     )
     if error > _SYMMETRY_RTOL * float(np.max(np.abs(basis))):
         raise RuntimeError(
-            f"the generator breaks the Larmor turn symmetry (shift 2 pi / {r}) by {error:.2e}; "
-            "the period map cannot be built from a part of the period"
+            f"the generator breaks the Larmor turn symmetry (shift {delta:.6g} rad) by "
+            f"{error:.2e}; the pulse map cannot be built from one step"
         )
-    return turn
 
 
 @functools.lru_cache(maxsize=4)
-def _period_map(
-    model: DriftNoiseModel, outputs: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The generator basis, the map of one Larmor period and its output rows.
+def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``.
 
-    The identity is stepped through one unit of ``u = q / r`` steps only,
-    with ``r = gcd(q, 4)``, giving its map ``Q``.  Unit ``m`` repeats the
-    first unit turned by ``R^m`` (see :func:`_turn`, which checks the
-    symmetry), so the period map is ``P = (R Q)^r`` and the first ``j``
-    steps of unit ``m`` end at ``R^-m C_j (R Q)^m``.  An odd ``q`` has
-    ``r = 1`` and steps the whole period.  The rows ``L C_k`` of every step
-    ``k < q`` of the period come only with ``outputs``: the kernel records
-    the stacked forms ``L R^-m`` over the unit, and unit ``m``'s are
-    multiplied by ``(R Q)^m`` into the rows in period order.
-
-    Rows come from the uncached ``_period_map.__wrapped__``: they take
-    about 0.36 MB a drift model.  The cache key, the model's identity, leaves
-    out ``n_i``, so a grid over initial occupations shares the cached map.
-    An entry takes about 115 kB, most of it the dense basis; four leave room
+    ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
+    grid (see :func:`_check_symmetry`, which checks the symmetry that makes
+    it so).  ``M^n`` is powered on the increment ``M - I``: at 64 periods of
+    200 steps that leaves the state about 100 times closer to an
+    extended-precision run of the steps than powering ``M``.  The cache key,
+    the model's identity, leaves out ``n_i``, so a grid over initial
+    occupations shares an entry.  An entry takes about 32 kB; four leave room
     for a model that alternates with its matched baseline, as ``compare``
     does in a sweep.
     """
     basis = _generator_basis(model)
-    q = _period_steps(model)
-    r = math.gcd(q, 4)
-    unit = q // r
-    turn = _turn(basis, r)
-    forms = None
-    if outputs:
-        # out[j, m] = L R^-m C_j over the first unit
-        forms = np.stack([_OUTPUT_FORMS @ np.linalg.matrix_power(turn.T, m) for m in range(r)])
-    unit_map, out = _advance(model, basis, np.eye(_DIM), 0, unit, forms)
-    step = turn @ unit_map
-    period = np.linalg.matrix_power(step, r)
-    rows = None
-    if outputs:
-        # rows[m, j] = out[j, m] (R Q)^m, written once in period order
-        rows = np.empty((r, unit, len(_OUTPUT_FORMS), _DIM))
-        rows[0] = out[:unit, 0]
-        for m in range(1, r):
-            np.matmul(out[:unit, m], np.linalg.matrix_power(step, m), out=rows[m])
-        rows = rows.reshape(q, len(_OUTPUT_FORMS), _DIM)
-    return basis, period, rows
+    delta = model.params.Omega * model.dt
+    _check_symmetry(basis, delta)
+    turn, rk4 = _rotation_increment(delta), _rk4_increment(model, basis)
+    increment = turn + rk4 + turn @ rk4  # M - I = (I + turn)(I + rk4) - I
+    phase = model.params.Omega * (model.n_steps * model.dt)
+    pulse = _rotation(-phase) @ (np.eye(_DIM) + _power_increment(increment, model.n_steps))
+    return np.eye(_DIM) + increment, pulse
 
 
 def oracle_epr_after_measurement(

@@ -211,13 +211,16 @@ def derive_params(setup: PhysicalSetup) -> tuple[ProtocolParams, FeasibilityRepo
         gamma_c / omega_m,
         f"gamma_c/omega_m = {gamma_c / omega_m:.1f}",
     )
-    # graded by the pulse's own bound: the pulse warns below it
+    # graded by the pulse's own bound: the pulse warns below it; rounded
+    # down, as the pulse's warning is, so that a value below the bound never
+    # prints as it
+    omega_tau = larmor * tau
     add(
         "temporal_mode_separation",
-        larmor * tau / 1.0,
-        f"Omega*tau = {larmor * tau:.1f} "
+        omega_tau,
+        f"Omega*tau = {math.floor(10.0 * omega_tau) / 10.0:.1f} "
         f"(idealized map reliable above {OMEGA_TAU_INDEPENDENT:.0f})",
-        status=_grade(larmor * tau, pass_from=OMEGA_TAU_INDEPENDENT),
+        status=_grade(omega_tau, pass_from=OMEGA_TAU_INDEPENDENT),
     )
     thermal_ratio = (
         1.0 / (gamma_m * tau * n_th) if gamma_m * tau * n_th > 0 else math.inf

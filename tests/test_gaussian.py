@@ -381,6 +381,25 @@ class TestUncertaintyCheck:
         assert np.array_equal(settled, cov)
 
 
+    def test_roundoff_asymmetry_of_a_hot_state_averaged_away(self):
+        # conditioning a pulse on 1e6 quanta leaves an asymmetry of 4.7e-10,
+        # about eps max|cov| and above the absolute SYMMETRY_TOL
+        from eprbus.iomaps import ProtocolParams, qnd_bigstep
+
+        initial = make_state([(M, 1e6, (0.0, 0.0)), (A, 0.2, (0.1, 0.4))])
+        joint = qnd_bigstep(initial, ProtocolParams.dimensionless(2.5)).joint
+        state, _ = condition_on_homodyne(joint, M, 0.4, 0.37)
+        assert np.array_equal(state.cov, state.cov.T)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_asymmetric_covariance_rejected(self, scale):
+        # 1e-9 relative is millions of roundoffs of the largest entry
+        cov = np.diag([scale, scale, 0.5, 0.5])
+        cov[0, 2] = 1e-9 * scale
+        with pytest.raises(InvalidStateError, match="covariance asymmetric by"):
+            self.build(cov)
+
+
 class TestLossChannel:
     def test_unit_transmission_identity(self, rng):
         state = random_valid_state(2, rng)

@@ -100,15 +100,15 @@ def step_through(model, initial=None):
     return state, rows, {"max_rel_drift_xsum": drift[0], "max_rel_drift_pdiff": drift[1]}
 
 
-def spy_on_advance(monkeypatch) -> list:
-    """Record ``(x.shape, k0, count)`` of every call of the oracle's RK4 kernel."""
-    kernel, calls = oracle._advance, []
+def spy_on_rk4_increment(monkeypatch) -> list:
+    """Record the ``n_steps`` of the model of every call of the oracle's RK4 kernel."""
+    kernel, calls = oracle._rk4_increment, []
 
-    def spy(model, basis, x, k0, count, forms=None):
-        calls.append((x.shape, k0, count))
-        return kernel(model, basis, x, k0, count, forms)
+    def spy(model, basis):
+        calls.append(model.n_steps)
+        return kernel(model, basis)
 
-    monkeypatch.setattr(oracle, "_advance", spy)
+    monkeypatch.setattr(oracle, "_rk4_increment", spy)
     return calls
 
 
@@ -512,58 +512,47 @@ class TestRoutes:
         assert_same_moments(state, *map(np.array, RECORDED[name]))
 
     @pytest.mark.parametrize(
-        "periods, steps_per_period, expected",
-        [(8, 200, 200), (12, 200, 200), (12.5, 200, 200), (16, 200, 200), (64, 200, 200),
-         (16, 400, 400), (12.3456, 200, 0)],
+        "periods, steps_per_period, n_steps",
+        [(8, 200, 1600), (12, 200, 2400), (12.5, 200, 2500), (16, 200, 3200), (64, 200, 12800),
+         (16, 400, 6400), (12.3456, 200, 2470),
+         # 200 steps times these periods lands just above a whole number in
+         # floating point, which must not cost an extra step
+         (6.5, 200, 1300), (13, 200, 2600), (26, 200, 5200), (52, 200, 10400)],
     )
-    def test_period_steps(self, periods, steps_per_period, expected):
+    def test_step_count(self, periods, steps_per_period, n_steps):
         model = build_model(unit_pulse(1.0, 0.0, periods), steps_per_period=steps_per_period)
-        assert oracle._period_steps(model) == expected
-
-    @pytest.mark.parametrize("periods, n_steps", [(6.5, 1300), (13, 2600), (26, 5200), (52, 10400)])
-    def test_whole_step_count_survives_roundoff(self, periods, n_steps):
-        # 200 steps times these periods lands just above a whole number in
-        # floating point, which must not cost an extra step
-        model = build_model(unit_pulse(1.0, 0.0, periods))
         assert model.n_steps == n_steps
-        assert oracle._period_steps(model) == 200
-        oracle._period_map.cache_clear()
-        propagate_moments(model)
-        assert oracle._period_map.cache_info().misses == 1  # the period route ran
+        assert model.dt == 1.0 / n_steps
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
         kappa=st.floats(0.2, 2.0),
         n_i=st.floats(0.0, 900.0),
         eps=st.floats(-0.05, 0.05),
-        periods=st.integers(1, 10),
-        quarters=st.integers(0, 3),
+        periods=st.floats(0.25, 10.0),
         steps_per_period=st.sampled_from([200, 201, 202]),
         damping=st.booleans(),
     )
-    def test_period_route_equals_stepped_route(
-        self, kappa, n_i, eps, periods, quarters, steps_per_period, damping
+    def test_pulse_map_equals_stepped_route(
+        self, kappa, n_i, eps, periods, steps_per_period, damping
     ):
-        # the remainder is the whole step nearest the quarter, so the grid
-        # stays commensurate with the period when its steps are not a
-        # multiple of four
-        rest = round(quarters * steps_per_period / 4) / steps_per_period
+        # any grid, commensurate with the Larmor period or not
         extra = {"gamma_m": 0.02, "n_th": 1.5} if damping else {}
-        params = unit_pulse(kappa, n_i, periods + rest, eps_mismatch=eps, **extra)
+        params = unit_pulse(kappa, n_i, periods, eps_mismatch=eps, **extra)
         model = build_model(params, mismatch=True, damping=damping, steps_per_period=steps_per_period)
-        oracle._period_map.cache_clear()
         state = propagate_moments(model)
-        assert oracle._period_map.cache_info().misses == 1  # the period route ran
         reference = assert_same_per_step_output(model)
         assert_same_moments(state, reference.cov, reference.mean)
 
-    def test_second_n_i_reuses_the_period_map(self):
-        oracle._period_map.cache_clear()
+    def test_second_n_i_does_no_rk4_work(self, monkeypatch):
+        oracle._pulse_maps.cache_clear()
         cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
         hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
+        stepped_models = spy_on_rk4_increment(monkeypatch)
         propagate_moments(cold)
         state = propagate_moments(hot)
-        info = oracle._period_map.cache_info()
+        assert stepped_models == [cold.n_steps]  # one RK4 step, for the cold pulse
+        info = oracle._pulse_maps.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
@@ -572,7 +561,7 @@ class TestRoutes:
         # the cache key is the model itself: no n_i-cleared copy per pulse
         cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
         hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
-        oracle._period_map.cache_clear()
+        oracle._pulse_maps.cache_clear()
         propagate_moments(cold)
         built = []
         post_init = ProtocolParams.__post_init__
@@ -582,7 +571,7 @@ class TestRoutes:
         propagate_moments(cold)
         propagate_moments(hot)
         assert built == []
-        info = oracle._period_map.cache_info()
+        info = oracle._pulse_maps.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     @pytest.mark.parametrize(
@@ -594,7 +583,7 @@ class TestRoutes:
             ({"gamma_m": 0.02}, {"n_th": 1.5}, {"damping": True}),
         ],
     )
-    def test_only_models_that_differ_in_n_i_share_a_period_map(self, base, changed, flags):
+    def test_only_models_that_differ_in_n_i_share_a_pulse_map(self, base, changed, flags):
         first = build_model(ProtocolParams.dimensionless(1.3, **{"n_i": 2.0, **base}), **flags)
         second = build_model(
             ProtocolParams.dimensionless(1.3, **{"n_i": 2.0, **base, **changed}), **flags
@@ -603,25 +592,23 @@ class TestRoutes:
         assert (first == second) is shared
         if shared:
             assert hash(first) == hash(second)
-        oracle._period_map.cache_clear()
+        oracle._pulse_maps.cache_clear()
         propagate_moments(first)
         propagate_moments(second)
-        assert oracle._period_map.cache_info().misses == 2 - shared
+        assert oracle._pulse_maps.cache_info().misses == 2 - shared
 
-    def test_per_step_output_takes_the_period_route_uncached(self, monkeypatch):
-        oracle._period_map.cache_clear()
-        model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=1))
-        advanced = spy_on_advance(monkeypatch)
+    def test_per_step_output_reuses_the_cached_pulse_map(self, monkeypatch):
+        oracle._pulse_maps.cache_clear()
+        model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=8))
+        stepped_models = spy_on_rk4_increment(monkeypatch)
+        plain = propagate_moments(model)
         state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
-        # each call stepped the identity through a quarter of the one period,
-        # no state
-        dim = oracle._DIM
-        assert advanced == [((dim, dim), 0, 50), ((dim,), 200, 0)] * 2
-        assert oracle._period_map.cache_info().currsize == 0
-        plain = propagate_moments(model)  # one period is enough for the period route
-        assert oracle._period_map.cache_info().misses == 1
-        # the same period map, so per-step output leaves the state as it is
+        # one RK4 step for the plain pulse; per-step output read the entry
+        assert stepped_models == [model.n_steps]
+        info = oracle._pulse_maps.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # the state comes from the cached pulse map either way
         np.testing.assert_array_equal(state.cov, plain.cov)
         np.testing.assert_array_equal(state.mean, plain.mean)
 
@@ -631,23 +618,19 @@ class TestRoutes:
         assert_same_per_step_output(model, DISPLACED_INITIAL.get(name, lambda: None)())
 
     def test_per_step_output_of_a_pulse_shorter_than_a_period(self, monkeypatch):
-        # 200 steps of a 400-step period: no whole period, so the stepped route
+        # 200 steps of a 400-step period take the same one route
         model = build_model(unit_pulse(1.0, 3.0, 0.5))
-        assert (model.n_steps, oracle._period_steps(model)) == (200, 400)
-        advanced = spy_on_advance(monkeypatch)
-        oracle._period_map.cache_clear()
+        assert model.n_steps == 200
+        oracle._pulse_maps.cache_clear()
+        stepped_models = spy_on_rk4_increment(monkeypatch)
         assert_same_per_step_output(model)
-        propagate_moments(model)
-        # both stepped the state through the 200 steps, never the identity
-        # through a period the pulse does not complete
-        assert advanced == [((oracle._DIM,), 0, 200)] * 2
-        assert oracle._period_map.cache_info().misses == 0
+        assert stepped_models == [200]
 
     def test_cache_is_bounded(self):
-        oracle._period_map.cache_clear()
+        oracle._pulse_maps.cache_clear()
         for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
             propagate_moments(build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1)))
-        info = oracle._period_map.cache_info()
+        info = oracle._pulse_maps.cache_info()
         assert info.currsize == info.maxsize == 4
 
 
@@ -670,49 +653,69 @@ SYMMETRY_CASES = {
 
 
 class TestLarmorTurn:
-    """The period map is built from a part of the period: ``r = gcd(q, 4)``
-    units of ``q / r`` steps, each the first turned by a power of the quarter
-    turn ``T`` of the accumulator pairs."""
+    """Every pulse map is built from one RK4 step: the rotation ``R_theta``
+    of the accumulator pairs conjugates the generator at any angle, so step
+    ``k`` is the first step turned by ``R_delta^k``."""
 
-    def test_quarter_turn_is_a_signed_permutation_of_order_four(self):
-        turn = oracle._QUARTER_TURN
-        assert set(np.unique(turn)) == {-1.0, 0.0, 1.0}
-        nonzero = turn != 0.0
-        assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
-        powers = [np.linalg.matrix_power(turn, k) for k in range(1, 5)]
-        assert not any(np.array_equal(p, np.eye(oracle._DIM)) for p in powers[:3])
-        np.testing.assert_array_equal(powers[3], np.eye(oracle._DIM))
+    def test_rotations_compose(self):
+        eye = np.eye(oracle._DIM)
+        for a, b in ((0.3, 1.1), (-2.0, 0.7), (4.0, 5.5)):
+            np.testing.assert_allclose(
+                oracle._rotation(a) @ oracle._rotation(b), oracle._rotation(a + b), rtol=0.0, atol=1e-15
+            )
+        np.testing.assert_allclose(oracle._rotation(2.0 * math.pi), eye, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(oracle._rotation(0.0), eye)
+        # the quarter turn (Y_c, Y_s) -> (Y_s, -Y_c), to roundoff
+        quarter = oracle._rotation(math.pi / 2)
+        mean = np.zeros(oracle._DIM)
+        mean[oracle._MEAN] = np.arange(1.0, 9.0)
+        turned = (quarter @ mean)[oracle._MEAN]
+        pairs = [oracle._YXC, oracle._YXS, oracle._YPC, oracle._YPS]
+        np.testing.assert_allclose(turned[pairs], [7.0, -5.0, 8.0, -6.0], rtol=1e-15)
 
-    @pytest.mark.parametrize("steps, r", [(200, 4), (202, 2), (201, 1)])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(theta=st.floats(-10.0, 10.0), phase=st.floats(0.0, 2.0 * math.pi))
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
-    def test_generator_conjugation_identity(self, name, steps, r):
-        model = SYMMETRY_CASES[name](steps)
-        assert math.gcd(oracle._period_steps(model), 4) == r
+    def test_generator_conjugation_identity(self, name, theta, phase):
+        model = SYMMETRY_CASES[name](200)
         basis = oracle._generator_basis(model)
-        turn = np.linalg.matrix_power(oracle._QUARTER_TURN, 4 // r)
-        np.testing.assert_array_equal(oracle._turn(basis, r), turn)
-        scale = np.abs(basis).max()
-        for phase in (0.0, 0.3, 1.7, 2.9, 5.5):
-            shifted = oracle._generator(basis, phase + 2.0 * math.pi / r)
-            turned = turn.T @ oracle._generator(basis, phase) @ turn
-            np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * scale)
+        shifted = oracle._generator(basis, phase + theta)
+        turned = oracle._rotation(-theta) @ oracle._generator(basis, phase) @ oracle._rotation(theta)
+        np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * np.abs(basis).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 1001])
+    def test_power_of_the_increment_is_the_matrix_power(self, n):
+        step, _ = oracle._pulse_maps(SYMMETRY_CASES["plain"](200))
+        eye = np.eye(oracle._DIM)
+        power = np.linalg.matrix_power(step, n)
+        np.testing.assert_allclose(
+            eye + oracle._power_increment(step - eye, n), power, rtol=0.0, atol=1e-12 * np.abs(power).max()
+        )
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
-    def test_unit_build_matches_the_stepped_period(self, name, steps):
+    def test_turned_steps_match_the_stepped_identity(self, name, steps):
+        # over one period, R_(-k delta) M^k is the product of the first k
+        # steps, each with the generator at its own phase
         model = SYMMETRY_CASES[name](steps)
-        q = oracle._period_steps(model)
-        basis, period, rows = oracle._period_map.__wrapped__(model, True)
-        full, full_rows = oracle._advance(
-            model, basis, np.eye(oracle._DIM), 0, q, oracle._OUTPUT_FORMS
-        )
-        np.testing.assert_allclose(period, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
-        assert rows.shape == (q, *full_rows.shape[1:])
-        np.testing.assert_allclose(rows, full_rows[:q], rtol=0.0, atol=1e-12 * np.abs(full_rows).max())
-        # the rows leave the period map as it is
-        np.testing.assert_array_equal(oracle._period_map.__wrapped__(model, False)[1], period)
+        basis = oracle._generator_basis(model)
+        delta = model.params.Omega * model.dt
+        oracle._check_symmetry(basis, delta)
+        step, _ = oracle._pulse_maps(model)
+        h, eye = model.dt, np.eye(oracle._DIM)
+        stepped_map, turned = eye, eye
+        for k in range(steps):
+            g0, g1, g2 = (oracle._generator(basis, delta * (k + f)) for f in (0.0, 0.5, 1.0))
+            k1 = g0 @ stepped_map
+            k2 = g1 @ (stepped_map + h / 2 * k1)
+            k3 = g1 @ (stepped_map + h / 2 * k2)
+            k4 = g2 @ (stepped_map + h * k3)
+            stepped_map = stepped_map + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
+            turned = step @ turned
+        turned = oracle._rotation(-steps * delta) @ turned
+        np.testing.assert_allclose(turned, stepped_map, rtol=0.0, atol=1e-13 * np.abs(stepped_map).max())
 
-    @pytest.mark.parametrize("steps", [200, 202])
+    @pytest.mark.parametrize("steps", [200, 202, 201])
     def test_drift_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
         drift = oracle.DriftNoiseModel.drift_matrix
 
@@ -723,12 +726,13 @@ class TestLarmorTurn:
 
         monkeypatch.setattr(oracle.DriftNoiseModel, "drift_matrix", phase_dependent)
         model = SYMMETRY_CASES["plain"](steps)
-        oracle._period_map.cache_clear()
+        oracle._pulse_maps.cache_clear()
         with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
             propagate_moments(model)
-        # an odd grid steps the whole period and needs no symmetry
-        propagate_moments(SYMMETRY_CASES["plain"](201))
-        oracle._period_map.cache_clear()
+        # nor does per-step output fall back to stepping
+        with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
+            propagate_moments(model, return_info=True)
+        assert oracle._pulse_maps.cache_info().currsize == 0
 
 
 class TestMismatchRealization:

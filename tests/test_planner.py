@@ -99,6 +99,15 @@ class TestTemporalModeSeparation:
         assert check.status is status
 
 
+    @pytest.mark.parametrize("omega_tau", [49.96, 49.999])
+    def test_just_below_the_bound_never_prints_as_it(self, omega_tau):
+        setup = scaled(micromirror_setup(), atoms_larmor_hz=omega_tau / (TWO_PI * 2.0e-6))
+        _, report = derive_params(setup)
+        (check,) = [c for c in report.checks if c.name == "temporal_mode_separation"]
+        assert check.status is CheckStatus.WARN
+        assert check.detail.startswith("Omega*tau = 49.9 ")
+
+
 class TestScalings:
     def test_kappa_scales_as_sqrt_atom_number(self):
         setup = micromirror_setup()

@@ -31,7 +31,6 @@ from .iomaps import (
     SIN_MODE,
     MatchingError,
     ProtocolParams,
-    PulseOutput,
     condition_on_readout,
     qnd_bigstep,
 )

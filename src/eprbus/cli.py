@@ -442,13 +442,14 @@ def execute(scenario: dict) -> dict:
 def _feedback_config(section: dict) -> FeedbackConfig:
     """The feedback of ``epr_feedback``; ``epr_conditional`` keeps the record."""
     mode = section.get("mode", "optimal")
-    if mode == "optimal":
-        return FeedbackConfig.optimal()
-    if mode == "fixed":
-        if "gain" not in section:
-            raise ScenarioError("key 'feedback.gain' is required for mode 'fixed'")
-        return _configure(FeedbackConfig.with_gain, {"gain": section["gain"]}, "feedback")
-    raise ScenarioError(f"key 'feedback.mode' must be 'optimal' or 'fixed', got {mode!r}")
+    if mode not in ("optimal", "fixed"):
+        raise ScenarioError(f"key 'feedback.mode' must be 'optimal' or 'fixed', got {mode!r}")
+    # a gain is checked whatever the mode; only 'fixed' reads it
+    if "gain" in section:
+        fixed = _configure(FeedbackConfig.with_gain, {"gain": section["gain"]}, "feedback")
+    elif mode == "fixed":
+        raise ScenarioError("key 'feedback.gain' is required for mode 'fixed'")
+    return fixed if mode == "fixed" else FeedbackConfig.optimal()
 
 
 def _teleport_config(section: dict) -> TeleportConfig:

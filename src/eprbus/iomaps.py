@@ -156,20 +156,6 @@ class ProtocolParams:
         )
 
 
-@dataclass(frozen=True)
-class PulseOutput:
-    """Joint state after one pulse: system modes plus the cos/sin readout.
-
-    The pulse map is symplectic; ``joint`` is its output after the light
-    loss of the parameters, so it is the image of a symplectic map only
-    when ``eta_light * eta_det = 1``.
-    """
-
-    joint: GaussianState
-    positive_mass: ModeLabel
-    negative_mass: ModeLabel
-
-
 def _require_matching(params: ProtocolParams) -> None:
     eps = params.matching_residual()
     if math.isnan(eps):
@@ -217,7 +203,7 @@ def qnd_bigstep(
     *,
     positive_mass: ModeLabel | str | None = None,
     negative_mass: ModeLabel | str | None = None,
-) -> PulseOutput:
+) -> GaussianState:
     """One pulse of the cascaded QND measurement as an exact symplectic map.
 
     The positive-mass oscillator contributes ``(+X, +P)`` and the
@@ -226,9 +212,12 @@ def qnd_bigstep(
     roles are assigned to the state's mechanical and atomic mode; for a Bell
     measurement between two ensembles pass them explicitly.
 
-    Fresh vacuum modes named ``cos`` and ``sin`` are appended.  The map is
-    symplectic; after it, propagation and detection loss ``eta_light *
-    eta_det`` admix vacuum into the cos and then the sin mode.
+    Returns the joint state over the input's modes followed by fresh modes
+    named ``cos`` and ``sin``, the layout the oracle's pulse returns.  The
+    map is symplectic; after it, propagation and detection loss
+    ``eta_light * eta_det`` admix vacuum into the cos and then the sin mode,
+    so the joint state is the image of a symplectic map only when
+    ``eta_light * eta_det = 1``.
 
     The pulse works on the moments and wraps one state.  Its one check of
     the uncertainty relation is on the map's output (failure raises
@@ -273,8 +262,7 @@ def qnd_bigstep(
     if eta < 1.0:
         for i in (n, n + 1):
             _admix_loss(mean, cov, i, eta)
-    joint = GaussianState._wrap(state.modes + (COS_MODE, SIN_MODE), mean, cov)
-    return PulseOutput(joint=joint, positive_mass=pos, negative_mass=neg)
+    return GaussianState._wrap(state.modes + (COS_MODE, SIN_MODE), mean, cov)
 
 
 def condition_on_readout(

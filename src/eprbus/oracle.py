@@ -50,9 +50,9 @@ every build, which raises if it fails.  In the frame that rotates with the grid 
 ``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
 conservation drift) is read off ``z_k`` in blocks of ``b`` steps: the rows
 ``F M^j``, ``j < b``, of the output forms ``F`` applied to the block starts
-``(M^b)^p x_0`` give every step's values in one product, and the variances
-of ``Y_pc`` and ``Y_ps`` follow from the rotating ``Y_p`` block with each
-step's cos and sin.
+``(M^b)^p x_0`` give every step's values in one product.  Each step's
+cos and sin then turn both 2 x 2 blocks of the output once: the ``Y_p``
+block back to the lab frame, the EPR block onto the conserved pair.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -337,31 +337,36 @@ def propagate_moments(
     state = GaussianState._wrap((mech, atom, COS_MODE, SIN_MODE), mean, _settled(mean, cov))
     if not return_info:
         return state
-    return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(model, values)}
+    return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(values)}
 
 
 def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The output values of steps ``0 .. n_steps`` from ``x``, shape ``(n + 1, 5)``.
+    """The output values of steps ``0 .. n_steps`` from ``x``, shape ``(n + 1, 6)``.
 
-    The columns are ``Var(X_m + X_a)``, its covariance with ``P_m - P_a``,
-    ``Var(P_m - P_a)``, ``Var(Y_pc)`` and ``Var(Y_ps)``.  Step ``p b + j``
-    of the rotating frame is ``F M^j`` applied to the block start
-    ``(M^b)^p x``; ``b`` is the power of two at or above ``sqrt(n + 1)``, so
-    both stacks take about ``sqrt(n)`` rows and ``log n`` squarings.
+    Step ``p b + j`` of the rotating frame is ``F M^j`` applied to the
+    block start ``(M^b)^p x``; ``b`` is the power of two at or above
+    ``sqrt(n + 1)``, so both stacks take about ``sqrt(n)`` rows and
+    ``log n`` squarings.  Each step's phase then turns both 2 x 2 blocks in
+    place, leaving the columns ``Var(X_m + X_a)``, the conserved ``X``
+    variance (see :func:`_max_drift`), ``Var(P_m - P_a)``, the lab
+    ``Var(Y_pc)`` and ``Var(Y_ps)``, and the conserved ``P`` variance.
     """
     count = model.n_steps + 1
     rows, jump = _orbit(_FRAME_FORMS, step, math.isqrt(count))
     starts, _ = _orbit(x, jump.T, -(-count // len(rows)))
     # row p of the product holds steps p b .. p b + b - 1, in order
     values = (starts @ rows.reshape(-1, _DIM).T).reshape(-1, len(_FRAME_FORMS))[:count]
-    # turn the Y_p block back by the phase of each step: x_k = R_(-k delta) z_k
     phases = model.params.Omega * (np.arange(count) * model.dt)
     cos, sin = np.cos(phases), np.sin(phases)
-    cc, cs, ss = values[:, 3:].T
-    cross = 2.0 * cos * sin * cs
-    ypc, yps = cos * cos * cc - cross + sin * sin * ss, sin * sin * cc + cross + cos * cos * ss
-    values[:, 3], values[:, 4] = ypc, yps
-    return values[:, :5]
+    cc, cs, ss = cos * cos, 2.0 * cos * sin, sin * sin
+    # the diagonal of R V R^T, R = [[cos, -sin], [sin, cos]], of each block
+    # V = [[a, b], [b, d]]: the Y_p block back to the lab frame, x_k =
+    # R_(-k delta) z_k, and the EPR block onto the pair that co-rotates
+    for block, (i, j) in ((slice(3, 6), (3, 4)), (slice(0, 3), (1, 5))):
+        a, b, d = values[:, block].T
+        cross = cs * b
+        values[:, i], values[:, j] = cc * a - cross + ss * d, ss * a + cross + cc * d
+    return values
 
 
 def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,21 +394,17 @@ def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
         )
 
 
-def _max_drift(model: DriftNoiseModel, values: np.ndarray) -> dict[str, float]:
+def _max_drift(values: np.ndarray) -> dict[str, float]:
     """Maximum relative drift of the conserved QND variances over the steps.
 
     The conserved observables are the EPR pair co-rotating at the Larmor
     frequency: ``R pair`` with the rotation ``R = [[cos, -sin], [sin, cos]]``
-    of the phase.  Their variances are the diagonal of ``R M R^T``, with
-    ``M`` the covariance of the pair (the first three output values).
+    of the phase, whose variances :func:`_per_step_values` leaves in
+    columns 1 and 5.
     """
-    xx, xp, pp = values[:, :3].T
-    phases = model.params.Omega * (np.arange(len(values)) * model.dt)
-    cos, sin = np.cos(phases), np.sin(phases)
-    cross = 2.0 * cos * sin * xp
-    conserved = (cos * cos * xx - cross + sin * sin * pp, sin * sin * xx + cross + cos * cos * pp)
     drift = {}
-    for name, value in zip(("max_rel_drift_xsum", "max_rel_drift_pdiff"), conserved):
+    for name, column in (("max_rel_drift_xsum", 1), ("max_rel_drift_pdiff", 5)):
+        value = values[:, column]
         ref = value[0]
         drift[name] = float(np.max(np.abs(value - ref)) / ref) if ref > 0.0 else 0.0
     return drift

@@ -41,7 +41,6 @@ from .iomaps import (
     COS_MODE,
     SIN_MODE,
     ProtocolParams,
-    PulseOutput,
     _resolve_roles,
     condition_on_readout,
     qnd_bigstep,
@@ -109,27 +108,26 @@ def optimal_gain(kappa: float, n_i: float) -> float:
     return kappa * v / (kappa**2 * v + 0.5)
 
 
-def _moment_gains(pulse: PulseOutput) -> tuple[float, float]:
-    """Per-channel optimal gains ``Cov(signal, readout) / Var(readout)``.
+def _moment_gains(joint: GaussianState) -> tuple[float, float]:
+    """Per-channel optimal gains ``Cov(signal, readout) / Var(readout)`` on
+    a generation pulse's joint state.
 
     Coincides with :func:`optimal_gain` for the lossless product input and
     stays optimal under detection loss.
     """
-    joint = pulse.joint
+    mech, atom = _resolve_roles(joint, None, None)
     forms = np.zeros((4, joint.dim))
-    forms[[0, 2]] = epr_forms(
-        joint.dim, joint.mode_index(pulse.positive_mass), joint.mode_index(pulse.negative_mass)
-    )
+    forms[[0, 2]] = epr_forms(joint.dim, joint.mode_index(mech), joint.mode_index(atom))
     forms[1, joint.p_index(COS_MODE)] = 1.0
     forms[3, joint.p_index(SIN_MODE)] = 1.0
     _, cov = linear_form_moments(joint, forms)
     return cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
 
 
-def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> GaussianState:
-    """Unconditional (ensemble-averaged) system state after feedback on a
-    pulse already taken, with gain ``gain_cos`` on the cos channel and
-    ``gain_sin`` on the sin channel.
+def _feedback_ensemble(joint: GaussianState, gain_cos: float, gain_sin: float) -> GaussianState:
+    """Unconditional (ensemble-averaged) system state after feedback on the
+    joint state of a generation pulse already taken, with gain ``gain_cos``
+    on the cos channel and ``gain_sin`` on the sin channel.
 
     Computed deterministically from the input-output relations: displacing by
     the measured record and discarding the light makes each system quadrature
@@ -140,7 +138,7 @@ def _feedback_ensemble(pulse: PulseOutput, gain_cos: float, gain_sin: float) -> 
     readout carries ``+kappa (P_m - P_a)`` so only the positive kick shrinks
     the difference.
     """
-    joint, mech, atom = pulse.joint, pulse.positive_mass, pulse.negative_mass
+    mech, atom = _resolve_roles(joint, None, None)
     forms = np.eye(joint.dim)[
         [joint.x_index(mech), joint.p_index(mech), joint.x_index(atom), joint.p_index(atom)]
     ]
@@ -171,8 +169,8 @@ def run_epr_generation(
     covariance of the EPR observables, which at the optimal gain coincides
     with the conditional one.
     """
-    pulse = qnd_bigstep(initial, params)
-    mech, atom = pulse.positive_mass, pulse.negative_mass
+    mech, atom = _resolve_roles(initial, None, None)
+    joint = qnd_bigstep(initial, params)
     if outcomes is None and rng is None:
         if fb.mode is not FeedbackMode.CONDITIONAL:
             raise ValueError(
@@ -180,7 +178,7 @@ def run_epr_generation(
                 "or inject them via outcomes=(xi_cos, xi_sin)"
             )
         outcomes = (0.0, 0.0)
-    conditioned, (rec_cos, rec_sin) = condition_on_readout(pulse.joint, outcomes, rng=rng)
+    conditioned, (rec_cos, rec_sin) = condition_on_readout(joint, outcomes, rng=rng)
 
     if fb.mode is FeedbackMode.CONDITIONAL:
         state = conditioned
@@ -188,12 +186,12 @@ def run_epr_generation(
         return state, report, (rec_cos, rec_sin)
 
     if fb.mode is FeedbackMode.FEEDBACK_OPTIMAL:
-        gain_cos, gain_sin = _moment_gains(pulse)
+        gain_cos, gain_sin = _moment_gains(joint)
     else:
         gain_cos = gain_sin = fb.gain
     # single-run state: conditional covariance, record-displaced mean
     state = displace(conditioned, atom, -gain_cos * rec_cos.outcome, +gain_sin * rec_sin.outcome)
-    ensemble = _feedback_ensemble(pulse, gain_cos, gain_sin)
+    ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
     report = epr_variance(ensemble, mech, atom, provenance=Provenance.IDEALIZED_MAP)
     return state, report, (rec_cos, rec_sin)
 
@@ -223,7 +221,7 @@ def verify_epr(
         raise ValueError(
             "verification needs eta_light * eta_det * kappa > 0, otherwise light carries no signal"
         )
-    joint = qnd_bigstep(state, params).joint
+    joint = qnd_bigstep(state, params)
     pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
     signal = eta * params.kappa**2
 
@@ -339,13 +337,12 @@ def teleport(epr_state: GaussianState, cfg: TeleportConfig):
         mean_out, cov_out = linear_form_moments(joint, forms)
         final = GaussianState((mech,), mean_out, cov_out)
     else:
-        pulse = qnd_bigstep(
+        bj = qnd_bigstep(
             joint,
             ProtocolParams.dimensionless(cfg.kappa_qnd),
             positive_mass=INPUT_ENSEMBLE,
             negative_mass=atom,
         )
-        bj = pulse.joint
         forms = np.eye(bj.dim)[[bj.x_index(mech), bj.p_index(mech)]]
         forms[0, bj.p_index(COS_MODE)] = cfg.bell_gain
         forms[1, bj.p_index(SIN_MODE)] = cfg.bell_gain

@@ -193,6 +193,27 @@ class TestValidation:
         assert main(["run", "--scenario", path]) == EXIT_VALIDATION
         assert "invalid 'feedback' section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "protocol, feedback",
+        [("epr_feedback", {"mode": "optimal", "gain": "abc"}), ("epr_conditional", {"gain": -3.0})],
+    )
+    def test_gain_checked_whatever_the_mode(self, tmp_path, capsys, protocol, feedback):
+        # only mode 'fixed' reads the gain, but every mode checks it
+        payload = {"protocol": protocol, "model": {"kappa": 1.0}, "feedback": feedback}
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert "key 'feedback.gain'" in capsys.readouterr().err
+
+    def test_valid_gain_under_optimal_is_ignored(self, tmp_path):
+        results = []
+        for feedback in ({"mode": "optimal", "gain": 0.5}, {"mode": "optimal"}):
+            payload = {"protocol": "epr_feedback", "model": {"kappa": 1.0}, "feedback": feedback}
+            out = tmp_path / "out.json"
+            argv = ["run", "--scenario", write_scenario(tmp_path, "s.yaml", payload)]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            results.append(read_json(out)["results"])
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_asymptotic_must_be_a_boolean(self, tmp_path, capsys, value):
         # any non-empty string used to run the asymptotic Bell limit

@@ -387,7 +387,7 @@ class TestUncertaintyCheck:
         from eprbus.iomaps import ProtocolParams, qnd_bigstep
 
         initial = make_state([(M, 1e6, (0.0, 0.0)), (A, 0.2, (0.1, 0.4))])
-        joint = qnd_bigstep(initial, ProtocolParams.dimensionless(2.5)).joint
+        joint = qnd_bigstep(initial, ProtocolParams.dimensionless(2.5))
         state, _ = condition_on_homodyne(joint, M, 0.4, 0.37)
         assert np.array_equal(state.cov, state.cov.T)
 
@@ -437,7 +437,7 @@ class TestLossChannel:
         initial = vacuum(M, A)
 
         def delta_for(eta: float) -> float:
-            joint = qnd_bigstep(initial, params).joint
+            joint = qnd_bigstep(initial, params)
             if eta < 1.0:
                 joint = loss_channel(joint, COS_MODE, eta)
                 joint = loss_channel(joint, SIN_MODE, eta)

@@ -143,7 +143,7 @@ class TestCavityIOMap:
         # the system out, and the system means pass through untouched
         params = ProtocolParams(kappa=0.0, g=0.0, gamma_c=2.0, Omega=2 * math.pi * 64)
         state = make_state([(M, 3.0, (1.5, -0.5)), (A, 0.0, (0.7, 0.2))])
-        joint = qnd_bigstep(state, params).joint
+        joint = qnd_bigstep(state, params)
         assert joint.mean[joint.p_index(COS_MODE)] == 0.0
         assert joint.mean[joint.p_index(SIN_MODE)] == 0.0
         assert joint.mean[[joint.x_index(M), joint.p_index(M)]] == pytest.approx([1.5, -0.5])
@@ -153,7 +153,7 @@ class TestCavityIOMap:
         # kappa_optical <X_m>
         params = ProtocolParams.dimensionless(0.5)
         state = make_state([(M, 100.0, (2.0, 0.0)), (A, 0.0, (0.0, 0.0))])
-        joint = qnd_bigstep(state, params).joint
+        joint = qnd_bigstep(state, params)
         assert params.kappa_optical == pytest.approx(0.5, rel=1e-12)
         assert joint.mean[joint.p_index(COS_MODE)] == pytest.approx(0.5 * 2.0)
         assert joint.mean[joint.p_index(SIN_MODE)] == pytest.approx(0.0)
@@ -169,7 +169,7 @@ class TestCascadeIOMap:
 
     def readout(self, kappa: float, mech: tuple, atom: tuple) -> tuple[float, float]:
         state = make_state([(M, 0.0, mech), (A, 0.0, atom)])
-        joint = qnd_bigstep(state, ProtocolParams.dimensionless(kappa)).joint
+        joint = qnd_bigstep(state, ProtocolParams.dimensionless(kappa))
         return joint.mean[joint.p_index(COS_MODE)], joint.mean[joint.p_index(SIN_MODE)]
 
     def test_epr_symmetric_cancellation(self):
@@ -191,16 +191,14 @@ class TestCascadeIOMap:
 
 class TestQndBigstep:
     def test_kappa_zero_leaves_everything_alone(self):
-        pulse = qnd_bigstep(system_vacuum(3.0), ProtocolParams.dimensionless(0.0))
-        joint = pulse.joint
+        joint = qnd_bigstep(system_vacuum(3.0), ProtocolParams.dimensionless(0.0))
         assert np.allclose(
             joint.cov,
             np.diag([3.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
         )
 
     def test_readout_variance(self):
-        pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
-        joint = pulse.joint
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
         pc = joint.p_index(COS_MODE)
         assert joint.cov[pc, pc] == pytest.approx(1.5)
 
@@ -209,7 +207,7 @@ class TestQndBigstep:
             state = system_vacuum(n_i)
             before = epr_variance(state, M, A)
             pulse = qnd_bigstep(state, ProtocolParams.dimensionless(1.7, n_i))
-            after = epr_variance(pulse.joint, M, A)
+            after = epr_variance(pulse, M, A)
             assert after.var_xsum == pytest.approx(before.var_xsum, abs=1e-12)
             assert after.var_pdiff == pytest.approx(before.var_pdiff, abs=1e-12)
 
@@ -217,8 +215,7 @@ class TestQndBigstep:
         for _ in range(5):
             n_i = float(rng.exponential(20.0))
             kappa = float(rng.uniform(0.2, 3.0))
-            pulse = qnd_bigstep(system_vacuum(n_i), ProtocolParams.dimensionless(kappa, n_i))
-            joint = pulse.joint
+            joint = qnd_bigstep(system_vacuum(n_i), ProtocolParams.dimensionless(kappa, n_i))
             pc = joint.p_index(COS_MODE)
             xm, xa = joint.x_index(M), joint.x_index(A)
             cov_meter_signal = (
@@ -232,8 +229,7 @@ class TestQndBigstep:
     def test_cos_sin_symmetry(self):
         # swapping the roles of the two channels with (X+X) <-> (P-P) leaves
         # the statistics invariant: compare the quadrature blocks
-        pulse = qnd_bigstep(system_vacuum(4.0), ProtocolParams.dimensionless(0.8, 4.0))
-        joint = pulse.joint
+        joint = qnd_bigstep(system_vacuum(4.0), ProtocolParams.dimensionless(0.8, 4.0))
         pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
         xm, pm = joint.x_index(M), joint.p_index(M)
         xa, pa = joint.x_index(A), joint.p_index(A)
@@ -243,8 +239,7 @@ class TestQndBigstep:
 
     def test_back_action_on_orthogonal_combinations(self):
         kappa = 1.3
-        pulse = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(kappa))
-        joint = pulse.joint
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(kappa))
         xm, xa = joint.x_index(M), joint.x_index(A)
         pm, pa = joint.p_index(M), joint.p_index(A)
         var_xdiff = joint.cov[xm, xm] + joint.cov[xa, xa] - 2 * joint.cov[xm, xa]
@@ -273,7 +268,7 @@ class TestQndBigstep:
         state = GaussianState((M, A), np.array(displacement), 0.5 * s @ s.T)
         pulse = qnd_bigstep(state, ProtocolParams.dimensionless(kappa))
         # a symplectic map keeps a pure state pure: det(2 cov) = 1
-        assert np.linalg.det(2.0 * pulse.joint.cov) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.det(2.0 * pulse.cov) == pytest.approx(1.0, abs=1e-9)
 
     def test_composition_information_additivity(self):
         kappa1, kappa2 = 0.8, 1.1
@@ -283,8 +278,7 @@ class TestQndBigstep:
         def conditional_delta(kappas) -> float:
             state = system_vacuum(n_i)
             for k in kappas:
-                pulse = qnd_bigstep(state, ProtocolParams.dimensionless(k, n_i))
-                state = pulse.joint
+                state = qnd_bigstep(state, ProtocolParams.dimensionless(k, n_i))
                 state, _ = condition_on_homodyne(state, COS_MODE, HALF_PI, 0.0)
                 state, _ = condition_on_homodyne(state, SIN_MODE, HALF_PI, 0.0)
             return epr_variance(state, M, A).delta_epr
@@ -296,13 +290,12 @@ class TestQndBigstep:
     def test_explicit_roles_for_two_ensembles(self):
         a2 = atomic_mode("a2")
         state = make_state([(atomic_mode("a"), 0.0, (0.0, 0.0)), (a2, 0.0, (1.0, 2.0))])
-        pulse = qnd_bigstep(
+        joint = qnd_bigstep(
             state,
             ProtocolParams.dimensionless(1.0),
             positive_mass=a2,
             negative_mass="a",
         )
-        joint = pulse.joint
         assert joint.mean[joint.p_index(COS_MODE)] == pytest.approx(1.0)  # kappa <X_a2 + X_a>
         assert joint.mean[joint.p_index(SIN_MODE)] == pytest.approx(2.0)  # kappa <P_a2 - P_a>
 
@@ -334,10 +327,10 @@ def test_light_loss_on_both_temporal_modes(eta_light, eta_det, given_input, kapp
     # the pulse on moments equals the pulse written out with states, bit for bit
     state, roles = given_input
     params = ProtocolParams.dimensionless(kappa, eta_light=eta_light, eta_det=eta_det)
-    lossy = qnd_bigstep(state, params, **roles).joint
+    lossy = qnd_bigstep(state, params, **roles)
     assert_same_state(lossy, reference_pulse(state, params, roles))
     # the loss touches the readout modes only
-    lossless = qnd_bigstep(state, ProtocolParams.dimensionless(kappa), **roles).joint
+    lossless = qnd_bigstep(state, ProtocolParams.dimensionless(kappa), **roles)
     system = [q for mode in state.modes for q in (lossy.x_index(mode), lossy.p_index(mode))]
     block = np.ix_(system, system)
     assert np.array_equal(lossy.cov[block], lossless.cov[block])
@@ -346,7 +339,7 @@ def test_light_loss_on_both_temporal_modes(eta_light, eta_det, given_input, kapp
 def test_unit_efficiency_gives_the_lossless_joint_unchanged():
     # from vacuum, the lossless pulse is a symplectic image: pure, (2 cov Omega)^2 = -1
     params = ProtocolParams.dimensionless(1.0, eta_light=1.0, eta_det=1.0)
-    joint = qnd_bigstep(system_vacuum(), params).joint
+    joint = qnd_bigstep(system_vacuum(), params)
     cov_omega = 2.0 * joint.cov @ symplectic_form(joint.n_modes)
     assert np.allclose(cov_omega @ cov_omega, -np.eye(joint.dim), atol=1e-12)
     p = joint.p_index(COS_MODE)
@@ -364,7 +357,7 @@ class TestConditionOnReadout:
     def test_p_of_cos_then_p_of_sin(self, given_input, kappa, eta, outcomes):
         state, roles = given_input
         params = ProtocolParams.dimensionless(kappa, eta_det=eta)
-        joint = qnd_bigstep(state, params, **roles).joint
+        joint = qnd_bigstep(state, params, **roles)
         conditioned, records = condition_on_readout(joint, outcomes)
         expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, outcomes[0])
         expected, rec_sin = condition_on_homodyne(expected, SIN_MODE, HALF_PI, outcomes[1])
@@ -373,7 +366,7 @@ class TestConditionOnReadout:
         assert records == (rec_cos, rec_sin)
 
     def test_default_outcomes_are_zero(self):
-        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
         state, records = condition_on_readout(joint)
         assert [r.outcome for r in records] == [0.0, 0.0]
         assert np.array_equal(state.cov, condition_on_readout(joint, (0.0, 0.0))[0].cov)
@@ -388,7 +381,7 @@ class TestConditionOnReadout:
     def test_sampled_in_readout_order(self, given_input, kappa, eta, seed):
         state, roles = given_input
         params = ProtocolParams.dimensionless(kappa, eta_light=eta)
-        joint = qnd_bigstep(state, params, **roles).joint
+        joint = qnd_bigstep(state, params, **roles)
         conditioned, records = condition_on_readout(joint, None, rng=np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         expected, rec_cos = condition_on_homodyne(joint, COS_MODE, HALF_PI, "sample", rng=rng)
@@ -397,6 +390,6 @@ class TestConditionOnReadout:
         assert records == (rec_cos, rec_sin)
 
     def test_sampling_needs_an_rng(self):
-        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0)).joint
+        joint = qnd_bigstep(system_vacuum(), ProtocolParams.dimensionless(1.0))
         with pytest.raises(ValueError, match="rng"):
             condition_on_readout(joint, None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eprbus import oracle
 from eprbus.gaussian import GaussianState, atomic_mode, make_state, mechanical_mode
-from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams
+from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, condition_on_readout, qnd_bigstep
 from eprbus.oracle import (
     build_model,
     oracle_epr_after_measurement,
@@ -326,6 +326,23 @@ class TestOracleEPR:
         state_counts.update(wrapped=0)
         oracle_epr_after_measurement(model, initial=initial)
         assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 0}
+
+    def test_both_pulse_routes_return_one_joint_state(self):
+        # the collapsed map and the oracle return the input's modes followed
+        # by the readout's, and one conditioning takes either
+        params = ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8)
+        initial = make_state(
+            [(mechanical_mode("m"), 2.0, (0.1, 0.2)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+        )
+        model = build_model(params)
+        joints = qnd_bigstep(initial, params), propagate_moments(model, initial=initial)
+        for joint in joints:
+            assert type(joint) is GaussianState
+            assert joint.modes == initial.modes + (COS_MODE, SIN_MODE)
+        idealized, oracle_state = (condition_on_readout(joint)[0] for joint in joints)
+        assert idealized.modes == oracle_state.modes == initial.modes
+        np.testing.assert_allclose(oracle_state.cov, idealized.cov, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(oracle_state.mean, idealized.mean, rtol=0.0, atol=1e-6)
 
 
 def test_cached_sweep_operation(state_counts):

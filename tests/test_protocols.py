@@ -193,15 +193,14 @@ class TestRunEprGeneration:
                 float(rng.uniform(0.1, 3.0)), n_i, eta_det=float(rng.uniform(0.3, 1.0))
             )
             gain_cos, gain_sin = rng.uniform(0.0, 2.0, size=2)
-            pulse = qnd_bigstep(system_state(n_i), params)
-            joint = pulse.joint
+            joint = qnd_bigstep(system_state(n_i), params)
             s = np.eye(joint.dim)
             s[joint.x_index(A), joint.p_index(COS_MODE)] = -gain_cos
             s[joint.p_index(A), joint.p_index(SIN_MODE)] = +gain_sin
             keep = [joint.x_index(M), joint.p_index(M), joint.x_index(A), joint.p_index(A)]
             mean = (s @ joint.mean)[keep]
             cov = (s @ joint.cov @ s.T)[np.ix_(keep, keep)]
-            ensemble = _feedback_ensemble(pulse, gain_cos, gain_sin)
+            ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
             assert ensemble.modes == (M, A)
             np.testing.assert_allclose(ensemble.mean, mean, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(ensemble.cov, cov, rtol=1e-12, atol=1e-12)

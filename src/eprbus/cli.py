@@ -498,7 +498,8 @@ def _compare_results(run: _Run, idealized: EPRReport, predicted: float) -> dict:
             penalty = 2.0 * damping_penalty(params.gamma_m * params.tau, params.n_th)
             out["damping_penalty_total"] = penalty
             closed_form += penalty
-        out["excess_over_closed_form"] = excess / closed_form if closed_form else math.nan
+        if closed_form:  # the ratio is undefined without a budget
+            out["excess_over_closed_form"] = excess / closed_form
     return out
 
 
@@ -551,7 +552,8 @@ def render_csv(payload: dict) -> str:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The report as JSON; a NaN or infinity raises ``ValueError``."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def assemble_report(scenario: dict, results: dict) -> dict:
@@ -672,6 +674,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: cannot write report: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as err:  # a non-finite figure, which JSON cannot hold
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if path:
         print(f"report written to {path}")
     else:

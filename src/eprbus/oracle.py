@@ -44,8 +44,11 @@ with the floating-point operations in another order.  ``M^n`` comes from
 binary powering on the increment ``M - I``, which keeps the state within
 about 1e-14 of an extended-precision run of the steps, relative to its
 largest entry, and ``C_n`` is cached per drift model, so a cached pulse is
-one matrix-vector product.  The identity is checked on the generator at
-every build, which raises if it fails.  In the frame that rotates with the grid the state
+one matrix-vector product.  Every build checks the identity in the form
+``G(phi) R_delta = R_delta G(phi + delta)`` at five phases, and raises if it
+fails.  One kernel stacks the generators at given phases, for the check and
+for the three RK4 stages, and the ``B_j`` lift the drift onto ``vech`` by a
+gather.  In the frame that rotates with the grid the state
 ``z_k = M^k x_0`` evolves on its own, and the state at step ``k`` is
 ``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
 conservation drift) is read off ``z_k`` in blocks of ``b`` steps: the rows
@@ -100,6 +103,25 @@ _VECH = 8 * _TRIU[0] + _TRIU[1]
 _DUP = np.zeros((64, _N_SIGMA))
 _DUP[_VECH, range(_N_SIGMA)] = _DUP[8 * _TRIU[1] + _TRIU[0], range(_N_SIGMA)] = 1.0
 
+
+def _lift_table() -> np.ndarray:
+    """Where ``vech(A Sigma + Sigma A^T)`` reads ``A``, shape ``(2, 36, 36)``.
+
+    Entry ``(ij, kl)`` of the lift ``E (A (x) I + I (x) A) Dup`` is
+    ``A_ik [j = l] + A_jl [i = k]``, plus ``A_il [j = k] + A_jk [i = l]``
+    when ``k < l``.  Of ``[j = l]`` and ``[j = k]`` at most one holds there,
+    and likewise of ``[i = k]`` and ``[i = l]``, so the entry is the sum of
+    two flat entries of ``A``, with 64 (an appended zero) for a missing one.
+    """
+    i, j = (index[:, None] for index in _TRIU)
+    k, l = _TRIU
+    first = np.where(j == l, 8 * i + k, np.where(j == k, 8 * i + l, 64))
+    second = np.where(i == k, 8 * j + l, np.where(i == l, 8 * j + k, 64))
+    return np.stack((first, second))
+
+
+_LIFT = _lift_table()
+
 #: Relative distance of the step count ``steps_per_period Omega tau / (2 pi)``
 #: from a whole number below which it is taken as whole (roundoff only).
 _COMMENSURATE_RTOL = 1e-12
@@ -128,21 +150,17 @@ def _frame_forms() -> np.ndarray:
 _FRAME_FORMS = _frame_forms()
 
 
-def _rotation(theta: float) -> np.ndarray:
-    """``R_theta``: the rotation ``(Y_c, Y_s) -> (cos Y_c + sin Y_s,
-    cos Y_s - sin Y_c)`` of both accumulator pairs, acting on ``x``.
+def _rotation_increment(theta: float) -> np.ndarray:
+    """``R_theta - I``, with ``R_theta`` the rotation ``(Y_c, Y_s) -> (cos Y_c
+    + sin Y_s, cos Y_s - sin Y_c)`` of both accumulator pairs, acting on ``x``.
 
     ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
     ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
     turns the generator to ``G(phi + theta) = R_theta^-1 G(phi) R_theta``.
-    """
-    return np.eye(_DIM) + _rotation_increment(theta)
-
-
-def _rotation_increment(theta: float) -> np.ndarray:
-    """``R_theta - I``, formed without ``R_theta``: with ``s = I + e`` the
+    The increment is formed without ``R_theta``: with ``s = I + e`` the
     rotation of the means, ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``,
-    and ``cos - 1 = -2 sin^2(theta / 2)`` keeps its digits."""
+    and ``cos - 1 = -2 sin^2(theta / 2)`` keeps its digits.
+    """
     cos1, sin = -2.0 * math.sin(theta / 2.0) ** 2, math.sin(theta)
     e = np.zeros((8, 8))
     for yc, ys in ((_YXC, _YXS), (_YPC, _YPS)):
@@ -158,7 +176,18 @@ def _vech_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[_TRIU[0], :, None] * b[_TRIU[1], None, :]).reshape(_N_SIGMA, 64)
 
 
-#: Largest entry of ``R^-1 G(phi) R - G(phi + delta)``, relative to the
+def _vech_lift(a: np.ndarray) -> np.ndarray:
+    """``E (a (x) I + I (x) a) Dup`` of each ``a`` in a stack ``(m, 8, 8)``.
+
+    Gathered through :data:`_LIFT`, so each entry takes the one addition of
+    drift entries that the 0/1 product takes.
+    """
+    flat = np.zeros((len(a), 65))
+    flat[:, :64] = a.reshape(-1, 64)
+    return flat.take(_LIFT[0], axis=1) + flat.take(_LIFT[1], axis=1)
+
+
+#: Largest entry of ``G(phi) R - R G(phi + delta)``, relative to the
 #: largest entry of the basis, that still counts as roundoff.
 _SYMMETRY_RTOL = 1e-12
 
@@ -417,10 +446,10 @@ def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
     ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
     ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of the Larmor phase.  The
     flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma`` symmetric, so
-    on ``vech`` it is ``E (A (x) I + I (x) A) Dup``.  The drift and the noise
-    columns are affine in (cos, sin); their three parts are solved from
-    ``drift_matrix`` and ``noise_columns`` at three phases, so the physics
-    stays written there.
+    on ``vech`` it is ``E (A (x) I + I (x) A) Dup``, gathered by
+    :func:`_vech_lift`.  The drift and the noise columns are affine in
+    (cos, sin); their three parts are solved from ``drift_matrix`` and
+    ``noise_columns`` at three phases, so the physics stays written there.
     """
     omega = model.params.Omega
     times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
@@ -437,19 +466,17 @@ def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
         nc @ ns.T + ns @ nc.T,
     )
     basis = np.zeros((6, _DIM, _DIM))
-    eye = np.eye(8)
-    for j, a in enumerate(drift):
-        basis[j, :_N_SIGMA, :_N_SIGMA] = (_vech_kron(a, eye) + _vech_kron(eye, a)) @ _DUP
-        basis[j, _MEAN, _MEAN] = a
+    basis[:3, :_N_SIGMA, :_N_SIGMA] = _vech_lift(drift)
+    basis[:3, _MEAN, _MEAN] = drift
     basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, 64))[:, _VECH]
     return basis
 
 
-def _generator(basis: np.ndarray, phase: float) -> np.ndarray:
-    """``G`` at Larmor phase ``phase``, a dense 45 x 45 matrix."""
-    cos, sin = math.cos(phase), math.sin(phase)
-    f = np.array((1.0, cos, sin, cos * cos, sin * sin, cos * sin))
-    return (f @ basis.reshape(6, -1)).reshape(_DIM, _DIM)
+def _generators(basis: np.ndarray, phases) -> np.ndarray:
+    """``G`` at each Larmor phase of ``phases``, stacked dense 45 x 45 matrices."""
+    trig = ((math.cos(phase), math.sin(phase)) for phase in phases)
+    f = np.array([(1.0, cos, sin, cos * cos, sin * sin, cos * sin) for cos, sin in trig])
+    return (f @ basis.reshape(6, -1)).reshape(-1, _DIM, _DIM)
 
 
 def _rk4_increment(model: DriftNoiseModel, basis: np.ndarray) -> np.ndarray:
@@ -462,7 +489,7 @@ def _rk4_increment(model: DriftNoiseModel, basis: np.ndarray) -> np.ndarray:
     """
     h = model.dt
     delta = model.params.Omega * h
-    g_start, g_mid, g_end = (_generator(basis, phase) for phase in (0.0, delta / 2, delta))
+    g_start, g_mid, g_end = _generators(basis, (0.0, delta / 2, delta))
     k1 = g_start
     k2 = g_mid + h / 2 * (g_mid @ k1)
     k3 = g_mid + h / 2 * (g_mid @ k2)
@@ -487,20 +514,20 @@ def _power_increment(e: np.ndarray, n: int) -> np.ndarray:
         e = 2.0 * e + e @ e
 
 
-def _check_symmetry(basis: np.ndarray, delta: float) -> None:
-    """Check ``G(phi + delta) = R^-1 G(phi) R`` with ``R = R_delta``.
+def _check_symmetry(basis: np.ndarray, delta: float, turn: np.ndarray) -> None:
+    """Check ``G(phi) R = R G(phi + delta)`` with ``R = R_delta = I + turn``.
 
-    The identity is checked at five equally spaced phases: both sides are
-    trigonometric polynomials of degree 2 in ``phi``, so they agree at every
-    phase exactly when they agree at five distinct ones.  Raises
-    ``RuntimeError`` when it does not hold to roundoff: a drift or noise term
-    that breaks the symmetry must stop the build, not give a wrong pulse map.
+    The identity is checked at five equally spaced phases, with the ten
+    generators from one product: both sides are trigonometric polynomials
+    of degree 2 in ``phi``, so they agree at every phase exactly when they
+    agree at five distinct ones.  Raises ``RuntimeError`` when it does not
+    hold to roundoff: a drift or noise term that breaks the symmetry must
+    stop the build, not give a wrong pulse map.
     """
-    turn, back = _rotation(delta), _rotation(-delta)
-    error = max(
-        np.max(np.abs(back @ _generator(basis, phi) @ turn - _generator(basis, phi + delta)))
-        for phi in 2.0 * math.pi * np.arange(5) / 5
-    )
+    phases = 2.0 * math.pi * np.arange(5) / 5
+    generators = _generators(basis, np.concatenate((phases, phases + delta)))
+    rotation = np.eye(_DIM) + turn
+    error = float(np.max(np.abs(generators[:5] @ rotation - rotation @ generators[5:])))
     if error > _SYMMETRY_RTOL * float(np.max(np.abs(basis))):
         raise RuntimeError(
             f"the generator breaks the Larmor turn symmetry (shift {delta:.6g} rad) by "
@@ -524,12 +551,13 @@ def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """
     basis = _generator_basis(model)
     delta = model.params.Omega * model.dt
-    _check_symmetry(basis, delta)
-    turn, rk4 = _rotation_increment(delta), _rk4_increment(model, basis)
+    turn = _rotation_increment(delta)
+    _check_symmetry(basis, delta, turn)
+    rk4 = _rk4_increment(model, basis)
     increment = turn + rk4 + turn @ rk4  # M - I = (I + turn)(I + rk4) - I
-    phase = model.params.Omega * (model.n_steps * model.dt)
-    pulse = _rotation(-phase) @ (np.eye(_DIM) + _power_increment(increment, model.n_steps))
-    return np.eye(_DIM) + increment, pulse
+    eye = np.eye(_DIM)
+    back = eye + _rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
+    return eye + increment, back @ (eye + _power_increment(increment, model.n_steps))
 
 
 def oracle_epr_after_measurement(

@@ -836,6 +836,38 @@ class TestCompare:
         assert results["mismatch_penalty"] == pytest.approx((0.01 * 2.0) ** 2, rel=1e-9)
         assert "excess_over_closed_form" in results
 
+    def test_excess_ratio_left_out_without_a_budget(self, tmp_path):
+        # kappa = 0 makes the closed-form budget 0, where the ratio is undefined
+        out = tmp_path / "zero.json"
+        model = {"kappa": 0.0, "n_i": 30.0, "eps_mismatch": 0.01, "larmor_periods": 8}
+        path = write_scenario(
+            tmp_path,
+            "zero.yaml",
+            {"protocol": "oracle_compare", "model": model, "output": {"path": str(out)}},
+        )
+        assert main(["compare", "--scenario", path]) == EXIT_OK
+
+        def strict(constant):
+            raise AssertionError(f"{constant} is not valid JSON")
+
+        results = json.loads(out.read_text(), parse_constant=strict)["results"]
+        assert results["mismatch_penalty"] == 0.0
+        assert "excess_over_closed_form" not in results
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_report_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch, value):
+        out = tmp_path / "bad.json"
+        path = write_scenario(
+            tmp_path,
+            "bad.yaml",
+            {"protocol": "epr_conditional", "model": {"kappa": 1.0}, "output": {"path": str(out)}},
+        )
+        monkeypatch.setattr(cli, "execute", lambda scenario: {"figure": value})
+        assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_compare_verb_requires_protocol(self, tmp_path):
         path = write_scenario(
             tmp_path, "c.yaml", {"protocol": "epr_conditional", "model": {"kappa": 1.0}}

@@ -669,6 +669,27 @@ SYMMETRY_CASES = {
 }
 
 
+def rotation(theta: float) -> np.ndarray:
+    """``R_theta`` on the augmented state, from its increment."""
+    return np.eye(oracle._DIM) + oracle._rotation_increment(theta)
+
+
+def dense_lift(a: np.ndarray) -> np.ndarray:
+    """``E (a (x) I + I (x) a) Dup``, formed densely."""
+    eye = np.eye(8)
+    return (oracle._vech_kron(a, eye) + oracle._vech_kron(eye, a)) @ oracle._DUP
+
+
+def assert_build_stops(model) -> None:
+    oracle._pulse_maps.cache_clear()
+    with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
+        propagate_moments(model)
+    # nor does per-step output fall back to stepping
+    with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
+        propagate_moments(model, return_info=True)
+    assert oracle._pulse_maps.cache_info().currsize == 0
+
+
 class TestLarmorTurn:
     """Every pulse map is built from one RK4 step: the rotation ``R_theta``
     of the accumulator pairs conjugates the generator at any angle, so step
@@ -677,13 +698,11 @@ class TestLarmorTurn:
     def test_rotations_compose(self):
         eye = np.eye(oracle._DIM)
         for a, b in ((0.3, 1.1), (-2.0, 0.7), (4.0, 5.5)):
-            np.testing.assert_allclose(
-                oracle._rotation(a) @ oracle._rotation(b), oracle._rotation(a + b), rtol=0.0, atol=1e-15
-            )
-        np.testing.assert_allclose(oracle._rotation(2.0 * math.pi), eye, rtol=0.0, atol=1e-15)
-        np.testing.assert_array_equal(oracle._rotation(0.0), eye)
+            np.testing.assert_allclose(rotation(a) @ rotation(b), rotation(a + b), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rotation(2.0 * math.pi), eye, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(rotation(0.0), eye)
         # the quarter turn (Y_c, Y_s) -> (Y_s, -Y_c), to roundoff
-        quarter = oracle._rotation(math.pi / 2)
+        quarter = rotation(math.pi / 2)
         mean = np.zeros(oracle._DIM)
         mean[oracle._MEAN] = np.arange(1.0, 9.0)
         turned = (quarter @ mean)[oracle._MEAN]
@@ -696,9 +715,26 @@ class TestLarmorTurn:
     def test_generator_conjugation_identity(self, name, theta, phase):
         model = SYMMETRY_CASES[name](200)
         basis = oracle._generator_basis(model)
-        shifted = oracle._generator(basis, phase + theta)
-        turned = oracle._rotation(-theta) @ oracle._generator(basis, phase) @ oracle._rotation(theta)
+        generator, shifted = oracle._generators(basis, (phase, phase + theta))
+        turned = rotation(-theta) @ generator @ rotation(theta)
         np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * np.abs(basis).max())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        entries=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=64, max_size=64)
+    )
+    def test_lift_table_is_the_dense_lift(self, entries):
+        # each lifted entry adds at most two drift entries, as the 0/1
+        # product does, so the two agree bit for bit
+        a = np.reshape(entries, (8, 8))
+        assert np.array_equal(oracle._vech_lift(a[None])[0], dense_lift(a))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+    def test_generator_basis_is_the_dense_lift(self, name):
+        basis = oracle._generator_basis(SYMMETRY_CASES[name](200))
+        for block in basis:
+            lifted = dense_lift(block[oracle._MEAN, oracle._MEAN])
+            assert np.array_equal(block[: oracle._N_SIGMA, : oracle._N_SIGMA], lifted)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 1001])
     def test_power_of_the_increment_is_the_matrix_power(self, n):
@@ -717,19 +753,19 @@ class TestLarmorTurn:
         model = SYMMETRY_CASES[name](steps)
         basis = oracle._generator_basis(model)
         delta = model.params.Omega * model.dt
-        oracle._check_symmetry(basis, delta)
+        oracle._check_symmetry(basis, delta, oracle._rotation_increment(delta))
         step, _ = oracle._pulse_maps(model)
         h, eye = model.dt, np.eye(oracle._DIM)
         stepped_map, turned = eye, eye
         for k in range(steps):
-            g0, g1, g2 = (oracle._generator(basis, delta * (k + f)) for f in (0.0, 0.5, 1.0))
+            g0, g1, g2 = oracle._generators(basis, delta * (k + np.array([0.0, 0.5, 1.0])))
             k1 = g0 @ stepped_map
             k2 = g1 @ (stepped_map + h / 2 * k1)
             k3 = g1 @ (stepped_map + h / 2 * k2)
             k4 = g2 @ (stepped_map + h * k3)
             stepped_map = stepped_map + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
             turned = step @ turned
-        turned = oracle._rotation(-steps * delta) @ turned
+        turned = rotation(-steps * delta) @ turned
         np.testing.assert_allclose(turned, stepped_map, rtol=0.0, atol=1e-13 * np.abs(stepped_map).max())
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
@@ -742,14 +778,19 @@ class TestLarmorTurn:
             return a
 
         monkeypatch.setattr(oracle.DriftNoiseModel, "drift_matrix", phase_dependent)
-        model = SYMMETRY_CASES["plain"](steps)
-        oracle._pulse_maps.cache_clear()
-        with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
-            propagate_moments(model)
-        # nor does per-step output fall back to stepping
-        with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
-            propagate_moments(model, return_info=True)
-        assert oracle._pulse_maps.cache_info().currsize == 0
+        assert_build_stops(SYMMETRY_CASES["plain"](steps))
+
+    @pytest.mark.parametrize("steps", [200, 202, 201])
+    def test_noise_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
+        noise = oracle.DriftNoiseModel.noise_columns
+
+        def phase_dependent(self, t):
+            b = noise(self, t)
+            b[oracle._PM, 0] += 0.1 * math.cos(self.params.Omega * t)
+            return b
+
+        monkeypatch.setattr(oracle.DriftNoiseModel, "noise_columns", phase_dependent)
+        assert_build_stops(SYMMETRY_CASES["plain"](steps))
 
 
 class TestMismatchRealization:

@@ -44,13 +44,18 @@ with the floating-point operations in another order.  ``M^n`` comes from
 binary powering on the increment ``M - I``, which keeps the state within
 about 1e-14 of an extended-precision run of the steps, relative to its
 largest entry, and ``C_n`` is cached per drift model, so a cached pulse is
-one matrix-vector product.  Every build checks the identity in the form
-``G(phi) R_delta = R_delta G(phi + delta)`` at five phases, and raises if it
-fails.  One kernel stacks the generators at given phases, for the check and
-for the three RK4 stages, and the ``B_j`` lift the drift onto ``vech`` by a
-gather.  In the frame that rotates with the grid the state
-``z_k = M^k x_0`` evolves on its own, and the state at step ``k`` is
-``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
+one matrix-vector product.  Every build first checks the symmetry on the
+8 x 8 drift ``A`` and diffusion ``D`` that the ``B_j`` are lifted from, as
+``A(phi) s_theta = s_theta A(phi + theta)`` and ``D(phi) = s_theta
+D(phi + theta) s_theta^T`` with ``s_theta`` the turn of the accumulator
+pairs, at the five phases ``2 pi k / 5`` and ``theta = 2 pi / 5``, and
+raises if it fails; on ``x`` that is ``G(phi) R_theta = R_theta
+G(phi + theta)``, and it implies the identity at every shift.  One kernel
+stacks the generators at given phases for the three RK4 stages, the ``B_j``
+lift the drift onto ``vech`` by a gather, and the lifts ``R_theta - I`` are
+cached per angle, which a grid shares across drift models.  In the frame
+that rotates with the grid the state ``z_k = M^k x_0`` evolves on its own,
+and the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
 conservation drift) is read off ``z_k`` in blocks of ``b`` steps: the rows
 ``F M^j``, ``j < b``, of the output forms ``F`` applied to the block starts
 ``(M^b)^p x_0`` give every step's values in one product.  Each step's
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import TextIO
 
@@ -150,24 +156,35 @@ def _frame_forms() -> np.ndarray:
 _FRAME_FORMS = _frame_forms()
 
 
-def _rotation_increment(theta: float) -> np.ndarray:
-    """``R_theta - I``, with ``R_theta`` the rotation ``(Y_c, Y_s) -> (cos Y_c
-    + sin Y_s, cos Y_s - sin Y_c)`` of both accumulator pairs, acting on ``x``.
-
-    ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
-    ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
-    turns the generator to ``G(phi + theta) = R_theta^-1 G(phi) R_theta``.
-    The increment is formed without ``R_theta``: with ``s = I + e`` the
-    rotation of the means, ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``,
-    and ``cos - 1 = -2 sin^2(theta / 2)`` keeps its digits.
-    """
+def _accumulator_turn(theta: float) -> np.ndarray:
+    """``s_theta - I``, with ``s_theta`` the rotation ``(Y_c, Y_s) -> (cos Y_c
+    + sin Y_s, cos Y_s - sin Y_c)`` of both accumulator pairs, on the 8
+    quadratures; ``cos - 1 = -2 sin^2(theta / 2)`` keeps its digits."""
     cos1, sin = -2.0 * math.sin(theta / 2.0) ** 2, math.sin(theta)
     e = np.zeros((8, 8))
     for yc, ys in ((_YXC, _YXS), (_YPC, _YPS)):
         e[[yc, ys, yc, ys], [yc, ys, ys, yc]] = cos1, cos1, sin, -sin
+    return e
+
+
+@functools.lru_cache(maxsize=8)
+def _rotation_increment(theta: float) -> np.ndarray:
+    """``R_theta - I``, with ``R_theta`` the turn ``s_theta`` of the
+    accumulator pairs lifted onto ``x``; read-only, cached per angle.
+
+    ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
+    ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
+    turns the generator to ``G(phi + theta) = R_theta^-1 G(phi) R_theta``.
+    The increment is formed without ``R_theta``: with ``s = I + e``,
+    ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``.  The lift depends on
+    the angle alone, so every drift model on one grid shares it: the step's
+    ``delta`` and the closing ``-n delta``.  An entry takes about 16 kB.
+    """
+    e = _accumulator_turn(theta)
     turn = np.zeros((_DIM, _DIM))
     turn[:_N_SIGMA, :_N_SIGMA] = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
     turn[_MEAN, _MEAN] = e
+    turn.flags.writeable = False
     return turn
 
 
@@ -187,8 +204,9 @@ def _vech_lift(a: np.ndarray) -> np.ndarray:
     return flat.take(_LIFT[0], axis=1) + flat.take(_LIFT[1], axis=1)
 
 
-#: Largest entry of ``G(phi) R - R G(phi + delta)``, relative to the
-#: largest entry of the basis, that still counts as roundoff.
+#: Largest entry of either residual of :func:`_check_symmetry`, relative to
+#: the largest entry of its drift or diffusion parts, that still counts as
+#: roundoff.
 _SYMMETRY_RTOL = 1e-12
 
 #: Trajectory rows formatted per write; about one Larmor period, so the text
@@ -277,10 +295,10 @@ def build_model(
 
     ``mismatch=True`` splits the coupling strengths according to
     ``params.eps_mismatch``; otherwise both sides use ``params.kappa``
-    regardless of any declared mismatch.  The step count honors at least
-    :data:`MIN_STEPS_PER_PERIOD` steps per Larmor period; a product of
-    steps and periods that is whole up to roundoff is taken as whole, so
-    whole and half periods keep a grid commensurate with the period.
+    regardless of any declared mismatch.  ``steps_per_period`` is an
+    integer of at least :data:`MIN_STEPS_PER_PERIOD`; a product of steps
+    and periods that is whole up to roundoff is taken as whole, so whole
+    and half periods keep a grid commensurate with the period.
     """
     if params.Omega <= 0.0:
         raise ValueError("oracle propagation requires a positive Larmor frequency")
@@ -289,8 +307,16 @@ def build_model(
             "oracle requires matched frequencies omega_m == Omega; coupling "
             "mismatch is the only imperfection modeled dynamically"
         )
-    if steps_per_period < MIN_STEPS_PER_PERIOD:
-        raise ValueError(f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}")
+    if (
+        isinstance(steps_per_period, bool)
+        or not isinstance(steps_per_period, numbers.Integral)
+        or steps_per_period < MIN_STEPS_PER_PERIOD
+    ):
+        raise ValueError(
+            f"steps_per_period must be an integer >= {MIN_STEPS_PER_PERIOD}, "
+            f"got {steps_per_period!r}"
+        )
+    steps_per_period = int(steps_per_period)
     eps = params.eps_mismatch if mismatch else 0.0
     kappa_mech = params.kappa * (1.0 + eps)
     kappa_atom = params.kappa * (1.0 - eps)
@@ -439,17 +465,15 @@ def _max_drift(values: np.ndarray) -> dict[str, float]:
     return drift
 
 
-def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
-    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``.
+def _model_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The drift's three parts and the diffusion's six, shapes ``(3, 8, 8)``
+    and ``(6, 8, 8)``.
 
-    ``dx/dt = G(t) x`` on ``x = [vech Sigma; mean; 1]`` is
-    ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
-    ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of the Larmor phase.  The
-    flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma`` symmetric, so
-    on ``vech`` it is ``E (A (x) I + I (x) A) Dup``, gathered by
-    :func:`_vech_lift`.  The drift and the noise columns are affine in
-    (cos, sin); their three parts are solved from ``drift_matrix`` and
-    ``noise_columns`` at three phases, so the physics stays written there.
+    ``A(phi) = sum_j f_j B_j`` over ``f = (1, cos, sin)`` of the Larmor
+    phase, and ``D(phi)`` likewise over ``f = (1, cos, sin, cos^2, sin^2,
+    cos sin)``.  The drift and the noise columns are affine in (cos, sin);
+    their three parts are solved from ``drift_matrix`` and ``noise_columns``
+    at three phases, so the physics stays written there.
     """
     omega = model.params.Omega
     times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
@@ -457,26 +481,42 @@ def _generator_basis(model: DriftNoiseModel) -> np.ndarray:
     unmix = np.linalg.inv(trig)
     drift = np.tensordot(unmix, [model.drift_matrix(t) for t in times], axes=1)
     n0, nc, ns = np.tensordot(unmix, [model.noise_columns(t) for t in times], axes=1)
-    diffusion = (
+    diffusion = np.stack((
         n0 @ n0.T,
         n0 @ nc.T + nc @ n0.T,
         n0 @ ns.T + ns @ n0.T,
         nc @ nc.T,
         ns @ ns.T,
         nc @ ns.T + ns @ nc.T,
-    )
+    ))
+    return drift, diffusion
+
+
+def _generator_basis(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``.
+
+    ``dx/dt = G(t) x`` on ``x = [vech Sigma; mean; 1]`` is
+    ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
+    the parts of :func:`_model_parts`.  The flow ``A (x) I + I (x) A`` on
+    ``vec Sigma`` keeps ``Sigma`` symmetric, so on ``vech`` it is
+    ``E (A (x) I + I (x) A) Dup``, gathered by :func:`_vech_lift`.
+    """
     basis = np.zeros((6, _DIM, _DIM))
     basis[:3, :_N_SIGMA, :_N_SIGMA] = _vech_lift(drift)
     basis[:3, _MEAN, _MEAN] = drift
-    basis[:, :_N_SIGMA, -1] = np.reshape(diffusion, (6, 64))[:, _VECH]
+    basis[:, :_N_SIGMA, -1] = diffusion.reshape(6, 64)[:, _VECH]
     return basis
+
+
+def _trig(phases) -> np.ndarray:
+    """``f = (1, cos, sin, cos^2, sin^2, cos sin)`` at each phase, shape ``(m, 6)``."""
+    trig = ((math.cos(phase), math.sin(phase)) for phase in phases)
+    return np.array([(1.0, cos, sin, cos * cos, sin * sin, cos * sin) for cos, sin in trig])
 
 
 def _generators(basis: np.ndarray, phases) -> np.ndarray:
     """``G`` at each Larmor phase of ``phases``, stacked dense 45 x 45 matrices."""
-    trig = ((math.cos(phase), math.sin(phase)) for phase in phases)
-    f = np.array([(1.0, cos, sin, cos * cos, sin * sin, cos * sin) for cos, sin in trig])
-    return (f @ basis.reshape(6, -1)).reshape(-1, _DIM, _DIM)
+    return (_trig(phases) @ basis.reshape(6, -1)).reshape(-1, _DIM, _DIM)
 
 
 def _rk4_increment(model: DriftNoiseModel, basis: np.ndarray) -> np.ndarray:
@@ -502,36 +542,61 @@ def _power_increment(e: np.ndarray, n: int) -> np.ndarray:
 
     Each product is taken on increments, ``(I + a)(I + b) - I = a + b + a b``:
     the identity is never added to a small increment, so the roundoff of
-    ``e``, which ``n`` factors would repeat, stays relative to ``e``.
+    ``e``, which ``n`` factors would repeat, stays relative to ``e``.  The
+    squarings and products land in buffers made once, with every addition
+    in the order of ``a + b + a b``.
     """
-    power = None
+    e, product, power = e.copy(), np.empty_like(e), None
     while True:
         if n & 1:
-            power = e if power is None else power + e + power @ e
+            if power is None:
+                power = e.copy()
+            else:
+                np.matmul(power, e, out=product)
+                power += e
+                power += product
         n >>= 1
         if not n:
             return power
-        e = 2.0 * e + e @ e
+        np.matmul(e, e, out=product)
+        e *= 2.0
+        e += product
 
 
-def _check_symmetry(basis: np.ndarray, delta: float, turn: np.ndarray) -> None:
-    """Check ``G(phi) R = R G(phi + delta)`` with ``R = R_delta = I + turn``.
+#: The check's phases ``phi_k = 2 pi k / 5``, as ``f`` of :func:`_trig`, the
+#: turn ``s_theta`` by ``theta = 2 pi / 5`` and the order of ``phi_(k + 1)``.
+_CHECK_TRIG = _trig(2.0 * math.pi * np.arange(5) / 5)
+_CHECK_TURN = np.eye(8) + _accumulator_turn(2.0 * math.pi / 5)
+_CHECK_NEXT = [1, 2, 3, 4, 0]
 
-    The identity is checked at five equally spaced phases, with the ten
-    generators from one product: both sides are trigonometric polynomials
-    of degree 2 in ``phi``, so they agree at every phase exactly when they
-    agree at five distinct ones.  Raises ``RuntimeError`` when it does not
-    hold to roundoff: a drift or noise term that breaks the symmetry must
-    stop the build, not give a wrong pulse map.
+
+def _check_symmetry(drift: np.ndarray, diffusion: np.ndarray) -> None:
+    """Check ``A(phi) s = s A(phi + theta)`` and ``D(phi) = s D(phi + theta)
+    s^T``, with ``s = s_theta`` and ``theta = 2 pi / 5``, on the parts of
+    :func:`_model_parts`.
+
+    On ``x`` this is ``G(phi) R_theta = R_theta G(phi + theta)``.  Both
+    residuals are trigonometric polynomials of degree at most 2 in ``phi``,
+    so they vanish everywhere when they vanish at the five phases
+    ``phi_k = 2 pi k / 5``, where ``phi_k + theta`` is ``phi_(k + 1)``.
+    Then ``s_phi A(phi) s_phi^T`` and ``s_phi D(phi) s_phi^T``, of degree at
+    most 4, have period ``2 pi / 5`` and are constant: the identity holds at
+    every shift, the grid's ``delta`` included.  Each residual is taken
+    relative to the largest entry of its own parts.  Raises
+    ``RuntimeError`` when either exceeds roundoff: a drift or noise term that
+    breaks the symmetry must stop the build, not give a wrong pulse map.
     """
-    phases = 2.0 * math.pi * np.arange(5) / 5
-    generators = _generators(basis, np.concatenate((phases, phases + delta)))
-    rotation = np.eye(_DIM) + turn
-    error = float(np.max(np.abs(generators[:5] @ rotation - rotation @ generators[5:])))
-    if error > _SYMMETRY_RTOL * float(np.max(np.abs(basis))):
+    a = (_CHECK_TRIG[:, :3] @ drift.reshape(3, 64)).reshape(5, 8, 8)
+    d = (_CHECK_TRIG @ diffusion.reshape(6, 64)).reshape(5, 8, 8)
+    s = _CHECK_TURN
+    error = max(
+        float(np.max(np.abs(a @ s - s @ a[_CHECK_NEXT]))) / float(np.max(np.abs(drift))),
+        float(np.max(np.abs(d - s @ d[_CHECK_NEXT] @ s.T))) / float(np.max(np.abs(diffusion))),
+    )
+    if error > _SYMMETRY_RTOL:
         raise RuntimeError(
-            f"the generator breaks the Larmor turn symmetry (shift {delta:.6g} rad) by "
-            f"{error:.2e}; the pulse map cannot be built from one step"
+            f"the generator breaks the Larmor turn symmetry by {error:.2e} (relative); "
+            "the pulse map cannot be built from one step"
         )
 
 
@@ -540,19 +605,21 @@ def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``.
 
     ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
-    grid (see :func:`_check_symmetry`, which checks the symmetry that makes
-    it so).  ``M^n`` is powered on the increment ``M - I``: at 64 periods of
-    200 steps that leaves the state about 100 times closer to an
-    extended-precision run of the steps than powering ``M``.  The cache key,
-    the model's identity, leaves out ``n_i``, so a grid over initial
-    occupations shares an entry.  An entry takes about 32 kB; four leave room
-    for a model that alternates with its matched baseline, as ``compare``
-    does in a sweep.
+    grid; :func:`_check_symmetry` checks the symmetry that makes it so on
+    the 8 x 8 drift and diffusion, before the basis is lifted from them.
+    ``M^n`` is powered on the increment ``M - I``: at 64 periods of 200
+    steps that leaves the state about 100 times closer to an
+    extended-precision run of the steps than powering ``M``.  The two
+    rotation lifts come from :func:`_rotation_increment`'s cache, shared by
+    every model on the same grid.  The cache key, the model's identity,
+    leaves out ``n_i``, so a grid over initial occupations shares an entry.
+    An entry takes about 32 kB; four leave room for a model that alternates
+    with its matched baseline, as ``compare`` does in a sweep.
     """
-    basis = _generator_basis(model)
-    delta = model.params.Omega * model.dt
-    turn = _rotation_increment(delta)
-    _check_symmetry(basis, delta, turn)
+    drift, diffusion = _model_parts(model)
+    _check_symmetry(drift, diffusion)
+    basis = _generator_basis(drift, diffusion)
+    turn = _rotation_increment(model.params.Omega * model.dt)
     rk4 = _rk4_increment(model, basis)
     increment = turn + rk4 + turn @ rk4  # M - I = (I + turn)(I + rk4) - I
     eye = np.eye(_DIM)

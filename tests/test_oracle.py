@@ -203,6 +203,20 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="steps_per_period"):
             build_model(ProtocolParams.dimensionless(1.0), steps_per_period=50)
 
+    @pytest.mark.parametrize("steps", [250.0, 200.5, True, "250"])
+    def test_non_integer_resolution_rejected(self, steps):
+        # a float step count once reached the powering and failed there
+        params = ProtocolParams(
+            kappa=1.0, n_i=10.0, g=1000.0, gamma_c=1e6, omega_m=0.3, Omega=0.3, tau=1.0
+        )
+        with pytest.raises(ValueError, match="steps_per_period must be an integer"):
+            build_model(params, steps_per_period=steps)
+
+    def test_numpy_integer_resolution_taken_as_int(self):
+        params = ProtocolParams.dimensionless(1.0, larmor_periods=8)
+        model = build_model(params, steps_per_period=np.int64(201))
+        assert type(model.n_steps) is int and model.n_steps == 8 * 201
+
 
 class TestPropagateMoments:
     def test_kappa_zero_system_untouched_accumulators_vacuum(self):
@@ -680,6 +694,23 @@ def dense_lift(a: np.ndarray) -> np.ndarray:
     return (oracle._vech_kron(a, eye) + oracle._vech_kron(eye, a)) @ oracle._DUP
 
 
+def basis_of(model) -> np.ndarray:
+    """The generator basis of ``model``, lifted from its parts."""
+    return oracle._generator_basis(*oracle._model_parts(model))
+
+
+def add_phase_term(monkeypatch, method: str, entry: tuple, size: float) -> None:
+    """Add ``size cos(phase)`` to ``entry`` of what the model's ``method`` returns."""
+    original = getattr(oracle.DriftNoiseModel, method)
+
+    def phase_dependent(self, t):
+        out = original(self, t)
+        out[entry] += size * math.cos(self.params.Omega * t)
+        return out
+
+    monkeypatch.setattr(oracle.DriftNoiseModel, method, phase_dependent)
+
+
 def assert_build_stops(model) -> None:
     oracle._pulse_maps.cache_clear()
     with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
@@ -714,7 +745,7 @@ class TestLarmorTurn:
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
     def test_generator_conjugation_identity(self, name, theta, phase):
         model = SYMMETRY_CASES[name](200)
-        basis = oracle._generator_basis(model)
+        basis = basis_of(model)
         generator, shifted = oracle._generators(basis, (phase, phase + theta))
         turned = rotation(-theta) @ generator @ rotation(theta)
         np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * np.abs(basis).max())
@@ -731,7 +762,7 @@ class TestLarmorTurn:
 
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
     def test_generator_basis_is_the_dense_lift(self, name):
-        basis = oracle._generator_basis(SYMMETRY_CASES[name](200))
+        basis = basis_of(SYMMETRY_CASES[name](200))
         for block in basis:
             lifted = dense_lift(block[oracle._MEAN, oracle._MEAN])
             assert np.array_equal(block[: oracle._N_SIGMA, : oracle._N_SIGMA], lifted)
@@ -751,9 +782,10 @@ class TestLarmorTurn:
         # over one period, R_(-k delta) M^k is the product of the first k
         # steps, each with the generator at its own phase
         model = SYMMETRY_CASES[name](steps)
-        basis = oracle._generator_basis(model)
+        drift, diffusion = oracle._model_parts(model)
+        oracle._check_symmetry(drift, diffusion)
+        basis = oracle._generator_basis(drift, diffusion)
         delta = model.params.Omega * model.dt
-        oracle._check_symmetry(basis, delta, oracle._rotation_increment(delta))
         step, _ = oracle._pulse_maps(model)
         h, eye = model.dt, np.eye(oracle._DIM)
         stepped_map, turned = eye, eye
@@ -770,27 +802,61 @@ class TestLarmorTurn:
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
     def test_drift_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
-        drift = oracle.DriftNoiseModel.drift_matrix
-
-        def phase_dependent(self, t):
-            a = drift(self, t)
-            a[oracle._PM, oracle._XM] += 0.1 * math.cos(self.params.Omega * t)
-            return a
-
-        monkeypatch.setattr(oracle.DriftNoiseModel, "drift_matrix", phase_dependent)
+        add_phase_term(monkeypatch, "drift_matrix", (oracle._PM, oracle._XM), 0.1)
         assert_build_stops(SYMMETRY_CASES["plain"](steps))
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
     def test_noise_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
-        noise = oracle.DriftNoiseModel.noise_columns
-
-        def phase_dependent(self, t):
-            b = noise(self, t)
-            b[oracle._PM, 0] += 0.1 * math.cos(self.params.Omega * t)
-            return b
-
-        monkeypatch.setattr(oracle.DriftNoiseModel, "noise_columns", phase_dependent)
+        add_phase_term(monkeypatch, "noise_columns", (oracle._PM, 0), 0.1)
         assert_build_stops(SYMMETRY_CASES["plain"](steps))
+
+    # A term that breaks the symmetry by 1e-9 of the largest drift entry
+    # (omega_m on a[P_m, X_m]) corrupts the pulse map by as much; the check
+    # compares phases 2 pi / 5 apart, so it reads the term at its full size.
+    @pytest.mark.parametrize("steps", [200, 202, 201])
+    def test_small_drift_term_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
+        add_phase_term(monkeypatch, "drift_matrix", (oracle._PM, oracle._XM), 1e-9)
+        assert_build_stops(SYMMETRY_CASES["plain"](steps))
+
+    @pytest.mark.parametrize("steps", [200, 202, 201])
+    def test_small_noise_term_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
+        # the same size as the drift term, relative to the entry it changes
+        model = SYMMETRY_CASES["plain"](steps)
+        size = 1e-9 * model.noise_columns(0.0)[oracle._PM, 0] / model.params.omega_m
+        add_phase_term(monkeypatch, "noise_columns", (oracle._PM, 0), size)
+        assert_build_stops(model)
+
+
+class TestRotationCache:
+    """The rotation lifts depend on the angle alone and are cached read-only."""
+
+    def test_lift_is_read_only(self):
+        turn = oracle._rotation_increment(0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            turn[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            turn += 1.0
+
+    def test_cleared_lift_recomputed_bit_identically(self):
+        first = oracle._rotation_increment(-2.0 * math.pi * 16)
+        oracle._rotation_increment.cache_clear()
+        second = oracle._rotation_increment(-2.0 * math.pi * 16)
+        assert second is not first
+        assert second.tobytes() == first.tobytes()
+
+    def test_mismatch_model_and_its_baseline_share_the_lifts(self):
+        # the pair ``compare`` builds: one grid, so one delta and one -n delta
+        params = ProtocolParams.dimensionless(1.5, 20.0, larmor_periods=16, eps_mismatch=0.03)
+        mismatched, baseline = build_model(params, mismatch=True), build_model(params)
+        assert mismatched != baseline
+        oracle._pulse_maps.cache_clear()
+        oracle._rotation_increment.cache_clear()
+        oracle._pulse_maps(mismatched)
+        info = oracle._rotation_increment.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        oracle._pulse_maps(baseline)
+        info = oracle._rotation_increment.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
 
 class TestMismatchRealization:

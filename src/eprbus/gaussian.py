@@ -431,9 +431,10 @@ def condition_on_homodyne(
     """Measure one quadrature of ``mode`` and condition the rest on the result.
 
     The remaining modes are updated by the Schur-complement rule; the measured
-    mode is removed.  The conditional covariance does not depend on the
-    outcome value.  ``outcome="sample"`` draws the result from the marginal
-    using ``rng`` (required in that case).
+    mode is removed, so measuring the last mode leaves the state of no modes.
+    The conditional covariance does not depend on the outcome value.
+    ``outcome="sample"`` draws the result from the marginal using ``rng``
+    (required in that case).  A non-finite ``angle`` raises ``ValueError``.
     """
     state, (record,) = _condition(state, ((mode, angle, outcome),), rng)
     return state, record
@@ -444,17 +445,38 @@ def _condition(
     measurements: Sequence[tuple[ModeLabel | str, float, float | str]],
     rng: np.random.Generator | None,
 ) -> tuple[GaussianState, tuple[MeasurementRecord, ...]]:
-    """:func:`condition_on_homodyne` of each ``(mode, angle, outcome)`` in turn,
-    each mode looked up among those still present: a rank-1 update, the drop
-    of the mode and a settle each, then one state wrapped unchecked, since
-    conditioning a physical state gives a physical one.  Returns the state
-    and one record per measurement.
+    """:func:`_conditioned` on a state, settled once and wrapped unchecked,
+    since conditioning a physical state gives a physical one."""
+    modes, mean, cov, records = _conditioned(state.modes, state.mean, state.cov, measurements, rng)
+    return GaussianState._wrap(modes, mean, _settled(mean, cov)), records
+
+
+def _conditioned(
+    modes: tuple[ModeLabel, ...],
+    mean: np.ndarray,
+    cov: np.ndarray,
+    measurements: Sequence[tuple[ModeLabel | str, float, float | str]],
+    rng: np.random.Generator | None,
+) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray, tuple[MeasurementRecord, ...]]:
+    """:func:`condition_on_homodyne` of each ``(mode, angle, outcome)`` in turn
+    on the moments of a settled state, each mode looked up among those not
+    yet measured.
+
+    Each measurement is a rank-1 Schur update of the full moments, averaged
+    with its transpose as :func:`_settled` averages; the measured modes are
+    dropped once, at the end, which leaves every kept entry as a drop after
+    each update would.  A later update reduces rows that still hold the
+    measured modes, so at a general angle it can differ in the last bit
+    from a separate call on the dropped state.  Returns the modes left,
+    their moments, not settled, and one record per measurement.
     """
-    modes, mean, cov = state.modes, state.mean, state.cov
-    records = []
+    left, dropped, records = list(modes), set(), []
     for mode, angle, outcome in measurements:
-        idx = _mode_index(modes, mode)
-        label = modes[idx]
+        label = left.pop(_mode_index(left, mode))
+        if not math.isfinite(angle):
+            raise ValueError(f"homodyne angle of {label} must be finite, got {angle!r}")
+        idx = modes.index(label)
+        dropped.add(idx)
         v = np.zeros(len(mean))
         v[2 * idx] = math.cos(angle)
         v[2 * idx + 1] = math.sin(angle)
@@ -475,14 +497,12 @@ def _condition(
         cross = cov @ v
         gain = cross / var_b
         mean = mean + gain * (xi - mean_b)
-        cov = cov - np.outer(gain, cross)
+        cov = cov - gain[:, None] * cross  # np.outer, without its overhead
+        cov = (cov + cov.T) / 2.0
 
-        # an index array picks rows, then columns, at a third of the cost of np.ix_
-        keep = np.array([j for j in range(len(mean)) if j not in (2 * idx, 2 * idx + 1)])
-        mean, cov = mean[keep], cov[keep][:, keep]
-        cov = _settled(mean, cov)
-        modes = modes[:idx] + modes[idx + 1 :]
-    return GaussianState._wrap(modes, mean, cov), tuple(records)
+    # taking rows, then columns, costs a third of np.ix_ and leaves C order
+    keep = np.array([j for j in range(len(mean)) if j // 2 not in dropped], dtype=np.intp)
+    return tuple(left), mean.take(keep), cov.take(keep, 0).take(keep, 1), tuple(records)
 
 
 def linear_form_moments(
@@ -527,9 +547,16 @@ def epr_variance(
     provenance: Provenance = Provenance.IDEALIZED_MAP,
 ) -> EPRReport:
     """``Var(X_mech + X_atom) + Var(P_mech - P_atom)`` with the < 2 verdict."""
-    c = state.cov
+    pos, neg = state.mode_index(mech), state.mode_index(atom)
+    if pos == neg:
+        raise ValueError("positive- and negative-mass roles must differ")
+    return _epr_report(state.cov, pos, neg, provenance)
+
+
+def _epr_report(cov: np.ndarray, pos: int, neg: int, provenance: Provenance) -> EPRReport:
+    """:func:`epr_variance` read off a covariance, with the roles at mode
+    indices ``pos`` and ``neg``."""
     var_xsum, var_pdiff = (
-        c[i, i] + c[j, j] + 2.0 * s * c[i, j]
-        for i, j, s in epr_pair(state.mode_index(mech), state.mode_index(atom))
+        cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j] for i, j, s in epr_pair(pos, neg)
     )
     return EPRReport(var_xsum, var_pdiff, provenance)

@@ -20,7 +20,10 @@ cross-checked against the moment-propagation oracle.  Propagation and
 detection loss on the light then act on the two readout modes.
 
 The readout is the p-quadrature of both temporal modes;
-:func:`condition_on_readout` conditions a pulse's joint state on it.
+:func:`condition_on_readout` conditions a pulse's joint state on it.  Both
+steps have a private kernel on arrays, :func:`_pulse` and, with the
+measurements of :func:`_readout`, ``gaussian._conditioned``, so a caller
+that keeps only a figure or the conditioned state wraps no state between.
 """
 
 from __future__ import annotations
@@ -226,6 +229,14 @@ def qnd_bigstep(
     keeps a physical state physical.
     """
     pos, neg = _resolve_roles(state, positive_mass, negative_mass)
+    return GaussianState._wrap(*_pulse(state, params, pos, neg))
+
+
+def _pulse(
+    state: GaussianState, params: ProtocolParams, pos: ModeLabel, neg: ModeLabel
+) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray]:
+    """:func:`qnd_bigstep` with its roles resolved, on arrays: the joint
+    modes and their checked, settled moments."""
     _require_matching(params)
     if 0.0 < params.omega_tau < OMEGA_TAU_INDEPENDENT:
         warnings.warn(
@@ -233,7 +244,7 @@ def qnd_bigstep(
             f"Omega*tau = {math.floor(10.0 * params.omega_tau) / 10.0:.1f} is below "
             f"{OMEGA_TAU_INDEPENDENT:.0f}; the cos/sin temporal modes are not "
             "independent there and the idealized map is unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
     kappa = params.kappa
 
@@ -262,7 +273,7 @@ def qnd_bigstep(
     if eta < 1.0:
         for i in (n, n + 1):
             _admix_loss(mean, cov, i, eta)
-    return GaussianState._wrap(state.modes + (COS_MODE, SIN_MODE), mean, cov)
+    return state.modes + (COS_MODE, SIN_MODE), mean, cov
 
 
 def condition_on_readout(
@@ -277,7 +288,11 @@ def condition_on_readout(
     ``outcomes`` gives the two results; ``None`` samples them, in that order,
     with ``rng``.  Returns the conditioned state and the two records.
     """
+    return _condition(joint, _readout(outcomes), rng)
+
+
+def _readout(outcomes: tuple[float, float] | None = (0.0, 0.0)) -> tuple[tuple, tuple]:
+    """The measurements of :func:`condition_on_readout`, as the conditioning
+    kernel ``gaussian._conditioned`` takes them."""
     xi_cos, xi_sin = ("sample", "sample") if outcomes is None else map(float, outcomes)
-    return _condition(
-        joint, ((COS_MODE, _READOUT_ANGLE, xi_cos), (SIN_MODE, _READOUT_ANGLE, xi_sin)), rng
-    )
+    return (COS_MODE, _READOUT_ANGLE, xi_cos), (SIN_MODE, _READOUT_ANGLE, xi_sin)

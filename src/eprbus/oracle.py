@@ -82,14 +82,16 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    ModeLabel,
     Provenance,
+    _conditioned,
+    _epr_report,
     _settled,
     atomic_mode,
     epr_forms,
-    epr_variance,
     mechanical_mode,
 )
-from .iomaps import COS_MODE, SIN_MODE, ProtocolParams, _resolve_roles, condition_on_readout
+from .iomaps import COS_MODE, SIN_MODE, ProtocolParams, _readout, _resolve_roles
 
 #: Minimum integration resolution from the convergence study: the
 #: fourth-order scheme holds the EPR-conservation drift below 1e-6 relative
@@ -337,7 +339,7 @@ def build_model(
 
 def _initial_moments(
     model: DriftNoiseModel, initial: GaussianState | None
-) -> tuple[np.ndarray, np.ndarray, tuple]:
+) -> tuple[np.ndarray, np.ndarray, tuple[ModeLabel, ModeLabel]]:
     mean = np.zeros(8)
     cov = np.zeros((8, 8))
     if initial is None:
@@ -353,6 +355,20 @@ def _initial_moments(
         mean[:4] = initial.mean[quads]
         cov[:4, :4] = initial.cov[np.ix_(quads, quads)]
     return mean, cov, (mech, atom)
+
+
+def _start(
+    model: DriftNoiseModel, initial: GaussianState | None
+) -> tuple[np.ndarray, tuple[ModeLabel, ...]]:
+    """The augmented state ``x_0`` of a pulse and the modes of its joint
+    state: the system roles, then the cos and sin modes."""
+    mean, cov, roles = _initial_moments(model, initial)
+    return np.concatenate((cov[_TRIU], mean, (1.0,))), (*roles, COS_MODE, SIN_MODE)
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the exactly symmetric covariance held in ``x``."""
+    return x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
 
 
 def propagate_moments(
@@ -381,15 +397,13 @@ def propagate_moments(
     canonical pairs once the pulse is complete (exactly so only for an
     integer number of Larmor periods), and may lie below vacuum before.
     """
-    mean, cov, (mech, atom) = _initial_moments(model, initial)
-    x = np.concatenate((cov[_TRIU], mean, (1.0,)))
+    x, modes = _start(model, initial)
     step, pulse = _pulse_maps(model)
     values = _per_step_values(model, step, x) if trajectory is not None or return_info else None
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
-    x = pulse @ x
-    mean, cov = x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
-    state = GaussianState._wrap((mech, atom, COS_MODE, SIN_MODE), mean, _settled(mean, cov))
+    mean, cov = _moments(pulse @ x)
+    state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     if not return_info:
         return state
     return state, {"n_steps": model.n_steps, "dt": model.dt, **_max_drift(values)}
@@ -479,8 +493,13 @@ def _model_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
     trig = np.array([[1.0, math.cos(omega * t), math.sin(omega * t)] for t in times])
     unmix = np.linalg.inv(trig)
-    drift = np.tensordot(unmix, [model.drift_matrix(t) for t in times], axes=1)
-    n0, nc, ns = np.tensordot(unmix, [model.noise_columns(t) for t in times], axes=1)
+
+    def unmixed(parts: list) -> np.ndarray:
+        parts = np.stack(parts)
+        return (unmix @ parts.reshape(3, -1)).reshape(parts.shape)
+
+    drift = unmixed([model.drift_matrix(t) for t in times])
+    n0, nc, ns = unmixed([model.noise_columns(t) for t in times])
     diffusion = np.stack((
         n0 @ n0.T,
         n0 @ nc.T + nc @ n0.T,
@@ -635,9 +654,12 @@ def oracle_epr_after_measurement(
     """Propagate, condition on both accumulated p-quadratures, report EPR.
 
     This is the brute-force counterpart of the pulse map followed by homodyne
-    conditioning; it certifies the idealized pipeline.
+    conditioning; it certifies the idealized pipeline.  The figure is
+    :func:`propagate_moments` and ``condition_on_readout`` with no state
+    between: the pulse's moments are conditioned as arrays, settled once, and
+    the report is read off the covariance.
     """
-    state = propagate_moments(model, initial=initial)
-    mech, atom = state.modes[0], state.modes[1]
-    state, _ = condition_on_readout(state)
-    return epr_variance(state, mech, atom, provenance=Provenance.ORACLE)
+    x, modes = _start(model, initial)
+    mean, cov = _moments(_pulse_maps(model)[1] @ x)
+    _, mean, cov, _ = _conditioned(modes, mean, cov, _readout(), None)
+    return _epr_report(_settled(mean, cov), 0, 1, Provenance.ORACLE)

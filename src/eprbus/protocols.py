@@ -29,8 +29,11 @@ from .gaussian import (
     EPRReport,
     GaussianState,
     Provenance,
+    _conditioned,
+    _epr_report,
+    _mode_index,
+    _settled,
     atomic_mode,
-    displace,
     epr_forms,
     epr_variance,
     linear_form_moments,
@@ -41,8 +44,9 @@ from .iomaps import (
     COS_MODE,
     SIN_MODE,
     ProtocolParams,
+    _pulse,
+    _readout,
     _resolve_roles,
-    condition_on_readout,
     qnd_bigstep,
 )
 
@@ -168,9 +172,14 @@ def run_epr_generation(
     covariance (outcome independent); for feedback it is the unconditional
     covariance of the EPR observables, which at the optimal gain coincides
     with the conditional one.
+
+    The pulse and its conditioning run on arrays, and the returned state is
+    settled once; the conditional route wraps no other state.  Feedback
+    wraps the pulse's joint state, from which it reads its gains and the
+    ensemble.
     """
     mech, atom = _resolve_roles(initial, None, None)
-    joint = qnd_bigstep(initial, params)
+    joint = _pulse(initial, params, mech, atom)
     if outcomes is None and rng is None:
         if fb.mode is not FeedbackMode.CONDITIONAL:
             raise ValueError(
@@ -178,21 +187,25 @@ def run_epr_generation(
                 "or inject them via outcomes=(xi_cos, xi_sin)"
             )
         outcomes = (0.0, 0.0)
-    conditioned, (rec_cos, rec_sin) = condition_on_readout(joint, outcomes, rng=rng)
+    modes, mean, cov, (rec_cos, rec_sin) = _conditioned(*joint, _readout(outcomes), rng)
+    i_mech, i_atom = initial.mode_index(mech), initial.mode_index(atom)
 
     if fb.mode is FeedbackMode.CONDITIONAL:
-        state = conditioned
-        report = epr_variance(state, mech, atom, provenance=Provenance.IDEALIZED_MAP)
-        return state, report, (rec_cos, rec_sin)
-
-    if fb.mode is FeedbackMode.FEEDBACK_OPTIMAL:
-        gain_cos, gain_sin = _moment_gains(joint)
+        report = _epr_report(cov, i_mech, i_atom, Provenance.IDEALIZED_MAP)
     else:
-        gain_cos = gain_sin = fb.gain
-    # single-run state: conditional covariance, record-displaced mean
-    state = displace(conditioned, atom, -gain_cos * rec_cos.outcome, +gain_sin * rec_sin.outcome)
-    ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
-    report = epr_variance(ensemble, mech, atom, provenance=Provenance.IDEALIZED_MAP)
+        joint = GaussianState._wrap(*joint)
+        if fb.mode is FeedbackMode.FEEDBACK_OPTIMAL:
+            gain_cos, gain_sin = _moment_gains(joint)
+        else:
+            gain_cos = gain_sin = fb.gain
+        # single-run state: conditional covariance, record-displaced mean
+        mean[2 * i_atom : 2 * i_atom + 2] += (
+            -gain_cos * rec_cos.outcome,
+            +gain_sin * rec_sin.outcome,
+        )
+        ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
+        report = epr_variance(ensemble, mech, atom, provenance=Provenance.IDEALIZED_MAP)
+    state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     return state, report, (rec_cos, rec_sin)
 
 
@@ -221,23 +234,22 @@ def verify_epr(
         raise ValueError(
             "verification needs eta_light * eta_det * kappa > 0, otherwise light carries no signal"
         )
-    joint = qnd_bigstep(state, params)
-    pc, ps = joint.p_index(COS_MODE), joint.p_index(SIN_MODE)
+    joint = _pulse(state, params, *_resolve_roles(state, None, None))
+    modes, mean, cov = joint
+    pc, ps = (2 * _mode_index(modes, mode) + 1 for mode in (COS_MODE, SIN_MODE))
     signal = eta * params.kappa**2
 
     stderr = None
     if shots is None:
-        var_cos = joint.cov[pc, pc]
-        var_sin = joint.cov[ps, ps]
+        var_cos = cov[pc, pc]
+        var_sin = cov[ps, ps]
     else:
         if shots < 2:
             raise ValueError("shots must be at least 2")
         if rng is None:
             raise ValueError("finite-shot estimation requires an explicit rng")
         idx = [pc, ps]
-        samples = rng.multivariate_normal(
-            joint.mean[idx], joint.cov[np.ix_(idx, idx)], size=shots
-        )
+        samples = rng.multivariate_normal(mean[idx], cov[np.ix_(idx, idx)], size=shots)
         var_cos, var_sin = np.var(samples, axis=0, ddof=1)
         se = np.array([var_cos, var_sin]) * math.sqrt(2.0 / (shots - 1))
         stderr = float(np.hypot(se[0], se[1]) / signal)
@@ -246,8 +258,8 @@ def verify_epr(
     var_pdiff = (var_sin - 0.5) / signal
     report = EPRReport(var_xsum, var_pdiff, Provenance.VERIFICATION_READOUT, stderr=stderr)
 
-    post, _ = condition_on_readout(joint)
-    return report, post
+    modes, mean, cov, _ = _conditioned(*joint, _readout(), None)
+    return report, GaussianState._wrap(modes, mean, _settled(mean, cov))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eprbus import gaussian, oracle
+from eprbus import gaussian, oracle, protocols
 from eprbus.gaussian import GaussianState, light_mode, make_state
 
 
@@ -74,7 +74,7 @@ def state_counts(monkeypatch) -> dict:
     monkeypatch.setattr(GaussianState, "__post_init__", counted("checked", post_init))
     monkeypatch.setattr(GaussianState, "_wrap", staticmethod(counted("wrapped", wrap)))
     monkeypatch.setattr(gaussian, "_check_uncertainty", counted("checks", check))
-    # the oracle imports ``_settled`` by name
-    for module in (gaussian, oracle):
+    # the oracle and the protocols import ``_settled`` by name
+    for module in (gaussian, oracle, protocols):
         monkeypatch.setattr(module, "_settled", counted("settles", settled))
     return counts

@@ -13,6 +13,7 @@ from eprbus.gaussian import (
     GaussianState,
     InvalidChannelError,
     InvalidStateError,
+    MeasurementRecord,
     apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
@@ -171,6 +172,18 @@ class TestConditioning:
         with pytest.raises(ValueError, match="degenerate"):
             condition_on_homodyne(state, L1, 0.0, 0.0)
 
+    def test_last_mode_leaves_the_empty_state(self):
+        state = make_state([(L1, 2.0, (0.3, -0.4))])
+        out, record = condition_on_homodyne(state, L1, math.pi / 2.0, 1.1)
+        assert out.modes == ()
+        assert out.mean.shape == (0,) and out.cov.shape == (0, 0)
+        assert record == MeasurementRecord(L1, math.pi / 2.0, 1.1, 2.5)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match=f"homodyne angle of .* must be finite, got {angle!r}"):
+            condition_on_homodyne(vacuum(L1, L2), L1, angle, 0.0)
+
 
 class TestDisplace:
     def test_zero_is_identity(self):
@@ -215,6 +228,13 @@ class TestEPRVariance:
             report = epr_variance(state, M, A)
             assert report.var_xsum == pytest.approx(na + nb + 1.0, rel=1e-12)
             assert report.var_pdiff == pytest.approx(na + nb + 1.0, rel=1e-12)
+
+    def test_one_mode_in_both_roles_rejected(self):
+        # Var(2 X) + Var(0) of a squeezed mode would read below 2
+        squeezed = GaussianState((M, A), np.zeros(4), np.diag([0.1, 2.5, 0.5, 0.5]))
+        for pos, neg in ((M, M), ("m", M), (A, "a")):
+            with pytest.raises(ValueError, match="roles must differ"):
+                epr_variance(squeezed, pos, neg)
 
     def test_pair_is_xsum_and_pdiff(self):
         assert epr_pair(2, 0) == ((4, 0, 1.0), (5, 1, -1.0))

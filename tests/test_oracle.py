@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbus import oracle
-from eprbus.gaussian import GaussianState, atomic_mode, make_state, mechanical_mode
+from eprbus.gaussian import (
+    GaussianState,
+    Provenance,
+    atomic_mode,
+    epr_variance,
+    make_state,
+    mechanical_mode,
+)
 from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, condition_on_readout, qnd_bigstep
 from eprbus.oracle import (
     build_model,
@@ -329,9 +336,9 @@ class TestOracleEPR:
         assert not report.entangled
 
     @pytest.mark.parametrize("initial", [None, "state"])
-    def test_two_states(self, initial, state_counts):
-        # the pulse's joint state and the conditioned one, wrapped unchecked
-        # over one settle of the pulse's moments and one per conditioning
+    def test_no_state(self, initial, state_counts):
+        # the pulse's moments are conditioned as arrays and settled once;
+        # the figure is read off the covariance, with no state wrapped
         model = build_model(ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8, eta_det=0.8))
         if initial:
             initial = make_state(
@@ -339,7 +346,28 @@ class TestOracleEPR:
             )
         state_counts.update(wrapped=0)
         oracle_epr_after_measurement(model, initial=initial)
-        assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 0}
+        assert state_counts == {"checked": 0, "wrapped": 0, "settles": 1, "checks": 0}
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(0.0, 3.0),
+        n_i=st.floats(0.0, 1e4),
+        kind=st.sampled_from(["plain", "mismatch", "damping"]),
+        displacement=st.none() | st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    )
+    def test_figure_is_the_state_route(self, kappa, n_i, kind, displacement):
+        # the figure, conditioned on arrays, bit for bit as the public states give it
+        params = ProtocolParams.dimensionless(
+            kappa, n_i, larmor_periods=8, eps_mismatch=0.02, gamma_m=0.01, n_th=1.0
+        )
+        model = build_model(params, mismatch=kind == "mismatch", damping=kind == "damping")
+        initial = displacement and make_state(
+            [(mechanical_mode("m"), n_i, displacement[:2]), (atomic_mode("a"), 0.0, displacement[2:])]
+        )
+        report = oracle_epr_after_measurement(model, initial=initial)
+        conditioned, _ = condition_on_readout(propagate_moments(model, initial=initial))
+        mech, atom = conditioned.modes
+        assert report == epr_variance(conditioned, mech, atom, Provenance.ORACLE)
 
     def test_both_pulse_routes_return_one_joint_state(self):
         # the collapsed map and the oracle return the input's modes followed
@@ -361,8 +389,10 @@ class TestOracleEPR:
 
 def test_cached_sweep_operation(state_counts):
     """One ``oracle_sweep`` operation over a cached period map: the oracle's
-    pulse and readout, the thermal input and a conditional generation wrap
-    five states over six settles and run one uncertainty check."""
+    figure settles its conditioned moments once and wraps no state; the
+    thermal input and a conditional generation wrap one state each, settle
+    the pulse's output and the conditioned moments, and run one uncertainty
+    check."""
     params = ProtocolParams.dimensionless(1.2, 40.0, larmor_periods=8)
     oracle_epr_after_measurement(build_model(params))
     state_counts.update(dict.fromkeys(state_counts, 0))
@@ -371,7 +401,7 @@ def test_cached_sweep_operation(state_counts):
         [(mechanical_mode("m"), 40.0, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
     )
     run_epr_generation(initial, params, FeedbackConfig.conditional())
-    assert state_counts == {"checked": 0, "wrapped": 5, "settles": 6, "checks": 1}
+    assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 1}
 
 
 REGRESSION_CASES = {

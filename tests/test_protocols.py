@@ -17,7 +17,13 @@ from eprbus.gaussian import (
     make_state,
     mechanical_mode,
 )
-from eprbus.iomaps import COS_MODE, SIN_MODE, ProtocolParams, qnd_bigstep
+from eprbus.iomaps import (
+    COS_MODE,
+    SIN_MODE,
+    ProtocolParams,
+    condition_on_readout,
+    qnd_bigstep,
+)
 from eprbus.protocols import (
     FeedbackConfig,
     TeleportConfig,
@@ -313,10 +319,51 @@ class TestVerifyEpr:
             verify_epr(system_state(), params)
 
 
+class TestArrayRoutes:
+    """Generation and verification run the pulse and its readout on arrays;
+    the public routes through states give the same bits."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(0.1, 4.0),
+        n_i=st.floats(0.0, 1e4),
+        displacement=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        eta=st.sampled_from([1.0, 0.9, 0.3]),
+        record=st.one_of(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), st.integers(0, 2**32 - 1)
+        ),
+    )
+    def test_conditional_generation_and_verification(self, kappa, n_i, displacement, eta, record):
+        initial = make_state([(M, n_i, displacement[:2]), (A, 0.0, displacement[2:])])
+        params = ProtocolParams.dimensionless(kappa, n_i, eta_light=eta, eta_det=eta)
+        # injected outcomes, or outcomes sampled with a seeded rng
+        if isinstance(record, tuple):
+            outcomes, rngs = record, (None, None)
+        else:
+            outcomes, rngs = None, (np.random.default_rng(record), np.random.default_rng(record))
+        state, report, records = run_epr_generation(
+            initial, params, FeedbackConfig.conditional(), rng=rngs[0], outcomes=outcomes
+        )
+        expected, expected_records = condition_on_readout(
+            qnd_bigstep(initial, params), outcomes, rng=rngs[1]
+        )
+        assert state.modes == expected.modes
+        assert np.array_equal(state.mean, expected.mean)
+        assert np.array_equal(state.cov, expected.cov)
+        assert records == expected_records
+        assert report == epr_variance(expected, M, A)
+
+        _, post = verify_epr(state, params)
+        expected_post, _ = condition_on_readout(qnd_bigstep(state, params))
+        assert post.modes == expected_post.modes
+        assert np.array_equal(post.mean, expected_post.mean)
+        assert np.array_equal(post.cov, expected_post.cov)
+
+
 class TestOneCheckPerPulse:
     """The pulse checks the uncertainty relation once, on its map's output,
-    and a pulse with its readout conditioning wraps two states and settles
-    three covariances."""
+    and a pulse with its readout conditioning wraps one state and settles
+    two covariances."""
 
     ETAS = [1.0, 0.7]
 
@@ -358,12 +405,14 @@ class TestOneCheckPerPulse:
         ],
         ids=["conditional", "conditional-sampled", "verify", "verify-shots"],
     )
-    def test_two_states_and_one_check(self, run, eta, state_counts):
+    def test_one_state_and_one_check(self, run, eta, state_counts):
+        # the pulse settles and checks its output; the readout is conditioned
+        # on arrays, and only the returned state is settled and wrapped
         state = system_state(3.0)
         params = ProtocolParams.dimensionless(1.2, 3.0, eta_light=eta, eta_det=eta)
         state_counts.update(wrapped=0)
         run(state, params)
-        assert state_counts == {"checked": 0, "wrapped": 2, "settles": 3, "checks": 1}
+        assert state_counts == {"checked": 0, "wrapped": 1, "settles": 2, "checks": 1}
 
 
 HOT = [(n_i, kappa) for n_i in (1e8, 1e9, 1e10) for kappa in (0.5, 1.0, 3.0)]

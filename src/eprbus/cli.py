@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import csv
 import dataclasses
 import functools
@@ -62,7 +61,7 @@ from .gaussian import (
     make_state,
     mechanical_mode,
 )
-from .iomaps import MatchingError, ProtocolParams
+from .iomaps import _PARAM_NAMES, MatchingError, ProtocolParams, _param_values
 from .oracle import MIN_STEPS_PER_PERIOD, build_model, oracle_epr_after_measurement
 from .planner import (
     FeasibilityReport,
@@ -364,6 +363,12 @@ def build_setup(scenario: dict) -> PhysicalSetup:
     return _configure(functools.partial(PhysicalSetup, **specs), rest, "setup")
 
 
+def _params_dict(params: ProtocolParams) -> dict:
+    """The fields of ``params`` by name, in order; each is a number, so
+    nothing needs the deep copy of ``dataclasses.asdict``."""
+    return dict(zip(_PARAM_NAMES, _param_values(params)))
+
+
 def _report_dict(report: EPRReport) -> dict:
     payload = {
         "delta_epr": report.delta_epr,
@@ -391,10 +396,13 @@ def execute(scenario: dict) -> dict:
     """
     run = _build(scenario)
     params, losses = run.params, run.losses
-    rng = np.random.default_rng(scenario["seed"])
     protocol = scenario["protocol"]
     predicted = predicted_report(params.kappa, params.n_i)
     feedback = protocol == "epr_feedback"
+    # only feedback and finite-shot verification draw from the generator
+    rng = None
+    if feedback or (protocol == "verify" and run.shots):
+        rng = np.random.default_rng(scenario["seed"])
     state, report, records = run_epr_generation(
         make_state(
             [(mechanical_mode("m"), params.n_i, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
@@ -403,7 +411,7 @@ def execute(scenario: dict) -> dict:
         run.feedback if feedback else FeedbackConfig.conditional(),
         rng=rng if feedback else None,
     )
-    results: dict = {"params": dataclasses.asdict(params), "predicted": _report_dict(predicted)}
+    results: dict = {"params": _params_dict(params), "predicted": _report_dict(predicted)}
     if protocol == "oracle_compare":
         results.update(_compare_results(run, report, predicted.delta_epr))
         return results
@@ -508,12 +516,18 @@ def _compare_results(run: _Run, idealized: EPRReport, predicted: float) -> dict:
 
 
 def execute_sweep(scenario: dict) -> dict:
+    """:func:`execute` at each value of the sweep, with ``scenario`` unchanged."""
     sweep = scenario["sweep"]
+    *sections, leaf = sweep["path"].split(".")
     points = []
     for value in sweep["values"]:
-        sub = copy.deepcopy(scenario)
-        sub.pop("sweep")
-        node, leaf = _resolve_sweep_target(sub, sweep["path"])
+        # a point copies only the dicts on its path; execute reads the rest
+        sub = {key: node for key, node in scenario.items() if key != "sweep"}
+        node = sub
+        for name in sections:
+            child = dict(node[name])
+            node[name] = child
+            node = child
         node[leaf] = value
         points.append({"value": value, "results": execute(sub)})
     return {"path": sweep["path"], "points": points}
@@ -585,7 +599,7 @@ def _run_plan(scenario: dict) -> dict:
     run = _build(scenario)
     budget = coherence_budget(run.setup)
     return {
-        "params": dataclasses.asdict(run.params),
+        "params": _params_dict(run.params),
         "derived": run.feasibility.derived,
         "checks": [
             {"name": c.name, "ratio": c.ratio, "status": c.status.value, "detail": c.detail}

@@ -35,6 +35,8 @@ UNCERTAINTY_TOL = 1e-9
 #: grows with the largest entry, about 1e8 for a resonator at room
 #: temperature.
 ROUNDOFF_ULPS = 4.0
+#: ``ROUNDOFF_ULPS * eps``, read once.
+_ROUNDOFF_PER_UNIT = ROUNDOFF_ULPS * np.finfo(float).eps
 #: Channel outputs with a larger covariance entry are refused: roundoff there
 #: (``eps * 1e12 ~ 2e-4``) nears the vacuum variance, and a conditioning on
 #: such an output loses its digits.
@@ -122,9 +124,10 @@ def _min_uncertainty_eigenvalue(cov: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_embedding(cov))[0])
 
 
-def _check_uncertainty(cov: np.ndarray) -> None:
+def _check_uncertainty(cov: np.ndarray, peak: float | None = None) -> None:
     """Raise :class:`InvalidStateError` unless ``cov + i/2 * Omega >= 0``
-    holds to within ``tol`` (see ``UNCERTAINTY_TOL``).
+    holds to within ``tol`` (see ``UNCERTAINTY_TOL``); ``peak`` is
+    ``max|cov|`` when the caller has already taken it.
 
     The embedding shifted by ``tol * I`` has a Cholesky factor whenever its
     smallest eigenvalue lies above ``-tol``, so a finite factor accepts the
@@ -133,7 +136,7 @@ def _check_uncertainty(cov: np.ndarray) -> None:
     without failing, ``eigvalsh`` decides against the same ``tol`` and names
     the smallest eigenvalue.
     """
-    tol = _roundoff_tol(UNCERTAINTY_TOL, cov)
+    tol = _roundoff_tol(UNCERTAINTY_TOL, _peak(cov) if peak is None else peak)
     test = _embedding(cov)
     test.reshape(-1)[:: len(test) + 1] += tol  # the diagonal, as a view
     try:
@@ -146,9 +149,14 @@ def _check_uncertainty(cov: np.ndarray) -> None:
         raise InvalidStateError(f"uncertainty relation violated (min eigenvalue {lam:.2e})")
 
 
-def _roundoff_tol(tol: float, cov: np.ndarray) -> float:
-    """``tol`` plus the roundoff of entries as large as ``max|cov|``."""
-    return tol + ROUNDOFF_ULPS * np.finfo(float).eps * float(np.abs(cov).max())
+def _roundoff_tol(tol: float, peak: float) -> float:
+    """``tol`` plus the roundoff of entries as large as ``peak``."""
+    return tol + _ROUNDOFF_PER_UNIT * peak
+
+
+def _peak(cov: np.ndarray) -> float:
+    """``max|cov|`` of a non-empty covariance."""
+    return float(np.maximum.reduce(np.abs(cov), axis=None))
 
 
 def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -165,10 +173,13 @@ def _settled(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
         for name, value in (("mean", mean), ("cov", cov)):
             if not np.isfinite(value).all():
                 raise InvalidStateError(f"{name} must be finite")
-    asym = float(np.abs(cov - cov.T).max()) if cov.size else 0.0
-    # the absolute bound first: nearly every state passes it, and an empty
-    # covariance has no largest entry
-    if asym > SYMMETRY_TOL and asym > _roundoff_tol(SYMMETRY_TOL, cov):
+    # its own transpose byte for byte, as conditioning leaves it, a
+    # covariance has no asymmetry; an empty one has no largest entry
+    if cov.tobytes() == cov.T.tobytes():
+        return cov
+    asym = _peak(cov - cov.T)
+    # the absolute bound first: nearly every state passes it
+    if asym > SYMMETRY_TOL and asym > _roundoff_tol(SYMMETRY_TOL, _peak(cov)):
         raise InvalidStateError(f"covariance asymmetric by {asym:.2e}")
     if asym:  # averaging changes no exactly symmetric matrix, and may overflow
         cov = (cov + cov.T) / 2.0
@@ -181,13 +192,15 @@ def _channel_output(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
     A failed check means the channel was not physical, or not representable,
     for its input: every :class:`InvalidStateError` is raised as
-    :class:`InvalidChannelError`.
+    :class:`InvalidChannelError`.  The cap and the uncertainty tolerance
+    read one ``max|cov|``.
     """
     try:
         cov = _settled(mean, cov)
-        if np.abs(cov).max() > MAX_CHANNEL_VARIANCE:
+        peak = _peak(cov)
+        if peak > MAX_CHANNEL_VARIANCE:
             raise InvalidStateError("covariance above 1e12: roundoff would swamp the vacuum noise")
-        _check_uncertainty(cov)
+        _check_uncertainty(cov, peak)
     except InvalidStateError as err:
         raise InvalidChannelError(str(err)) from err
     return cov
@@ -238,8 +251,8 @@ class GaussianState:
             raise InvalidStateError(f"mode names must be unique, got {names}")
         mean.setflags(write=False)
         cov.setflags(write=False)
-        for field, value in (("modes", modes), ("mean", mean), ("cov", cov)):
-            object.__setattr__(self, field, value)
+        # one update of the instance dict, where object.__setattr__ puts each
+        vars(self).update(modes=modes, mean=mean, cov=cov)
 
     @property
     def n_modes(self) -> int:
@@ -259,7 +272,16 @@ class GaussianState:
         return 2 * self.mode_index(mode) + 1
 
 
-def _mode_index(modes: tuple[ModeLabel, ...], mode: ModeLabel | str) -> int:
+def _mode_index(modes: Sequence[ModeLabel], mode: ModeLabel | str) -> int:
+    """Where ``mode``, a label or a mode name, sits in ``modes``.
+
+    The label itself is looked for first, by identity, which is how the
+    package passes its own labels; then an equal label or the name.  Mode
+    names are unique, so either pass finds the same mode.
+    """
+    for i, label in enumerate(modes):
+        if label is mode:
+            return i
     for i, label in enumerate(modes):
         if label == mode or label.name == mode:
             return i
@@ -296,6 +318,22 @@ class EPRReport:
         object.__setattr__(self, "var_xsum", float(self.var_xsum))
         object.__setattr__(self, "var_pdiff", float(self.var_pdiff))
 
+    @classmethod
+    def _wrap(cls, var_xsum: float, var_pdiff: float, provenance: Provenance) -> "EPRReport":
+        """A report of two plain floats, with no corrections and no standard
+        error, its fields set in one update of the instance dict rather than
+        by the frozen ``__init__``, whose ``__post_init__`` would change
+        nothing."""
+        report = object.__new__(cls)
+        vars(report).update(
+            var_xsum=var_xsum,
+            var_pdiff=var_pdiff,
+            provenance=provenance,
+            corrections=None,
+            stderr=None,
+        )
+        return report
+
     @property
     def delta_epr(self) -> float:
         return self.var_xsum + self.var_pdiff
@@ -317,6 +355,23 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if not self.outcome_variance > 0.0:
             raise ValueError("outcome_variance must be positive")
+
+    @classmethod
+    def _wrap(
+        cls, mode: ModeLabel, quadrature_angle: float, outcome: float, outcome_variance: float
+    ) -> "MeasurementRecord":
+        """The record, its fields set in one update of the instance dict
+        rather than by the frozen ``__init__``, then checked by
+        ``__post_init__``."""
+        record = object.__new__(cls)
+        vars(record).update(
+            mode=mode,
+            quadrature_angle=quadrature_angle,
+            outcome=outcome,
+            outcome_variance=outcome_variance,
+        )
+        record.__post_init__()
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +396,12 @@ def make_state(
         if nbar < 0:
             raise ValueError(f"occupation must be non-negative, got {nbar} for {label}")
         labels.append(label)
-        mean.extend([dx, dp])
-        diag.extend([nbar + VACUUM_VARIANCE] * 2)
-    diag = np.array(diag, dtype=float)
-    return GaussianState._wrap(tuple(labels), np.array(mean, dtype=float), np.diag(diag))
+        mean += dx, dp
+        diag += [nbar + VACUUM_VARIANCE] * 2
+    dim = len(diag)
+    cov = np.zeros((dim, dim))
+    cov.reshape(-1)[:: dim + 1] = diag  # the diagonal, as a view
+    return GaussianState._wrap(tuple(labels), np.array(mean, dtype=float), cov)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -470,13 +527,13 @@ def _conditioned(
     from a separate call on the dropped state.  Returns the modes left,
     their moments, not settled, and one record per measurement.
     """
-    left, dropped, records = list(modes), set(), []
+    # the modes not yet measured, and where each sits in ``modes``
+    left, kept, records = list(modes), list(range(len(modes))), []
     for mode, angle, outcome in measurements:
-        label = left.pop(_mode_index(left, mode))
+        at = _mode_index(left, mode)
+        label, idx = left.pop(at), kept.pop(at)
         if not math.isfinite(angle):
             raise ValueError(f"homodyne angle of {label} must be finite, got {angle!r}")
-        idx = modes.index(label)
-        dropped.add(idx)
         v = np.zeros(len(mean))
         v[2 * idx] = math.cos(angle)
         v[2 * idx + 1] = math.sin(angle)
@@ -492,17 +549,25 @@ def _conditioned(
             xi = float(rng.normal(mean_b, math.sqrt(var_b)))
         else:
             xi = float(outcome)
-        records.append(MeasurementRecord(label, angle, xi, var_b))
+        records.append(MeasurementRecord._wrap(label, angle, xi, var_b))
 
         cross = cov @ v
         gain = cross / var_b
         mean = mean + gain * (xi - mean_b)
-        cov = cov - gain[:, None] * cross  # np.outer, without its overhead
+        cov = cov - np.multiply.outer(gain, cross)
         cov = (cov + cov.T) / 2.0
 
     # taking rows, then columns, costs a third of np.ix_ and leaves C order
-    keep = np.array([j for j in range(len(mean)) if j // 2 not in dropped], dtype=np.intp)
+    keep = _quadratures(tuple(kept))
     return tuple(left), mean.take(keep), cov.take(keep, 0).take(keep, 1), tuple(records)
+
+
+@functools.lru_cache(maxsize=16)
+def _quadratures(modes: tuple[int, ...]) -> np.ndarray:
+    """The quadrature indices of the modes at ``modes``, in order; read-only."""
+    index = np.array([q for i in modes for q in (2 * i, 2 * i + 1)], dtype=np.intp)
+    index.setflags(write=False)
+    return index
 
 
 def linear_form_moments(
@@ -555,8 +620,12 @@ def epr_variance(
 
 def _epr_report(cov: np.ndarray, pos: int, neg: int, provenance: Provenance) -> EPRReport:
     """:func:`epr_variance` read off a covariance, with the roles at mode
-    indices ``pos`` and ``neg``."""
-    var_xsum, var_pdiff = (
-        cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j] for i, j, s in epr_pair(pos, neg)
+    indices ``pos`` and ``neg``; the sums are those of numpy scalars, on
+    plain floats."""
+    (xi, xj, xs), (pi, pj, ps) = epr_pair(pos, neg)
+    entry = cov.item
+    return EPRReport._wrap(
+        entry(xi, xi) + entry(xj, xj) + 2.0 * xs * entry(xi, xj),
+        entry(pi, pi) + entry(pj, pj) + 2.0 * ps * entry(pi, pj),
+        provenance,
     )
-    return EPRReport(var_xsum, var_pdiff, provenance)

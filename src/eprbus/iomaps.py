@@ -28,7 +28,9 @@ that keeps only a figure or the conditioned state wraps no state between.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 
@@ -43,7 +45,8 @@ from .gaussian import (
     _admix_loss,
     _channel_output,
     _condition,
-    epr_forms,
+    _mode_index,
+    epr_pair,
     light_mode,
 )
 
@@ -86,9 +89,9 @@ class ProtocolParams:
     eta_det: float = 1.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite")
+        for name, value in zip(_PARAM_NAMES, _param_values(self)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("kappa", "n_i", "gamma_c", "tau", "gamma_m", "n_th"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -159,6 +162,12 @@ class ProtocolParams:
         )
 
 
+#: The fields of :class:`ProtocolParams` in order, read once, and a getter
+#: of their values as a tuple.
+_PARAM_NAMES = tuple(field.name for field in fields(ProtocolParams))
+_param_values = operator.attrgetter(*_PARAM_NAMES)
+
+
 def _require_matching(params: ProtocolParams) -> None:
     eps = params.matching_residual()
     if math.isnan(eps):
@@ -195,7 +204,8 @@ def _resolve_roles(
         if negative_mass is not None
         else unique(ModeKind.ATOMIC)
     )
-    if pos == neg:
+    # both are modes of the state, whose names are unique: equal only when one
+    if pos is neg:
         raise ValueError("positive- and negative-mass roles must differ")
     return pos, neg
 
@@ -249,23 +259,19 @@ def _pulse(
     kappa = params.kappa
 
     # the input (+) the vacua of the cos and sin modes, at indices n and n + 1
-    n, dim = state.n_modes, state.dim + 4
-    mean = np.zeros(dim)
-    mean[: state.dim] = state.mean
-    cov = np.diag(np.full(dim, VACUUM_VARIANCE))
-    cov[: state.dim, : state.dim] = state.cov
-    i_pos, i_neg = state.mode_index(pos), state.mode_index(neg)
-    xm, pm, xa, pa = 2 * i_pos, 2 * i_pos + 1, 2 * i_neg, 2 * i_neg + 1
-    xc, pc, xs, ps = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
-
-    s = np.eye(dim)
-    # back-action of the shared drive, split across the cos/sin input modes
-    s[xm, xs] = -kappa
-    s[pm, xc] = kappa
-    s[xa, xs] = kappa
-    s[pa, xc] = kappa
-    # readout: the EPR pair
-    s[[pc, ps]] += kappa * epr_forms(dim, i_pos, i_neg)
+    n = len(state.modes)
+    identity, vacuum, entries, (sign_x, sign_p) = _pulse_layout(
+        n, _mode_index(state.modes, pos), _mode_index(state.modes, neg)
+    )
+    mean = np.zeros(len(identity))
+    mean[: 2 * n] = state.mean
+    cov = vacuum.copy()
+    cov[: 2 * n, : 2 * n] = state.cov
+    # the readout entries are 0 + kappa * sign, as the identity plus kappa
+    # times the pair's forms has them: never -0.0
+    readout = (0.0 + kappa, 0.0 + kappa * sign_x, 0.0 + kappa, 0.0 + kappa * sign_p)
+    s = identity.copy()
+    s.put(entries, (-kappa, kappa, kappa, kappa, *readout))
 
     mean = s @ mean
     cov = _channel_output(mean, s @ cov @ s.T)
@@ -274,6 +280,32 @@ def _pulse(
         for i in (n, n + 1):
             _admix_loss(mean, cov, i, eta)
     return state.modes + (COS_MODE, SIN_MODE), mean, cov
+
+
+@functools.lru_cache(maxsize=16)
+def _pulse_layout(
+    n: int, i_pos: int, i_neg: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
+    """What the map of :func:`_pulse` on ``n`` modes, with the roles at mode
+    indices ``i_pos`` and ``i_neg``, takes from the layout alone; read-only.
+
+    Returns the identity and the vacuum covariance of the joint modes, the
+    flat indices of the map's eight ``kappa`` entries and the signs of the
+    EPR pair (:func:`epr_pair`).  The entries are the back-action of the
+    shared drive, split across the cos/sin input modes, then the readout of
+    the pair on the cos and sin modes.
+    """
+    dim = 2 * n + 4
+    (xm, xa, sign_x), (pm, pa, sign_p) = epr_pair(i_pos, i_neg)
+    xc, pc, xs, ps = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
+    rows = (xm, pm, xa, pa, pc, pc, ps, ps)
+    columns = (xs, xc, xs, xc, xm, xa, pm, pa)
+    entries = np.ravel_multi_index((rows, columns), (dim, dim))
+    identity = np.eye(dim)
+    vacuum = VACUUM_VARIANCE * identity
+    for array in (identity, vacuum, entries):
+        array.setflags(write=False)
+    return identity, vacuum, entries, (sign_x, sign_p)
 
 
 def condition_on_readout(

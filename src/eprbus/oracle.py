@@ -75,7 +75,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -91,7 +92,14 @@ from .gaussian import (
     epr_forms,
     mechanical_mode,
 )
-from .iomaps import COS_MODE, SIN_MODE, ProtocolParams, _readout, _resolve_roles
+from .iomaps import (
+    _PARAM_NAMES,
+    COS_MODE,
+    SIN_MODE,
+    ProtocolParams,
+    _readout,
+    _resolve_roles,
+)
 
 #: Minimum integration resolution from the convergence study: the
 #: fourth-order scheme holds the EPR-conservation drift below 1e-6 relative
@@ -215,6 +223,9 @@ _SYMMETRY_RTOL = 1e-12
 #: of a whole pulse is never held at once.
 _CSV_CHUNK_ROWS = MIN_STEPS_PER_PERIOD
 
+#: The values of every :class:`ProtocolParams` field but ``n_i``, as a tuple.
+_drift_values = operator.attrgetter(*(name for name in _PARAM_NAMES if name != "n_i"))
+
 
 @dataclass(frozen=True)
 class DriftNoiseModel:
@@ -233,8 +244,7 @@ class DriftNoiseModel:
     _drift_params: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        drift = (getattr(self.params, f.name) for f in fields(ProtocolParams) if f.name != "n_i")
-        object.__setattr__(self, "_drift_params", tuple(drift))
+        object.__setattr__(self, "_drift_params", _drift_values(self.params))
 
     @property
     def thermal_diffusion(self) -> float:
@@ -311,7 +321,7 @@ def build_model(
         )
     if (
         isinstance(steps_per_period, bool)
-        or not isinstance(steps_per_period, numbers.Integral)
+        or not isinstance(steps_per_period, (int, numbers.Integral))
         or steps_per_period < MIN_STEPS_PER_PERIOD
     ):
         raise ValueError(
@@ -337,13 +347,17 @@ def build_model(
     )
 
 
+#: The system modes of a pulse from the default initial state.
+_DEFAULT_ROLES = (mechanical_mode("m"), atomic_mode("a"))
+
+
 def _initial_moments(
     model: DriftNoiseModel, initial: GaussianState | None
 ) -> tuple[np.ndarray, np.ndarray, tuple[ModeLabel, ModeLabel]]:
     mean = np.zeros(8)
     cov = np.zeros((8, 8))
     if initial is None:
-        mech, atom = mechanical_mode("m"), atomic_mode("a")
+        mech, atom = _DEFAULT_ROLES
         cov[_XM, _XM] = cov[_PM, _PM] = model.params.n_i + 0.5
         cov[_XA, _XA] = cov[_PA, _PA] = 0.5
     else:

@@ -188,7 +188,7 @@ def run_epr_generation(
             )
         outcomes = (0.0, 0.0)
     modes, mean, cov, (rec_cos, rec_sin) = _conditioned(*joint, _readout(outcomes), rng)
-    i_mech, i_atom = initial.mode_index(mech), initial.mode_index(atom)
+    i_mech, i_atom = _mode_index(initial.modes, mech), _mode_index(initial.modes, atom)
 
     if fb.mode is FeedbackMode.CONDITIONAL:
         report = _epr_report(cov, i_mech, i_atom, Provenance.IDEALIZED_MAP)

@@ -794,11 +794,65 @@ class TestSweep:
         assert deltas == sorted(deltas, reverse=True)  # monotone decreasing
         assert deltas[0] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "path, values",
+        [
+            ("model.kappa", [0.5, 1.5]),
+            ("setup.mech.mass_kg", [1.0e-12, 2.0e-12]),
+            ("losses.photon_loss", [0.0, 0.2]),
+            ("seed", [3, 4]),
+        ],
+    )
+    def test_scenario_left_unchanged(self, tmp_path, path, values):
+        # each point copies only the dicts on the sweep path
+        body = (
+            {"setup": MICROMIRROR_SETUP}
+            if path.startswith("setup")
+            else {"model": {"kappa": 1.0, "n_i": 2.0}}
+        )
+        payload = {
+            "protocol": "epr_feedback",
+            **body,
+            "losses": {"photon_loss": 0.1},
+            "sweep": {"path": path, "values": values},
+        }
+        scenario = load_scenario(write_scenario(tmp_path, "s.yaml", payload))
+        before = json.dumps(scenario, sort_keys=True)
+        points = cli.execute_sweep(scenario)["points"]
+        assert json.dumps(scenario, sort_keys=True) == before
+        assert [point["value"] for point in points] == values
+        # the points differ, so each ran at its own value
+        assert points[0]["results"] != points[1]["results"]
+
     def test_sweep_verb_requires_section(self, tmp_path):
         path = write_scenario(
             tmp_path, "nosweep.yaml", {"protocol": "epr_conditional", "model": {"kappa": 1.0}}
         )
         assert main(["sweep", "--scenario", path]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "protocol, section, draws",
+    [
+        ("epr_conditional", {}, False),
+        ("epr_feedback", {}, True),
+        ("verify", {}, False),
+        ("verify", {"verify": {"shots": 10}}, True),
+        ("teleport", {"teleport": {"asymptotic": True}}, False),
+    ],
+)
+def test_generator_made_only_where_drawn_from(tmp_path, monkeypatch, protocol, section, draws):
+    made = []
+    default_rng = cli.np.random.default_rng
+
+    def counted(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(cli.np.random, "default_rng", counted)
+    payload = {"protocol": protocol, "seed": 5, "model": {"kappa": 1.0}, **section}
+    cli.execute(load_scenario(write_scenario(tmp_path, "s.yaml", payload)))
+    assert made == ([5] if draws else [])
 
 
 class TestCompare:

@@ -14,6 +14,11 @@ from eprbus.gaussian import (
     InvalidChannelError,
     InvalidStateError,
     MeasurementRecord,
+    ModeLabel,
+    Provenance,
+    _conditioned,
+    _epr_report,
+    _mode_index,
     apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
@@ -253,6 +258,112 @@ class TestEPRVariance:
                     np.testing.assert_allclose(
                         [report.var_xsum, report.var_pdiff], np.diag(cov), rtol=1e-12
                     )
+
+
+class TestModeIndex:
+    MODES = (M, A, L1)
+
+    def test_the_label_itself(self):
+        assert [_mode_index(self.MODES, mode) for mode in self.MODES] == [0, 1, 2]
+
+    def test_an_equal_label(self):
+        # an equal label that is another object: found by equality
+        copy = ModeLabel(A.kind, A.name)
+        assert copy is not A and _mode_index(self.MODES, copy) == 1
+
+    def test_a_name(self):
+        assert _mode_index(self.MODES, "l1") == 2
+
+    def test_the_name_of_another_kind_not_found(self):
+        with pytest.raises(ValueError, match="not present"):
+            _mode_index(self.MODES, light_mode("m"))
+
+    def test_missing_mode_named_with_the_modes(self):
+        with pytest.raises(ValueError) as caught:
+            _mode_index(self.MODES, "q")
+        assert str(caught.value) == (
+            "mode 'q' not present in state ['mechanical:m', 'atomic:a', 'light:l1']"
+        )
+
+
+def looked_up_conditioning(modes, mean, cov, measurements, rng):
+    """The conditioning kernel with each measured mode looked up by
+    equality in the full mode list and dropped through a set of indices:
+    the reference for the kernel's bookkeeping, whose arithmetic is the
+    same."""
+    left, dropped, records = list(modes), set(), []
+    for mode, angle, outcome in measurements:
+        label = left.pop(_mode_index(left, mode))
+        idx = modes.index(label)
+        dropped.add(idx)
+        v = np.zeros(len(mean))
+        v[2 * idx] = math.cos(angle)
+        v[2 * idx + 1] = math.sin(angle)
+        var_b = float(v @ cov @ v)
+        mean_b = float(v @ mean)
+        if isinstance(outcome, str):
+            xi = float(rng.normal(mean_b, math.sqrt(var_b)))
+        else:
+            xi = float(outcome)
+        records.append(MeasurementRecord(label, angle, xi, var_b))
+        cross = cov @ v
+        gain = cross / var_b
+        mean = mean + gain * (xi - mean_b)
+        cov = cov - gain[:, None] * cross
+        cov = (cov + cov.T) / 2.0
+    keep = np.array([j for j in range(len(mean)) if j // 2 not in dropped], dtype=np.intp)
+    return tuple(left), mean.take(keep), cov.take(keep, 0).take(keep, 1), tuple(records)
+
+
+def summed_report(cov: np.ndarray, pos: int, neg: int) -> tuple[float, float]:
+    """The EPR pair's variances as sums of numpy scalars."""
+    return tuple(
+        float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j]) for i, j, s in epr_pair(pos, neg)
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(2, 4),
+    scale=st.sampled_from([1.0, 1e4, 1e8]),
+    order=st.permutations(range(4)),
+    count=st.integers(1, 4),
+    by=st.lists(st.sampled_from(["label", "equal", "name"]), min_size=4, max_size=4),
+    angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+    sampled=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_conditioning_bookkeeping_is_the_lookup_by_equality(
+    seed, n_modes, scale, order, count, by, angles, sampled
+):
+    # bit for bit as bytes: moments, records and the EPR figure off the result
+    rng = np.random.default_rng(seed)
+    state = random_valid_state(n_modes, rng)
+    mean, cov = state.mean * math.sqrt(scale), state.cov * scale  # still physical
+    measured = [m for m in order if m < n_modes][: min(count, n_modes)]
+    spelled = {
+        "label": lambda mode: mode,
+        "equal": lambda mode: ModeLabel(mode.kind, mode.name),
+        "name": lambda mode: mode.name,
+    }
+    measurements = [
+        (spelled[by[k]](state.modes[m]), angles[k], "sample" if sampled[k] else 0.3 * k)
+        for k, m in enumerate(measured)
+    ]
+    got = _conditioned(state.modes, mean, cov, measurements, np.random.default_rng(seed))
+    want = looked_up_conditioning(
+        state.modes, mean, cov, measurements, np.random.default_rng(seed)
+    )
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3] == want[3]
+    assert [r.outcome_variance.hex() for r in got[3]] == [r.outcome_variance.hex() for r in want[3]]
+    if len(got[0]) >= 2:
+        report = _epr_report(got[2], 0, 1, Provenance.IDEALIZED_MAP)
+        assert (report.var_xsum.hex(), report.var_pdiff.hex()) == tuple(
+            value.hex() for value in summed_report(want[2], 0, 1)
+        )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbus.gaussian import (
+    VACUUM_VARIANCE,
     GaussianState,
+    _admix_loss,
+    _channel_output,
     apply_linear_map,
     atomic_mode,
     condition_on_homodyne,
+    epr_forms,
     epr_variance,
     loss_channel,
     make_state,
@@ -23,6 +27,8 @@ from eprbus.iomaps import (
     SIN_MODE,
     MatchingError,
     ProtocolParams,
+    _pulse,
+    _resolve_roles,
     condition_on_readout,
     qnd_bigstep,
 )
@@ -97,6 +103,65 @@ def reference_pulse(state: GaussianState, params: ProtocolParams, roles: dict) -
         for mode in (COS_MODE, SIN_MODE):
             out = loss_channel(out, mode, eta)
     return out
+
+
+def assembled_pulse(state: GaussianState, params: ProtocolParams, pos, neg) -> tuple:
+    """The pulse kernel with its map assembled entry by entry, the readout
+    rows added as ``kappa`` times the pair's forms: the reference that the
+    kernel's one fancy assignment must match bit for bit."""
+    kappa = params.kappa
+    n, dim = state.n_modes, state.dim + 4
+    mean = np.zeros(dim)
+    mean[: state.dim] = state.mean
+    cov = np.diag(np.full(dim, VACUUM_VARIANCE))
+    cov[: state.dim, : state.dim] = state.cov
+    i_pos, i_neg = state.mode_index(pos), state.mode_index(neg)
+    xm, pm, xa, pa = 2 * i_pos, 2 * i_pos + 1, 2 * i_neg, 2 * i_neg + 1
+    xc, pc, xs, ps = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
+    s = np.eye(dim)
+    s[xm, xs] = -kappa
+    s[pm, xc] = kappa
+    s[xa, xs] = kappa
+    s[pa, xc] = kappa
+    s[[pc, ps]] += kappa * epr_forms(dim, i_pos, i_neg)
+    mean = s @ mean
+    cov = _channel_output(mean, s @ cov @ s.T)
+    eta = params.eta_light * params.eta_det
+    if eta < 1.0:
+        for i in (n, n + 1):
+            _admix_loss(mean, cov, i, eta)
+    return state.modes + (COS_MODE, SIN_MODE), mean, cov
+
+
+@st.composite
+def hot_pulse_inputs(draw) -> tuple[GaussianState, dict]:
+    """:func:`pulse_inputs`, or a thermal mechanical mode up to ``n_i = 1e8``
+    and a displaced vacuum ensemble."""
+    if draw(st.booleans()):
+        return draw(pulse_inputs())
+    n_i = 10.0 ** draw(st.floats(0.0, 8.0))
+    displacement = draw(st.tuples(*[st.floats(-10.0, 10.0)] * 4))
+    state = make_state([(M, n_i, displacement[:2]), (A, 0.0, displacement[2:])])
+    return state, {}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    given_input=hot_pulse_inputs(),
+    kappa=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 4.0),
+    eta=st.sampled_from([1.0, 0.9, 0.3]),
+)
+def test_pulse_kernel_is_the_assembled_map(given_input, kappa, eta):
+    # bit for bit, compared as bytes so that a signed zero counts; kappa = -0.0
+    # passes the parameter checks
+    state, roles = given_input
+    params = ProtocolParams.dimensionless(kappa, eta_light=eta)
+    pos, neg = _resolve_roles(state, roles.get("positive_mass"), roles.get("negative_mass"))
+    modes, mean, cov = _pulse(state, params, pos, neg)
+    ref_modes, ref_mean, ref_cov = assembled_pulse(state, params, pos, neg)
+    assert modes == ref_modes
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert cov.tobytes() == ref_cov.tobytes()
 
 
 def assert_same_state(actual: GaussianState, expected: GaussianState) -> None:

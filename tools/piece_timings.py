@@ -1,0 +1,97 @@
+"""Per-piece timings of the package, best of N, in microseconds.
+
+Run from anywhere; the package is imported from the ``src`` directory of
+the checkout that holds this script:
+
+    python tools/piece_timings.py                  # 7 repeats of 1000 calls
+    python tools/piece_timings.py --number 1 --repeat 1
+
+Each piece is called once untimed, which fills every cache it reads, and
+then timed with ``timeit``: the best of ``--repeat`` runs of ``--number``
+calls, per call.  BLAS and OpenMP run on one thread, as in the benchmark.
+The pieces are the layers of a cached ``oracle_sweep`` operation and of a
+CLI run.  The fresh pulse-map build calls the uncached function, with the
+rotation lifts that a grid's models share already cached.  Uses only the
+standard library, numpy and the package's own runtime dependencies.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy is imported, so that its BLAS starts with one thread
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from eprbus import cli, gaussian, iomaps, oracle, protocols  # noqa: E402
+
+#: The operating point of every piece: 16 Larmor periods, as most of a sweep.
+KAPPA, N_I, PERIODS = 1.3, 20.0, 16
+SCENARIO = ROOT / "scenarios" / "epr_conditional.yaml"
+
+
+def pieces() -> dict:
+    """The timed calls, by name, each with its inputs made once."""
+    params = iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=PERIODS)
+    initial = gaussian.make_state(
+        [
+            (gaussian.mechanical_mode("m"), N_I, (0.0, 0.0)),
+            (gaussian.atomic_mode("a"), 0.0, (0.0, 0.0)),
+        ]
+    )
+    modes, mean, cov = initial.modes, initial.mean, initial.cov
+    joint = iomaps.qnd_bigstep(initial, params)
+    conditional = protocols.FeedbackConfig.conditional()
+    model = oracle.build_model(params)
+    scenario = cli.load_scenario(SCENARIO)
+    report = cli.assemble_report(scenario, cli.execute(scenario))
+    return {
+        "GaussianState construction": lambda: gaussian.GaussianState(modes, mean, cov),
+        "qnd_bigstep": lambda: iomaps.qnd_bigstep(initial, params),
+        "condition_on_readout": lambda: iomaps.condition_on_readout(joint),
+        "run_epr_generation (conditional)": lambda: protocols.run_epr_generation(
+            initial, params, conditional
+        ),
+        "oracle_epr_after_measurement (cached)": lambda: oracle.oracle_epr_after_measurement(
+            model
+        ),
+        "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
+        "load_scenario": lambda: cli.load_scenario(SCENARIO),
+        "render_json": lambda: cli.render_json(report),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--number", type=int, default=1000, help="calls per timed run")
+    parser.add_argument("--repeat", type=int, default=7, help="timed runs; the best is kept")
+    args = parser.parse_args(argv)
+    if args.number < 1 or args.repeat < 1:
+        parser.error("--number and --repeat must be at least 1")
+    print(f"# best of {args.repeat} x {args.number} calls, one BLAS thread, numpy {np.__version__}")
+    for name, call in pieces().items():
+        call()
+        best = min(timeit.repeat(call, number=args.number, repeat=args.repeat)) / args.number
+        print(f"{name:<40} {best * 1e6:9.1f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,10 @@ States are immutable values; every operation returns a fresh state, so
 independent computations can run concurrently without locking.  Anything
 stochastic (sampling a homodyne outcome) takes an explicit
 ``numpy.random.Generator`` so replays are deterministic.
+
+:class:`GaussianState` gives the checks and the unchecked wrap, the constants
+below their tolerances; :func:`_conditioned` and :func:`_admix_loss` are the
+array kernels of conditioning and loss.
 """
 
 from __future__ import annotations
@@ -246,9 +250,7 @@ class GaussianState:
 
     def _take(self, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray) -> None:
         """Set the fields, read-only, after the one test every state passes."""
-        names = [m.name for m in modes]
-        if len(set(names)) != len(names):
-            raise InvalidStateError(f"mode names must be unique, got {names}")
+        _require_unique_names(modes)
         mean.setflags(write=False)
         cov.setflags(write=False)
         # one update of the instance dict, where object.__setattr__ puts each
@@ -270,6 +272,13 @@ class GaussianState:
 
     def p_index(self, mode: ModeLabel | str) -> int:
         return 2 * self.mode_index(mode) + 1
+
+
+def _require_unique_names(modes: Sequence[ModeLabel]) -> None:
+    """Raise :class:`InvalidStateError` unless the names of ``modes`` are unique."""
+    names = [m.name for m in modes]
+    if len(set(names)) != len(names):
+        raise InvalidStateError(f"mode names must be unique, got {names}")
 
 
 def _mode_index(modes: Sequence[ModeLabel], mode: ModeLabel | str) -> int:

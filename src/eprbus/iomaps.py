@@ -22,8 +22,9 @@ detection loss on the light then act on the two readout modes.
 The readout is the p-quadrature of both temporal modes;
 :func:`condition_on_readout` conditions a pulse's joint state on it.  Both
 steps have a private kernel on arrays, :func:`_pulse` and, with the
-measurements of :func:`_readout`, ``gaussian._conditioned``, so a caller
-that keeps only a figure or the conditioned state wraps no state between.
+measurements of :func:`_readout`, ``gaussian._conditioned``.  Each public
+function is a kernel and one wrap; the protocols call the kernels, so they
+wrap no state between the pulse and their result.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .gaussian import (
     _channel_output,
     _condition,
     _mode_index,
+    _require_unique_names,
     epr_pair,
     light_mode,
 )
@@ -58,6 +60,9 @@ COS_MODE = light_mode("cos")
 SIN_MODE = light_mode("sin")
 #: Homodyne angle of the readout: the p-quadrature of each temporal mode.
 _READOUT_ANGLE = math.pi / 2.0
+#: The rows of the readout, p of cos and p of sin, in the moments of a
+#: pulse's joint modes, whose last two they are.
+_READOUT_ROWS = (-3, -1)
 
 
 class MatchingError(ValueError):
@@ -142,6 +147,8 @@ class ProtocolParams:
         other rate (adiabatic elimination regime) and ``g`` is chosen so the
         matching condition holds exactly.
         """
+        if isinstance(larmor_periods, bool) or not isinstance(larmor_periods, (int, np.integer)):
+            raise ValueError(f"larmor_periods must be an integer, got {larmor_periods!r}")
         if larmor_periods < 1:
             raise ValueError("larmor_periods must be at least 1")
         omega = 2.0 * math.pi * larmor_periods
@@ -232,21 +239,25 @@ def qnd_bigstep(
     so the joint state is the image of a symplectic map only when
     ``eta_light * eta_det = 1``.
 
-    The pulse works on the moments and wraps one state.  Its one check of
-    the uncertainty relation is on the map's output (failure raises
-    :class:`InvalidChannelError`): a symplectic map of the input and two
-    vacua is physical exactly when the input is, and the loss that follows
-    keeps a physical state physical.
+    The pulse is the roles resolved, the kernel :func:`_pulse` and one
+    wrap; an unphysical input raises :class:`InvalidChannelError` there.
     """
     pos, neg = _resolve_roles(state, positive_mass, negative_mass)
-    return GaussianState._wrap(*_pulse(state, params, pos, neg))
+    return GaussianState._wrap(*_pulse(state.modes, state.mean, state.cov, params, pos, neg))
 
 
 def _pulse(
-    state: GaussianState, params: ProtocolParams, pos: ModeLabel, neg: ModeLabel
+    modes: tuple[ModeLabel, ...],
+    mean: np.ndarray,
+    cov: np.ndarray,
+    params: ProtocolParams,
+    pos: ModeLabel,
+    neg: ModeLabel,
 ) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray]:
-    """:func:`qnd_bigstep` with its roles resolved, on arrays: the joint
-    modes and their checked, settled moments."""
+    """:func:`qnd_bigstep` on a state's modes and moments, with its roles
+    resolved: the joint modes, their names checked unique, and their settled
+    moments, checked on the map's output, which is physical exactly when the
+    input is (the loss that follows keeps it physical)."""
     _require_matching(params)
     if 0.0 < params.omega_tau < OMEGA_TAU_INDEPENDENT:
         warnings.warn(
@@ -259,27 +270,29 @@ def _pulse(
     kappa = params.kappa
 
     # the input (+) the vacua of the cos and sin modes, at indices n and n + 1
-    n = len(state.modes)
+    n = len(modes)
     identity, vacuum, entries, (sign_x, sign_p) = _pulse_layout(
-        n, _mode_index(state.modes, pos), _mode_index(state.modes, neg)
+        n, _mode_index(modes, pos), _mode_index(modes, neg)
     )
-    mean = np.zeros(len(identity))
-    mean[: 2 * n] = state.mean
-    cov = vacuum.copy()
-    cov[: 2 * n, : 2 * n] = state.cov
+    joint_mean = np.zeros(len(identity))
+    joint_mean[: 2 * n] = mean
+    joint_cov = vacuum.copy()
+    joint_cov[: 2 * n, : 2 * n] = cov
     # the readout entries are 0 + kappa * sign, as the identity plus kappa
     # times the pair's forms has them: never -0.0
     readout = (0.0 + kappa, 0.0 + kappa * sign_x, 0.0 + kappa, 0.0 + kappa * sign_p)
     s = identity.copy()
     s.put(entries, (-kappa, kappa, kappa, kappa, *readout))
 
-    mean = s @ mean
-    cov = _channel_output(mean, s @ cov @ s.T)
+    mean = s @ joint_mean
+    cov = _channel_output(mean, s @ joint_cov @ s.T)
     eta = params.eta_light * params.eta_det
     if eta < 1.0:
         for i in (n, n + 1):
             _admix_loss(mean, cov, i, eta)
-    return state.modes + (COS_MODE, SIN_MODE), mean, cov
+    modes += (COS_MODE, SIN_MODE)
+    _require_unique_names(modes)
+    return modes, mean, cov
 
 
 @functools.lru_cache(maxsize=16)

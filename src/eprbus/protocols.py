@@ -15,6 +15,10 @@ Entanglement survives an arbitrarily hot initial mechanical mode exactly when
 the asymptotic value ``1/kappa^2`` stays below 2, i.e. ``kappa > 1/sqrt(2)
 ~= 0.707``.  (Folklore puts the threshold near ``kappa ~ 0.5``; the formula
 says 0.707, and this package follows the formula.)
+
+Each protocol resolves its roles once, runs ``iomaps._pulse`` on arrays and
+reads its result off the joint moments, conditioned or as linear forms; it
+builds only the state it returns, checking each step as a state would be.
 """
 
 from __future__ import annotations
@@ -26,28 +30,24 @@ from enum import Enum
 import numpy as np
 
 from .gaussian import (
+    VACUUM_VARIANCE,
     EPRReport,
     GaussianState,
     Provenance,
+    _check_uncertainty,
     _conditioned,
     _epr_report,
     _mode_index,
     _settled,
     atomic_mode,
     epr_forms,
-    epr_variance,
-    linear_form_moments,
-    make_state,
-    tensor,
 )
 from .iomaps import (
-    COS_MODE,
-    SIN_MODE,
+    _READOUT_ROWS,
     ProtocolParams,
     _pulse,
     _readout,
     _resolve_roles,
-    qnd_bigstep,
 )
 
 
@@ -112,43 +112,24 @@ def optimal_gain(kappa: float, n_i: float) -> float:
     return kappa * v / (kappa**2 * v + 0.5)
 
 
-def _moment_gains(joint: GaussianState) -> tuple[float, float]:
-    """Per-channel optimal gains ``Cov(signal, readout) / Var(readout)`` on
-    a generation pulse's joint state.
-
-    Coincides with :func:`optimal_gain` for the lossless product input and
-    stays optimal under detection loss.
+def _feedback_ensemble(
+    mean: np.ndarray, cov: np.ndarray, mech: int, atom: int, gain_cos: float, gain_sin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unconditional (ensemble-averaged) moments of the modes at indices
+    ``mech`` and ``atom`` after feedback on the joint moments of a generation
+    pulse, with gain ``gain_cos`` on the cos and ``gain_sin`` on the sin
+    channel, its covariance settled and checked as a state's would be.
+    Displacing by the record and discarding the light makes each system
+    quadrature a linear form on the joint moments: no sample is drawn.
     """
-    mech, atom = _resolve_roles(joint, None, None)
-    forms = np.zeros((4, joint.dim))
-    forms[[0, 2]] = epr_forms(joint.dim, joint.mode_index(mech), joint.mode_index(atom))
-    forms[1, joint.p_index(COS_MODE)] = 1.0
-    forms[3, joint.p_index(SIN_MODE)] = 1.0
-    _, cov = linear_form_moments(joint, forms)
-    return cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
-
-
-def _feedback_ensemble(joint: GaussianState, gain_cos: float, gain_sin: float) -> GaussianState:
-    """Unconditional (ensemble-averaged) system state after feedback on the
-    joint state of a generation pulse already taken, with gain ``gain_cos``
-    on the cos channel and ``gain_sin`` on the sin channel.
-
-    Computed deterministically from the input-output relations: displacing by
-    the measured record and discarding the light makes each system quadrature
-    a linear form on the joint state, so no sampling is involved.
-
-    The cos record is fed back as ``X_a -> X_a - g xi_cos``; the sin channel
-    needs the opposite sign, ``P_a -> P_a + g xi_sin``, because the sin
-    readout carries ``+kappa (P_m - P_a)`` so only the positive kick shrinks
-    the difference.
-    """
-    mech, atom = _resolve_roles(joint, None, None)
-    forms = np.eye(joint.dim)[
-        [joint.x_index(mech), joint.p_index(mech), joint.x_index(atom), joint.p_index(atom)]
-    ]
-    forms[2, joint.p_index(COS_MODE)] = -gain_cos
-    forms[3, joint.p_index(SIN_MODE)] = +gain_sin
-    return GaussianState((mech, atom), *linear_form_moments(joint, forms))
+    forms = np.eye(len(mean))[[2 * mech, 2 * mech + 1, 2 * atom, 2 * atom + 1]]
+    # X_a -> X_a - g xi_cos, but P_a -> P_a + g xi_sin: the sin readout
+    # carries +kappa (P_m - P_a), so only the positive kick shrinks it
+    forms[[2, 3], _READOUT_ROWS] = -gain_cos, +gain_sin
+    mean = forms @ mean
+    cov = _settled(mean, forms @ cov @ forms.T)
+    _check_uncertainty(cov)
+    return mean, cov
 
 
 def run_epr_generation(
@@ -164,22 +145,18 @@ def run_epr_generation(
     Conditional mode measures both temporal p-quadratures and keeps the
     conditioned system state.  Feedback modes additionally displace the
     atomic mode by the record (gains from ``fb`` or, for the optimal mode,
-    from the joint moments) and return a single-run state; feedback requires
-    sampled or injected outcomes.
+    ``Cov(signal, readout) / Var(readout)`` off the joint moments, optimal
+    under detection loss too) and return a single-run state; feedback
+    requires sampled or injected outcomes.
 
     Returns ``(state, report, (record_cos, record_sin))``.  The report always
     describes the prepared ensemble: for conditioning that is the conditional
     covariance (outcome independent); for feedback it is the unconditional
     covariance of the EPR observables, which at the optimal gain coincides
     with the conditional one.
-
-    The pulse and its conditioning run on arrays, and the returned state is
-    settled once; the conditional route wraps no other state.  Feedback
-    wraps the pulse's joint state, from which it reads its gains and the
-    ensemble.
     """
     mech, atom = _resolve_roles(initial, None, None)
-    joint = _pulse(initial, params, mech, atom)
+    joint = _pulse(initial.modes, initial.mean, initial.cov, params, mech, atom)
     if outcomes is None and rng is None:
         if fb.mode is not FeedbackMode.CONDITIONAL:
             raise ValueError(
@@ -193,18 +170,21 @@ def run_epr_generation(
     if fb.mode is FeedbackMode.CONDITIONAL:
         report = _epr_report(cov, i_mech, i_atom, Provenance.IDEALIZED_MAP)
     else:
-        joint = GaussianState._wrap(*joint)
+        _, joint_mean, joint_cov = joint
         if fb.mode is FeedbackMode.FEEDBACK_OPTIMAL:
-            gain_cos, gain_sin = _moment_gains(joint)
+            # the signals X_m + X_a and P_m - P_a against the cos and sin readouts
+            forms = np.zeros((4, len(joint_cov)))
+            forms[[0, 2]] = epr_forms(len(joint_cov), i_mech, i_atom)
+            forms[[1, 3], _READOUT_ROWS] = 1.0
+            moments = forms @ joint_cov @ forms.T
+            gain_cos, gain_sin = moments[0, 1] / moments[1, 1], moments[2, 3] / moments[3, 3]
         else:
             gain_cos = gain_sin = fb.gain
         # single-run state: conditional covariance, record-displaced mean
-        mean[2 * i_atom : 2 * i_atom + 2] += (
-            -gain_cos * rec_cos.outcome,
-            +gain_sin * rec_sin.outcome,
-        )
-        ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
-        report = epr_variance(ensemble, mech, atom, provenance=Provenance.IDEALIZED_MAP)
+        xa = 2 * i_atom
+        mean[xa : xa + 2] += -gain_cos * rec_cos.outcome, +gain_sin * rec_sin.outcome
+        _, ensemble = _feedback_ensemble(joint_mean, joint_cov, i_mech, i_atom, gain_cos, gain_sin)
+        report = _epr_report(ensemble, 0, 1, Provenance.IDEALIZED_MAP)
     state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     return state, report, (rec_cos, rec_sin)
 
@@ -234,21 +214,19 @@ def verify_epr(
         raise ValueError(
             "verification needs eta_light * eta_det * kappa > 0, otherwise light carries no signal"
         )
-    joint = _pulse(state, params, *_resolve_roles(state, None, None))
-    modes, mean, cov = joint
-    pc, ps = (2 * _mode_index(modes, mode) + 1 for mode in (COS_MODE, SIN_MODE))
+    joint = _pulse(state.modes, state.mean, state.cov, params, *_resolve_roles(state, None, None))
+    _, mean, cov = joint
+    idx = list(_READOUT_ROWS)
     signal = eta * params.kappa**2
 
     stderr = None
     if shots is None:
-        var_cos = cov[pc, pc]
-        var_sin = cov[ps, ps]
+        var_cos, var_sin = cov[idx, idx]
     else:
         if shots < 2:
             raise ValueError("shots must be at least 2")
         if rng is None:
             raise ValueError("finite-shot estimation requires an explicit rng")
-        idx = [pc, ps]
         samples = rng.multivariate_normal(mean[idx], cov[np.ix_(idx, idx)], size=shots)
         var_cos, var_sin = np.var(samples, axis=0, ddof=1)
         se = np.array([var_cos, var_sin]) * math.sqrt(2.0 / (shots - 1))
@@ -284,6 +262,8 @@ class TeleportConfig:
         for name in ("kappa_qnd", "bell_gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if len(self.input_mean) != 2:
+            raise ValueError(f"input_mean must be a pair (x, p), got {self.input_mean!r}")
         if not all(map(math.isfinite, self.input_mean)):
             raise ValueError("input_mean must be finite")
         if self.kappa_qnd < 0.0:
@@ -330,40 +310,32 @@ def teleport(epr_state: GaussianState, cfg: TeleportConfig):
     the input coherent state is the Gaussian overlap.
 
     The finite Bell pulse is lossless and reads only ``cfg.kappa_qnd``.
-    Returns ``(final mechanical state, fidelity)``.  As with feedback-based
-    generation, the output is the unconditional ensemble state, computed
-    without sampling.
+    Returns ``(final mechanical state, fidelity)``; the state is the
+    unconditional ensemble state.  An unphysical resource fails the check of
+    its joint with the input (``InvalidStateError``).
     """
     mech, atom = _resolve_roles(epr_state, None, None)
     if any(m.name == INPUT_ENSEMBLE.name for m in epr_state.modes):
         raise ValueError(f"mode name {INPUT_ENSEMBLE.name!r} is reserved for the input")
-    joint = tensor(
-        epr_state, make_state([(INPUT_ENSEMBLE, 0.0, cfg.input_mean)])
-    )
+    # the resource, then the input, a displaced vacuum: checked as one state
+    n = len(epr_state.modes)
+    input_mean = np.array(cfg.input_mean, dtype=float)
+    mean = np.concatenate([epr_state.mean, input_mean])
+    cov = VACUUM_VARIANCE * np.eye(2 * n + 2)
+    cov[: 2 * n, : 2 * n] = epr_state.cov
+    cov = _settled(mean, cov)
+    _check_uncertainty(cov)
+    i_mech = epr_state.mode_index(mech)
 
     if cfg.asymptotic:
         # the resource pair plus the input, (X_m + X_a) + X_in and (P_m - P_a) + P_in
-        forms = epr_forms(joint.dim, joint.mode_index(mech), joint.mode_index(atom))
-        forms[0, joint.x_index(INPUT_ENSEMBLE)] = 1.0
-        forms[1, joint.p_index(INPUT_ENSEMBLE)] = 1.0
-        mean_out, cov_out = linear_form_moments(joint, forms)
-        final = GaussianState((mech,), mean_out, cov_out)
+        forms = epr_forms(len(mean), i_mech, epr_state.mode_index(atom))
+        forms[[0, 1], [2 * n, 2 * n + 1]] = 1.0
     else:
-        bj = qnd_bigstep(
-            joint,
-            ProtocolParams.dimensionless(cfg.kappa_qnd),
-            positive_mass=INPUT_ENSEMBLE,
-            negative_mass=atom,
-        )
-        forms = np.eye(bj.dim)[[bj.x_index(mech), bj.p_index(mech)]]
-        forms[0, bj.p_index(COS_MODE)] = cfg.bell_gain
-        forms[1, bj.p_index(SIN_MODE)] = cfg.bell_gain
-        final = GaussianState((mech,), *linear_form_moments(bj, forms))
-
-    fidelity = gaussian_overlap_fidelity(
-        final.mean,
-        final.cov,
-        np.array(cfg.input_mean, dtype=float),
-        0.5 * np.eye(2),
-    )
-    return final, fidelity
+        modes = epr_state.modes + (INPUT_ENSEMBLE,)
+        params = ProtocolParams.dimensionless(cfg.kappa_qnd)
+        _, mean, cov = _pulse(modes, mean, cov, params, INPUT_ENSEMBLE, atom)
+        forms = np.eye(len(mean))[[2 * i_mech, 2 * i_mech + 1]]
+        forms[[0, 1], _READOUT_ROWS] = cfg.bell_gain
+    final = GaussianState((mech,), forms @ mean, forms @ cov @ forms.T)
+    return final, gaussian_overlap_fidelity(final.mean, final.cov, input_mean, 0.5 * np.eye(2))

@@ -73,8 +73,10 @@ def state_counts(monkeypatch) -> dict:
 
     monkeypatch.setattr(GaussianState, "__post_init__", counted("checked", post_init))
     monkeypatch.setattr(GaussianState, "_wrap", staticmethod(counted("wrapped", wrap)))
-    monkeypatch.setattr(gaussian, "_check_uncertainty", counted("checks", check))
-    # the oracle and the protocols import ``_settled`` by name
+    # the oracle and the protocols import ``_settled`` by name, and the
+    # protocols ``_check_uncertainty``
     for module in (gaussian, oracle, protocols):
         monkeypatch.setattr(module, "_settled", counted("settles", settled))
+    for module in (gaussian, protocols):
+        monkeypatch.setattr(module, "_check_uncertainty", counted("checks", check))
     return counts

@@ -157,7 +157,7 @@ def test_pulse_kernel_is_the_assembled_map(given_input, kappa, eta):
     state, roles = given_input
     params = ProtocolParams.dimensionless(kappa, eta_light=eta)
     pos, neg = _resolve_roles(state, roles.get("positive_mass"), roles.get("negative_mass"))
-    modes, mean, cov = _pulse(state, params, pos, neg)
+    modes, mean, cov = _pulse(state.modes, state.mean, state.cov, params, pos, neg)
     ref_modes, ref_mean, ref_cov = assembled_pulse(state, params, pos, neg)
     assert modes == ref_modes
     assert mean.tobytes() == ref_mean.tobytes()
@@ -190,6 +190,16 @@ class TestProtocolParams:
         # nan slips through every range check (nan < 0 is False)
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             ProtocolParams(**{"kappa": 1.0, name: value})
+
+    @pytest.mark.parametrize("periods", [2.5, 64.0, True, "8"])
+    def test_larmor_periods_must_be_an_integer(self, periods):
+        # Omega = 2 pi * 2.5 used to pass, off the whole periods the map relies on
+        with pytest.raises(ValueError, match=f"^larmor_periods must be an integer, got {periods!r}$"):
+            ProtocolParams.dimensionless(1.0, larmor_periods=periods)
+
+    def test_larmor_periods_takes_a_numpy_integer(self):
+        params = ProtocolParams.dimensionless(1.0, larmor_periods=np.int64(8))
+        assert params.Omega == ProtocolParams.dimensionless(1.0, larmor_periods=8).Omega
 
     def test_degenerate_matching_is_nan(self):
         params = ProtocolParams(kappa=0.0, g=0.0)

@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eprbus import iomaps, protocols
 from eprbus.gaussian import (
+    EPRReport,
     GaussianState,
     InvalidChannelError,
+    InvalidStateError,
+    MeasurementRecord,
     Provenance,
     atomic_mode,
+    displace,
     epr_forms,
     epr_variance,
     light_mode,
     linear_form_moments,
     make_state,
     mechanical_mode,
+    tensor,
 )
 from eprbus.iomaps import (
     COS_MODE,
@@ -25,7 +31,9 @@ from eprbus.iomaps import (
     qnd_bigstep,
 )
 from eprbus.protocols import (
+    INPUT_ENSEMBLE,
     FeedbackConfig,
+    FeedbackMode,
     TeleportConfig,
     gaussian_overlap_fidelity,
     optimal_gain,
@@ -173,8 +181,9 @@ class TestRunEprGeneration:
         )
         assert report.delta_epr == pytest.approx(2.0 * (1.0 + n_i), rel=1e-12)
         pulse = qnd_bigstep(system_state(n_i), ProtocolParams.dimensionless(1.0, n_i))
-        ensemble = _feedback_ensemble(pulse, 0.0, 0.0)
-        block = linear_form_moments(ensemble, epr_forms(ensemble.dim, 0, 1))[1]
+        _, cov = _feedback_ensemble(pulse.mean, pulse.cov, 0, 1, 0.0, 0.0)
+        forms = epr_forms(4, 0, 1)
+        block = forms @ cov @ forms.T
         assert np.allclose(np.diag(block), 1.0 + n_i, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -206,10 +215,10 @@ class TestRunEprGeneration:
             keep = [joint.x_index(M), joint.p_index(M), joint.x_index(A), joint.p_index(A)]
             mean = (s @ joint.mean)[keep]
             cov = (s @ joint.cov @ s.T)[np.ix_(keep, keep)]
-            ensemble = _feedback_ensemble(joint, gain_cos, gain_sin)
-            assert ensemble.modes == (M, A)
-            np.testing.assert_allclose(ensemble.mean, mean, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(ensemble.cov, cov, rtol=1e-12, atol=1e-12)
+            # the ensemble's moments are those of M, then A
+            ensemble = _feedback_ensemble(joint.mean, joint.cov, 0, 1, gain_cos, gain_sin)
+            np.testing.assert_allclose(ensemble[0], mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(ensemble[1], cov, rtol=1e-12, atol=1e-12)
 
     def test_feedback_requires_outcomes(self):
         with pytest.raises(ValueError, match="outcomes"):
@@ -415,6 +424,227 @@ class TestOneCheckPerPulse:
         assert state_counts == {"checked": 0, "wrapped": 1, "settles": 2, "checks": 1}
 
 
+# ---------------------------------------------------------------------------
+# feedback and teleportation against the route through states
+
+
+def reference_generation(initial, params, fb, *, rng=None, outcomes=None):
+    """:func:`run_epr_generation` under feedback, through states: the pulse's
+    joint state, its gains and ensemble as linear forms, a checked ensemble."""
+    joint = qnd_bigstep(initial, params)
+    if outcomes is None and rng is None:
+        raise ValueError(
+            "feedback requires measurement outcomes: pass rng to sample them "
+            "or inject them via outcomes=(xi_cos, xi_sin)"
+        )
+    conditioned, (rec_cos, rec_sin) = condition_on_readout(joint, outcomes, rng=rng)
+    m, a = joint.mode_index(M), joint.mode_index(A)
+    if fb.mode is FeedbackMode.FEEDBACK_OPTIMAL:
+        forms = np.zeros((4, joint.dim))
+        forms[[0, 2]] = epr_forms(joint.dim, m, a)
+        forms[1, joint.p_index(COS_MODE)] = 1.0
+        forms[3, joint.p_index(SIN_MODE)] = 1.0
+        _, cov = linear_form_moments(joint, forms)
+        gain_cos, gain_sin = cov[0, 1] / cov[1, 1], cov[2, 3] / cov[3, 3]
+    else:
+        gain_cos = gain_sin = fb.gain
+    state = displace(
+        conditioned, A, -gain_cos * rec_cos.outcome, +gain_sin * rec_sin.outcome
+    )
+    forms = np.eye(joint.dim)[[2 * m, 2 * m + 1, 2 * a, 2 * a + 1]]
+    forms[2, joint.p_index(COS_MODE)] = -gain_cos
+    forms[3, joint.p_index(SIN_MODE)] = +gain_sin
+    ensemble = GaussianState((M, A), *linear_form_moments(joint, forms))
+    return state, epr_variance(ensemble, M, A), (rec_cos, rec_sin)
+
+
+def reference_teleport(epr_state, cfg):
+    """:func:`teleport` through states: the input appended by ``tensor``, the
+    Bell pulse by ``qnd_bigstep``, the output as linear forms."""
+    joint = tensor(epr_state, make_state([(INPUT_ENSEMBLE, 0.0, cfg.input_mean)]))
+    if cfg.asymptotic:
+        forms = epr_forms(joint.dim, joint.mode_index(M), joint.mode_index(A))
+        forms[0, joint.x_index(INPUT_ENSEMBLE)] = 1.0
+        forms[1, joint.p_index(INPUT_ENSEMBLE)] = 1.0
+    else:
+        joint = qnd_bigstep(
+            joint,
+            ProtocolParams.dimensionless(cfg.kappa_qnd),
+            positive_mass=INPUT_ENSEMBLE,
+            negative_mass=A,
+        )
+        forms = np.eye(joint.dim)[[joint.x_index(M), joint.p_index(M)]]
+        forms[0, joint.p_index(COS_MODE)] = cfg.bell_gain
+        forms[1, joint.p_index(SIN_MODE)] = cfg.bell_gain
+    final = GaussianState((M,), *linear_form_moments(joint, forms))
+    fidelity = gaussian_overlap_fidelity(
+        final.mean, final.cov, np.array(cfg.input_mean, dtype=float), 0.5 * np.eye(2)
+    )
+    return final, fidelity
+
+
+def as_bytes(value):
+    """``value`` with every float and array as its bytes, and an error as its
+    type and message, so that ``==`` compares bit for bit."""
+    if isinstance(value, BaseException):
+        return type(value), str(value)
+    if isinstance(value, GaussianState):
+        return value.modes, value.mean.tobytes(), value.cov.tobytes()
+    if isinstance(value, EPRReport):
+        return (as_bytes(value.var_xsum), as_bytes(value.var_pdiff), value.provenance)
+    if isinstance(value, MeasurementRecord):
+        fields = (value.quadrature_angle, value.outcome, value.outcome_variance)
+        return value.mode, tuple(map(as_bytes, fields))
+    if isinstance(value, tuple):
+        return tuple(map(as_bytes, value))
+    if isinstance(value, (float, np.floating)):
+        return type(value), np.float64(value).tobytes()
+    raise TypeError(f"no byte form for {type(value)}")
+
+
+def result(call, *args, **kwargs):
+    try:
+        return as_bytes(call(*args, **kwargs))
+    except Exception as err:  # compared by type and message
+        return as_bytes(err)
+
+
+class TestAgainstStateRoutes:
+    """Feedback and teleportation run on the pulse and readout kernels; the
+    route through states gives the same bits and the same errors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(0.1, 4.0),
+        n_i=st.one_of(st.just(0.0), st.floats(-2.0, 8.0).map(lambda e: 10.0**e)),
+        n_atom=st.floats(0.0, 3.0),
+        displacement=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        eta=st.sampled_from([1.0, 0.9, 0.3]),
+        gain=st.one_of(st.none(), st.floats(0.0, 3.0)),
+        record=st.one_of(
+            st.none(),
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+    def test_feedback(self, kappa, n_i, n_atom, displacement, eta, gain, record):
+        initial = make_state([(M, n_i, displacement[:2]), (A, n_atom, displacement[2:])])
+        params = ProtocolParams.dimensionless(kappa, n_i, eta_light=eta, eta_det=eta)
+        fb = FeedbackConfig.optimal() if gain is None else FeedbackConfig.with_gain(gain)
+        # no record (refused), injected outcomes or outcomes from a seeded rng
+        if isinstance(record, int):
+            runs = [{"rng": np.random.default_rng(record)} for _ in range(2)]
+        else:
+            runs = [{"outcomes": record}] * 2
+        expected = result(reference_generation, initial, params, fb, **runs[0])
+        assert result(run_epr_generation, initial, params, fb, **runs[1]) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(0.5, 4.0),
+        n_i=st.one_of(st.just(0.0), st.floats(-2.0, 9.0).map(lambda e: 10.0**e)),
+        asymptotic=st.booleans(),
+        kappa_qnd=st.floats(0.5, 20.0),
+        bell_gain=st.floats(-1.0, 2.0),
+        input_mean=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    )
+    # a hot conditioned resource that fails the joint's uncertainty check
+    @example(kappa=1.7, n_i=1e8, asymptotic=True, kappa_qnd=3.0, bell_gain=0.5, input_mean=(0.0, 0.0))
+    @example(kappa=1.7, n_i=1e8, asymptotic=False, kappa_qnd=3.0, bell_gain=0.5, input_mean=(0.0, 0.0))
+    def test_teleport(self, kappa, n_i, asymptotic, kappa_qnd, bell_gain, input_mean):
+        resource, _, _ = run_epr_generation(
+            system_state(n_i), ProtocolParams.dimensionless(kappa, n_i), FeedbackConfig.conditional()
+        )
+        cfg = TeleportConfig(kappa_qnd, bell_gain, input_mean, asymptotic)
+        assert result(teleport, resource, cfg) == result(reference_teleport, resource, cfg)
+
+    @pytest.mark.parametrize("asymptotic", [True, False])
+    def test_refused_resource(self, asymptotic):
+        resource, _, _ = run_epr_generation(
+            system_state(1e8), ProtocolParams.dimensionless(1.7, 1e8), FeedbackConfig.conditional()
+        )
+        cfg = TeleportConfig(kappa_qnd=3.0, bell_gain=0.5, asymptotic=asymptotic)
+        expected = result(reference_teleport, resource, cfg)
+        assert expected[0] is InvalidStateError
+        assert result(teleport, resource, cfg) == expected
+
+
+class TestOneStatePerResult:
+    """Feedback wraps only the state it returns and teleportation builds only
+    its output, each resolving the roles once; every uncertainty check of
+    the route through states is still made."""
+
+    @pytest.fixture
+    def counts(self, state_counts, monkeypatch):
+        resolve = iomaps._resolve_roles
+
+        def counted(*args):
+            state_counts["roles"] += 1
+            return resolve(*args)
+
+        # the protocols import ``_resolve_roles`` by name
+        for module in (iomaps, protocols):
+            monkeypatch.setattr(module, "_resolve_roles", counted)
+        state_counts["roles"] = 0
+        return state_counts
+
+    @pytest.mark.parametrize(
+        "fb", [FeedbackConfig.optimal(), FeedbackConfig.with_gain(0.4)], ids=["optimal", "fixed"]
+    )
+    @pytest.mark.parametrize(
+        "record",
+        [{"outcomes": (0.3, -0.2)}, {"rng": np.random.default_rng(3)}],
+        ids=["injected", "sampled"],
+    )
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_feedback(self, fb, record, eta, counts):
+        # the pulse and the ensemble each check their output once
+        initial = system_state(3.0)
+        params = ProtocolParams.dimensionless(1.2, 3.0, eta_light=eta, eta_det=eta)
+        counts.update(wrapped=0)
+        run_epr_generation(initial, params, fb, **record)
+        assert counts == {"checked": 0, "wrapped": 1, "settles": 3, "checks": 2, "roles": 1}
+
+    @pytest.mark.parametrize(
+        "cfg, settles_and_checks",
+        [
+            (TeleportConfig(asymptotic=True, input_mean=(0.3, -0.2)), 2),
+            (TeleportConfig(kappa_qnd=3.0, bell_gain=1.0 / 3.0, input_mean=(0.3, -0.2)), 3),
+        ],
+        ids=["asymptotic", "finite"],
+    )
+    def test_teleport(self, cfg, settles_and_checks, counts):
+        # the joint of resource and input, the Bell pulse if finite, the output
+        params = ProtocolParams.dimensionless(1.2, 3.0)
+        resource, _, _ = run_epr_generation(system_state(3.0), params, FeedbackConfig.conditional())
+        counts.update(checked=0, wrapped=0, settles=0, checks=0, roles=0)
+        teleport(resource, cfg)
+        n = settles_and_checks
+        assert counts == {"checked": 1, "wrapped": 0, "settles": n, "checks": n, "roles": 1}
+
+    @pytest.mark.parametrize("asymptotic", [True, False])
+    def test_unphysical_resource_is_refused(self, asymptotic, counts):
+        # Var(X_m) Var(P_m) = 1/100 < 1/4, wrapped unchecked: the joint's check refuses it
+        resource = GaussianState._wrap((M, A), np.zeros(4), np.diag([0.1, 0.1, 0.5, 0.5]))
+        cfg = TeleportConfig(kappa_qnd=2.0, bell_gain=0.5, asymptotic=asymptotic)
+        with pytest.raises(InvalidStateError, match="uncertainty relation violated"):
+            teleport(resource, cfg)
+        assert counts["checks"] == 1
+
+    def test_pulse_refuses_a_readout_mode_name(self):
+        # the joint modes would name cos twice
+        state = make_state([(M, 0.0, (0.0, 0.0)), (A, 0.0, (0.0, 0.0)), (light_mode("cos"), 0.0, (0.0, 0.0))])
+        params = ProtocolParams.dimensionless(1.0)
+        for run in (
+            lambda: run_epr_generation(state, params, FeedbackConfig.conditional()),
+            lambda: run_epr_generation(state, params, FeedbackConfig.optimal(), outcomes=(0.0, 0.0)),
+            lambda: verify_epr(state, params),
+            lambda: teleport(state, TeleportConfig(kappa_qnd=2.0, bell_gain=0.5)),
+        ):
+            with pytest.raises(InvalidStateError, match="^mode names must be unique, got "):
+                run()
+
+
 HOT = [(n_i, kappa) for n_i in (1e8, 1e9, 1e10) for kappa in (0.5, 1.0, 3.0)]
 
 
@@ -542,6 +772,13 @@ class TestTeleport:
         config = {"kappa_qnd": 2.0, "bell_gain": 0.5, "asymptotic": asymptotic, **settings}
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             TeleportConfig(**config)
+
+    @pytest.mark.parametrize("asymptotic", [False, True])
+    @pytest.mark.parametrize("input_mean", [(1.0,), (1.0, 0.0, 0.0)], ids=["1", "3"])
+    def test_input_mean_must_be_a_pair(self, asymptotic, input_mean):
+        # refused at the config; teleport used to fail unpacking it, naming no field
+        with pytest.raises(ValueError, match=r"^input_mean must be a pair \(x, p\), got "):
+            TeleportConfig(kappa_qnd=2.0, bell_gain=0.5, input_mean=input_mean, asymptotic=asymptotic)
 
     def test_reserved_mode_name(self):
         bad = make_state(

@@ -565,9 +565,77 @@ def render_csv(payload: dict) -> str:
     return buffer.getvalue()
 
 
+#: the string escape of ``json.dumps`` with its default ``ensure_ascii``
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(value) -> str | None:
+    """A number, boolean or ``None`` as JSON text, as ``json`` writes it both
+    as a value and as a dict key; ``None`` for any other type."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value) if isinstance(value, int) else None
+
+
+def _append_json(node, indent: str, out: list) -> None:
+    """Append ``node`` to ``out`` as ``json.dumps(node, sort_keys=True,
+    indent=2, allow_nan=False)`` writes it; ``indent`` is the newline and
+    indentation of its nesting.  Types are tested and dict items sorted as
+    the encoder does, so a payload it refuses raises the same exception type.
+    """
+    if isinstance(node, str):
+        out.append(_quote(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            sep = "," + inner
+            _append_json(item, inner, out)
+        out.append(indent + "]")
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(node.items()):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+            if type(value) is float and math.isfinite(value):  # most of a report's values
+                out.append(f"{sep}{_quote(text)}: {float.__repr__(value)}")
+            else:
+                out.append(f"{sep}{_quote(text)}: ")
+                _append_json(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        text = _scalar_text(node)
+        if text is None:
+            raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        out.append(text)
+
+
 def render_json(payload: dict) -> str:
-    """The report as JSON; a NaN or infinity raises ``ValueError``."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report as JSON: ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False)`` and a newline, byte for byte, in one pass.  With an
+    indent, ``json`` runs its pure-Python encoder, which re-yields every
+    token through a generator per nesting level.  A NaN or infinity raises
+    ``ValueError``."""
+    out: list = []
+    _append_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def assemble_report(scenario: dict, results: dict) -> dict:
@@ -594,8 +662,6 @@ def write_report(report: dict, path: str | None, fmt: str) -> str:
 
 
 def _run_plan(scenario: dict) -> dict:
-    if "setup" not in scenario:
-        raise ScenarioError("the 'plan' verb requires a 'setup' section")
     run = _build(scenario)
     budget = coherence_budget(run.setup)
     return {
@@ -660,7 +726,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
             if args.verb == "compare" and scenario["protocol"] != "oracle_compare":
                 raise ScenarioError("the 'compare' verb requires protocol 'oracle_compare'")
+            fmt = args.format or scenario["output"].get("format", "json")
             if args.verb == "plan":
+                if "setup" not in scenario:
+                    raise ScenarioError("the 'plan' verb requires a 'setup' section")
+                if fmt == "csv":  # a CSV row holds protocol figures, which a plan has none of
+                    source = "--format" if args.format else "key 'output.format'"
+                    raise ScenarioError(f"the 'plan' verb writes JSON only; {source} asks for csv")
                 results = _run_plan(scenario)
             elif "sweep" in scenario and args.verb != "compare":
                 results = {"sweep": execute_sweep(scenario)}
@@ -681,7 +753,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
     report = assemble_report(scenario, results)
-    fmt = args.format or scenario["output"].get("format", "json")
     path = args.out or scenario["output"].get("path")
     try:
         text = write_report(report, path, fmt)

@@ -3,8 +3,11 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprbus import cli
 from eprbus.cli import (
@@ -954,6 +957,37 @@ class TestPlan:
         )
         assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "output, flags, named",
+        [
+            ({}, ["--format", "csv"], "--format"),
+            ({"format": "csv"}, [], "key 'output.format'"),
+        ],
+        ids=["flag", "scenario"],
+    )
+    def test_plan_refuses_csv(self, tmp_path, capsys, output, flags, named):
+        # a CSV row holds protocol figures; a plan used to raise KeyError
+        out = tmp_path / "plan.csv"
+        path = write_scenario(
+            tmp_path,
+            "plan.yaml",
+            {"protocol": "epr_conditional", "setup": MICROMIRROR_SETUP, "output": output},
+        )
+        assert main(["plan", "--scenario", path, "--out", str(out), *flags]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the 'plan' verb writes JSON only; {named} asks for csv\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_plan_format_flag_overrides_csv_scenario(self, tmp_path):
+        out = tmp_path / "plan.json"
+        path = write_scenario(
+            tmp_path,
+            "plan.yaml",
+            {"protocol": "epr_conditional", "setup": MICROMIRROR_SETUP, "output": {"format": "csv"}},
+        )
+        assert main(["plan", "--scenario", path, "--out", str(out), "--format", "json"]) == EXIT_OK
+        assert read_json(out)["results"]["feasible"] in (True, False)
+
 
 class TestDeterminism:
     def scenario(self, tmp_path, out_name: str) -> str:
@@ -999,3 +1033,95 @@ def test_scenario_loader_defaults(tmp_path):
     assert scenario["seed"] == 0
     assert scenario["losses"] == {}
     assert scenario["output"] == {}
+
+
+# ---------------------------------------------------------------------------
+# report rendering: byte for byte what json.dumps writes
+
+
+def dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome(render, payload):
+    """The text ``render`` writes, or the type of what it raises: the
+    messages differ across Python versions."""
+    try:
+        return render(payload)
+    except Exception as err:
+        return type(err)
+
+
+CHARS = st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\U0001f600é'))
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, 1e22]),
+)
+NUMBERS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 10**400]),
+    FINITE,
+    FINITE.map(np.float64),
+)
+SCALARS = st.one_of(st.text(CHARS, max_size=12), NUMBERS, st.booleans(), st.none())
+#: payloads json.dumps refuses: a NaN or infinity raises ValueError; an
+#: unserializable type, a bad key or keys that do not sort, TypeError
+BAD = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    np.float64("nan"),
+    np.float64("-inf"),
+    np.int64(3),
+    {1, 2},
+    b"bytes",
+    {math.nan: 0},
+    {math.inf: 0},
+    {-math.inf: 0},
+    {1: 0, "a": 0},
+    {None: 0, 2.5: 0},
+    {(1, 2): 0},
+]
+
+
+def payloads(leaves, mixed_keys: bool = False):
+    """Nested dicts, lists and tuples over ``leaves``, empty ones included.
+    Each dict has keys of one kind that sort together, unless ``mixed_keys``
+    adds dicts whose keys do not."""
+
+    def extend(children):
+        kinds = [
+            st.text(CHARS, max_size=8),
+            st.one_of(st.integers(), FINITE, st.booleans()),
+            st.none(),
+        ]
+        if mixed_keys:
+            kinds.append(st.one_of(st.text(max_size=2), st.integers(), st.none()))
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            *(st.dictionaries(keys, children, max_size=4) for keys in kinds),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=payloads(SCALARS))
+def test_render_json_writes_what_json_dumps_writes(payload):
+    assert cli.render_json(payload) == dumps(payload)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=payloads(st.one_of(SCALARS, st.sampled_from(BAD)), mixed_keys=True))
+def test_render_json_fails_where_json_dumps_fails(payload):
+    # the first refusal in the encoder's order decides the exception type
+    assert outcome(cli.render_json, payload) == outcome(dumps, payload)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+def test_render_json_raises_the_type_json_dumps_raises(bad):
+    for payload in (bad, [bad], {"a": (1, {"b": bad})}):
+        expected = outcome(dumps, payload)
+        assert isinstance(expected, type) and outcome(cli.render_json, payload) is expected
+

@@ -15,6 +15,7 @@ PIECES = [
     "_pulse_maps (fresh build)",
     "load_scenario",
     "render_json",
+    "render_json (sweep report)",
 ]
 
 

@@ -10,8 +10,9 @@ Each piece is called once untimed, which fills every cache it reads, and
 then timed with ``timeit``: the best of ``--repeat`` runs of ``--number``
 calls, per call.  BLAS and OpenMP run on one thread, as in the benchmark.
 The pieces are the layers of a cached ``oracle_sweep`` operation and of a
-CLI run.  The fresh pulse-map build calls the uncached function, with the
-rotation lifts that a grid's models share already cached.  Uses only the
+CLI run, whose report is rendered at two sizes: one run's and a sweep's.
+The fresh pulse-map build calls the uncached function, with the rotation
+lifts that a grid's models share already cached.  Uses only the
 standard library, numpy and the package's own runtime dependencies.
 """
 
@@ -45,6 +46,9 @@ from eprbus import cli, gaussian, iomaps, oracle, protocols  # noqa: E402
 #: The operating point of every piece: 16 Larmor periods, as most of a sweep.
 KAPPA, N_I, PERIODS = 1.3, 20.0, 16
 SCENARIO = ROOT / "scenarios" / "epr_conditional.yaml"
+#: The kappa sweep, whose report is the largest a shipped scenario writes: the
+#: size of the sweep reports in a batch's latency tail.
+SWEEP = ROOT / "scenarios" / "kappa_sweep.yaml"
 
 
 def pieces() -> dict:
@@ -62,6 +66,8 @@ def pieces() -> dict:
     model = oracle.build_model(params)
     scenario = cli.load_scenario(SCENARIO)
     report = cli.assemble_report(scenario, cli.execute(scenario))
+    sweep = cli.load_scenario(SWEEP)
+    sweep_report = cli.assemble_report(sweep, {"sweep": cli.execute_sweep(sweep)})
     return {
         "GaussianState construction": lambda: gaussian.GaussianState(modes, mean, cov),
         "qnd_bigstep": lambda: iomaps.qnd_bigstep(initial, params),
@@ -75,6 +81,7 @@ def pieces() -> dict:
         "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
         "load_scenario": lambda: cli.load_scenario(SCENARIO),
         "render_json": lambda: cli.render_json(report),
+        "render_json (sweep report)": lambda: cli.render_json(sweep_report),
     }
 
 

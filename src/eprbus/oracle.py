@@ -27,40 +27,41 @@ propagates them.
 Both equations are linear in the augmented state ``x = [vech Sigma; mean; 1]``
 of 45 entries (the 36 entries of the upper triangle of the symmetric
 ``Sigma``, the 8 means and a constant), ``dx/dt = G(t) x``, and ``G``
-depends on time only through the Larmor phase: ``G(t) = sum_j f_j(t) B_j``
-with ``f = (1, cos, sin, cos^2, sin^2, cos sin)`` of ``Omega t``.  The
-``B_j`` are read off :meth:`DriftNoiseModel.drift_matrix` and
-:meth:`DriftNoiseModel.noise_columns`, so the physics is written once.
+depends on time only through the Larmor phase: ``A`` is the sum of three
+8 x 8 parts weighted by ``(1, cos, sin)`` of ``Omega t``, and ``D`` of six
+weighted by ``f = (1, cos, sin, cos^2, sin^2, cos sin)``.  The parts are
+solved from :meth:`DriftNoiseModel.drift_matrix` and
+:meth:`DriftNoiseModel.noise_columns` at three phases, with the inverse
+that unmixes them cached per Larmor frequency, so the physics is written
+once.
 
 Every pulse takes one route, built from one RK4 step.  The Larmor phase
 enters only through the cos/sin accumulators, so rotating both pairs
-``(Y_xc, Y_xs)`` and ``(Y_pc, Y_ps)`` by any angle ``theta`` (the rotation
-``R_theta``, lifted onto ``x``) conjugates the generator,
-``G(phi + theta) = R_theta^-1 G(phi) R_theta``.  With ``delta = Omega dt``,
-step ``k`` of the grid is therefore ``S_k = R_delta^-k S_0 R_delta^k``, with
-``S_0`` the RK4 step from phase 0, and the ``n`` steps of a pulse compose to
-``C_n = R_(-n delta) M^n`` with ``M = R_delta S_0``: the same RK4 scheme
-with the floating-point operations in another order.  ``M^n`` comes from
-binary powering on the increment ``M - I``, which keeps the state within
-about 1e-14 of an extended-precision run of the steps, relative to its
-largest entry, and ``C_n`` is cached per drift model, so a cached pulse is
-one matrix-vector product.  Every build first checks the symmetry on the
-8 x 8 drift ``A`` and diffusion ``D`` that the ``B_j`` are lifted from, as
-``A(phi) s_theta = s_theta A(phi + theta)`` and ``D(phi) = s_theta
-D(phi + theta) s_theta^T`` with ``s_theta`` the turn of the accumulator
-pairs, at the five phases ``2 pi k / 5`` and ``theta = 2 pi / 5``, and
-raises if it fails; on ``x`` that is ``G(phi) R_theta = R_theta
-G(phi + theta)``, and it implies the identity at every shift.  One kernel
-stacks the generators at given phases for the three RK4 stages, the ``B_j``
-lift the drift onto ``vech`` by a gather, and the lifts ``R_theta - I`` are
-cached per angle, which a grid shares across drift models.  In the frame
-that rotates with the grid the state ``z_k = M^k x_0`` evolves on its own,
-and the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step output (trajectory rows, the
-conservation drift) is read off ``z_k`` in blocks of ``b`` steps: the rows
-``F M^j``, ``j < b``, of the output forms ``F`` applied to the block starts
-``(M^b)^p x_0`` give every step's values in one product.  Each step's
-cos and sin then turn both 2 x 2 blocks of the output once: the ``Y_p``
-block back to the lab frame, the EPR block onto the conserved pair.
+``(Y_xc, Y_xs)`` and ``(Y_pc, Y_ps)`` by any angle ``theta`` (the turn
+``s_theta``; ``R_theta`` lifted onto ``x``) conjugates the generator,
+``G(phi + theta) = R_theta^-1 G(phi) R_theta``.  Every build first checks
+this on the parts, as ``A(phi) s_theta = s_theta A(phi + theta)`` and
+``D(phi) = s_theta D(phi + theta) s_theta^T`` at the five phases
+``2 pi k / 5`` and ``theta = 2 pi / 5``, which implies it at every shift,
+and raises if it fails.  With ``delta = Omega dt``, step ``k`` of the grid
+is therefore ``S_k = R_delta^-k S_0 R_delta^k``, with ``S_0`` the RK4 step
+from phase 0, whose stages lift ``A`` and ``D`` at the phases ``0``,
+``delta / 2`` and ``delta`` onto ``x`` by a gather.  The ``n`` steps of a
+pulse compose to ``C_n = R_(-n delta) M^n`` with ``M = R_delta S_0``: the
+same RK4 scheme with the floating-point operations in another order.
+``M^n`` comes from binary powering on the increment ``M - I``, which keeps
+the state within about 1e-14 of an extended-precision run of the steps,
+relative to its largest entry.  ``(M, C_n)`` is cached per drift model, so
+a cached pulse is one matrix-vector product, and the lifts ``R_theta - I``
+are cached per angle, which a grid shares across drift models.  In the
+frame that rotates with the grid the state ``z_k = M^k x_0`` evolves on its
+own, and the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step
+output (trajectory rows, the conservation drift) is read off ``z_k`` in
+blocks of ``b`` steps: the rows ``F M^j``, ``j < b``, of the output forms
+``F`` applied to the block starts ``(M^b)^p x_0`` give every step's values
+in one product.  Each step's cos and sin then turn both 2 x 2 blocks of the
+output once: the ``Y_p`` block back to the lab frame, the EPR block onto
+the conserved pair.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -118,6 +119,8 @@ _DIM = _N_SIGMA + 8 + 1
 _VECH = 8 * _TRIU[0] + _TRIU[1]
 _DUP = np.zeros((64, _N_SIGMA))
 _DUP[_VECH, range(_N_SIGMA)] = _DUP[8 * _TRIU[1] + _TRIU[0], range(_N_SIGMA)] = 1.0
+_EYE = np.eye(_DIM)
+_EYE.flags.writeable = False
 
 
 def _lift_table() -> np.ndarray:
@@ -276,24 +279,16 @@ class DriftNoiseModel:
         cos, sin = math.cos(p.Omega * t), math.sin(p.Omega * t)
         inv_sqrt_tau = 1.0 / math.sqrt(p.tau)
         sqrt2_tau = math.sqrt(2.0 / p.tau)
-        b_x = np.zeros(8)
-        b_x[_PM] = self.kappa_mech * sqrt2_tau / math.sqrt(2.0)
-        b_x[_PA] = self.kappa_atom * sqrt2_tau / math.sqrt(2.0)
-        b_x[_YXC] = cos * inv_sqrt_tau
-        b_x[_YXS] = sin * inv_sqrt_tau
-        b_p = np.zeros(8)
-        b_p[_YPC] = cos * inv_sqrt_tau
-        b_p[_YPS] = sin * inv_sqrt_tau
-        columns = [b_x, b_p]
         d_th = self.thermal_diffusion
+        # columns: x_in, p_in, then the thermal kicks of X_m and P_m
+        b = np.zeros((8, 4 if d_th > 0.0 else 2))
+        b[_PM, 0] = self.kappa_mech * sqrt2_tau / math.sqrt(2.0)
+        b[_PA, 0] = self.kappa_atom * sqrt2_tau / math.sqrt(2.0)
+        b[_YXC, 0] = b[_YPC, 1] = cos * inv_sqrt_tau
+        b[_YXS, 0] = b[_YPS, 1] = sin * inv_sqrt_tau
         if d_th > 0.0:
-            root = math.sqrt(d_th)
-            b_tx = np.zeros(8)
-            b_tx[_XM] = root
-            b_tp = np.zeros(8)
-            b_tp[_PM] = root
-            columns.extend([b_tx, b_tp])
-        return np.stack(columns, axis=1)
+            b[_XM, 2] = b[_PM, 3] = math.sqrt(d_th)
+        return b
 
 
 def build_model(
@@ -493,6 +488,23 @@ def _max_drift(values: np.ndarray) -> dict[str, float]:
     return drift
 
 
+@functools.lru_cache(maxsize=8)
+def _unmix(omega: float) -> tuple[tuple[float, float, float], np.ndarray]:
+    """The three times at which :func:`_model_parts` reads a model and the
+    inverse of ``(1, cos, sin)`` at their phases; cached per frequency."""
+    times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
+    unmix = np.linalg.inv([[1.0, math.cos(omega * t), math.sin(omega * t)] for t in times])
+    unmix.flags.writeable = False
+    return times, unmix
+
+
+#: The noise parts ``(j, k)`` whose products ``n_j n_k^T`` give the diffusion
+#: parts, in the order of ``f``, then the three ``(k, j)`` that add to the
+#: parts with ``j != k``.
+_NOISE_LEFT = np.array([0, 0, 0, 1, 2, 1, 1, 2, 2])
+_NOISE_RIGHT = np.array([0, 1, 2, 1, 2, 2, 0, 0, 1])
+
+
 def _model_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """The drift's three parts and the diffusion's six, shapes ``(3, 8, 8)``
     and ``(6, 8, 8)``.
@@ -503,42 +515,16 @@ def _model_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     their three parts are solved from ``drift_matrix`` and ``noise_columns``
     at three phases, so the physics stays written there.
     """
-    omega = model.params.Omega
-    times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
-    trig = np.array([[1.0, math.cos(omega * t), math.sin(omega * t)] for t in times])
-    unmix = np.linalg.inv(trig)
-
-    def unmixed(parts: list) -> np.ndarray:
-        parts = np.stack(parts)
-        return (unmix @ parts.reshape(3, -1)).reshape(parts.shape)
-
-    drift = unmixed([model.drift_matrix(t) for t in times])
-    n0, nc, ns = unmixed([model.noise_columns(t) for t in times])
-    diffusion = np.stack((
-        n0 @ n0.T,
-        n0 @ nc.T + nc @ n0.T,
-        n0 @ ns.T + ns @ n0.T,
-        nc @ nc.T,
-        ns @ ns.T,
-        nc @ ns.T + ns @ nc.T,
-    ))
+    times, unmix = _unmix(model.params.Omega)
+    drift = np.stack([model.drift_matrix(t) for t in times])
+    drift = (unmix @ drift.reshape(3, 64)).reshape(3, 8, 8)
+    noise = np.stack([model.noise_columns(t) for t in times])
+    noise = (unmix @ noise.reshape(3, -1)).reshape(noise.shape)
+    products = noise.take(_NOISE_LEFT, axis=0) @ noise.take(_NOISE_RIGHT, axis=0).transpose(0, 2, 1)
+    diffusion = products[:6]
+    diffusion[1:3] += products[6:8]
+    diffusion[5] += products[8]
     return drift, diffusion
-
-
-def _generator_basis(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``.
-
-    ``dx/dt = G(t) x`` on ``x = [vech Sigma; mean; 1]`` is
-    ``dSigma/dt = A Sigma + Sigma A^T + D`` and ``dmean/dt = A mean``, with
-    the parts of :func:`_model_parts`.  The flow ``A (x) I + I (x) A`` on
-    ``vec Sigma`` keeps ``Sigma`` symmetric, so on ``vech`` it is
-    ``E (A (x) I + I (x) A) Dup``, gathered by :func:`_vech_lift`.
-    """
-    basis = np.zeros((6, _DIM, _DIM))
-    basis[:3, :_N_SIGMA, :_N_SIGMA] = _vech_lift(drift)
-    basis[:3, _MEAN, _MEAN] = drift
-    basis[:, :_N_SIGMA, -1] = diffusion.reshape(6, 64)[:, _VECH]
-    return basis
 
 
 def _trig(phases) -> np.ndarray:
@@ -547,27 +533,41 @@ def _trig(phases) -> np.ndarray:
     return np.array([(1.0, cos, sin, cos * cos, sin * sin, cos * sin) for cos, sin in trig])
 
 
-def _generators(basis: np.ndarray, phases) -> np.ndarray:
-    """``G`` at each Larmor phase of ``phases``, stacked dense 45 x 45 matrices."""
-    return (_trig(phases) @ basis.reshape(6, -1)).reshape(-1, _DIM, _DIM)
-
-
-def _rk4_increment(model: DriftNoiseModel, basis: np.ndarray) -> np.ndarray:
+def _rk4_increment(model: DriftNoiseModel, drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """``S_0 - I``: the RK4 step of ``dx/dt = G(t) x`` from ``t = 0`` to
     ``dt``, as a 45 x 45 matrix less the identity.
 
-    The stages are those of the step applied to the identity, ``k2 =
-    G_mid (I + h/2 k1)`` and so on, with the identity carried through the
-    products, so the increment is never rounded against it.
+    ``G`` at the step's three phases is lifted from ``A`` and ``D`` there,
+    the parts of :func:`_model_parts` weighted by ``f``.  The flow ``A (x) I
+    + I (x) A`` on ``vec Sigma`` keeps ``Sigma`` symmetric, so on ``vech`` it
+    is ``E (A (x) I + I (x) A) Dup``, gathered by :func:`_vech_lift`.  The
+    stages are those of the step applied to the identity, ``k2 = G_mid (I +
+    h/2 k1)`` and so on, with the identity carried through the products, so
+    the increment is never rounded against it.
     """
     h = model.dt
     delta = model.params.Omega * h
-    g_start, g_mid, g_end = _generators(basis, (0.0, delta / 2, delta))
-    k1 = g_start
-    k2 = g_mid + h / 2 * (g_mid @ k1)
-    k3 = g_mid + h / 2 * (g_mid @ k2)
-    k4 = g_end + h * (g_end @ k3)
-    return h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
+    trig = _trig((0.0, delta / 2, delta))
+    a = (trig[:, :3] @ drift.reshape(3, 64)).reshape(3, 8, 8)
+    g = np.zeros((3, _DIM, _DIM))
+    g[:, :_N_SIGMA, :_N_SIGMA] = _vech_lift(a)
+    g[:, _MEAN, _MEAN] = a
+    g[:, :_N_SIGMA, -1] = (trig @ diffusion.reshape(6, 64)).take(_VECH, axis=1)
+    g_start, g_mid, g_end = g
+    stages = [g_start]
+    for generator, scale in ((g_mid, h / 2), (g_mid, h / 2), (g_end, h)):
+        stage = generator @ stages[-1]
+        stage *= scale
+        stage += generator
+        stages.append(stage)
+    k1, k2, k3, k4 = stages
+    # h/6 (k1 + 2 (k2 + k3) + k4), in place
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6
+    return k2
 
 
 def _power_increment(e: np.ndarray, n: int) -> np.ndarray:
@@ -596,11 +596,10 @@ def _power_increment(e: np.ndarray, n: int) -> np.ndarray:
         e += product
 
 
-#: The check's phases ``phi_k = 2 pi k / 5``, as ``f`` of :func:`_trig`, the
-#: turn ``s_theta`` by ``theta = 2 pi / 5`` and the order of ``phi_(k + 1)``.
-_CHECK_TRIG = _trig(2.0 * math.pi * np.arange(5) / 5)
+#: The check's phases ``phi_k = 2 pi k / 5``, then ``phi_(k + 1)``, as ``f`` of
+#: :func:`_trig`, and the turn ``s_theta`` by ``theta = 2 pi / 5``.
+_CHECK_TRIG = _trig(2.0 * math.pi * np.array([0, 1, 2, 3, 4, 1, 2, 3, 4, 0]) / 5)
 _CHECK_TURN = np.eye(8) + _accumulator_turn(2.0 * math.pi / 5)
-_CHECK_NEXT = [1, 2, 3, 4, 0]
 
 
 def _check_symmetry(drift: np.ndarray, diffusion: np.ndarray) -> None:
@@ -619,12 +618,12 @@ def _check_symmetry(drift: np.ndarray, diffusion: np.ndarray) -> None:
     ``RuntimeError`` when either exceeds roundoff: a drift or noise term that
     breaks the symmetry must stop the build, not give a wrong pulse map.
     """
-    a = (_CHECK_TRIG[:, :3] @ drift.reshape(3, 64)).reshape(5, 8, 8)
-    d = (_CHECK_TRIG @ diffusion.reshape(6, 64)).reshape(5, 8, 8)
+    a, a_next = (_CHECK_TRIG[:, :3] @ drift.reshape(3, 64)).reshape(2, 5, 8, 8)
+    d, d_next = (_CHECK_TRIG @ diffusion.reshape(6, 64)).reshape(2, 5, 8, 8)
     s = _CHECK_TURN
     error = max(
-        float(np.max(np.abs(a @ s - s @ a[_CHECK_NEXT]))) / float(np.max(np.abs(drift))),
-        float(np.max(np.abs(d - s @ d[_CHECK_NEXT] @ s.T))) / float(np.max(np.abs(diffusion))),
+        float(abs(a @ s - s @ a_next).max() / abs(drift).max()),
+        float(abs(d - s @ d_next @ s.T).max() / abs(diffusion).max()),
     )
     if error > _SYMMETRY_RTOL:
         raise RuntimeError(
@@ -639,7 +638,7 @@ def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
 
     ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
     grid; :func:`_check_symmetry` checks the symmetry that makes it so on
-    the 8 x 8 drift and diffusion, before the basis is lifted from them.
+    the 8 x 8 parts that :func:`_rk4_increment` then lifts onto ``x``.
     ``M^n`` is powered on the increment ``M - I``: at 64 periods of 200
     steps that leaves the state about 100 times closer to an
     extended-precision run of the steps than powering ``M``.  The two
@@ -651,13 +650,14 @@ def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """
     drift, diffusion = _model_parts(model)
     _check_symmetry(drift, diffusion)
-    basis = _generator_basis(drift, diffusion)
     turn = _rotation_increment(model.params.Omega * model.dt)
-    rk4 = _rk4_increment(model, basis)
-    increment = turn + rk4 + turn @ rk4  # M - I = (I + turn)(I + rk4) - I
-    eye = np.eye(_DIM)
-    back = eye + _rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
-    return eye + increment, back @ (eye + _power_increment(increment, model.n_steps))
+    rk4 = _rk4_increment(model, drift, diffusion)
+    increment = turn + rk4
+    increment += turn @ rk4  # M - I = (I + turn)(I + rk4) - I
+    power = _power_increment(increment, model.n_steps)
+    power += _EYE
+    back = _EYE + _rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
+    return _EYE + increment, back @ power
 
 
 def oracle_epr_after_measurement(

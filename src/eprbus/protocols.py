@@ -202,7 +202,8 @@ def verify_epr(
     ``eta = eta_light * eta_det`` the readout statistics obey
     ``Var(p_out_cos) = 1/2 + eta kappa^2 Var(X_m + X_a)`` (same for sin/P),
     which is inverted for the EPR variances.  With ``shots`` given, that
-    variance is estimated from sampled outcomes instead of taken exactly,
+    variance is estimated from sampled outcomes instead of taken exactly
+    (:func:`_sampled_variances`, whose cost does not grow with ``shots``),
     and the report carries the standard error of the estimate.
 
     Returns ``(report, post_state)`` where ``post_state`` is the system after
@@ -227,8 +228,7 @@ def verify_epr(
             raise ValueError("shots must be at least 2")
         if rng is None:
             raise ValueError("finite-shot estimation requires an explicit rng")
-        samples = rng.multivariate_normal(mean[idx], cov[np.ix_(idx, idx)], size=shots)
-        var_cos, var_sin = np.var(samples, axis=0, ddof=1)
+        var_cos, var_sin = _sampled_variances(cov[np.ix_(idx, idx)], shots, rng)
         se = np.array([var_cos, var_sin]) * math.sqrt(2.0 / (shots - 1))
         stderr = float(np.hypot(se[0], se[1]) / signal)
 
@@ -238,6 +238,25 @@ def verify_epr(
 
     modes, mean, cov, _ = _conditioned(*joint, _readout(), None)
     return report, GaussianState._wrap(modes, mean, _settled(mean, cov))
+
+
+def _sampled_variances(cov: np.ndarray, shots: int, rng: np.random.Generator):
+    """The two variances of the sample covariance of ``shots`` outcomes
+    drawn from a normal law with the 2 x 2 covariance ``cov``.
+
+    They are drawn from their exact law, not from outcomes: ``(shots - 1)``
+    times the sample covariance is Wishart with ``shots - 1`` degrees of
+    freedom, which is ``L A A^T L^T`` (the Bartlett decomposition), with
+    ``L`` the Cholesky factor of ``cov`` and ``A`` lower triangular,
+    ``A_11^2 ~ chi^2(shots - 1)``, ``A_22^2 ~ chi^2(shots - 2)`` (0 at two
+    shots) and ``A_21 ~ N(0, 1)``.  The sample mean does not enter.
+    """
+    (l11, _), (l21, l22) = np.linalg.cholesky(cov)
+    dof = shots - 1
+    a11 = math.sqrt(rng.chisquare(dof))
+    a21 = rng.standard_normal()
+    a22_squared = rng.chisquare(dof - 1) if dof > 1 else 0.0
+    return (l11 * a11) ** 2 / dof, ((l21 * a11 + l22 * a21) ** 2 + l22**2 * a22_squared) / dof
 
 
 # ---------------------------------------------------------------------------

@@ -403,12 +403,15 @@ class TestValidation:
         assert "key 'teleport.kappa_qnd' must be non-negative" in capsys.readouterr().err
 
     def test_exact_and_sampled_shots_accepted(self, tmp_path):
-        for shots in (0, 2, 500):
+        # at 1e11 shots the sample covariance is drawn without the outcomes
+        for shots in (0, 2, 500, 100_000_000_000):
             out = tmp_path / f"{shots}.json"
             payload = {"protocol": "verify", "model": {"kappa": 1.0}, "verify": {"shots": shots}}
             path = write_scenario(tmp_path, "s.yaml", payload)
             assert main(["run", "--scenario", path, "--out", str(out)]) == EXIT_OK
-            assert ("stderr" in read_json(out)["results"]["inferred"]) == (shots > 0)
+            inferred = read_json(out)["results"]["inferred"]
+            assert ("stderr" in inferred) == (shots > 0)
+            assert shots == 0 or 0.0 < inferred["stderr"] < math.inf
 
     @pytest.mark.parametrize("verb", ["run", "plan"])
     @pytest.mark.parametrize(

@@ -111,9 +111,9 @@ def spy_on_rk4_increment(monkeypatch) -> list:
     """Record the ``n_steps`` of the model of every call of the oracle's RK4 kernel."""
     kernel, calls = oracle._rk4_increment, []
 
-    def spy(model, basis):
+    def spy(model, drift, diffusion):
         calls.append(model.n_steps)
-        return kernel(model, basis)
+        return kernel(model, drift, diffusion)
 
     monkeypatch.setattr(oracle, "_rk4_increment", spy)
     return calls
@@ -724,9 +724,79 @@ def dense_lift(a: np.ndarray) -> np.ndarray:
     return (oracle._vech_kron(a, eye) + oracle._vech_kron(eye, a)) @ oracle._DUP
 
 
+def reference_parts(model) -> tuple[np.ndarray, np.ndarray]:
+    """The drift and diffusion parts as :func:`oracle._model_parts` once
+    formed them: the unmixing inverse solved per call, and each diffusion
+    part from its own products."""
+    omega = model.params.Omega
+    times = (0.0, 0.5 * math.pi / omega, math.pi / omega)
+    unmix = np.linalg.inv(
+        np.array([[1.0, math.cos(omega * t), math.sin(omega * t)] for t in times])
+    )
+
+    def unmixed(parts: list) -> np.ndarray:
+        parts = np.stack(parts)
+        return (unmix @ parts.reshape(3, -1)).reshape(parts.shape)
+
+    drift = unmixed([model.drift_matrix(t) for t in times])
+    n0, nc, ns = unmixed([model.noise_columns(t) for t in times])
+    diffusion = np.stack((
+        n0 @ n0.T,
+        n0 @ nc.T + nc @ n0.T,
+        n0 @ ns.T + ns @ n0.T,
+        nc @ nc.T,
+        ns @ ns.T,
+        nc @ ns.T + ns @ nc.T,
+    ))
+    return drift, diffusion
+
+
+def generator_basis(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``,
+    with ``f`` the weights of :func:`oracle._trig`: the drift parts lifted
+    onto ``vech`` and the means, the diffusion parts in the last column."""
+    n = oracle._N_SIGMA
+    basis = np.zeros((6, oracle._DIM, oracle._DIM))
+    basis[:3, :n, :n] = oracle._vech_lift(drift)
+    basis[:3, oracle._MEAN, oracle._MEAN] = drift
+    basis[:, :n, -1] = diffusion.reshape(6, 64)[:, oracle._VECH]
+    return basis
+
+
+def generators(basis: np.ndarray, phases) -> np.ndarray:
+    """``G`` at each Larmor phase of ``phases``, stacked dense 45 x 45 matrices."""
+    return (oracle._trig(phases) @ basis.reshape(6, -1)).reshape(-1, oracle._DIM, oracle._DIM)
+
+
 def basis_of(model) -> np.ndarray:
     """The generator basis of ``model``, lifted from its parts."""
-    return oracle._generator_basis(*oracle._model_parts(model))
+    return generator_basis(*oracle._model_parts(model))
+
+
+def reference_pulse_maps(model) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, C_n)`` by the basis route: the RK4 stages take ``G`` mixed from
+    the dense basis of :func:`reference_parts`, and every sum is written out
+    as the build once wrote it."""
+    h = model.dt
+    delta = model.params.Omega * h
+    g_start, g_mid, g_end = generators(
+        generator_basis(*reference_parts(model)), (0.0, delta / 2, delta)
+    )
+    k1 = g_start
+    k2 = g_mid + h / 2 * (g_mid @ k1)
+    k3 = g_mid + h / 2 * (g_mid @ k2)
+    k4 = g_end + h * (g_end @ k3)
+    rk4 = h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
+    turn = oracle._rotation_increment(delta)
+    increment = turn + rk4 + turn @ rk4
+    eye = np.eye(oracle._DIM)
+    back = eye + oracle._rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
+    return eye + increment, back @ (eye + oracle._power_increment(increment, model.n_steps))
+
+
+def assert_bits_of_the_basis_route(model) -> None:
+    for built, reference in zip(oracle._pulse_maps.__wrapped__(model), reference_pulse_maps(model)):
+        assert built.tobytes() == reference.tobytes()
 
 
 def add_phase_term(monkeypatch, method: str, entry: tuple, size: float) -> None:
@@ -776,7 +846,7 @@ class TestLarmorTurn:
     def test_generator_conjugation_identity(self, name, theta, phase):
         model = SYMMETRY_CASES[name](200)
         basis = basis_of(model)
-        generator, shifted = oracle._generators(basis, (phase, phase + theta))
+        generator, shifted = generators(basis, (phase, phase + theta))
         turned = rotation(-theta) @ generator @ rotation(theta)
         np.testing.assert_allclose(turned, shifted, rtol=0.0, atol=1e-14 * np.abs(basis).max())
 
@@ -814,13 +884,13 @@ class TestLarmorTurn:
         model = SYMMETRY_CASES[name](steps)
         drift, diffusion = oracle._model_parts(model)
         oracle._check_symmetry(drift, diffusion)
-        basis = oracle._generator_basis(drift, diffusion)
+        basis = generator_basis(drift, diffusion)
         delta = model.params.Omega * model.dt
         step, _ = oracle._pulse_maps(model)
         h, eye = model.dt, np.eye(oracle._DIM)
         stepped_map, turned = eye, eye
         for k in range(steps):
-            g0, g1, g2 = oracle._generators(basis, delta * (k + np.array([0.0, 0.5, 1.0])))
+            g0, g1, g2 = generators(basis, delta * (k + np.array([0.0, 0.5, 1.0])))
             k1 = g0 @ stepped_map
             k2 = g1 @ (stepped_map + h / 2 * k1)
             k3 = g1 @ (stepped_map + h / 2 * k2)
@@ -829,6 +899,23 @@ class TestLarmorTurn:
             turned = step @ turned
         turned = rotation(-steps * delta) @ turned
         np.testing.assert_allclose(turned, stepped_map, rtol=0.0, atol=1e-13 * np.abs(stepped_map).max())
+
+    @pytest.mark.parametrize("steps", [200, 201, 202])
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+    def test_pulse_maps_are_the_basis_route_bit_for_bit(self, name, steps):
+        # G at the three phases straight from the 8 x 8 parts takes the
+        # same floating-point operations as mixing the dense basis
+        assert_bits_of_the_basis_route(SYMMETRY_CASES[name](steps))
+
+    @pytest.mark.parametrize("periods", [1, 8, 12.5, 16, 64])
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [({}, {}), ({"eps_mismatch": 0.03}, {"mismatch": True}),
+         ({"gamma_m": 0.02, "n_th": 1.5}, {"damping": True})],
+        ids=["plain", "mismatch", "damping"],
+    )
+    def test_pulse_maps_of_any_length_are_the_basis_route(self, extra, flags, periods):
+        assert_bits_of_the_basis_route(build_model(unit_pulse(1.3, 20.0, periods, **extra), **flags))
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
     def test_drift_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):

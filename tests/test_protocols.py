@@ -295,6 +295,23 @@ class TestVerifyEpr:
         large, _ = verify_epr(state, params, shots=8000, rng=rng)
         assert large.stderr == pytest.approx(small.stderr / 2.0, rel=0.15)
 
+    @pytest.mark.parametrize("shots", [2, 5, 400])
+    def test_sampled_variances_follow_the_wishart_law(self, shots):
+        # (shots - 1) S is Wishart: E S_ii = cov_ii, Var S_ii = 2 cov_ii^2 / dof
+        # and corr(S_11, S_22) = cov_12^2 / (cov_11 cov_22); a fixed seed, held
+        # to 5 standard errors of each estimate (the excess kurtosis of a
+        # scaled chi^2 with dof degrees of freedom is 12 / dof)
+        cov = np.array([[2.0, 0.9], [0.9, 1.5]])
+        rng, count, dof = np.random.default_rng(11), 40000, shots - 1
+        draws = np.array([protocols._sampled_variances(cov, shots, rng) for _ in range(count)])
+        bound = 5.0 * math.sqrt((2.0 + 12.0 / dof) / count)
+        np.testing.assert_allclose(
+            draws.mean(axis=0), np.diag(cov), rtol=5.0 * math.sqrt(2.0 / (dof * count))
+        )
+        np.testing.assert_allclose(draws.var(axis=0), 2.0 * np.diag(cov) ** 2 / dof, rtol=bound)
+        correlation = np.corrcoef(draws.T)[0, 1]
+        assert correlation == pytest.approx(cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1]), abs=bound)
+
     def test_exact_inference_never_negative(self, rng):
         for _ in range(10):
             n_i = float(rng.exponential(5.0))

@@ -12,6 +12,10 @@ PIECES = [
     "condition_on_readout",
     "run_epr_generation (conditional)",
     "oracle_epr_after_measurement (cached)",
+    "_model_parts",
+    "_check_symmetry",
+    "_rk4_increment (RK4 step)",
+    "_power_increment (powering)",
     "_pulse_maps (fresh build)",
     "load_scenario",
     "render_json",

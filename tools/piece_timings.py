@@ -12,7 +12,9 @@ calls, per call.  BLAS and OpenMP run on one thread, as in the benchmark.
 The pieces are the layers of a cached ``oracle_sweep`` operation and of a
 CLI run, whose report is rendered at two sizes: one run's and a sweep's.
 The fresh pulse-map build calls the uncached function, with the rotation
-lifts that a grid's models share already cached.  Uses only the
+lifts and the unmixing inverse that a grid's models share already cached;
+its pieces are timed alone before it: the model's parts, the symmetry
+check, the RK4 step and the powering of its increment.  Uses only the
 standard library, numpy and the package's own runtime dependencies.
 """
 
@@ -64,6 +66,8 @@ def pieces() -> dict:
     joint = iomaps.qnd_bigstep(initial, params)
     conditional = protocols.FeedbackConfig.conditional()
     model = oracle.build_model(params)
+    drift, diffusion = oracle._model_parts(model)
+    increment = oracle._pulse_maps(model)[0] - oracle._EYE
     scenario = cli.load_scenario(SCENARIO)
     report = cli.assemble_report(scenario, cli.execute(scenario))
     sweep = cli.load_scenario(SWEEP)
@@ -78,6 +82,10 @@ def pieces() -> dict:
         "oracle_epr_after_measurement (cached)": lambda: oracle.oracle_epr_after_measurement(
             model
         ),
+        "_model_parts": lambda: oracle._model_parts(model),
+        "_check_symmetry": lambda: oracle._check_symmetry(drift, diffusion),
+        "_rk4_increment (RK4 step)": lambda: oracle._rk4_increment(model, drift, diffusion),
+        "_power_increment (powering)": lambda: oracle._power_increment(increment, model.n_steps),
         "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
         "load_scenario": lambda: cli.load_scenario(SCENARIO),
         "render_json": lambda: cli.render_json(report),

@@ -30,6 +30,7 @@ from .iomaps import (
     COS_MODE,
     SIN_MODE,
     MatchingError,
+    ParameterError,
     ProtocolParams,
     condition_on_readout,
     qnd_bigstep,

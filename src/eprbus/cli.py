@@ -61,8 +61,15 @@ from .gaussian import (
     make_state,
     mechanical_mode,
 )
-from .iomaps import _PARAM_NAMES, MatchingError, ProtocolParams, _param_values
-from .oracle import MIN_STEPS_PER_PERIOD, build_model, oracle_epr_after_measurement
+from .iomaps import (
+    _PARAM_NAMES,
+    MatchingError,
+    ParameterError,
+    ProtocolParams,
+    _is_integer,
+    _param_values,
+)
+from .oracle import _steps_per_period, build_model, oracle_epr_after_measurement
 from .planner import (
     FeasibilityReport,
     PhysicalSetup,
@@ -97,10 +104,6 @@ class ScenarioError(ValueError):
 
 def _field_names(cls) -> set[str]:
     return {field.name for field in dataclasses.fields(cls)}
-
-
-def _required_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
 
 
 #: The spec of each ``setup`` subsection, by the :class:`PhysicalSetup` field
@@ -171,9 +174,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse a scenario file into a plain dict and check its shape: keys,
-    types, finiteness and the sweep path.  The values of the sections are
-    checked when a run is built from them."""
+    """Parse a scenario file into a plain dict and check its shape: sections,
+    keys, finiteness and the sweep path.  Required keys, values and the
+    ``setup`` subsections are checked when a run is built from them."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -204,13 +207,8 @@ def validate_scenario(raw: dict) -> dict:
             for name in ("losses", "feedback", "teleport", "verify", "oracle", "output")
         },
     }
-    if "model" in raw:
-        model = _section(raw, "model")
-        if "kappa" not in model:
-            raise ScenarioError("key 'model.kappa' is required")
-        scenario["model"] = model
-    else:
-        scenario["setup"] = _validate_setup(_section(raw, "setup"))
+    kind = "model" if "model" in raw else "setup"
+    scenario[kind] = _section(raw, kind)
 
     fmt = scenario["output"].get("format", "json")
     if fmt not in ("json", "csv"):
@@ -228,26 +226,6 @@ def validate_scenario(raw: dict) -> dict:
         _resolve_sweep_target(scenario, str(sweep["path"]))  # fail early
         scenario["sweep"] = {"path": str(sweep["path"]), "values": list(sweep["values"])}
     return scenario
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_steps(steps, name: str) -> None:
-    """Oracle steps per Larmor period, from the scenario or ``--oracle-steps``."""
-    if not _is_integer(steps) or steps < MIN_STEPS_PER_PERIOD:
-        raise ScenarioError(f"{name} must be an integer >= {MIN_STEPS_PER_PERIOD}, got {steps!r}")
-
-
-def _validate_setup(section: dict) -> dict:
-    for name, spec in _SETUP_SPECS.items():
-        if name not in section:
-            raise ScenarioError(f"key 'setup.{name}' is required")
-        missing = _required_names(spec) - set(_section(section, f"setup.{name}"))
-        if missing:
-            raise ScenarioError(f"missing key(s) {sorted(missing)} in section 'setup.{name}'")
-    return section
 
 
 def _resolve_sweep_target(scenario: dict, path: str) -> tuple[dict, str]:
@@ -280,13 +258,25 @@ def _real(value) -> float:
     return float(value)
 
 
+def _as_given(value):
+    """A value passed on unconverted, for an object that checks its type."""
+    return value
+
+
+def _entries(pair):
+    """A list as a tuple of its entries through :func:`_real`; anything else
+    as given, for the object to refuse."""
+    return tuple(map(_real, pair)) if isinstance(pair, list) else pair
+
+
 def _configure(factory, section: dict, where: str, **convert):
     """``factory`` called with the section at ``where`` as keywords.
 
     Each value goes through :func:`_real` unless ``convert`` gives the key
-    another type.  A value that does not convert, or that ``factory``
+    another conversion.  A value that does not convert, or that ``factory``
     rejects, is an error naming its dotted key: the objects' messages start
-    with the name of the argument.
+    with the name of the argument.  A required argument that the section
+    leaves out is an error naming each such key.
     """
     keywords = {}
     for key, value in section.items():
@@ -300,8 +290,13 @@ def _configure(factory, section: dict, where: str, **convert):
         return factory(**keywords)
     except (TypeError, ValueError) as err:
         message = str(err)
+        parameters = inspect.signature(factory).parameters
+        missing = [k for k, p in parameters.items() if p.default is p.empty and k not in keywords]
         name, _, rest = message.partition(" ")
-        if name in inspect.signature(factory).parameters:
+        if isinstance(err, TypeError) and missing:  # raised by the call, not the object
+            keys = ", ".join(f"'{where}.{key}'" for key in missing)
+            message = f"keys {keys} are required" if len(missing) > 1 else f"key {keys} is required"
+        elif name in parameters:
             message = f"key '{where}.{name}' {rest}"
         raise ScenarioError(f"invalid {where!r} section: {message}") from err
 
@@ -332,21 +327,20 @@ def _build(scenario: dict) -> _Run:
     feedback = _feedback_config(scenario["feedback"])
     teleport = None
     if scenario["teleport"] or scenario["protocol"] == "teleport":
-        teleport = _teleport_config(scenario["teleport"])
+        teleport = _configure(
+            TeleportConfig, scenario["teleport"], "teleport",
+            input_mean=_entries, asymptotic=_as_given,
+        )
     shots = scenario["verify"].get("shots", 0)
     if not _is_integer(shots) or shots < 0 or shots == 1:
         raise ScenarioError(
             f"key 'verify.shots' must be 0 (exact statistics) or an integer >= 2, got {shots!r}"
         )
-    steps = scenario["oracle"].get("steps_per_period", MIN_STEPS_PER_PERIOD)
-    _require_steps(steps, "key 'oracle.steps_per_period'")
+    steps = _configure(_steps_per_period, scenario["oracle"], "oracle", steps_per_period=_as_given)
     setup = feasibility = None
     if "model" in scenario:
-        periods = scenario["model"].get("larmor_periods", 64)
-        if not _is_integer(periods):
-            raise ScenarioError(f"key 'model.larmor_periods' must be an integer, got {periods!r}")
         params = _configure(
-            ProtocolParams.dimensionless, scenario["model"], "model", larmor_periods=int
+            ProtocolParams.dimensionless, scenario["model"], "model", larmor_periods=_as_given
         )
     else:
         setup = build_setup(scenario)
@@ -357,7 +351,8 @@ def _build(scenario: dict) -> _Run:
 def build_setup(scenario: dict) -> PhysicalSetup:
     raw = scenario["setup"]
     specs = {
-        name: _configure(spec, raw[name], f"setup.{name}") for name, spec in _SETUP_SPECS.items()
+        name: _configure(spec, _section(raw, f"setup.{name}"), f"setup.{name}")
+        for name, spec in _SETUP_SPECS.items()
     }
     rest = {key: value for key, value in raw.items() if key not in specs}
     return _configure(functools.partial(PhysicalSetup, **specs), rest, "setup")
@@ -432,7 +427,13 @@ def execute(scenario: dict) -> dict:
                     losses.eps_mismatch, params.kappa, params.n_i
                 )
     elif protocol == "verify":
-        inferred, post = verify_epr(state, params, shots=run.shots, rng=rng)
+        try:
+            inferred, post = verify_epr(state, params, shots=run.shots, rng=rng)
+        except ParameterError as err:
+            if run.setup is None:
+                raise _refused(err, "model", "kappa", "eta_light", "eta_det") from err
+            # of a setup's factors of the signal, only the drive power may be 0
+            raise _refused(err, "setup", "cavity.power_w") from err
         results["inferred"] = _report_dict(inferred)
         results["post_verification"] = _report_dict(epr_variance(post, "m", "a"))
     elif protocol == "teleport":
@@ -460,20 +461,12 @@ def _feedback_config(section: dict) -> FeedbackConfig:
     return fixed if mode == "fixed" else FeedbackConfig.optimal()
 
 
-def _teleport_config(section: dict) -> TeleportConfig:
-    asymptotic = section.get("asymptotic", False)
-    if not isinstance(asymptotic, bool):
-        raise ScenarioError(f"key 'teleport.asymptotic' must be true or false, got {asymptotic!r}")
-    mean = section.get("input_mean", (0.0, 0.0))
-    if not isinstance(mean, (list, tuple)) or len(mean) != 2:
-        raise ScenarioError("key 'teleport.input_mean' must be a pair [x, p]")
-    return _configure(
-        TeleportConfig,
-        section,
-        "teleport",
-        input_mean=lambda pair: tuple(map(_real, pair)),
-        asymptotic=bool,
-    )
+def _refused(err: ParameterError, where: str, *keys: str) -> ScenarioError:
+    """``err``, a protocol's refusal of its parameters, as an error of the
+    section ``where`` naming its ``keys``, which set those parameters."""
+    names = ", ".join(f"'{where}.{key}'" for key in keys)
+    label = "keys" if len(keys) > 1 else "key"
+    return ScenarioError(f"invalid {where!r} section: {err} ({label} {names})")
 
 
 def _compare_results(run: _Run, idealized: EPRReport, predicted: float) -> dict:
@@ -481,7 +474,10 @@ def _compare_results(run: _Run, idealized: EPRReport, predicted: float) -> dict:
     params, steps = run.params, run.steps
     mismatch = params.eps_mismatch > 0.0
     damping = params.gamma_m > 0.0
-    model = build_model(params, damping=damping, mismatch=mismatch, steps_per_period=steps)
+    try:
+        model = build_model(params, damping=damping, mismatch=mismatch, steps_per_period=steps)
+    except ParameterError as err:  # a model's frequencies are equal and positive
+        raise _refused(err, "setup", "mech.omega_m_hz", "atoms.larmor_hz") from err
     oracle_report = oracle_epr_after_measurement(model)
 
     out = {
@@ -720,7 +716,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 scenario["seed"] = args.seed
             if args.oracle_steps is not None:
-                _require_steps(args.oracle_steps, "--oracle-steps")
+                try:
+                    _steps_per_period(args.oracle_steps)
+                except ValueError as err:  # the rule's message, on the flag
+                    raise ScenarioError(f"--oracle-steps {str(err).partition(' ')[2]}") from None
                 scenario["oracle"]["steps_per_period"] = args.oracle_steps
             if args.verb == "sweep" and "sweep" not in scenario:
                 raise ScenarioError("the 'sweep' verb requires a 'sweep' section")
@@ -771,12 +770,14 @@ def main(argv: list[str] | None = None) -> int:
 
 @contextlib.contextmanager
 def _each_warning_once():
-    """Print each distinct :class:`UserWarning` raised inside once, as
-    ``warning: <message>`` on stderr, when the block ends.
+    """Print each distinct :class:`UserWarning` or :class:`RuntimeWarning`
+    recorded inside once, as ``warning: <message>`` on stderr, when the block
+    ends.
 
     Only the ``UserWarning`` filter is set: every other warning meets the
-    caller's filters, and one that is shown rather than raised is passed on
-    to them when the block ends.
+    caller's filters, so a ``RuntimeWarning`` (numpy's overflow, say) that
+    they turn into an error is raised.  Any other category that is recorded
+    rather than raised is passed on to them when the block ends.
     """
     caught: list = []
     try:
@@ -786,7 +787,7 @@ def _each_warning_once():
     finally:
         messages = {}
         for w in caught:
-            if issubclass(w.category, UserWarning):
+            if issubclass(w.category, (UserWarning, RuntimeWarning)):
                 messages[str(w.message)] = None
             else:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, fields
@@ -67,6 +68,16 @@ _READOUT_ROWS = (-3, -1)
 
 class MatchingError(ValueError):
     """Coupling strengths violate the time-scale matching condition."""
+
+
+class ParameterError(ValueError):
+    """A protocol step refuses the parameters it was given: an input error,
+    not a numerical failure on the way."""
+
+
+def _is_integer(value) -> bool:
+    """An integer, numpy's included, and not a boolean: ``true`` is not 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ class ProtocolParams:
         other rate (adiabatic elimination regime) and ``g`` is chosen so the
         matching condition holds exactly.
         """
-        if isinstance(larmor_periods, bool) or not isinstance(larmor_periods, (int, np.integer)):
+        if not _is_integer(larmor_periods):
             raise ValueError(f"larmor_periods must be an integer, got {larmor_periods!r}")
         if larmor_periods < 1:
             raise ValueError("larmor_periods must be at least 1")

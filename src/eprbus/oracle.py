@@ -68,14 +68,16 @@ atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
 (so ``eps = (kappa_m - kappa_a) / (kappa_m + kappa_a)``); mechanical damping
 through ``-gamma_m / 2`` on both mechanical quadratures plus diffusion
 ``gamma_m (n_th + 1)`` per quadrature, matching the Langevin noise variance
-``n_th + 1`` used by the closed-form damping correction.
+``n_th + 1`` used by the closed-form damping correction.  The light's
+propagation and detection loss ``eta_light * eta_det`` has no dynamics: it
+admixes vacuum into the two readout modes after the pulse map, as in the
+idealized map.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -86,6 +88,7 @@ from .gaussian import (
     GaussianState,
     ModeLabel,
     Provenance,
+    _admix_loss,
     _conditioned,
     _epr_report,
     _settled,
@@ -97,7 +100,9 @@ from .iomaps import (
     _PARAM_NAMES,
     COS_MODE,
     SIN_MODE,
+    ParameterError,
     ProtocolParams,
+    _is_integer,
     _readout,
     _resolve_roles,
 )
@@ -291,6 +296,17 @@ class DriftNoiseModel:
         return b
 
 
+def _steps_per_period(steps_per_period: int = MIN_STEPS_PER_PERIOD) -> int:
+    """The oracle's integration steps per Larmor period, an integer of at
+    least :data:`MIN_STEPS_PER_PERIOD`, as an ``int``."""
+    if not _is_integer(steps_per_period) or steps_per_period < MIN_STEPS_PER_PERIOD:
+        raise ValueError(
+            f"steps_per_period must be an integer >= {MIN_STEPS_PER_PERIOD}, "
+            f"got {steps_per_period!r}"
+        )
+    return int(steps_per_period)
+
+
 def build_model(
     params: ProtocolParams,
     *,
@@ -302,28 +318,20 @@ def build_model(
 
     ``mismatch=True`` splits the coupling strengths according to
     ``params.eps_mismatch``; otherwise both sides use ``params.kappa``
-    regardless of any declared mismatch.  ``steps_per_period`` is an
-    integer of at least :data:`MIN_STEPS_PER_PERIOD`; a product of steps
-    and periods that is whole up to roundoff is taken as whole, so whole
-    and half periods keep a grid commensurate with the period.
+    regardless of any declared mismatch.  ``steps_per_period`` is checked
+    by :func:`_steps_per_period`; a product of steps and periods that is
+    whole up to roundoff is taken as whole, so whole and half periods keep
+    a grid commensurate with the period.  Parameters the oracle cannot
+    model raise :class:`ParameterError`.
     """
     if params.Omega <= 0.0:
-        raise ValueError("oracle propagation requires a positive Larmor frequency")
+        raise ParameterError("oracle propagation requires a positive Larmor frequency")
     if not math.isclose(params.omega_m, params.Omega, rel_tol=1e-9):
-        raise ValueError(
+        raise ParameterError(
             "oracle requires matched frequencies omega_m == Omega; coupling "
             "mismatch is the only imperfection modeled dynamically"
         )
-    if (
-        isinstance(steps_per_period, bool)
-        or not isinstance(steps_per_period, (int, numbers.Integral))
-        or steps_per_period < MIN_STEPS_PER_PERIOD
-    ):
-        raise ValueError(
-            f"steps_per_period must be an integer >= {MIN_STEPS_PER_PERIOD}, "
-            f"got {steps_per_period!r}"
-        )
-    steps_per_period = int(steps_per_period)
+    steps_per_period = _steps_per_period(steps_per_period)
     eps = params.eps_mismatch if mismatch else 0.0
     kappa_mech = params.kappa * (1.0 + eps)
     kappa_atom = params.kappa * (1.0 - eps)
@@ -380,6 +388,20 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
 
 
+def _pulse_moments(
+    model: DriftNoiseModel, pulse: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint moments after the pulse map ``pulse`` (``C_n``) from ``x``,
+    with the propagation and detection loss ``eta_light * eta_det`` admixing
+    vacuum into the cos and then the sin mode, as the idealized map does."""
+    mean, cov = _moments(pulse @ x)
+    eta = model.params.eta_light * model.params.eta_det
+    if eta < 1.0:
+        for i in (2, 3):
+            _admix_loss(mean, cov, i, eta)
+    return mean, cov
+
+
 def propagate_moments(
     model: DriftNoiseModel,
     *,
@@ -398,8 +420,11 @@ def propagate_moments(
 
     The pulse map ``C_n`` comes from the cache, built on the first pulse
     of a drift model; per-step output (``trajectory`` or ``return_info``)
-    reads the same entry's ``M``.  The returned state is always ``C_n x_0``,
-    so it is the same with or without per-step output.
+    reads the same entry's ``M``.  The returned state is always ``C_n x_0``
+    followed by the readout loss ``eta_light * eta_det`` on the cos and sin
+    modes, so it is the same with or without per-step output.  Per-step
+    output is taken before that loss: the trajectory's ``var_ypc`` and
+    ``var_yps`` are the accumulators' lossless variances.
 
     The returned moments are settled once and not checked against the
     uncertainty relation: the accumulated temporal modes only become
@@ -411,7 +436,7 @@ def propagate_moments(
     values = _per_step_values(model, step, x) if trajectory is not None or return_info else None
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
-    mean, cov = _moments(pulse @ x)
+    mean, cov = _pulse_moments(model, pulse, x)
     state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     if not return_info:
         return state
@@ -670,10 +695,10 @@ def oracle_epr_after_measurement(
     This is the brute-force counterpart of the pulse map followed by homodyne
     conditioning; it certifies the idealized pipeline.  The figure is
     :func:`propagate_moments` and ``condition_on_readout`` with no state
-    between: the pulse's moments are conditioned as arrays, settled once, and
-    the report is read off the covariance.
+    between: the pulse's moments, after the readout loss, are conditioned as
+    arrays, settled once, and the report is read off the covariance.
     """
     x, modes = _start(model, initial)
-    mean, cov = _moments(_pulse_maps(model)[1] @ x)
+    mean, cov = _pulse_moments(model, _pulse_maps(model)[1], x)
     _, mean, cov, _ = _conditioned(modes, mean, cov, _readout(), None)
     return _epr_report(_settled(mean, cov), 0, 1, Provenance.ORACLE)

@@ -24,6 +24,7 @@ builds only the state it returns, checking each step as a state would be.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +45,7 @@ from .gaussian import (
 )
 from .iomaps import (
     _READOUT_ROWS,
+    ParameterError,
     ProtocolParams,
     _pulse,
     _readout,
@@ -208,11 +210,12 @@ def verify_epr(
 
     Returns ``(report, post_state)`` where ``post_state`` is the system after
     the verification pulse was itself conditioned on -- verification squeezes
-    further.
+    further.  Parameters whose readout carries no signal raise
+    :class:`ParameterError`.
     """
     eta = params.eta_light * params.eta_det
     if eta * params.kappa == 0.0:
-        raise ValueError(
+        raise ParameterError(
             "verification needs eta_light * eta_det * kappa > 0, otherwise light carries no signal"
         )
     joint = _pulse(state.modes, state.mean, state.cov, params, *_resolve_roles(state, None, None))
@@ -269,7 +272,7 @@ class TeleportConfig:
 
     ``asymptotic=True`` applies the exact limit ``kappa_qnd -> inf``,
     ``gain -> 0`` with ``kappa_qnd * gain = 1``; the finite settings are then
-    ignored.
+    ignored.  ``input_mean`` is stored as a tuple of two floats.
     """
 
     kappa_qnd: float = 0.0
@@ -278,13 +281,19 @@ class TeleportConfig:
     asymptotic: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.asymptotic, bool):
+            raise ValueError(f"asymptotic must be true or false, got {self.asymptotic!r}")
         for name in ("kappa_qnd", "bell_gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if len(self.input_mean) != 2:
+        pair = tuple(self.input_mean) if np.iterable(self.input_mean) else ()
+        if len(pair) != 2 or not all(
+            isinstance(value, numbers.Real) and not isinstance(value, bool) for value in pair
+        ):
             raise ValueError(f"input_mean must be a pair (x, p), got {self.input_mean!r}")
-        if not all(map(math.isfinite, self.input_mean)):
+        if not all(map(math.isfinite, pair)):
             raise ValueError("input_mean must be finite")
+        object.__setattr__(self, "input_mean", tuple(map(float, pair)))
         if self.kappa_qnd < 0.0:
             raise ValueError("kappa_qnd must be non-negative")
         if not self.asymptotic and self.kappa_qnd == 0.0:

@@ -22,6 +22,12 @@ from eprbus.decoherence import mismatch_excess, mismatch_penalty
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+#: A refused verification readout of a ``model`` scenario, naming the keys of its signal.
+NO_SIGNAL_MESSAGE = (
+    "'model' section: verification needs eta_light * eta_det * kappa > 0, otherwise light "
+    "carries no signal (keys 'model.kappa', 'model.eta_light', 'model.eta_det')"
+)
+
 MICROMIRROR_SETUP = {
     "mech": {"omega_m_hz": 5.0e6, "mass_kg": 1.0e-12, "q_factor": 5.0e5, "temperature_k": 0.2},
     "cavity": {"finesse": 4500.0, "length_m": 300.0e-6, "power_w": 100.0e-6, "tau_s": 2.0e-6},
@@ -130,7 +136,10 @@ class TestValidation:
         setup = dict(MICROMIRROR_SETUP, mech=None)
         path = write_scenario(tmp_path, "s.yaml", {"protocol": "epr_conditional", "setup": setup})
         assert main(["plan", "--scenario", path]) == EXIT_VALIDATION
-        assert "in section 'setup.mech'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: invalid 'setup.mech' section: keys 'setup.mech.omega_m_hz', "
+            "'setup.mech.mass_kg', 'setup.mech.q_factor', 'setup.mech.temperature_k' are required\n"
+        )
 
     def test_empty_model_section_asks_for_kappa(self, tmp_path, capsys):
         path = tmp_path / "s.yaml"
@@ -540,12 +549,108 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # verification with kappa = 0 passes validation but fails at run time
-        path = write_scenario(
-            tmp_path, "v.yaml", {"protocol": "verify", "model": {"kappa": 0.0}}
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"model": {"kappa": 0.0}}, NO_SIGNAL_MESSAGE),
+            ({"model": {"kappa": 1.0, "eta_det": 0.0}}, NO_SIGNAL_MESSAGE),
+            ({"model": {"kappa": 1.0, "eta_light": 0.0}}, NO_SIGNAL_MESSAGE),
+            (
+                {"setup": {**MICROMIRROR_SETUP, "cavity": {**MICROMIRROR_SETUP["cavity"], "power_w": 0}}},
+                "'setup' section: verification needs eta_light * eta_det * kappa > 0, otherwise "
+                "light carries no signal (key 'setup.cavity.power_w')",
+            ),
+        ],
+        ids=["kappa", "eta_det", "eta_light", "power_w"],
+    )
+    def test_verification_without_signal_names_its_keys(self, tmp_path, capsys, payload, message):
+        # verify_epr refuses these; they used to exit 3 as a numerical failure, naming no key
+        path = write_scenario(tmp_path, "v.yaml", {"protocol": "verify", **payload})
+        assert main(["run", "--scenario", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(f"error: invalid {message}\n")
+
+    @pytest.mark.parametrize("verb", ["compare", "run"])
+    def test_unmatched_setup_frequencies_name_their_keys(self, tmp_path, capsys, verb):
+        # build_model refuses these; they used to exit 3 as a numerical failure, naming no key
+        setup = dict(MICROMIRROR_SETUP, atoms={**MICROMIRROR_SETUP["atoms"], "larmor_hz": 5.1e6})
+        path = write_scenario(tmp_path, "c.yaml", {"protocol": "oracle_compare", "setup": setup})
+        assert main([verb, "--scenario", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(
+            "error: invalid 'setup' section: oracle requires matched frequencies omega_m == Omega; "
+            "coupling mismatch is the only imperfection modeled dynamically "
+            "(keys 'setup.mech.omega_m_hz', 'setup.atoms.larmor_hz')\n"
         )
-        assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize(
+        "payload, flags, message",
+        [
+            ({"model": {"n_i": 1.0}}, [], "invalid 'model' section: key 'model.kappa' is required"),
+            (
+                {"setup": {k: v for k, v in MICROMIRROR_SETUP.items() if k != "mech"}},
+                [],
+                "invalid 'setup.mech' section: "
+                "keys 'setup.mech.omega_m_hz', 'setup.mech.mass_kg', ",
+            ),
+            (
+                {
+                    "setup": dict(
+                        MICROMIRROR_SETUP,
+                        mech={k: v for k, v in MICROMIRROR_SETUP["mech"].items() if k != "mass_kg"},
+                    )
+                },
+                [],
+                "invalid 'setup.mech' section: key 'setup.mech.mass_kg' is required",
+            ),
+            (
+                {"model": {"kappa": 1.0, "larmor_periods": 64.9}},
+                [],
+                "invalid 'model' section: key 'model.larmor_periods' must be an integer, got 64.9",
+            ),
+            (
+                {"model": {"kappa": 1.0}, "oracle": {"steps_per_period": 100}},
+                [],
+                "invalid 'oracle' section: "
+                "key 'oracle.steps_per_period' must be an integer >= 200, got 100",
+            ),
+            (
+                {"model": {"kappa": 1.0}, "teleport": {"asymptotic": "yes"}},
+                [],
+                "invalid 'teleport' section: "
+                "key 'teleport.asymptotic' must be true or false, got 'yes'",
+            ),
+            *(
+                (
+                    {"model": {"kappa": 1.0}, "teleport": {"asymptotic": True, "input_mean": mean}},
+                    [],
+                    "invalid 'teleport' section: "
+                    f"key 'teleport.input_mean' must be a pair (x, p), got {got}",
+                )
+                for mean, got in ((5, "5"), ([1, 2, 3], "(1.0, 2.0, 3.0)"), ("ab", "'ab'"))
+            ),
+            (
+                {"model": {"kappa": 1.0}},
+                ["--oracle-steps", "100"],
+                "--oracle-steps must be an integer >= 200, got 100\n",
+            ),
+        ],
+        ids=[
+            "model.kappa",
+            "setup.mech",
+            "setup.mech.mass_kg",
+            "model.larmor_periods",
+            "oracle.steps_per_period",
+            "teleport.asymptotic",
+            "teleport.input_mean-5",
+            "teleport.input_mean-3",
+            "teleport.input_mean-ab",
+            "--oracle-steps",
+        ],
+    )
+    def test_each_rule_named_by_its_key(self, tmp_path, capsys, payload, flags, message):
+        # the object that takes each value checks it; the message names the dotted key
+        path = write_scenario(tmp_path, "s.yaml", {"protocol": "oracle_compare", **payload})
+        assert main(["compare", "--scenario", path, *flags]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestWarnings:
@@ -589,8 +694,14 @@ class TestWarnings:
         assert first.startswith("warning: Omega*tau = 43.9")
         assert second == "error: invalid 'model' section: key 'model.larmor_periods' must be at least 1"
 
-    @pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])
-    def test_other_warnings_meet_the_callers_filters(self, monkeypatch, capsys, category):
+    @pytest.mark.parametrize(
+        "category, passed_on",
+        [(RuntimeWarning, False), (DeprecationWarning, True)],
+        ids=["RuntimeWarning", "DeprecationWarning"],
+    )
+    def test_other_warnings_meet_the_callers_filters(
+        self, monkeypatch, capsys, category, passed_on
+    ):
         def warn(scenario):
             warnings.warn("from the run", category)
             return {}
@@ -601,11 +712,42 @@ class TestWarnings:
             warnings.simplefilter("error", category)
             with pytest.raises(category, match="from the run"):
                 main(argv)
+        capsys.readouterr()
         with warnings.catch_warnings(record=True) as passed:
             warnings.simplefilter("always")
             assert main(argv) == EXIT_OK
-        assert [(w.category, str(w.message)) for w in passed] == [(category, "from the run")]
-        assert "warning:" not in capsys.readouterr().err
+        # recorded, a RuntimeWarning is printed as a UserWarning is; any
+        # other category is passed on
+        expected = [(category, "from the run")] if passed_on else []
+        assert [(w.category, str(w.message)) for w in passed] == expected
+        assert capsys.readouterr().err == ("" if passed_on else "warning: from the run\n")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "protocol": "epr_feedback",
+                "model": {"kappa": 1.0},
+                "feedback": {"mode": "fixed", "gain": 1.0e300},
+            },
+            {
+                "protocol": "teleport",
+                "model": {"kappa": 1.0},
+                "teleport": {"kappa_qnd": 1.0e200, "bell_gain": 1.0},
+            },
+        ],
+        ids=["feedback", "teleport"],
+    )
+    def test_runtime_warning_printed_once_without_a_path(self, tmp_path, capsys, payload):
+        # numpy's overflow warning used to reach stderr with the library's
+        # file path and source line
+        path = write_scenario(tmp_path, "s.yaml", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            assert main(["run", "--scenario", path]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "warning: overflow encountered in matmul\nnumerical failure: cov must be finite\n"
+        )
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,11 +355,12 @@ class TestOracleEPR:
         n_i=st.floats(0.0, 1e4),
         kind=st.sampled_from(["plain", "mismatch", "damping"]),
         displacement=st.none() | st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        eta_det=st.sampled_from([1.0, 0.8]),
     )
-    def test_figure_is_the_state_route(self, kappa, n_i, kind, displacement):
+    def test_figure_is_the_state_route(self, kappa, n_i, kind, displacement, eta_det):
         # the figure, conditioned on arrays, bit for bit as the public states give it
         params = ProtocolParams.dimensionless(
-            kappa, n_i, larmor_periods=8, eps_mismatch=0.02, gamma_m=0.01, n_th=1.0
+            kappa, n_i, larmor_periods=8, eps_mismatch=0.02, gamma_m=0.01, n_th=1.0, eta_det=eta_det
         )
         model = build_model(params, mismatch=kind == "mismatch", damping=kind == "damping")
         initial = displacement and make_state(
@@ -368,6 +370,30 @@ class TestOracleEPR:
         conditioned, _ = condition_on_readout(propagate_moments(model, initial=initial))
         mech, atom = conditioned.modes
         assert report == epr_variance(conditioned, mech, atom, Provenance.ORACLE)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.8])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_i", [0.0, 30.0])
+    def test_readout_loss_is_the_idealized_maps(self, eta, kappa, n_i):
+        # the oracle used to condition on the lossless readout whatever
+        # eta_light * eta_det said: at kappa = 1, n_i = 30 and eta = 0.5 it
+        # read 0.984 against the map's 1.9375
+        params = ProtocolParams.dimensionless(
+            kappa, n_i, larmor_periods=8, eta_light=math.sqrt(eta), eta_det=math.sqrt(eta)
+        )
+        report = oracle_epr_after_measurement(build_model(params))
+        initial = make_state(
+            [(mechanical_mode("m"), n_i, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+        )
+        conditioned, _ = condition_on_readout(qnd_bigstep(initial, params))
+        expected = epr_variance(conditioned, "m", "a")
+        for name in ("var_xsum", "var_pdiff"):
+            assert getattr(report, name) == pytest.approx(
+                getattr(expected, name), rel=INTEGRATION_TOL
+            )
+        lossless = replace(params, eta_light=1.0, eta_det=1.0)
+        lossless = oracle_epr_after_measurement(build_model(lossless))
+        assert abs(lossless.delta_epr / report.delta_epr - 1.0) > 100 * INTEGRATION_TOL
 
     def test_both_pulse_routes_return_one_joint_state(self):
         # the collapsed map and the oracle return the input's modes followed

@@ -791,11 +791,30 @@ class TestTeleport:
             TeleportConfig(**config)
 
     @pytest.mark.parametrize("asymptotic", [False, True])
-    @pytest.mark.parametrize("input_mean", [(1.0,), (1.0, 0.0, 0.0)], ids=["1", "3"])
+    @pytest.mark.parametrize(
+        "input_mean",
+        [(1.0,), (1.0, 0.0, 0.0), 5, "ab", "12", (True, 0.0), ("1", 0.0)],
+        ids=["1", "3", "int", "ab", "12", "bool", "text"],
+    )
     def test_input_mean_must_be_a_pair(self, asymptotic, input_mean):
-        # refused at the config; teleport used to fail unpacking it, naming no field
+        # refused at the config; teleport used to fail unpacking it, naming
+        # no field, and 5 raised a bare TypeError
         with pytest.raises(ValueError, match=r"^input_mean must be a pair \(x, p\), got "):
             TeleportConfig(kappa_qnd=2.0, bell_gain=0.5, input_mean=input_mean, asymptotic=asymptotic)
+
+    @pytest.mark.parametrize("input_mean", [[1, 2.5], (np.float64(1.0), 2.5), np.array([1.0, 2.5])])
+    def test_input_mean_stored_as_a_tuple_of_floats(self, input_mean):
+        # a stored list left the frozen config unhashable
+        cfg = TeleportConfig(input_mean=input_mean, asymptotic=True)
+        assert cfg.input_mean == (1.0, 2.5)
+        assert all(type(value) is float for value in cfg.input_mean)
+        assert hash(cfg) == hash(TeleportConfig(input_mean=(1.0, 2.5), asymptotic=True))
+
+    @pytest.mark.parametrize("asymptotic", ["no", "yes", 0, 1, None])
+    def test_asymptotic_must_be_a_boolean(self, asymptotic):
+        # any non-empty string used to run the asymptotic limit
+        with pytest.raises(ValueError, match="^asymptotic must be true or false, got "):
+            TeleportConfig(kappa_qnd=2.0, bell_gain=0.5, asymptotic=asymptotic)
 
     def test_reserved_mode_name(self):
         bad = make_state(

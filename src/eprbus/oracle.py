@@ -227,12 +227,18 @@ def _vech_lift(a: np.ndarray) -> np.ndarray:
 #: roundoff.
 _SYMMETRY_RTOL = 1e-12
 
-#: Trajectory rows formatted per write; about one Larmor period, so the text
-#: of a whole pulse is never held at once.
-_CSV_CHUNK_ROWS = MIN_STEPS_PER_PERIOD
+#: Trajectory rows formatted per write, so neither the text nor the table of
+#: a whole pulse is ever held at once; one ``%`` per chunk amortizes the call.
+_CSV_CHUNK_ROWS = 256
+#: One trajectory row: 17 significant digits read back as the same binary64.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-#: The values of every :class:`ProtocolParams` field but ``n_i``, as a tuple.
-_drift_values = operator.attrgetter(*(name for name in _PARAM_NAMES if name != "n_i"))
+#: The values of the :class:`ProtocolParams` fields that enter the drift or
+#: the diffusion, as a tuple: all but ``n_i``, which sets only the initial
+#: state, and the readout loss, which acts after the pulse map.
+_drift_values = operator.attrgetter(
+    *(name for name in _PARAM_NAMES if name not in ("n_i", "eta_light", "eta_det"))
+)
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,9 @@ class DriftNoiseModel:
     """Drift/diffusion description of one pulse, ready to integrate.
 
     Its identity (equality and hash), computed once, leaves out ``params.n_i``,
-    which sets only the initial state: a grid over ``n_i`` shares a pulse map.
+    which sets only the initial state, and the readout loss ``eta_light`` and
+    ``eta_det``, which acts after the pulse map: a grid over either shares a
+    pulse map.
     """
 
     params: ProtocolParams = field(compare=False)
@@ -416,7 +424,8 @@ def propagate_moments(
     relative drift of the conserved EPR variances along the trajectory and
     the grid actually used.  ``trajectory`` receives CSV rows
     ``t, var_xsum, var_pdiff, var_ypc, var_yps`` at ``t = k dt`` for every
-    step ``k = 0 .. n_steps`` when given.
+    step ``k = 0 .. n_steps`` when given, each value written with 17
+    significant digits, so ``float`` reads back exactly the value computed.
 
     The pulse map ``C_n`` comes from the cache, built on the first pulse
     of a drift model; per-step output (``trajectory`` or ``return_info``)
@@ -486,15 +495,17 @@ def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray,
 
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
+    """The header, then rows of ``k dt`` and columns 0, 2, 3 and 4 of
+    ``values``, each chunk formatted by one ``%`` of :data:`_CSV_ROW`.
+
+    ``np.arange(start, stop) * dt`` is the IEEE product ``k * dt`` of each row.
+    """
     stream.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
     for start in range(0, len(values), _CSV_CHUNK_ROWS):
-        chunk = values[start : start + _CSV_CHUNK_ROWS, [0, 2, 3, 4]].tolist()
-        stream.write(
-            "".join(
-                f"{k * dt!r},{xsum!r},{pdiff!r},{ypc!r},{yps!r}\n"
-                for k, (xsum, pdiff, ypc, yps) in enumerate(chunk, start)
-            )
-        )
+        chunk = values[start : start + _CSV_CHUNK_ROWS, [0, 2, 3, 4]]
+        times = np.arange(start, start + len(chunk)) * dt
+        table = np.column_stack((times, chunk))
+        stream.write((_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _max_drift(values: np.ndarray) -> dict[str, float]:
@@ -669,7 +680,8 @@ def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     extended-precision run of the steps than powering ``M``.  The two
     rotation lifts come from :func:`_rotation_increment`'s cache, shared by
     every model on the same grid.  The cache key, the model's identity,
-    leaves out ``n_i``, so a grid over initial occupations shares an entry.
+    leaves out ``n_i`` and the readout loss, so a grid over initial
+    occupations or over the loss shares an entry.
     An entry takes about 32 kB; four leave room for a model that alternates
     with its matched baseline, as ``compare`` does in a sweep.
     """

@@ -125,6 +125,11 @@ def stepped(model, initial=None):
     return step_through(model, initial)[0]
 
 
+def read_trajectory(text: str) -> np.ndarray:
+    """The fields of a trajectory's rows, as ``float`` reads them."""
+    return np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+
+
 def assert_same_per_step_output(model, initial=None):
     """Trajectory and drift of ``propagate_moments`` against the stepped kernel.
 
@@ -134,10 +139,11 @@ def assert_same_per_step_output(model, initial=None):
     state, info = propagate_moments(model, initial=initial, trajectory=buffer, return_info=True)
     reference, rows, drift = step_through(model, initial)
     assert_same_moments(state, reference.cov, reference.mean)
-    lines = buffer.getvalue().splitlines()
+    text = buffer.getvalue()
+    lines = text.splitlines()
     assert lines[0] == "t,var_xsum,var_pdiff,var_ypc,var_yps"
     assert len(lines) == model.n_steps + 1 + 1
-    written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    written = read_trajectory(text)
     expected = np.array(rows)
     np.testing.assert_array_equal(written[:, 0], expected[:, 0])
     np.testing.assert_allclose(written[:, 1:], expected[:, 1:], rtol=PER_STEP_RTOL, atol=0.0)
@@ -314,6 +320,49 @@ class TestPropagateMoments:
         fine = propagate_moments(build_model(params, steps_per_period=400))
         rel = np.abs(np.diag(coarse.cov) - np.diag(fine.cov)) / np.abs(np.diag(fine.cov))
         assert np.max(rel) < INTEGRATION_TOL
+
+
+#: Edge values of binary64: a negative zero, the least subnormal, a value
+#: near the top of the range, and two whose shortest form ``repr`` and 17
+#: digits write differently.
+EDGE_FLOATS = (-0.0, 5e-324, 1e308, 1e-5, 1e16)
+
+
+class TestTrajectoryText:
+    # 64 periods take many chunks, 12.5 end on a partial one
+    @pytest.mark.parametrize("periods", [64, 12.5])
+    def test_every_field_reads_back_exactly(self, periods):
+        model = build_model(unit_pulse(1.1, 30.0, periods))
+        buffer = io.StringIO()
+        propagate_moments(model, trajectory=buffer)
+        text = buffer.getvalue()
+        assert text.endswith("\n") and text.count("\n") == model.n_steps + 2
+        x, _ = oracle._start(model, None)
+        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        written = read_trajectory(text)
+        times = np.array([k * model.dt for k in range(model.n_steps + 1)])
+        assert written[:, 0].tobytes() == times.tobytes()
+        assert written[:, 1:].tobytes() == np.ascontiguousarray(values[:, [0, 2, 3, 4]]).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        fields=st.lists(
+            st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        ),
+        # every step k dt stays finite, as on a grid over a finite tau
+        dt=st.sampled_from((-0.0, 5e-324, 1e-5, 1e16)) | st.floats(-1e300, 1e300),
+        count=st.integers(1, 3 * oracle._CSV_CHUNK_ROWS + 1),
+    )
+    def test_every_field_round_trips(self, fields, dt, count):
+        values = np.resize(np.array(fields), (count, 6))
+        buffer = io.StringIO()
+        oracle._write_trajectory(buffer, dt, values)
+        written = read_trajectory(buffer.getvalue())
+        times = np.array([k * dt for k in range(count)])
+        assert written[:, 0].tobytes() == times.tobytes()
+        assert written[:, 1:].tobytes() == np.ascontiguousarray(values[:, [0, 2, 3, 4]]).tobytes()
 
 
 class TestOracleEPR:
@@ -683,6 +732,34 @@ class TestRoutes:
         propagate_moments(first)
         propagate_moments(second)
         assert oracle._pulse_maps.cache_info().misses == 2 - shared
+
+    def test_a_readout_loss_grid_builds_one_pulse_map(self):
+        # the loss acts after the pulse map, so it stays out of the cache key
+        losses = ((1.0, 1.0), (1.0, 0.9), (1.0, 0.8), (0.9, 0.8))
+        models = [
+            build_model(
+                ProtocolParams.dimensionless(
+                    1.0, 30.0, larmor_periods=8, eta_light=light, eta_det=det
+                )
+            )
+            for light, det in losses
+        ]
+
+        def figures(model):
+            state = propagate_moments(model)
+            return oracle_epr_after_measurement(model), state.mean.tobytes(), state.cov.tobytes()
+
+        cold = []
+        for model in models:
+            oracle._pulse_maps.cache_clear()
+            cold.append(figures(model))
+        oracle._pulse_maps.cache_clear()
+        shared = [figures(model) for model in models]
+        info = oracle._pulse_maps.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(models) - 1)
+        assert shared == cold
+        # and the loss still reaches every figure
+        assert len({report.delta_epr for report, _, _ in shared}) == len(models)
 
     def test_per_step_output_reuses_the_cached_pulse_map(self, monkeypatch):
         oracle._pulse_maps.cache_clear()

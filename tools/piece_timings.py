@@ -14,8 +14,11 @@ CLI run, whose report is rendered at two sizes: one run's and a sweep's.
 The fresh pulse-map build calls the uncached function, with the rotation
 lifts and the unmixing inverse that a grid's models share already cached;
 its pieces are timed alone before it: the model's parts, the symmetry
-check, the RK4 step and the powering of its increment.  Uses only the
-standard library, numpy and the package's own runtime dependencies.
+check, the RK4 step and the powering of its increment.  The trajectory
+layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
+``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
+a fresh ``StringIO``.  Uses only the standard library, numpy and the
+package's own runtime dependencies.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ for _var in (
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -47,6 +51,8 @@ from eprbus import cli, gaussian, iomaps, oracle, protocols  # noqa: E402
 
 #: The operating point of every piece: 16 Larmor periods, as most of a sweep.
 KAPPA, N_I, PERIODS = 1.3, 20.0, 16
+#: The pulse of the trajectory pieces, as most of an ``oracle_trajectory`` pass.
+TRAJECTORY_PERIODS = 12
 SCENARIO = ROOT / "scenarios" / "epr_conditional.yaml"
 #: The kappa sweep, whose report is the largest a shipped scenario writes: the
 #: size of the sweep reports in a batch's latency tail.
@@ -68,6 +74,12 @@ def pieces() -> dict:
     model = oracle.build_model(params)
     drift, diffusion = oracle._model_parts(model)
     increment = oracle._pulse_maps(model)[0] - oracle._EYE
+    trajectory = oracle.build_model(
+        iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=TRAJECTORY_PERIODS)
+    )
+    start, _ = oracle._start(trajectory, None)
+    step = oracle._pulse_maps(trajectory)[0]
+    values = oracle._per_step_values(trajectory, step, start)
     scenario = cli.load_scenario(SCENARIO)
     report = cli.assemble_report(scenario, cli.execute(scenario))
     sweep = cli.load_scenario(SWEEP)
@@ -87,6 +99,12 @@ def pieces() -> dict:
         "_rk4_increment (RK4 step)": lambda: oracle._rk4_increment(model, drift, diffusion),
         "_power_increment (powering)": lambda: oracle._power_increment(increment, model.n_steps),
         "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
+        f"_per_step_values ({TRAJECTORY_PERIODS} periods)": lambda: oracle._per_step_values(
+            trajectory, step, start
+        ),
+        f"_write_trajectory ({TRAJECTORY_PERIODS} periods)": lambda: oracle._write_trajectory(
+            io.StringIO(), trajectory.dt, values
+        ),
         "load_scenario": lambda: cli.load_scenario(SCENARIO),
         "render_json": lambda: cli.render_json(report),
         "render_json (sweep report)": lambda: cli.render_json(sweep_report),

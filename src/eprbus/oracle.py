@@ -84,6 +84,7 @@ from typing import TextIO
 
 import numpy as np
 
+from ._g17 import format_g17
 from .gaussian import (
     GaussianState,
     ModeLabel,
@@ -227,11 +228,17 @@ def _vech_lift(a: np.ndarray) -> np.ndarray:
 #: roundoff.
 _SYMMETRY_RTOL = 1e-12
 
-#: Trajectory rows formatted per write, so neither the text nor the table of
-#: a whole pulse is ever held at once; one ``%`` per chunk amortizes the call.
-_CSV_CHUNK_ROWS = 256
-#: One trajectory row: 17 significant digits read back as the same binary64.
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+#: Trajectory rows formatted per write.  What one chunk bounds is its text
+#: and the kernel's scratch, about 1.5 MB at this size; the per-step table of
+#: the whole pulse is built beforehand, 614 kB at 64 periods.  Larger chunks
+#: spread the kernel's fixed cost per call over more values, until the
+#: scratch outgrows what the allocator keeps between chunks and its pages are
+#: faulted in afresh: ``oracle_trajectory``'s ``op_p50_ms`` read
+#: 3.05-3.09 ms at 256 rows, 2.61-2.62 at 512, 2.45-2.47 at 1024 and
+#: 3.18-3.19 at 2048 (two 8 s runs each, on a shared 2-core x86 machine).
+_CSV_CHUNK_ROWS = 1024
+#: The character after each value of a trajectory row.
+_CSV_SEPARATORS = ",,,,\n"
 
 #: The values of the :class:`ProtocolParams` fields that enter the drift or
 #: the diffusion, as a tuple: all but ``n_i``, which sets only the initial
@@ -424,8 +431,9 @@ def propagate_moments(
     relative drift of the conserved EPR variances along the trajectory and
     the grid actually used.  ``trajectory`` receives CSV rows
     ``t, var_xsum, var_pdiff, var_ypc, var_yps`` at ``t = k dt`` for every
-    step ``k = 0 .. n_steps`` when given, each value written with 17
-    significant digits, so ``float`` reads back exactly the value computed.
+    step ``k = 0 .. n_steps`` when given.  Each value is the text that
+    ``"%.17g"`` writes for it, produced for a chunk of rows at a time by a
+    vectorized kernel, so ``float`` reads back exactly the value computed.
 
     The pulse map ``C_n`` comes from the cache, built on the first pulse
     of a drift model; per-step output (``trajectory`` or ``return_info``)
@@ -496,7 +504,8 @@ def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray,
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
     """The header, then rows of ``k dt`` and columns 0, 2, 3 and 4 of
-    ``values``, each chunk formatted by one ``%`` of :data:`_CSV_ROW`.
+    ``values``, each value written as ``"%.17g"`` writes it, each chunk by
+    one call of :func:`format_g17`.
 
     ``np.arange(start, stop) * dt`` is the IEEE product ``k * dt`` of each row.
     """
@@ -504,8 +513,7 @@ def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
     for start in range(0, len(values), _CSV_CHUNK_ROWS):
         chunk = values[start : start + _CSV_CHUNK_ROWS, [0, 2, 3, 4]]
         times = np.arange(start, start + len(chunk)) * dt
-        table = np.column_stack((times, chunk))
-        stream.write((_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
+        stream.write(format_g17(np.column_stack((times, chunk)), _CSV_SEPARATORS))
 
 
 def _max_drift(values: np.ndarray) -> dict[str, float]:

@@ -19,6 +19,7 @@ PIECES = [
     "_pulse_maps (fresh build)",
     "_per_step_values (12 periods)",
     "_write_trajectory (12 periods)",
+    "_write_trajectory (64 periods)",
     "load_scenario",
     "render_json",
     "render_json (sweep report)",

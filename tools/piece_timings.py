@@ -17,8 +17,9 @@ its pieces are timed alone before it: the model's parts, the symmetry
 check, the RK4 step and the powering of its increment.  The trajectory
 layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
 ``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
-a fresh ``StringIO``.  Uses only the standard library, numpy and the
-package's own runtime dependencies.
+a fresh ``StringIO``.  The text is also timed for a pulse of
+``LONG_TRAJECTORY_PERIODS``, where the writer's chunk size shows.  Uses only
+the standard library, numpy and the package's own runtime dependencies.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from eprbus import cli, gaussian, iomaps, oracle, protocols  # noqa: E402
 KAPPA, N_I, PERIODS = 1.3, 20.0, 16
 #: The pulse of the trajectory pieces, as most of an ``oracle_trajectory`` pass.
 TRAJECTORY_PERIODS = 12
+#: The longest pulse of an ``oracle_trajectory`` pass: one operation in ten,
+#: but about a third of the pass's time.
+LONG_TRAJECTORY_PERIODS = 64
 SCENARIO = ROOT / "scenarios" / "epr_conditional.yaml"
 #: The kappa sweep, whose report is the largest a shipped scenario writes: the
 #: size of the sweep reports in a batch's latency tail.
@@ -74,12 +78,18 @@ def pieces() -> dict:
     model = oracle.build_model(params)
     drift, diffusion = oracle._model_parts(model)
     increment = oracle._pulse_maps(model)[0] - oracle._EYE
-    trajectory = oracle.build_model(
-        iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=TRAJECTORY_PERIODS)
+    trajectory, long_trajectory = (
+        oracle.build_model(iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=periods))
+        for periods in (TRAJECTORY_PERIODS, LONG_TRAJECTORY_PERIODS)
     )
     start, _ = oracle._start(trajectory, None)
     step = oracle._pulse_maps(trajectory)[0]
     values = oracle._per_step_values(trajectory, step, start)
+    long_values = oracle._per_step_values(
+        long_trajectory,
+        oracle._pulse_maps(long_trajectory)[0],
+        oracle._start(long_trajectory, None)[0],
+    )
     scenario = cli.load_scenario(SCENARIO)
     report = cli.assemble_report(scenario, cli.execute(scenario))
     sweep = cli.load_scenario(SWEEP)
@@ -104,6 +114,9 @@ def pieces() -> dict:
         ),
         f"_write_trajectory ({TRAJECTORY_PERIODS} periods)": lambda: oracle._write_trajectory(
             io.StringIO(), trajectory.dt, values
+        ),
+        f"_write_trajectory ({LONG_TRAJECTORY_PERIODS} periods)": lambda: oracle._write_trajectory(
+            io.StringIO(), long_trajectory.dt, long_values
         ),
         "load_scenario": lambda: cli.load_scenario(SCENARIO),
         "render_json": lambda: cli.render_json(report),

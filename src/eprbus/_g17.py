@@ -24,9 +24,17 @@ the 17 digits are ``|v| 10**(16 - e)`` rounded once to an integer:
 
 Each value is laid out in a row of 32 bytes, ``[pad, sign, "0.000", 18
 bytes of digits and point, "e", exponent sign, three exponent digits,
-separator, pad]``, and one boolean mask over all rows keeps the characters
-that ``%g`` prints: the point moves with the exponent, trailing zeros of the
-fraction go, and the exponent takes two digits or three.
+separator, pad]``.  Layout tables of ``0xFF`` bytes, by exponent and by
+the count of digits shown, leave every byte that ``%g`` does not print NUL:
+the point moves with the exponent, trailing zeros of the fraction go, and
+the exponent takes two digits or three.  The sign and the separators are
+then set, and one ``bytes.translate`` over all rows deletes the NUL pad.
+
+A NUL separator would be deleted with the pad, so it is written as a byte
+that neither a row's text nor another separator holds, and the same
+``translate`` maps that byte back to NUL.  Only when the separators take
+every byte value but those of a row's text is none free; the rows are then
+compacted by a boolean mask that keeps each separator's byte.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ _TIE_MARGIN = 1e-6
 #: First byte of the digits in a row: the first digit ends a 4-byte word, so
 #: each group of four digits after it fills one ``uint32`` of the row.
 _R0 = 7
+#: The bytes of a row's text besides its separator.
+_ROW_BYTES = b"+-.0123456789e"
+#: The table of ``bytes.translate`` that changes no byte.
+_IDENTITY = bytes(range(256))
 
 
 @functools.cache
@@ -81,7 +93,6 @@ def _tables():
     j = np.arange(32)
     r = j - _R0  # index among the digits and the point
     text = np.zeros((len(x), 32), np.uint8)
-    text[:, 1] = ord("-")
     text[:, 2:7] = np.frombuffer(b"0.000", np.uint8)
     text[:, _R0:] = np.where(r[_R0:] == point[:, None], ord("."), 0)
     text[:, 25] = ord("e")
@@ -89,18 +100,39 @@ def _tables():
     text[:, 27:30] = np.stack([ax // 100, ax // 10 % 10, ax % 10], axis=1) + ord("0")
     before = (r >= 0) & (r < point[:, None])
     after = (r > point[:, None]) & (r < 18)
-    shown = ((j >= 2) & (j < 2 + lead[:, None])) | (j == 30)
+    shown = (j >= 2) & (j < 2 + lead[:, None])
     shown |= expo[:, None] & (j >= 25) & (j < 30) & ((j != 27) | (ax >= 100)[:, None])
-    by_x = tuple(
-        _words(rows) for rows in (before * np.uint8(255), after * np.uint8(255), text, shown)
-    )
+    by_x = tuple(_words(rows) for rows in (before, after, text, shown))
     digits_shown = _words((r >= 0) & (r < np.arange(19)[:, None]))
     return powers, quads, ends, point.astype(np.int8), least.astype(np.int8), by_x, digits_shown
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
-    """Rows of 32 bytes as rows of four ``uint64`` words."""
+    """Rows of 32 bytes as rows of four ``uint64`` words; a ``True`` is the
+    byte ``0xFF``."""
+    if rows.dtype == np.bool_:
+        rows = rows * np.uint8(255)
     return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint64)
+
+
+def _separators(separators: str) -> tuple[np.ndarray, bytes | None]:
+    """The separators as ``uint64`` words with the byte at bit 48, to OR into
+    the last word of a row, and the table that maps the rows' text back.
+
+    A NUL separator is written as the least byte that neither a row nor
+    another separator holds, and the table maps it back to NUL; the table is
+    ``None`` when no byte is free.
+    """
+    seps = separators.encode("latin-1")
+    table = _IDENTITY
+    if b"\0" in seps:
+        free = sorted(set(range(1, 256)).difference(seps, _ROW_BYTES))
+        if free:
+            stand_in = bytes(free[:1])
+            seps, table = seps.replace(b"\0", stand_in), bytes.maketrans(stand_in, b"\0")
+        else:
+            table = None
+    return np.frombuffer(seps, np.uint8).astype(np.uint64) << np.uint64(48), table
 
 
 def _scaled(a: np.ndarray, i: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -129,12 +161,40 @@ def format_g17(values: np.ndarray, separators: str) -> str:
     ``separators`` holds one character below U+0100 per value of the last
     axis of ``values``, or one for all of them.
     """
-    v = np.asarray(values, dtype=np.float64)
-    sep = np.broadcast_to(np.frombuffer(separators.encode("latin-1"), np.uint8), v.shape)
-    v = v.ravel()
-    n = len(v)
-    powers, quads, ends, point_x, least_x, by_x, digits_shown = _tables()
+    v = np.asarray(values, dtype=np.float64).ravel()
+    sep_words, table = _separators(separators)
+    d, i, fast = _digits(v)
+    buf, rows = _rows(d, i)
+    rows.view(np.uint64).reshape(*np.shape(values), 4)[..., 3] |= sep_words
+    np.copyto(rows[:, 1], ord("-"), where=np.signbit(v))
+    slow = np.flatnonzero(~fast)
+    rows[slow, 1:30] = 0
+    if table is None:  # no byte stands for NUL: a mask keeps every separator
+        kept = rows != 0
+        kept[:, 30] = True
+        written = codecs.latin_1_decode(rows[kept])[0]
+    else:
+        kept = rows
+        written = codecs.latin_1_decode(buf.translate(table, b"\0"))[0]
+    if not slow.size:
+        return written
+    # each slow value goes before its separator
+    at = np.cumsum(np.count_nonzero(kept, axis=1))[slow] - 1
+    parts, prev = [], 0
+    for k, pos in zip(slow.tolist(), at.tolist()):
+        parts += [written[prev:pos], "%.17g" % v[k]]
+        prev = pos
+    parts.append(written[prev:])
+    return "".join(parts)
 
+
+def _digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits of each ``v`` as an integer, the index ``X - E0`` of the
+    exponent ``X`` they are written with, and where they give ``%.17g``'s
+    text (``fast``): a zero, whose digits are 0, or a value of the fast path.
+    Elsewhere the digits are 0 and the index is in range.
+    """
+    powers = _tables()[0]
     a = np.abs(v)
     zero = a == 0.0
     fast = (a >= 10.0 ** (E0 + 1)) & (a < 10.0**E1)
@@ -157,7 +217,18 @@ def format_g17(values: np.ndarray, separators: str) -> str:
     # zeros print "0"; slow values print nothing here, and index the tables in range
     np.copyto(d, 0, where=zero | ~fast)
     fast |= zero
+    return d, i, fast
 
+
+def _rows(d: np.ndarray, i: np.ndarray) -> tuple[bytearray, np.ndarray]:
+    """The rows of the digits ``d`` written with the exponent index ``i``,
+    every byte not shown NUL, and the sign and separator bytes left NUL.
+
+    Returns the buffer, 8 NUL bytes followed by the rows, and the rows as an
+    ``(n, 32)`` array over it.
+    """
+    _, quads, ends, point_x, least_x, by_x, digits_shown = _tables()
+    n = len(d)
     # the digits: d0 and four groups of four, at bytes _R0 .. _R0 + 16 of a row
     high = d // 10**8
     d -= high * 10**8
@@ -168,8 +239,8 @@ def format_g17(values: np.ndarray, separators: str) -> str:
     g3 = d // 10**4
     d -= g3 * 10**4
     groups = (g1, high, g3, d)
-    buf = np.empty(32 * n + 8, np.uint8)
-    rows = buf[8:].reshape(n, 32)
+    buf = bytearray(32 * n + 8)
+    rows = np.frombuffer(buf, np.uint8, offset=8).reshape(n, 32)
     rows[:, _R0] = d0 + ord("0")
     words = rows.view(np.uint32)
     for col, g in enumerate(groups, 2):
@@ -181,26 +252,19 @@ def format_g17(values: np.ndarray, separators: str) -> str:
 
     # digits before the point come from the row, those after it from the row
     # read one byte back, which moves each one place right, past the point
-    before, after, text, mask = (np.take(t, i, axis=0) for t in by_x)
-    before &= rows.view(np.uint64)
-    after &= np.ndarray((n, 4), np.uint64, buf, 7)
-    text |= before
-    text |= after
-    mask |= np.take(digits_shown, shown, axis=0)
-    out = text.view(np.uint8)
-    out[:, 30] = sep.ravel()
-    keep = mask.view(np.bool_)
-    keep[:, 1] = np.signbit(v)
-    slow = np.flatnonzero(~fast)
-    keep[slow, :30] = False
-    written = codecs.latin_1_decode(out[keep])[0]
-    if not slow.size:
-        return written
-    # each slow value goes before its separator
-    at = np.cumsum(np.count_nonzero(keep, axis=1))[slow] - 1
-    parts, prev = [], 0
-    for k, pos in zip(slow.tolist(), at.tolist()):
-        parts += [written[prev:pos], "%.17g" % v[k]]
-        prev = pos
-    parts.append(written[prev:])
-    return "".join(parts)
+    before_x, after_x, text_x, shown_x = by_x
+    row_words = rows.view(np.uint64)
+    digits = np.take(before_x, i, axis=0)
+    digits &= row_words
+    mask = np.take(after_x, i, axis=0)  # the digits after the point, then the mask
+    mask &= np.frombuffer(buf, np.uint64, 4 * n, offset=7).reshape(n, 4)
+    digits |= mask
+    # the row's place now takes the text; the bytes shown are the layout's
+    # and the digits' up to the last one shown
+    np.take(shown_x, i, axis=0, out=mask, mode="wrap")
+    np.take(digits_shown, shown, axis=0, out=row_words, mode="wrap")
+    mask |= row_words
+    np.take(text_x, i, axis=0, out=row_words, mode="wrap")
+    row_words |= digits
+    row_words &= mask
+    return buf, rows

@@ -228,14 +228,16 @@ def _vech_lift(a: np.ndarray) -> np.ndarray:
 #: roundoff.
 _SYMMETRY_RTOL = 1e-12
 
-#: Trajectory rows formatted per write.  What one chunk bounds is its text
-#: and the kernel's scratch, about 1.5 MB at this size; the per-step table of
-#: the whole pulse is built beforehand, 614 kB at 64 periods.  Larger chunks
-#: spread the kernel's fixed cost per call over more values, until the
-#: scratch outgrows what the allocator keeps between chunks and its pages are
-#: faulted in afresh: ``oracle_trajectory``'s ``op_p50_ms`` read
-#: 3.05-3.09 ms at 256 rows, 2.61-2.62 at 512, 2.45-2.47 at 1024 and
-#: 3.18-3.19 at 2048 (two 8 s runs each, on a shared 2-core x86 machine).
+#: Trajectory rows formatted per call of :func:`format_g17`.  What one chunk
+#: bounds is its text and the kernel's scratch: a ``tracemalloc`` peak of
+#: 0.86 MB at this size.  Built beforehand are the per-step values of the
+#: whole pulse, 614 kB at 64 periods, and, once per write, the table of the
+#: rows written, 512 kB.  Larger chunks spread the kernel's fixed cost per
+#: call over more values, until its scratch outgrows the caches and what the
+#: allocator keeps between chunks: ``oracle_trajectory``'s ``op_p50_ms`` read
+#: 2.49-2.50 ms at 512 rows, 2.22-2.33 at 1024 and 2.22-2.27 at 2048, whose
+#: ``peak_rss_mb`` was 0.4 MB higher (two 8 s runs each, on a shared 2-core
+#: x86 machine).
 _CSV_CHUNK_ROWS = 1024
 #: The character after each value of a trajectory row.
 _CSV_SEPARATORS = ",,,,\n"
@@ -464,18 +466,23 @@ def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) ->
     """The output values of steps ``0 .. n_steps`` from ``x``, shape ``(n + 1, 6)``.
 
     Step ``p b + j`` of the rotating frame is ``F M^j`` applied to the
-    block start ``(M^b)^p x``; ``b`` is the power of two at or above
-    ``sqrt(n + 1)``, so both stacks take about ``sqrt(n)`` rows and
-    ``log n`` squarings.  Each step's phase then turns both 2 x 2 blocks in
-    place, leaving the columns ``Var(X_m + X_a)``, the conserved ``X``
+    block start ``(M^b)^p x``; ``b`` is the least power of two at or above
+    ``isqrt(n + 1)``, which can lie below ``sqrt(n + 1)`` (for 4,097 rows,
+    ``b = 64``), so both stacks take about ``sqrt(n)`` rows and ``log n``
+    squarings.  The six forms are one batched product, a contiguous column
+    of ``(n + 1)`` values each.  Each step's phase then turns both 2 x 2
+    blocks on those columns, leaving ``Var(X_m + X_a)``, the conserved ``X``
     variance (see :func:`_max_drift`), ``Var(P_m - P_a)``, the lab
-    ``Var(Y_pc)`` and ``Var(Y_ps)``, and the conserved ``P`` variance.
+    ``Var(Y_pc)`` and ``Var(Y_ps)``, and the conserved ``P`` variance.  The
+    result is the transposed view of the columns.
     """
     count = model.n_steps + 1
     rows, jump = _orbit(_FRAME_FORMS, step, math.isqrt(count))
-    starts, _ = _orbit(x, jump.T, -(-count // len(rows)))
-    # row p of the product holds steps p b .. p b + b - 1, in order
-    values = (starts @ rows.reshape(-1, _DIM).T).reshape(-1, len(_FRAME_FORMS))[:count]
+    blocks = -(-count // len(rows))
+    starts, _ = _orbit(x, jump.T, blocks)
+    # row p of form c's product holds steps p b .. p b + b - 1, in order
+    forms = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    columns = (starts[:blocks] @ forms).reshape(len(forms), -1)[:, :count]
     phases = model.params.Omega * (np.arange(count) * model.dt)
     cos, sin = np.cos(phases), np.sin(phases)
     cc, cs, ss = cos * cos, 2.0 * cos * sin, sin * sin
@@ -483,10 +490,10 @@ def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) ->
     # V = [[a, b], [b, d]]: the Y_p block back to the lab frame, x_k =
     # R_(-k delta) z_k, and the EPR block onto the pair that co-rotates
     for block, (i, j) in ((slice(3, 6), (3, 4)), (slice(0, 3), (1, 5))):
-        a, b, d = values[:, block].T
+        a, b, d = columns[block]
         cross = cs * b
-        values[:, i], values[:, j] = cc * a - cross + ss * d, ss * a + cross + cc * d
-    return values
+        columns[i], columns[j] = cc * a - cross + ss * d, ss * a + cross + cc * d
+    return columns.T
 
 
 def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -504,16 +511,19 @@ def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray,
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:
     """The header, then rows of ``k dt`` and columns 0, 2, 3 and 4 of
-    ``values``, each value written as ``"%.17g"`` writes it, each chunk by
+    ``values``, each value written as ``"%.17g"`` writes it.  The rows are
+    one table, built once; each chunk is a contiguous view of it, written by
     one call of :func:`format_g17`.
 
-    ``np.arange(start, stop) * dt`` is the IEEE product ``k * dt`` of each row.
+    ``np.arange(n) * dt`` is the IEEE product ``k * dt`` of each row.
     """
     stream.write("t,var_xsum,var_pdiff,var_ypc,var_yps\n")
-    for start in range(0, len(values), _CSV_CHUNK_ROWS):
-        chunk = values[start : start + _CSV_CHUNK_ROWS, [0, 2, 3, 4]]
-        times = np.arange(start, start + len(chunk)) * dt
-        stream.write(format_g17(np.column_stack((times, chunk)), _CSV_SEPARATORS))
+    table = np.empty((len(values), 5))
+    table[:, 0] = np.arange(len(values)) * dt
+    table[:, 1] = values[:, 0]
+    table[:, 2:] = values[:, 2:5]
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        stream.write(format_g17(table[start : start + _CSV_CHUNK_ROWS], _CSV_SEPARATORS))
 
 
 def _max_drift(values: np.ndarray) -> dict[str, float]:

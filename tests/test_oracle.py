@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbus import oracle
-from eprbus._g17 import format_g17
+from eprbus._g17 import _separators, format_g17
 from eprbus.gaussian import (
     GaussianState,
     Provenance,
@@ -449,6 +449,55 @@ class TestFormatG17:
         values = np.array([[1.0, -0.0], [math.inf, 1e-300], [0.5, 1e17]])
         assert format_g17(values, ",\n") == "1,-0\ninf,1e-300\n0.5,1e+17\n"
         assert format_g17(np.array([]), ",") == ""
+
+
+#: Values the kernel leaves to ``%.17g`` (NaN, the infinities, a tie, one
+#: below the fast range) between fast ones, a zero of each sign among them.
+SLOW_AMONG_FAST = (1.5, math.nan, -0.0, 3 * 2.0**-25, 0.1, 1e-300, -math.inf, 0.0, math.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFormatG17Separators:
+    """NUL separators, which the kernel writes as a stand-in byte, and the
+    separators that leave no byte free for one."""
+
+    def test_nul_separators_in_one_dimension(self):
+        values = np.array(SLOW_AMONG_FAST)
+        assert format_g17(values, "\0") == printf_g17(values, "\0")
+
+    @pytest.mark.parametrize("separators", ["\0\0\0\n", "\0,\0\n", ",\0;\0", "\xff\0e\0"])
+    def test_nul_separators_in_two_dimensions(self, separators):
+        values = np.resize(np.array(SLOW_AMONG_FAST), (5, 4))
+        assert format_g17(values, separators) == printf_g17(values, separators)
+
+    def test_stand_in_is_a_byte_no_row_holds(self):
+        # every byte but "~" is a separator, so only "~" can stand for NUL
+        separators = "".join(chr(b) for b in range(256) if b != ord("~"))
+        values = np.resize(np.array(SLOW_AMONG_FAST + (-2.5e-7, 1e17)), (3, 255))
+        assert format_g17(values, separators) == printf_g17(values, separators)
+
+    def test_every_byte_a_separator(self):
+        # no byte is free to stand for NUL: the rows are compacted by a mask
+        separators = bytes(range(256)).decode("latin-1")
+        assert _separators(separators)[1] is None
+        values = np.resize(np.array(SLOW_AMONG_FAST + (-2.5e-7, 1e17)), (3, 256))
+        assert format_g17(values, separators) == printf_g17(values, separators)
+
+
+class TestTrajectoryChunks:
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_text_does_not_depend_on_the_chunk_size(self, monkeypatch, rows):
+        model = build_model(unit_pulse(1.1, 30.0, 12.5))
+        x, _ = oracle._start(model, None)
+        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        texts = []
+        for chunk_rows in (oracle._CSV_CHUNK_ROWS, rows):
+            monkeypatch.setattr(oracle, "_CSV_CHUNK_ROWS", chunk_rows)
+            buffer = io.StringIO()
+            oracle._write_trajectory(buffer, model.dt, values)
+            texts.append(buffer.getvalue())
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == model.n_steps + 2
 
 
 class TestOracleEPR:

@@ -1,4 +1,4 @@
-"""The per-piece timing script runs and times every piece."""
+"""The per-piece timing script runs, times every piece and counts its page faults."""
 
 import subprocess
 import sys
@@ -36,9 +36,10 @@ def test_piece_timings_smoke():
     )
     lines = done.stdout.splitlines()
     assert lines[0].startswith("# best of 1 x 1 calls, one BLAS thread")
-    timed = [line.rsplit(None, 2) for line in lines[1:]]
-    assert [name for name, _, _ in timed] == PIECES
-    assert all(float(us) > 0.0 and unit == "us" for _, us, unit in timed)
+    timed = [line.rsplit(None, 4) for line in lines[1:]]
+    assert [name for name, *_ in timed] == PIECES
+    assert all(float(us) > 0.0 and unit == "us" for _, us, unit, _, _ in timed)
+    assert all(float(faults) >= 0.0 and label == "faults" for *_, faults, label in timed)
 
 
 def test_piece_timings_refuses_a_zero_count():

@@ -8,7 +8,11 @@ the checkout that holds this script:
 
 Each piece is called once untimed, which fills every cache it reads, and
 then timed with ``timeit``: the best of ``--repeat`` runs of ``--number``
-calls, per call.  BLAS and OpenMP run on one thread, as in the benchmark.
+calls, per call.  Beside each time stands the mean count of minor page
+faults a call took over all the timed runs (``ru_minflt``): a piece whose
+scratch the allocator hands back to the system between calls faults its
+pages in again on every call.  BLAS and OpenMP run on one thread, as in the
+benchmark.
 The pieces are the layers of a cached ``oracle_sweep`` operation and of a
 CLI run, whose report is rendered at two sizes: one run's and a sweep's.
 The fresh pulse-map build calls the uncached function, with the rotation
@@ -39,6 +43,7 @@ for _var in (
 
 import argparse  # noqa: E402
 import io  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -134,8 +139,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# best of {args.repeat} x {args.number} calls, one BLAS thread, numpy {np.__version__}")
     for name, call in pieces().items():
         call()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         best = min(timeit.repeat(call, number=args.number, repeat=args.repeat)) / args.number
-        print(f"{name:<40} {best * 1e6:9.1f} us")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        per_call = faults / (args.number * args.repeat)
+        print(f"{name:<40} {best * 1e6:9.1f} us {per_call:9.1f} faults")
     return 0
 
 

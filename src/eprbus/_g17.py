@@ -29,12 +29,6 @@ the count of digits shown, leave every byte that ``%g`` does not print NUL:
 the point moves with the exponent, trailing zeros of the fraction go, and
 the exponent takes two digits or three.  The sign and the separators are
 then set, and one ``bytes.translate`` over all rows deletes the NUL pad.
-
-A NUL separator would be deleted with the pad, so it is written as a byte
-that neither a row's text nor another separator holds, and the same
-``translate`` maps that byte back to NUL.  Only when the separators take
-every byte value but those of a row's text is none free; the rows are then
-compacted by a boolean mask that keeps each separator's byte.
 """
 
 from __future__ import annotations
@@ -56,10 +50,6 @@ _TIE_MARGIN = 1e-6
 #: First byte of the digits in a row: the first digit ends a 4-byte word, so
 #: each group of four digits after it fills one ``uint32`` of the row.
 _R0 = 7
-#: The bytes of a row's text besides its separator.
-_ROW_BYTES = b"+-.0123456789e"
-#: The table of ``bytes.translate`` that changes no byte.
-_IDENTITY = bytes(range(256))
 
 
 @functools.cache
@@ -115,24 +105,15 @@ def _words(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint64)
 
 
-def _separators(separators: str) -> tuple[np.ndarray, bytes | None]:
+def _separators(separators: str) -> np.ndarray:
     """The separators as ``uint64`` words with the byte at bit 48, to OR into
-    the last word of a row, and the table that maps the rows' text back.
-
-    A NUL separator is written as the least byte that neither a row nor
-    another separator holds, and the table maps it back to NUL; the table is
-    ``None`` when no byte is free.
+    the last word of a row.  A NUL separator would be deleted with the pad,
+    so each must lie in U+0001 .. U+00FF.
     """
+    if "\0" in separators or max(separators, default="\0") > "\xff":
+        raise ValueError(f"separators must lie in U+0001 .. U+00FF: {separators!r}")
     seps = separators.encode("latin-1")
-    table = _IDENTITY
-    if b"\0" in seps:
-        free = sorted(set(range(1, 256)).difference(seps, _ROW_BYTES))
-        if free:
-            stand_in = bytes(free[:1])
-            seps, table = seps.replace(b"\0", stand_in), bytes.maketrans(stand_in, b"\0")
-        else:
-            table = None
-    return np.frombuffer(seps, np.uint8).astype(np.uint64) << np.uint64(48), table
+    return np.frombuffer(seps, np.uint8).astype(np.uint64) << np.uint64(48)
 
 
 def _scaled(a: np.ndarray, i: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -158,28 +139,22 @@ def _out_of_scale(ph: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def format_g17(values: np.ndarray, separators: str) -> str:
     """``"%.17g" % v`` followed by its separator, for every value in order.
 
-    ``separators`` holds one character below U+0100 per value of the last
-    axis of ``values``, or one for all of them.
+    ``separators`` holds one character from U+0001 to U+00FF per value of
+    the last axis of ``values``, or one for all of them.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    sep_words, table = _separators(separators)
+    sep_words = _separators(separators)
     d, i, fast = _digits(v)
     buf, rows = _rows(d, i)
     rows.view(np.uint64).reshape(*np.shape(values), 4)[..., 3] |= sep_words
     np.copyto(rows[:, 1], ord("-"), where=np.signbit(v))
     slow = np.flatnonzero(~fast)
     rows[slow, 1:30] = 0
-    if table is None:  # no byte stands for NUL: a mask keeps every separator
-        kept = rows != 0
-        kept[:, 30] = True
-        written = codecs.latin_1_decode(rows[kept])[0]
-    else:
-        kept = rows
-        written = codecs.latin_1_decode(buf.translate(table, b"\0"))[0]
+    written = codecs.latin_1_decode(buf.translate(None, b"\0"))[0]
     if not slow.size:
         return written
     # each slow value goes before its separator
-    at = np.cumsum(np.count_nonzero(kept, axis=1))[slow] - 1
+    at = np.cumsum(np.count_nonzero(rows, axis=1))[slow] - 1
     parts, prev = [], 0
     for k, pos in zip(slow.tolist(), at.tolist()):
         parts += [written[prev:pos], "%.17g" % v[k]]

@@ -370,8 +370,9 @@ class MeasurementRecord:
         cls, mode: ModeLabel, quadrature_angle: float, outcome: float, outcome_variance: float
     ) -> "MeasurementRecord":
         """The record, its fields set in one update of the instance dict
-        rather than by the frozen ``__init__``, then checked by
-        ``__post_init__``."""
+        rather than by the frozen ``__init__``, and not checked: its one
+        caller, :func:`_conditioned`, has refused a variance that is not
+        finite or below ``DEGENERATE_VARIANCE``."""
         record = object.__new__(cls)
         vars(record).update(
             mode=mode,
@@ -379,7 +380,6 @@ class MeasurementRecord:
             outcome=outcome,
             outcome_variance=outcome_variance,
         )
-        record.__post_init__()
         return record
 
 
@@ -547,7 +547,9 @@ def _conditioned(
         v[2 * idx] = math.cos(angle)
         v[2 * idx + 1] = math.sin(angle)
         var_b = float(v @ cov @ v)
-        if var_b < DEGENERATE_VARIANCE:
+        if not DEGENERATE_VARIANCE <= var_b < math.inf:  # NaN fails both sides
+            if not math.isfinite(var_b):
+                raise ValueError(f"measured quadrature of {label} has variance {var_b}, not finite")
             raise ValueError(f"measured quadrature of {label} has degenerate variance {var_b:.3e}")
         mean_b = float(v @ mean)
         if isinstance(outcome, str):

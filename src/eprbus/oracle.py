@@ -469,7 +469,9 @@ def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) ->
     block start ``(M^b)^p x``; ``b`` is the least power of two at or above
     ``isqrt(n + 1)``, which can lie below ``sqrt(n + 1)`` (for 4,097 rows,
     ``b = 64``), so both stacks take about ``sqrt(n)`` rows and ``log n``
-    squarings.  The six forms are one batched product, a contiguous column
+    squarings.  ``M^b`` is the square of the last power the forms' stack
+    applied, and the starts' stack holds the ``ceil((n + 1) / b)`` starts
+    the steps use.  The six forms are one batched product, a contiguous column
     of ``(n + 1)`` values each.  Each step's phase then turns both 2 x 2
     blocks on those columns, leaving ``Var(X_m + X_a)``, the conserved ``X``
     variance (see :func:`_max_drift`), ``Var(P_m - P_a)``, the lab
@@ -477,12 +479,13 @@ def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) ->
     result is the transposed view of the columns.
     """
     count = model.n_steps + 1
-    rows, jump = _orbit(_FRAME_FORMS, step, math.isqrt(count))
-    blocks = -(-count // len(rows))
-    starts, _ = _orbit(x, jump.T, blocks)
+    b = 1 << (math.isqrt(count) - 1).bit_length()
+    rows, half = _orbit(_FRAME_FORMS, step, b)
+    jump = half @ half
+    starts, _ = _orbit(x, jump.T, -(-count // b))
     # row p of form c's product holds steps p b .. p b + b - 1, in order
     forms = np.ascontiguousarray(rows.transpose(1, 2, 0))
-    columns = (starts[:blocks] @ forms).reshape(len(forms), -1)[:, :count]
+    columns = (starts @ forms).reshape(len(forms), -1)[:, :count]
     phases = model.params.Omega * (np.arange(count) * model.dt)
     cos, sin = np.cos(phases), np.sin(phases)
     cc, cs, ss = cos * cos, 2.0 * cos * sin, sin * sin
@@ -497,16 +500,18 @@ def _per_step_values(model: DriftNoiseModel, step: np.ndarray, x: np.ndarray) ->
 
 
 def _orbit(first: np.ndarray, step: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``first @ step^j`` for ``j < 2^m``, stacked, and ``step^(2^m)``.
+    """``first @ step^j`` for ``j < count``, stacked, and the power of
+    ``step`` the last doubling applied, ``step^(2^(m - 1))`` after ``m``.
 
-    ``2^m`` is the least power of two at or above ``count``; each doubling
-    appends the stack times the current power, then squares it.
+    Each doubling appends the rows still needed times the current power;
+    the power is squared between doublings, not after the last.
     """
     orbit = first[None]
-    while len(orbit) < count:
-        orbit = np.concatenate((orbit, orbit @ step))
+    while True:
+        orbit = np.concatenate((orbit, orbit[: count - len(orbit)] @ step))
+        if len(orbit) >= count:
+            return orbit, step
         step = step @ step
-    return orbit, step
 
 
 def _write_trajectory(stream: TextIO, dt: float, values: np.ndarray) -> None:

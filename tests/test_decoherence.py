@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprbus.decoherence import (
     LossBudget,
@@ -112,17 +114,21 @@ class TestPhotonLossMap:
     def test_reference_value(self):
         assert photon_loss_map(2.0 / 3.0, 0.1) == pytest.approx(0.8, rel=1e-14)
 
-    def test_fixed_point(self):
-        for eps in (0.0, 0.3, 0.9, 1.0):
-            assert photon_loss_map(2.0, eps) == pytest.approx(2.0)
-
-    def test_monotone_and_contracting(self, rng):
-        for _ in range(50):
-            d1, d2 = sorted(rng.uniform(0.0, 4.0, size=2))
-            eps = rng.uniform(0.0, 1.0)
-            m1, m2 = photon_loss_map(d1, eps), photon_loss_map(d2, eps)
-            assert m1 <= m2 + 1e-14
-            assert abs(m1 - 2.0) <= abs(d1 - 2.0) + 1e-14
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        deltas=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2).map(sorted),
+        eps=st.floats(0.0, 1.0),
+    )
+    def test_fixed_point_monotone_and_contracting(self, deltas, eps):
+        # loss keeps 2 exactly, so it never moves a figure across 2: it can
+        # degrade entanglement but never fake it
+        d1, d2 = deltas
+        m1, m2 = photon_loss_map(d1, eps), photon_loss_map(d2, eps)
+        assert photon_loss_map(2.0, eps) == 2.0
+        assert m1 <= m2
+        for d, m in ((d1, m1), (d2, m2)):
+            assert (m - 2.0) * (d - 2.0) >= 0.0
+            assert abs(m - 2.0) <= abs(d - 2.0) + 1e-14
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -177,6 +177,20 @@ class TestConditioning:
         with pytest.raises(ValueError, match="degenerate"):
             condition_on_homodyne(state, L1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_variance_not_finite(self, entry):
+        cos = light_mode("cos")
+        cov = 0.5 * np.eye(4)
+        cov[0, 0] = entry
+        with pytest.raises(ValueError, match=f"light:cos has variance {entry}, not finite"):
+            _conditioned((cos, L2), np.zeros(4), cov, [(cos, 0.0, 0.0)], None)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
+    def test_public_record_checks_its_variance(self, variance):
+        # the kernel's records are wrapped unchecked; one built by hand is not
+        with pytest.raises(ValueError, match="outcome_variance must be positive"):
+            MeasurementRecord(L1, 0.0, 0.0, variance)
+
     def test_last_mode_leaves_the_empty_state(self):
         state = make_state([(L1, 2.0, (0.3, -0.4))])
         out, record = condition_on_homodyne(state, L1, math.pi / 2.0, 1.1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbus import oracle
-from eprbus._g17 import _separators, format_g17
+from eprbus._g17 import format_g17
 from eprbus.gaussian import (
     GaussianState,
     Provenance,
@@ -346,6 +346,23 @@ class TestTrajectoryText:
         assert written[:, 0].tobytes() == times.tobytes()
         assert written[:, 1:].tobytes() == np.ascontiguousarray(values[:, [0, 2, 3, 4]]).tobytes()
 
+    def test_stacks_hold_the_rows_the_steps_use(self, monkeypatch):
+        # 12 periods: 2,401 rows in blocks of 64 forms, so 38 block starts;
+        # the starts' stack used to double on to 64
+        orbit, stacks = oracle._orbit, []
+
+        def counted(first, step, count):
+            stack, power = orbit(first, step, count)
+            stacks.append(len(stack))
+            return stack, power
+
+        monkeypatch.setattr(oracle, "_orbit", counted)
+        model = build_model(unit_pulse(1.1, 30.0, 12))
+        x, _ = oracle._start(model, None)
+        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        assert stacks == [64, 38]
+        assert values.shape == (model.n_steps + 1, 6) == (2401, 6)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         fields=st.lists(
@@ -397,7 +414,12 @@ class TestFormatG17:
     with no numpy warning on zeros, NaN or the infinities."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(ANY_DOUBLE, st.characters(max_codepoint=255)), max_size=200))
+    @given(
+        st.lists(
+            st.tuples(ANY_DOUBLE, st.characters(min_codepoint=1, max_codepoint=255)),
+            max_size=200,
+        )
+    )
     def test_any_double_any_separator(self, pairs):
         values = np.array([v for v, _ in pairs], dtype=np.float64)
         separators = "".join(s for _, s in pairs)
@@ -458,29 +480,19 @@ SLOW_AMONG_FAST = (1.5, math.nan, -0.0, 3 * 2.0**-25, 0.1, 1e-300, -math.inf, 0.
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFormatG17Separators:
-    """NUL separators, which the kernel writes as a stand-in byte, and the
-    separators that leave no byte free for one."""
+    """Separators from U+0001 to U+00FF, even the bytes of a row's own text;
+    NUL, which would be deleted with the pad, and wider characters are
+    refused."""
 
-    def test_nul_separators_in_one_dimension(self):
-        values = np.array(SLOW_AMONG_FAST)
-        assert format_g17(values, "\0") == printf_g17(values, "\0")
+    @pytest.mark.parametrize("separator", ["\0", "\u20ac"])
+    def test_nul_and_wide_separators_are_refused(self, separator):
+        with pytest.raises(ValueError, match=r"U\+0001 \.\. U\+00FF"):
+            format_g17(np.array([1.5, 2.5]), "," + separator)
 
-    @pytest.mark.parametrize("separators", ["\0\0\0\n", "\0,\0\n", ",\0;\0", "\xff\0e\0"])
-    def test_nul_separators_in_two_dimensions(self, separators):
-        values = np.resize(np.array(SLOW_AMONG_FAST), (5, 4))
-        assert format_g17(values, separators) == printf_g17(values, separators)
-
-    def test_stand_in_is_a_byte_no_row_holds(self):
-        # every byte but "~" is a separator, so only "~" can stand for NUL
-        separators = "".join(chr(b) for b in range(256) if b != ord("~"))
+    def test_every_byte_but_nul_is_a_separator(self):
+        # the separators include "+-.0123456789e", the bytes of a row's text
+        separators = bytes(range(1, 256)).decode("latin-1")
         values = np.resize(np.array(SLOW_AMONG_FAST + (-2.5e-7, 1e17)), (3, 255))
-        assert format_g17(values, separators) == printf_g17(values, separators)
-
-    def test_every_byte_a_separator(self):
-        # no byte is free to stand for NUL: the rows are compacted by a mask
-        separators = bytes(range(256)).decode("latin-1")
-        assert _separators(separators)[1] is None
-        values = np.resize(np.array(SLOW_AMONG_FAST + (-2.5e-7, 1e17)), (3, 256))
         assert format_g17(values, separators) == printf_g17(values, separators)
 
 
@@ -519,6 +531,14 @@ class TestOracleEPR:
         )
         assert report.delta_epr == pytest.approx(10.0, rel=1e-9)
         assert not report.entangled
+
+    def test_overflowed_figure_names_the_readout(self):
+        # at 10**18 periods the moments overflow; the readout's variance was
+        # NaN, passed the degenerate test and failed a record's own check
+        model = build_model(ProtocolParams.dimensionless(1.0, 30.0, larmor_periods=10**18))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="quadrature of light:cos has variance nan, not finite"):
+                oracle_epr_after_measurement(model)
 
     @pytest.mark.parametrize("initial", [None, "state"])
     def test_no_state(self, initial, state_counts):

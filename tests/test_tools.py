@@ -20,6 +20,7 @@ PIECES = [
     "_per_step_values (12 periods)",
     "_write_trajectory (12 periods)",
     "_write_trajectory (64 periods)",
+    "format_g17 (1024 x 5)",
     "load_scenario",
     "render_json",
     "render_json (sweep report)",

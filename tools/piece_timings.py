@@ -22,7 +22,9 @@ check, the RK4 step and the powering of its increment.  The trajectory
 layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
 ``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
 a fresh ``StringIO``.  The text is also timed for a pulse of
-``LONG_TRAJECTORY_PERIODS``, where the writer's chunk size shows.  Uses only
+``LONG_TRAJECTORY_PERIODS``, where the writer's chunk size shows, and the
+``%.17g`` kernel alone on the first ``CHUNK_ROWS`` rows of the first pulse's
+table, as the writer passes them in one chunk.  Uses only
 the standard library, numpy and the package's own runtime dependencies.
 """
 
@@ -54,6 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from eprbus import cli, gaussian, iomaps, oracle, protocols  # noqa: E402
+from eprbus._g17 import format_g17  # noqa: E402
 
 #: The operating point of every piece: 16 Larmor periods, as most of a sweep.
 KAPPA, N_I, PERIODS = 1.3, 20.0, 16
@@ -62,6 +65,8 @@ TRAJECTORY_PERIODS = 12
 #: The longest pulse of an ``oracle_trajectory`` pass: one operation in ten,
 #: but about a third of the pass's time.
 LONG_TRAJECTORY_PERIODS = 64
+#: The rows of the kernel's piece: one chunk of the writer.
+CHUNK_ROWS = 1024
 SCENARIO = ROOT / "scenarios" / "epr_conditional.yaml"
 #: The kappa sweep, whose report is the largest a shipped scenario writes: the
 #: size of the sweep reports in a batch's latency tail.
@@ -95,6 +100,10 @@ def pieces() -> dict:
         oracle._pulse_maps(long_trajectory)[0],
         oracle._start(long_trajectory, None)[0],
     )
+    # the writer's table: k dt and the four written columns of each step
+    chunk = np.column_stack(
+        (np.arange(CHUNK_ROWS) * trajectory.dt, values[:CHUNK_ROWS, [0, 2, 3, 4]])
+    )
     scenario = cli.load_scenario(SCENARIO)
     report = cli.assemble_report(scenario, cli.execute(scenario))
     sweep = cli.load_scenario(SWEEP)
@@ -123,6 +132,7 @@ def pieces() -> dict:
         f"_write_trajectory ({LONG_TRAJECTORY_PERIODS} periods)": lambda: oracle._write_trajectory(
             io.StringIO(), long_trajectory.dt, long_values
         ),
+        f"format_g17 ({CHUNK_ROWS} x 5)": lambda: format_g17(chunk, oracle._CSV_SEPARATORS),
         "load_scenario": lambda: cli.load_scenario(SCENARIO),
         "render_json": lambda: cli.render_json(report),
         "render_json (sweep report)": lambda: cli.render_json(sweep_report),

@@ -24,10 +24,11 @@ second moments are exact and obey ``dSigma/dt = A Sigma + Sigma A^T + D``
 and ``dmean/dt = A mean``; a fixed-step fourth-order (RK4) integrator
 propagates them.
 
-Both equations are linear in the augmented state ``x = [vech Sigma; mean; 1]``
-of 45 entries (the 36 entries of the upper triangle of the symmetric
-``Sigma``, the 8 means and a constant), ``dx/dt = G(t) x``, and ``G``
-depends on time only through the Larmor phase: ``A`` is the sum of three
+The covariance equation is linear in the state ``x = [vech Sigma; 1]`` of
+37 entries (the 36 entries of the upper triangle of the symmetric ``Sigma``
+and a constant), ``dx/dt = G(t) x``; the mean equation is linear in the 8
+means on their own, and neither reads the other.  ``G`` and ``A`` depend
+on time only through the Larmor phase: ``A`` is the sum of three
 8 x 8 parts weighted by ``(1, cos, sin)`` of ``Omega t``, and ``D`` of six
 weighted by ``f = (1, cos, sin, cos^2, sin^2, cos sin)``.  The parts are
 solved from :meth:`DriftNoiseModel.drift_matrix` and
@@ -53,7 +54,14 @@ same RK4 scheme with the floating-point operations in another order.
 the state within about 1e-14 of an extended-precision run of the steps,
 relative to its largest entry.  ``(M, C_n)`` is cached per drift model, so
 a cached pulse is one matrix-vector product, and the lifts ``R_theta - I``
-are cached per angle, which a grid shares across drift models.  In the
+are cached per angle, which a grid shares across drift models.  The means
+take the same route on ``A`` alone, through the same kernels: the RK4 step
+of ``dmean/dt = A mean``, the turn ``s_theta`` and the powering give their
+8 x 8 pulse map, which is the mean block of the same route on the 45
+entries ``[vech Sigma; mean; 1]``, bit for bit, since every entry between
+the blocks is an exact zero.  It is built, and cached per drift model,
+only for a pulse from a displaced state: from zero means a pulse leaves the
+means exactly zero, and the EPR figure reads only the covariance.  In the
 frame that rotates with the grid the state ``z_k = M^k x_0`` evolves on its
 own, and the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step
 output (trajectory rows, the conservation drift) is read off ``z_k`` in
@@ -116,17 +124,14 @@ MIN_STEPS_PER_PERIOD = 200
 # state vector ordering
 _XM, _PM, _XA, _PA, _YXC, _YPC, _YXS, _YPS = range(8)
 
-# augmented state x = [vech Sigma; mean; 1], vech the row-major upper triangle
+# covariance state x = [vech Sigma; 1], vech the row-major upper triangle
 _TRIU = np.triu_indices(8)
 _N_SIGMA = len(_TRIU[0])
-_MEAN = slice(_N_SIGMA, _N_SIGMA + 8)
-_DIM = _N_SIGMA + 8 + 1
+_DIM = _N_SIGMA + 1
 # where vech sits in the row-major vec (the elimination), and vec = _DUP vech
 _VECH = 8 * _TRIU[0] + _TRIU[1]
 _DUP = np.zeros((64, _N_SIGMA))
 _DUP[_VECH, range(_N_SIGMA)] = _DUP[8 * _TRIU[1] + _TRIU[0], range(_N_SIGMA)] = 1.0
-_EYE = np.eye(_DIM)
-_EYE.flags.writeable = False
 
 
 def _lift_table() -> np.ndarray:
@@ -189,7 +194,8 @@ def _accumulator_turn(theta: float) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _rotation_increment(theta: float) -> np.ndarray:
     """``R_theta - I``, with ``R_theta`` the turn ``s_theta`` of the
-    accumulator pairs lifted onto ``x``; read-only, cached per angle.
+    accumulator pairs lifted onto ``x = [vech Sigma; 1]``; read-only,
+    cached per angle.
 
     ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
     ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
@@ -197,12 +203,12 @@ def _rotation_increment(theta: float) -> np.ndarray:
     The increment is formed without ``R_theta``: with ``s = I + e``,
     ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``.  The lift depends on
     the angle alone, so every drift model on one grid shares it: the step's
-    ``delta`` and the closing ``-n delta``.  An entry takes about 16 kB.
+    ``delta`` and the closing ``-n delta``.  The constant does not turn.  An
+    entry takes about 11 kB.
     """
     e = _accumulator_turn(theta)
     turn = np.zeros((_DIM, _DIM))
     turn[:_N_SIGMA, :_N_SIGMA] = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
-    turn[_MEAN, _MEAN] = e
     turn.flags.writeable = False
     return turn
 
@@ -393,25 +399,22 @@ def _initial_moments(
 
 def _start(
     model: DriftNoiseModel, initial: GaussianState | None
-) -> tuple[np.ndarray, tuple[ModeLabel, ...]]:
-    """The augmented state ``x_0`` of a pulse and the modes of its joint
-    state: the system roles, then the cos and sin modes."""
+) -> tuple[np.ndarray, np.ndarray, tuple[ModeLabel, ...]]:
+    """The covariance state ``x_0`` of a pulse, its 8 means and the modes of
+    its joint state: the system roles, then the cos and sin modes."""
     mean, cov, roles = _initial_moments(model, initial)
-    return np.concatenate((cov[_TRIU], mean, (1.0,))), (*roles, COS_MODE, SIN_MODE)
-
-
-def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mean and the exactly symmetric covariance held in ``x``."""
-    return x[_MEAN], (_DUP @ x[:_N_SIGMA]).reshape(8, 8)
+    return np.concatenate((cov[_TRIU], (1.0,))), mean, (*roles, COS_MODE, SIN_MODE)
 
 
 def _pulse_moments(
-    model: DriftNoiseModel, pulse: np.ndarray, x: np.ndarray
+    model: DriftNoiseModel, pulse: np.ndarray, x: np.ndarray, mean: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The joint moments after the pulse map ``pulse`` (``C_n``) from ``x``,
-    with the propagation and detection loss ``eta_light * eta_det`` admixing
-    vacuum into the cos and then the sin mode, as the idealized map does."""
-    mean, cov = _moments(pulse @ x)
+    """The joint moments after the pulse map ``pulse`` (``C_n``) from ``x``
+    and the pulse's means ``mean``, a fresh array, with the propagation and
+    detection loss ``eta_light * eta_det`` admixing vacuum into the cos and
+    then the sin mode, as the idealized map does.  The covariance is
+    exactly symmetric."""
+    cov = (_DUP @ (pulse @ x)[:_N_SIGMA]).reshape(8, 8)
     eta = model.params.eta_light * model.params.eta_det
     if eta < 1.0:
         for i in (2, 3):
@@ -439,9 +442,12 @@ def propagate_moments(
 
     The pulse map ``C_n`` comes from the cache, built on the first pulse
     of a drift model; per-step output (``trajectory`` or ``return_info``)
-    reads the same entry's ``M``.  The returned state is always ``C_n x_0``
-    followed by the readout loss ``eta_light * eta_det`` on the cos and sin
-    modes, so it is the same with or without per-step output.  Per-step
+    reads the same entry's ``M``.  The means' map is built, and cached, on
+    the first pulse of a drift model from a displaced state; from zero means
+    the returned means are zero, and no map is built.  The returned state is
+    always ``C_n x_0`` followed by the readout loss ``eta_light * eta_det``
+    on the cos and sin modes, so it is the same with or without per-step
+    output.  Per-step
     output is taken before that loss: the trajectory's ``var_ypc`` and
     ``var_yps`` are the accumulators' lossless variances.
 
@@ -450,12 +456,13 @@ def propagate_moments(
     canonical pairs once the pulse is complete (exactly so only for an
     integer number of Larmor periods), and may lie below vacuum before.
     """
-    x, modes = _start(model, initial)
+    x, mean, modes = _start(model, initial)
     step, pulse = _pulse_maps(model)
     values = _per_step_values(model, step, x) if trajectory is not None or return_info else None
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
-    mean, cov = _pulse_moments(model, pulse, x)
+    mean = _mean_map(model) @ mean if mean.any() else np.zeros(8)
+    mean, cov = _pulse_moments(model, pulse, x, mean)
     state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     if not return_info:
         return state
@@ -592,27 +599,47 @@ def _trig(phases) -> np.ndarray:
     return np.array([(1.0, cos, sin, cos * cos, sin * sin, cos * sin) for cos, sin in trig])
 
 
-def _rk4_increment(model: DriftNoiseModel, drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """``S_0 - I``: the RK4 step of ``dx/dt = G(t) x`` from ``t = 0`` to
-    ``dt``, as a 45 x 45 matrix less the identity.
+def _stage_trig(model: DriftNoiseModel) -> np.ndarray:
+    """``f`` of :func:`_trig` at the phases ``0``, ``delta / 2`` and ``delta``
+    of the RK4 stages of the first step, shape ``(3, 6)``."""
+    delta = model.params.Omega * model.dt
+    return _trig((0.0, delta / 2, delta))
 
-    ``G`` at the step's three phases is lifted from ``A`` and ``D`` there,
-    the parts of :func:`_model_parts` weighted by ``f``.  The flow ``A (x) I
-    + I (x) A`` on ``vec Sigma`` keeps ``Sigma`` symmetric, so on ``vech`` it
-    is ``E (A (x) I + I (x) A) Dup``, gathered by :func:`_vech_lift`.  The
-    stages are those of the step applied to the identity, ``k2 = G_mid (I +
-    h/2 k1)`` and so on, with the identity carried through the products, so
-    the increment is never rounded against it.
+
+def _drift_at(trig: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """``A`` at each phase of ``trig``, from the drift's three parts, shape
+    ``(m, 8, 8)``."""
+    return (trig[:, :3] @ drift.reshape(3, 64)).reshape(-1, 8, 8)
+
+
+def _covariance_generators(
+    model: DriftNoiseModel, drift: np.ndarray, diffusion: np.ndarray
+) -> np.ndarray:
+    """``G`` on ``x = [vech Sigma; 1]`` at the phases of :func:`_stage_trig`,
+    shape ``(3, 37, 37)``, lifted from ``A`` and ``D`` there.
+
+    The flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma``
+    symmetric, so on ``vech`` it is ``E (A (x) I + I (x) A) Dup``, gathered
+    by :func:`_vech_lift`; ``vech D`` is the constant's column.
+    """
+    trig = _stage_trig(model)
+    g = np.zeros((3, _DIM, _DIM))
+    g[:, :_N_SIGMA, :_N_SIGMA] = _vech_lift(_drift_at(trig, drift))
+    g[:, :_N_SIGMA, -1] = (trig @ diffusion.reshape(6, 64)).take(_VECH, axis=1)
+    return g
+
+
+def _rk4_increment(model: DriftNoiseModel, generators: np.ndarray) -> np.ndarray:
+    """``S_0 - I``: the RK4 step of ``dy/dt = G(t) y`` from ``t = 0`` to
+    ``dt``, less the identity, from ``G`` at the phases of
+    :func:`_stage_trig`, stacked: the covariance state's or the means'.
+
+    The stages are those of the step applied to the identity, ``k2 = G_mid
+    (I + h/2 k1)`` and so on, with the identity carried through the
+    products, so the increment is never rounded against it.
     """
     h = model.dt
-    delta = model.params.Omega * h
-    trig = _trig((0.0, delta / 2, delta))
-    a = (trig[:, :3] @ drift.reshape(3, 64)).reshape(3, 8, 8)
-    g = np.zeros((3, _DIM, _DIM))
-    g[:, :_N_SIGMA, :_N_SIGMA] = _vech_lift(a)
-    g[:, _MEAN, _MEAN] = a
-    g[:, :_N_SIGMA, -1] = (trig @ diffusion.reshape(6, 64)).take(_VECH, axis=1)
-    g_start, g_mid, g_end = g
+    g_start, g_mid, g_end = generators
     stages = [g_start]
     for generator, scale in ((g_mid, h / 2), (g_mid, h / 2), (g_end, h)):
         stage = generator @ stages[-1]
@@ -677,7 +704,7 @@ def _check_symmetry(drift: np.ndarray, diffusion: np.ndarray) -> None:
     ``RuntimeError`` when either exceeds roundoff: a drift or noise term that
     breaks the symmetry must stop the build, not give a wrong pulse map.
     """
-    a, a_next = (_CHECK_TRIG[:, :3] @ drift.reshape(3, 64)).reshape(2, 5, 8, 8)
+    a, a_next = _drift_at(_CHECK_TRIG, drift).reshape(2, 5, 8, 8)
     d, d_next = (_CHECK_TRIG @ diffusion.reshape(6, 64)).reshape(2, 5, 8, 8)
     s = _CHECK_TURN
     error = max(
@@ -691,33 +718,58 @@ def _check_symmetry(drift: np.ndarray, diffusion: np.ndarray) -> None:
         )
 
 
+def _maps(model: DriftNoiseModel, generators: np.ndarray, turn) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, C_n)`` on one part of the state, from ``G`` on it at the phases
+    of :func:`_stage_trig` and its turn, ``theta -> R_theta - I``.
+
+    ``M - I = (I + turn)(I + rk4) - I`` is powered on the increment: at 64
+    periods of 200 steps that leaves the state about 100 times closer to an
+    extended-precision run of the steps than powering ``M``.
+    """
+    rk4 = _rk4_increment(model, generators)
+    step_turn = turn(model.params.Omega * model.dt)
+    increment = step_turn + rk4
+    increment += step_turn @ rk4
+    eye = np.eye(len(increment))
+    power = _power_increment(increment, model.n_steps)
+    power += eye
+    back = eye + turn(-model.params.Omega * (model.n_steps * model.dt))
+    return eye + increment, back @ power
+
+
 @functools.lru_cache(maxsize=4)
 def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``.
+    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``
+    on the covariance state ``x = [vech Sigma; 1]``.
 
     ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
     grid; :func:`_check_symmetry` checks the symmetry that makes it so on
-    the 8 x 8 parts that :func:`_rk4_increment` then lifts onto ``x``.
-    ``M^n`` is powered on the increment ``M - I``: at 64 periods of 200
-    steps that leaves the state about 100 times closer to an
-    extended-precision run of the steps than powering ``M``.  The two
-    rotation lifts come from :func:`_rotation_increment`'s cache, shared by
-    every model on the same grid.  The cache key, the model's identity,
-    leaves out ``n_i`` and the readout loss, so a grid over initial
-    occupations or over the loss shares an entry.
-    An entry takes about 32 kB; four leave room for a model that alternates
+    the 8 x 8 parts that :func:`_covariance_generators` then lifts onto
+    ``x``.  The two rotation lifts come from :func:`_rotation_increment`'s
+    cache, shared by every model on the same grid.  The cache key, the
+    model's identity, leaves out ``n_i`` and the readout loss, so a grid
+    over initial occupations or over the loss shares an entry.
+    An entry takes about 22 kB; four leave room for a model that alternates
     with its matched baseline, as ``compare`` does in a sweep.
     """
     drift, diffusion = _model_parts(model)
     _check_symmetry(drift, diffusion)
-    turn = _rotation_increment(model.params.Omega * model.dt)
-    rk4 = _rk4_increment(model, drift, diffusion)
-    increment = turn + rk4
-    increment += turn @ rk4  # M - I = (I + turn)(I + rk4) - I
-    power = _power_increment(increment, model.n_steps)
-    power += _EYE
-    back = _EYE + _rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
-    return _EYE + increment, back @ power
+    return _maps(model, _covariance_generators(model, drift, diffusion), _rotation_increment)
+
+
+@functools.lru_cache(maxsize=4)
+def _mean_map(model: DriftNoiseModel) -> np.ndarray:
+    """The pulse map of the 8 means, ``s_(-n delta) m^n`` with ``m`` the
+    rotating-frame step of ``dmean/dt = A mean``: :func:`_maps` on ``A`` at
+    the first step's phases, with the turn :func:`_accumulator_turn`.
+
+    It reads the drift parts that :func:`_pulse_maps` checks, and
+    :func:`propagate_moments`, its one caller, builds that map of the model
+    first.  Cached per drift model as :func:`_pulse_maps` is; an entry
+    takes 512 bytes.
+    """
+    drift, _ = _model_parts(model)
+    return _maps(model, _drift_at(_stage_trig(model), drift), _accumulator_turn)[1]
 
 
 def oracle_epr_after_measurement(
@@ -731,9 +783,11 @@ def oracle_epr_after_measurement(
     conditioning; it certifies the idealized pipeline.  The figure is
     :func:`propagate_moments` and ``condition_on_readout`` with no state
     between: the pulse's moments, after the readout loss, are conditioned as
-    arrays, settled once, and the report is read off the covariance.
+    arrays, settled once, and the report is read off the covariance.  The
+    covariance does not depend on the means, so the pulse's means are taken
+    as zero: no mean map is built, even from a displaced state.
     """
-    x, modes = _start(model, initial)
-    mean, cov = _pulse_moments(model, _pulse_maps(model)[1], x)
+    x, _, modes = _start(model, initial)
+    mean, cov = _pulse_moments(model, _pulse_maps(model)[1], x, np.zeros(8))
     _, mean, cov, _ = _conditioned(modes, mean, cov, _readout(), None)
     return _epr_report(_settled(mean, cov), 0, 1, Provenance.ORACLE)

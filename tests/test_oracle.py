@@ -114,9 +114,9 @@ def spy_on_rk4_increment(monkeypatch) -> list:
     """Record the ``n_steps`` of the model of every call of the oracle's RK4 kernel."""
     kernel, calls = oracle._rk4_increment, []
 
-    def spy(model, drift, diffusion):
+    def spy(model, generators):
         calls.append(model.n_steps)
-        return kernel(model, drift, diffusion)
+        return kernel(model, generators)
 
     monkeypatch.setattr(oracle, "_rk4_increment", spy)
     return calls
@@ -339,7 +339,7 @@ class TestTrajectoryText:
         propagate_moments(model, trajectory=buffer)
         text = buffer.getvalue()
         assert text.endswith("\n") and text.count("\n") == model.n_steps + 2
-        x, _ = oracle._start(model, None)
+        x, _, _ = oracle._start(model, None)
         values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
         written = read_trajectory(text)
         times = np.array([k * model.dt for k in range(model.n_steps + 1)])
@@ -358,7 +358,7 @@ class TestTrajectoryText:
 
         monkeypatch.setattr(oracle, "_orbit", counted)
         model = build_model(unit_pulse(1.1, 30.0, 12))
-        x, _ = oracle._start(model, None)
+        x, _, _ = oracle._start(model, None)
         values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
         assert stacks == [64, 38]
         assert values.shape == (model.n_steps + 1, 6) == (2401, 6)
@@ -500,7 +500,7 @@ class TestTrajectoryChunks:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_text_does_not_depend_on_the_chunk_size(self, monkeypatch, rows):
         model = build_model(unit_pulse(1.1, 30.0, 12.5))
-        x, _ = oracle._start(model, None)
+        x, _, _ = oracle._start(model, None)
         values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
         texts = []
         for chunk_rows in (oracle._CSV_CHUNK_ROWS, rows):
@@ -946,11 +946,16 @@ class TestRoutes:
         assert stepped_models == [200]
 
     def test_cache_is_bounded(self):
+        # a displaced start fills the mean maps' cache too
         oracle._pulse_maps.cache_clear()
+        oracle._mean_map.cache_clear()
+        initial = DISPLACED_INITIAL["mean@8"]()
         for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
-            propagate_moments(build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1)))
-        info = oracle._pulse_maps.cache_info()
-        assert info.currsize == info.maxsize == 4
+            model = build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1))
+            propagate_moments(model, initial=initial)
+        for cache in (oracle._pulse_maps, oracle._mean_map):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == 4
 
 
 SYMMETRY_CASES = {
@@ -971,9 +976,27 @@ SYMMETRY_CASES = {
 }
 
 
+#: The reference route's own layout: the 45-entry state ``[vech Sigma; mean;
+#: 1]`` the pulse maps were once built on, whose covariance block ``[vech
+#: Sigma; 1]`` and mean block the oracle now builds apart.
+REF_N_SIGMA = 36
+REF_DIM = REF_N_SIGMA + 8 + 1
+REF_MEAN = np.arange(REF_N_SIGMA, REF_N_SIGMA + 8)
+REF_COV = np.append(np.arange(REF_N_SIGMA), REF_DIM - 1)
+
+
+def turn_increment(theta: float) -> np.ndarray:
+    """``R_theta - I`` on the reference state: the oracle's lift on its
+    covariance block and ``s_theta - I`` on its means."""
+    turn = np.zeros((REF_DIM, REF_DIM))
+    turn[np.ix_(REF_COV, REF_COV)] = oracle._rotation_increment(theta)
+    turn[np.ix_(REF_MEAN, REF_MEAN)] = oracle._accumulator_turn(theta)
+    return turn
+
+
 def rotation(theta: float) -> np.ndarray:
-    """``R_theta`` on the augmented state, from its increment."""
-    return np.eye(oracle._DIM) + oracle._rotation_increment(theta)
+    """``R_theta`` on the reference state, from its increment."""
+    return np.eye(REF_DIM) + turn_increment(theta)
 
 
 def dense_lift(a: np.ndarray) -> np.ndarray:
@@ -1010,20 +1033,21 @@ def reference_parts(model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generator_basis(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j``, shape ``(6, 45, 45)``,
-    with ``f`` the weights of :func:`oracle._trig`: the drift parts lifted
-    onto ``vech`` and the means, the diffusion parts in the last column."""
-    n = oracle._N_SIGMA
-    basis = np.zeros((6, oracle._DIM, oracle._DIM))
+    """The matrices ``B_j`` of ``G(t) = sum_j f_j(t) B_j`` on the reference
+    state, shape ``(6, 45, 45)``, with ``f`` the weights of
+    :func:`oracle._trig`: the drift parts lifted onto ``vech`` and the means,
+    the diffusion parts in the last column."""
+    n = REF_N_SIGMA
+    basis = np.zeros((6, REF_DIM, REF_DIM))
     basis[:3, :n, :n] = oracle._vech_lift(drift)
-    basis[:3, oracle._MEAN, oracle._MEAN] = drift
+    basis[:3, REF_MEAN[:, None], REF_MEAN] = drift
     basis[:, :n, -1] = diffusion.reshape(6, 64)[:, oracle._VECH]
     return basis
 
 
 def generators(basis: np.ndarray, phases) -> np.ndarray:
     """``G`` at each Larmor phase of ``phases``, stacked dense 45 x 45 matrices."""
-    return (oracle._trig(phases) @ basis.reshape(6, -1)).reshape(-1, oracle._DIM, oracle._DIM)
+    return (oracle._trig(phases) @ basis.reshape(6, -1)).reshape(-1, REF_DIM, REF_DIM)
 
 
 def basis_of(model) -> np.ndarray:
@@ -1032,9 +1056,9 @@ def basis_of(model) -> np.ndarray:
 
 
 def reference_pulse_maps(model) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, C_n)`` by the basis route: the RK4 stages take ``G`` mixed from
-    the dense basis of :func:`reference_parts`, and every sum is written out
-    as the build once wrote it."""
+    """``(M, C_n)`` on the reference state by the basis route: the RK4
+    stages take ``G`` mixed from the dense basis of :func:`reference_parts`,
+    and every sum is written out as the build once wrote it."""
     h = model.dt
     delta = model.params.Omega * h
     g_start, g_mid, g_end = generators(
@@ -1045,16 +1069,25 @@ def reference_pulse_maps(model) -> tuple[np.ndarray, np.ndarray]:
     k3 = g_mid + h / 2 * (g_mid @ k2)
     k4 = g_end + h * (g_end @ k3)
     rk4 = h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
-    turn = oracle._rotation_increment(delta)
+    turn = turn_increment(delta)
     increment = turn + rk4 + turn @ rk4
-    eye = np.eye(oracle._DIM)
-    back = eye + oracle._rotation_increment(-model.params.Omega * (model.n_steps * model.dt))
+    eye = np.eye(REF_DIM)
+    back = rotation(-model.params.Omega * (model.n_steps * model.dt))
     return eye + increment, back @ (eye + oracle._power_increment(increment, model.n_steps))
 
 
 def assert_bits_of_the_basis_route(model) -> None:
-    for built, reference in zip(oracle._pulse_maps.__wrapped__(model), reference_pulse_maps(model)):
-        assert built.tobytes() == reference.tobytes()
+    """The covariance maps are the ``[vech Sigma; 1]`` block of the
+    reference route and the mean map its mean block, byte for byte; every
+    entry between the blocks is an exact zero."""
+    step, pulse = reference_pulse_maps(model)
+    cov, mean = np.ix_(REF_COV, REF_COV), np.ix_(REF_MEAN, REF_MEAN)
+    built = oracle._pulse_maps.__wrapped__(model)
+    assert [m.tobytes() for m in built] == [step[cov].tobytes(), pulse[cov].tobytes()]
+    assert oracle._mean_map.__wrapped__(model).tobytes() == pulse[mean].tobytes()
+    for reference in (step, pulse):
+        assert not reference[np.ix_(REF_COV, REF_MEAN)].any()
+        assert not reference[np.ix_(REF_MEAN, REF_COV)].any()
 
 
 def add_phase_term(monkeypatch, method: str, entry: tuple, size: float) -> None:
@@ -1085,18 +1118,26 @@ class TestLarmorTurn:
     ``k`` is the first step turned by ``R_delta^k``."""
 
     def test_rotations_compose(self):
-        eye = np.eye(oracle._DIM)
+        eye = np.eye(REF_DIM)
         for a, b in ((0.3, 1.1), (-2.0, 0.7), (4.0, 5.5)):
             np.testing.assert_allclose(rotation(a) @ rotation(b), rotation(a + b), rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(rotation(2.0 * math.pi), eye, rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(rotation(0.0), eye)
-        # the quarter turn (Y_c, Y_s) -> (Y_s, -Y_c), to roundoff
+        # the quarter turn (Y_c, Y_s) -> (Y_s, -Y_c), to roundoff, on the
+        # means and, lifted, on the covariance: vech(s Sigma s^T)
         quarter = rotation(math.pi / 2)
-        mean = np.zeros(oracle._DIM)
-        mean[oracle._MEAN] = np.arange(1.0, 9.0)
-        turned = (quarter @ mean)[oracle._MEAN]
+        sigma = np.arange(64.0).reshape(8, 8)
+        sigma += sigma.T
+        state = np.zeros(REF_DIM)
+        state[: REF_N_SIGMA] = sigma[oracle._TRIU]
+        state[REF_MEAN] = np.arange(1.0, 9.0)
+        turned = quarter @ state
         pairs = [oracle._YXC, oracle._YXS, oracle._YPC, oracle._YPS]
-        np.testing.assert_allclose(turned[pairs], [7.0, -5.0, 8.0, -6.0], rtol=1e-15)
+        np.testing.assert_allclose(turned[REF_MEAN][pairs], [7.0, -5.0, 8.0, -6.0], rtol=1e-15)
+        s = np.eye(8) + oracle._accumulator_turn(math.pi / 2)
+        np.testing.assert_allclose(
+            turned[: REF_N_SIGMA], (s @ sigma @ s.T)[oracle._TRIU], rtol=0.0, atol=1e-13
+        )
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(theta=st.floats(-10.0, 10.0), phase=st.floats(0.0, 2.0 * math.pi))
@@ -1122,13 +1163,13 @@ class TestLarmorTurn:
     def test_generator_basis_is_the_dense_lift(self, name):
         basis = basis_of(SYMMETRY_CASES[name](200))
         for block in basis:
-            lifted = dense_lift(block[oracle._MEAN, oracle._MEAN])
-            assert np.array_equal(block[: oracle._N_SIGMA, : oracle._N_SIGMA], lifted)
+            lifted = dense_lift(block[np.ix_(REF_MEAN, REF_MEAN)])
+            assert np.array_equal(block[:REF_N_SIGMA, :REF_N_SIGMA], lifted)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 1001])
     def test_power_of_the_increment_is_the_matrix_power(self, n):
         step, _ = oracle._pulse_maps(SYMMETRY_CASES["plain"](200))
-        eye = np.eye(oracle._DIM)
+        eye = np.eye(len(step))
         power = np.linalg.matrix_power(step, n)
         np.testing.assert_allclose(
             eye + oracle._power_increment(step - eye, n), power, rtol=0.0, atol=1e-12 * np.abs(power).max()
@@ -1138,15 +1179,15 @@ class TestLarmorTurn:
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
     def test_turned_steps_match_the_stepped_identity(self, name, steps):
         # over one period, R_(-k delta) M^k is the product of the first k
-        # steps, each with the generator at its own phase
+        # steps, each with the generator at its own phase; the stepped map
+        # runs on the reference state, whose covariance block M acts on
         model = SYMMETRY_CASES[name](steps)
         drift, diffusion = oracle._model_parts(model)
         oracle._check_symmetry(drift, diffusion)
         basis = generator_basis(drift, diffusion)
         delta = model.params.Omega * model.dt
         step, _ = oracle._pulse_maps(model)
-        h, eye = model.dt, np.eye(oracle._DIM)
-        stepped_map, turned = eye, eye
+        h, stepped_map, turned = model.dt, np.eye(REF_DIM), np.eye(len(step))
         for k in range(steps):
             g0, g1, g2 = generators(basis, delta * (k + np.array([0.0, 0.5, 1.0])))
             k1 = g0 @ stepped_map
@@ -1155,7 +1196,8 @@ class TestLarmorTurn:
             k4 = g2 @ (stepped_map + h * k3)
             stepped_map = stepped_map + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
             turned = step @ turned
-        turned = rotation(-steps * delta) @ turned
+        turned = (np.eye(len(step)) + oracle._rotation_increment(-steps * delta)) @ turned
+        stepped_map = stepped_map[np.ix_(REF_COV, REF_COV)]
         np.testing.assert_allclose(turned, stepped_map, rtol=0.0, atol=1e-13 * np.abs(stepped_map).max())
 
     @pytest.mark.parametrize("steps", [200, 201, 202])
@@ -1174,6 +1216,10 @@ class TestLarmorTurn:
     )
     def test_pulse_maps_of_any_length_are_the_basis_route(self, extra, flags, periods):
         assert_bits_of_the_basis_route(build_model(unit_pulse(1.3, 20.0, periods, **extra), **flags))
+
+    @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
+    def test_regression_pulse_maps_are_the_basis_route(self, name):
+        assert_bits_of_the_basis_route(REGRESSION_CASES[name]())
 
     @pytest.mark.parametrize("steps", [200, 202, 201])
     def test_drift_that_breaks_the_symmetry_stops_the_build(self, monkeypatch, steps):
@@ -1232,6 +1278,44 @@ class TestRotationCache:
         oracle._pulse_maps(baseline)
         info = oracle._rotation_increment.cache_info()
         assert (info.misses, info.hits) == (2, 2)
+
+
+class TestMeanMap:
+    """The means' pulse map is built only for a pulse from a displaced
+    state, once per drift model."""
+
+    def test_undisplaced_pulses_build_no_mean_map(self):
+        model = build_model(ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8, eta_det=0.8))
+        oracle._mean_map.cache_clear()
+        oracle_epr_after_measurement(model)
+        state, _ = propagate_moments(model, trajectory=io.StringIO(), return_info=True)
+        info = oracle._mean_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+        assert state.mean.tobytes() == np.zeros(8).tobytes()
+
+    def test_the_figure_builds_no_mean_map_from_a_displaced_state(self):
+        # the figure reads only the covariance, which no mean enters
+        model = REGRESSION_CASES["mean@8"]()
+        initial = DISPLACED_INITIAL["mean@8"]()
+        oracle._mean_map.cache_clear()
+        report = oracle_epr_after_measurement(model, initial=initial)
+        assert oracle._mean_map.cache_info().misses == 0
+        assert report == oracle_epr_after_measurement(model)
+
+    def test_displaced_start_builds_the_map_once_per_model(self):
+        model = REGRESSION_CASES["mean@8"]()
+        other = build_model(
+            ProtocolParams.dimensionless(1.0, 2.0, larmor_periods=8, eps_mismatch=0.03), mismatch=True
+        )
+        initial = DISPLACED_INITIAL["mean@8"]()
+        oracle._mean_map.cache_clear()
+        first = propagate_moments(model, initial=initial)
+        second, _ = propagate_moments(model, initial=initial, trajectory=io.StringIO(), return_info=True)
+        propagate_moments(other, initial=initial)
+        info = oracle._mean_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        assert first.mean.tobytes() == second.mean.tobytes()
+        assert first.mean.any()
 
 
 class TestMismatchRealization:

@@ -17,6 +17,7 @@ PIECES = [
     "_rk4_increment (RK4 step)",
     "_power_increment (powering)",
     "_pulse_maps (fresh build)",
+    "_mean_map (fresh build)",
     "_per_step_values (12 periods)",
     "_write_trajectory (12 periods)",
     "_write_trajectory (64 periods)",

@@ -18,7 +18,9 @@ CLI run, whose report is rendered at two sizes: one run's and a sweep's.
 The fresh pulse-map build calls the uncached function, with the rotation
 lifts and the unmixing inverse that a grid's models share already cached;
 its pieces are timed alone before it: the model's parts, the symmetry
-check, the RK4 step and the powering of its increment.  The trajectory
+check, the RK4 step with its generators' lift, and the powering of its
+increment.  The fresh build of the means' map, which a pulse from a
+displaced state pays once per drift model, is timed after it.  The trajectory
 layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
 ``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
 a fresh ``StringIO``.  The text is also timed for a pulse of
@@ -87,14 +89,15 @@ def pieces() -> dict:
     conditional = protocols.FeedbackConfig.conditional()
     model = oracle.build_model(params)
     drift, diffusion = oracle._model_parts(model)
-    increment = oracle._pulse_maps(model)[0] - oracle._EYE
+    step = oracle._pulse_maps(model)[0]
+    increment = step - np.eye(len(step))
     trajectory, long_trajectory = (
         oracle.build_model(iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=periods))
         for periods in (TRAJECTORY_PERIODS, LONG_TRAJECTORY_PERIODS)
     )
-    start, _ = oracle._start(trajectory, None)
-    step = oracle._pulse_maps(trajectory)[0]
-    values = oracle._per_step_values(trajectory, step, start)
+    start = oracle._start(trajectory, None)[0]
+    trajectory_step = oracle._pulse_maps(trajectory)[0]
+    values = oracle._per_step_values(trajectory, trajectory_step, start)
     long_values = oracle._per_step_values(
         long_trajectory,
         oracle._pulse_maps(long_trajectory)[0],
@@ -120,11 +123,14 @@ def pieces() -> dict:
         ),
         "_model_parts": lambda: oracle._model_parts(model),
         "_check_symmetry": lambda: oracle._check_symmetry(drift, diffusion),
-        "_rk4_increment (RK4 step)": lambda: oracle._rk4_increment(model, drift, diffusion),
+        "_rk4_increment (RK4 step)": lambda: oracle._rk4_increment(
+            model, oracle._covariance_generators(model, drift, diffusion)
+        ),
         "_power_increment (powering)": lambda: oracle._power_increment(increment, model.n_steps),
         "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
+        "_mean_map (fresh build)": lambda: oracle._mean_map.__wrapped__(model),
         f"_per_step_values ({TRAJECTORY_PERIODS} periods)": lambda: oracle._per_step_values(
-            trajectory, step, start
+            trajectory, trajectory_step, start
         ),
         f"_write_trajectory ({TRAJECTORY_PERIODS} periods)": lambda: oracle._write_trajectory(
             io.StringIO(), trajectory.dt, values

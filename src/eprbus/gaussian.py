@@ -51,6 +51,9 @@ DEGENERATE_VARIANCE = 1e-12
 VACUUM_VARIANCE = 0.5
 ENTANGLEMENT_BOUND = 2.0
 
+#: The homodyne angle of the P quadrature.
+_P_ANGLE = math.pi / 2
+
 
 class InvalidStateError(ValueError):
     """The mean/covariance data does not describe a physical Gaussian state."""
@@ -202,12 +205,18 @@ def _channel_output(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     try:
         cov = _settled(mean, cov)
         peak = _peak(cov)
-        if peak > MAX_CHANNEL_VARIANCE:
-            raise InvalidStateError("covariance above 1e12: roundoff would swamp the vacuum noise")
+        _check_cap(peak)
         _check_uncertainty(cov, peak)
     except InvalidStateError as err:
         raise InvalidChannelError(str(err)) from err
     return cov
+
+
+def _check_cap(peak: float) -> None:
+    """Raise :class:`InvalidChannelError` when a channel output's largest
+    covariance entry ``peak`` exceeds ``MAX_CHANNEL_VARIANCE``."""
+    if peak > MAX_CHANNEL_VARIANCE:
+        raise InvalidChannelError("covariance above 1e12: roundoff would swamp the vacuum noise")
 
 
 @dataclass(frozen=True)
@@ -354,7 +363,7 @@ class EPRReport:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Outcome of one homodyne detection (angle 0 = X, pi/2 = P)."""
+    """Outcome of one homodyne detection (angle 0 = X, pi/2 = P exactly)."""
 
     mode: ModeLabel
     quadrature_angle: float
@@ -498,8 +507,11 @@ def condition_on_homodyne(
 
     The remaining modes are updated by the Schur-complement rule; the measured
     mode is removed, so measuring the last mode leaves the state of no modes.
-    The conditional covariance does not depend on the outcome value.
-    ``outcome="sample"`` draws the result from the marginal using ``rng``
+    The conditional covariance does not depend on the outcome value.  The
+    angle weighs ``(cos, sin)`` of the mode's ``(X, P)``, except that
+    ``pi / 2`` weighs exactly ``(0, 1)``, the P quadrature, where
+    ``cos(fl(pi / 2))`` would weigh X by about 6.1e-17: no entry of X's row
+    enters the result.  ``outcome="sample"`` draws the result from the marginal using ``rng``
     (required in that case).  A non-finite ``angle`` raises ``ValueError``.
     """
     state, (record,) = _condition(state, ((mode, angle, outcome),), rng)
@@ -544,8 +556,12 @@ def _conditioned(
         if not math.isfinite(angle):
             raise ValueError(f"homodyne angle of {label} must be finite, got {angle!r}")
         v = np.zeros(len(mean))
-        v[2 * idx] = math.cos(angle)
-        v[2 * idx + 1] = math.sin(angle)
+        # pi/2 weighs exactly P, not cos(fl(pi/2)) ~ 6.1e-17 of X as well
+        if angle == _P_ANGLE:
+            v[2 * idx + 1] = 1.0
+        else:
+            v[2 * idx] = math.cos(angle)
+            v[2 * idx + 1] = math.sin(angle)
         var_b = float(v @ cov @ v)
         if not DEGENERATE_VARIANCE <= var_b < math.inf:  # NaN fails both sides
             if not math.isfinite(var_b):

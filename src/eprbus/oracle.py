@@ -27,8 +27,13 @@ propagates them.
 The covariance equation is linear in the state ``x = [vech Sigma; 1]`` of
 37 entries (the 36 entries of the upper triangle of the symmetric ``Sigma``
 and a constant), ``dx/dt = G(t) x``; the mean equation is linear in the 8
-means on their own, and neither reads the other.  ``G`` and ``A`` depend
-on time only through the Larmor phase: ``A`` is the sum of three
+means on their own, and neither reads the other.  ``x`` itself splits into
+two closed blocks that share the constant: no drift reads an x accumulator
+``Y_xc`` or ``Y_xs``, and the turn below keeps that pair apart from the
+rest, so neither the readout block, the 21 covariances among ``X_m``,
+``P_m``, ``X_a``, ``P_a``, ``Y_pc`` and ``Y_ps``, nor the x block, the 15
+that hold an x accumulator, reads the other's entries.  ``G`` and ``A``
+depend on time only through the Larmor phase: ``A`` is the sum of three
 8 x 8 parts weighted by ``(1, cos, sin)`` of ``Omega t``, and ``D`` of six
 weighted by ``f = (1, cos, sin, cos^2, sin^2, cos sin)``.  The parts are
 solved from :meth:`DriftNoiseModel.drift_matrix` and
@@ -40,36 +45,43 @@ Every pulse takes one route, built from one RK4 step.  The Larmor phase
 enters only through the cos/sin accumulators, so rotating both pairs
 ``(Y_xc, Y_xs)`` and ``(Y_pc, Y_ps)`` by any angle ``theta`` (the turn
 ``s_theta``; ``R_theta`` lifted onto ``x``) conjugates the generator,
-``G(phi + theta) = R_theta^-1 G(phi) R_theta``.  Every build first checks
-this on the parts, as ``A(phi) s_theta = s_theta A(phi + theta)`` and
-``D(phi) = s_theta D(phi + theta) s_theta^T`` at the five phases
-``2 pi k / 5`` and ``theta = 2 pi / 5``, which implies it at every shift,
-and raises if it fails.  With ``delta = Omega dt``, step ``k`` of the grid
-is therefore ``S_k = R_delta^-k S_0 R_delta^k``, with ``S_0`` the RK4 step
-from phase 0, whose stages lift ``A`` and ``D`` at the phases ``0``,
-``delta / 2`` and ``delta`` onto ``x`` by a gather.  The ``n`` steps of a
-pulse compose to ``C_n = R_(-n delta) M^n`` with ``M = R_delta S_0``: the
-same RK4 scheme with the floating-point operations in another order.
-``M^n`` comes from binary powering on the increment ``M - I``, which keeps
-the state within about 1e-14 of an extended-precision run of the steps,
-relative to its largest entry.  ``(M, C_n)`` is cached per drift model, so
-a cached pulse is one matrix-vector product, and the lifts ``R_theta - I``
-are cached per angle, which a grid shares across drift models.  The means
-take the same route on ``A`` alone, through the same kernels: the RK4 step
-of ``dmean/dt = A mean``, the turn ``s_theta`` and the powering give their
-8 x 8 pulse map, which is the mean block of the same route on the 45
-entries ``[vech Sigma; mean; 1]``, bit for bit, since every entry between
-the blocks is an exact zero.  It is built, and cached per drift model,
-only for a pulse from a displaced state: from zero means a pulse leaves the
-means exactly zero, and the EPR figure reads only the covariance.  In the
-frame that rotates with the grid the state ``z_k = M^k x_0`` evolves on its
-own, and the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step
-output (trajectory rows, the conservation drift) is read off ``z_k`` in
-blocks of ``b`` steps: the rows ``F M^j``, ``j < b``, of the output forms
-``F`` applied to the block starts ``(M^b)^p x_0`` give every step's values
-in one product.  Each step's cos and sin then turn both 2 x 2 blocks of the
-output once: the ``Y_p`` block back to the lab frame, the EPR block onto
-the conserved pair.
+``G(phi + theta) = R_theta^-1 G(phi) R_theta``.  The parts are checked
+for this once per drift model, as ``A(phi) s_theta = s_theta A(phi +
+theta)`` and ``D(phi) = s_theta D(phi + theta) s_theta^T`` at the five
+phases ``2 pi k / 5`` and ``theta = 2 pi / 5``, which implies it at every
+shift, and no map is built if it fails; the checked parts are cached per
+model, and every map of the model reads them.  With ``delta = Omega dt``,
+step ``k`` of the grid is therefore ``S_k = R_delta^-k S_0 R_delta^k``,
+with ``S_0`` the RK4 step from phase 0, whose stages lift ``A`` and ``D``
+at the phases ``0``, ``delta / 2`` and ``delta`` onto ``x`` by a gather.
+The ``n`` steps of a pulse compose to ``C_n = R_(-n delta) M^n`` with ``M
+= R_delta S_0``: the same RK4 scheme with the floating-point operations in
+another order.  ``M^n`` comes from binary powering on the increment ``M -
+I``, which keeps the state within about 1e-14 of an extended-precision run
+of the steps, relative to its largest entry.  Each block takes this route
+on its own rows and columns, and its ``(M, C_n)`` is that of ``x``
+restricted to it, bit for bit, since every entry between the blocks is an
+exact zero.  The readout block's ``(M, C_n)``, all the EPR figure reads, is
+cached per drift model in the 37 x 37 layout of ``x`` with the x block zero,
+so a cached pulse is one matrix-vector product with the sums of a product
+on all of ``x``.  The x block's ``C_n`` is built, and cached per drift
+model, only for a joint state, whose x-block covariances it puts in by
+index.  The lifts ``R_theta - I`` are cached per angle and block, which a
+grid shares across drift models.  The means take the same route on ``A``
+alone, through the same kernels: the RK4 step of ``dmean/dt = A mean``, the
+turn ``s_theta`` and the powering give their 8 x 8 pulse map, which is the
+mean block of the same route on the 45 entries ``[vech Sigma; mean; 1]``,
+bit for bit.  It is built, and cached per drift model, only for a pulse
+from a displaced state: from zero means a pulse leaves the means exactly
+zero, and the EPR figure reads only the covariance.  In the frame that
+rotates with the grid the state ``z_k = M^k x_0`` evolves on its own, and
+the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step output
+(trajectory rows, the conservation drift) is read off the readout block of
+``z_k`` in blocks of ``b`` steps: the rows ``F M^j``, ``j < b``, of the
+output forms ``F`` applied to the block starts ``(M^b)^p x_0`` give every
+step's values in one product.  Each step's cos and sin then turn both 2 x 2
+blocks of the output once: the ``Y_p`` block back to the lab frame, the EPR
+block onto the conserved pair.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -98,8 +110,10 @@ from .gaussian import (
     ModeLabel,
     Provenance,
     _admix_loss,
+    _check_cap,
     _conditioned,
     _epr_report,
+    _peak,
     _settled,
     atomic_mode,
     epr_forms,
@@ -152,6 +166,38 @@ def _lift_table() -> np.ndarray:
 
 _LIFT = _lift_table()
 
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """One of the two closed blocks of ``x``, compared and hashed by identity.
+
+    ``index`` holds its positions in ``x``, increasing, so the constant comes
+    last; ``lift`` the rows and columns of :data:`_LIFT` at its covariances,
+    ``flat`` their positions in the row-major ``vec Sigma``, and ``grid`` the
+    positions of the block's map in a flat 37 x 37 map.
+    """
+
+    index: np.ndarray
+    lift: np.ndarray
+    flat: np.ndarray
+    grid: np.ndarray
+
+
+def _block(covariances: np.ndarray) -> _Block:
+    """The block of the covariances at ``covariances``, a mask on ``vech``."""
+    vech = np.flatnonzero(covariances)
+    index = np.append(vech, _N_SIGMA)
+    grid = (_DIM * index[:, None] + index).ravel()
+    return _Block(index, _LIFT[:, vech[:, None], vech], _VECH[vech], grid)
+
+
+# the covariances with an x accumulator, which no drift reads and the turn
+# keeps among themselves, and the 21 the readout reads
+_HOLDS_X = np.isin(_TRIU[0], (_YXC, _YXS)) | np.isin(_TRIU[1], (_YXC, _YXS))
+_READOUT = _block(~_HOLDS_X)
+_X_BLOCK = _block(_HOLDS_X)
+_X_COVARIANCES = _X_BLOCK.index[:-1]
+
 #: Relative distance of the step count ``steps_per_period Omega tau / (2 pi)``
 #: from a whole number below which it is taken as whole (roundoff only).
 _COMMENSURATE_RTOL = 1e-12
@@ -191,24 +237,27 @@ def _accumulator_turn(theta: float) -> np.ndarray:
     return e
 
 
-@functools.lru_cache(maxsize=8)
-def _rotation_increment(theta: float) -> np.ndarray:
-    """``R_theta - I``, with ``R_theta`` the turn ``s_theta`` of the
-    accumulator pairs lifted onto ``x = [vech Sigma; 1]``; read-only,
-    cached per angle.
+@functools.lru_cache(maxsize=16)
+def _rotation_increment(theta: float, block: _Block) -> np.ndarray:
+    """``R_theta - I`` on one block of ``x``, with ``R_theta`` the turn
+    ``s_theta`` of the accumulator pairs lifted onto ``x = [vech Sigma; 1]``;
+    read-only, cached per angle and block.
 
     ``R_a R_b = R_(a + b)`` and ``R_(pi / 2)`` is the quarter turn
     ``(Y_c, Y_s) -> (Y_s, -Y_c)``.  Shifting the Larmor phase by ``theta``
     turns the generator to ``G(phi + theta) = R_theta^-1 G(phi) R_theta``.
     The increment is formed without ``R_theta``: with ``s = I + e``,
-    ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``.  The lift depends on
-    the angle alone, so every drift model on one grid shares it: the step's
-    ``delta`` and the closing ``-n delta``.  The constant does not turn.  An
-    entry takes about 11 kB.
+    ``s Sigma s^T - Sigma = e Sigma s^T + Sigma e^T``.  The turn keeps each
+    block among itself, so a block's lift is the lift's block.  The lift
+    depends on the angle alone, so every drift model on one grid shares it:
+    the step's ``delta`` and the closing ``-n delta``.  The constant does not
+    turn.  An entry takes at most 4 kB.
     """
     e = _accumulator_turn(theta)
-    turn = np.zeros((_DIM, _DIM))
-    turn[:_N_SIGMA, :_N_SIGMA] = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
+    lift = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
+    covariances = block.index[:-1]
+    turn = np.zeros((len(block.index),) * 2)
+    turn[:-1, :-1] = lift[np.ix_(covariances, covariances)]
     turn.flags.writeable = False
     return turn
 
@@ -218,15 +267,16 @@ def _vech_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[_TRIU[0], :, None] * b[_TRIU[1], None, :]).reshape(_N_SIGMA, 64)
 
 
-def _vech_lift(a: np.ndarray) -> np.ndarray:
-    """``E (a (x) I + I (x) a) Dup`` of each ``a`` in a stack ``(m, 8, 8)``.
+def _vech_lift(a: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """``E (a (x) I + I (x) a) Dup`` of each ``a`` in a stack ``(m, 8, 8)``,
+    at the rows and columns of :data:`_LIFT` that ``lift`` holds.
 
-    Gathered through :data:`_LIFT`, so each entry takes the one addition of
+    Gathered through the table, so each entry takes the one addition of
     drift entries that the 0/1 product takes.
     """
     flat = np.zeros((len(a), 65))
     flat[:, :64] = a.reshape(-1, 64)
-    return flat.take(_LIFT[0], axis=1) + flat.take(_LIFT[1], axis=1)
+    return flat.take(lift[0], axis=1) + flat.take(lift[1], axis=1)
 
 
 #: Largest entry of either residual of :func:`_check_symmetry`, relative to
@@ -407,14 +457,22 @@ def _start(
 
 
 def _pulse_moments(
-    model: DriftNoiseModel, pulse: np.ndarray, x: np.ndarray, mean: np.ndarray
+    model: DriftNoiseModel,
+    pulse: np.ndarray,
+    x: np.ndarray,
+    mean: np.ndarray,
+    x_pulse: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The joint moments after the pulse map ``pulse`` (``C_n``) from ``x``
-    and the pulse's means ``mean``, a fresh array, with the propagation and
-    detection loss ``eta_light * eta_det`` admixing vacuum into the cos and
-    then the sin mode, as the idealized map does.  The covariance is
-    exactly symmetric."""
-    cov = (_DUP @ (pulse @ x)[:_N_SIGMA]).reshape(8, 8)
+    """The joint moments after the pulse map ``pulse`` (``C_n`` of the
+    readout block) from ``x`` and the pulse's means ``mean``, a fresh array,
+    with the propagation and detection loss ``eta_light * eta_det`` admixing
+    vacuum into the cos and then the sin mode, as the idealized map does.
+    The x block's covariances come from ``x_pulse``, put in by index, or
+    stay zero without it.  The covariance is exactly symmetric."""
+    vech = pulse @ x
+    if x_pulse is not None:
+        vech[_X_COVARIANCES] = (x_pulse @ x)[_X_COVARIANCES]
+    cov = (_DUP @ vech[:_N_SIGMA]).reshape(8, 8)
     eta = model.params.eta_light * model.params.eta_det
     if eta < 1.0:
         for i in (2, 3):
@@ -440,16 +498,18 @@ def propagate_moments(
     ``"%.17g"`` writes for it, produced for a chunk of rows at a time by a
     vectorized kernel, so ``float`` reads back exactly the value computed.
 
-    The pulse map ``C_n`` comes from the cache, built on the first pulse
-    of a drift model; per-step output (``trajectory`` or ``return_info``)
-    reads the same entry's ``M``.  The means' map is built, and cached, on
-    the first pulse of a drift model from a displaced state; from zero means
-    the returned means are zero, and no map is built.  The returned state is
-    always ``C_n x_0`` followed by the readout loss ``eta_light * eta_det``
-    on the cos and sin modes, so it is the same with or without per-step
-    output.  Per-step
-    output is taken before that loss: the trajectory's ``var_ypc`` and
-    ``var_yps`` are the accumulators' lossless variances.
+    The pulse map ``C_n`` of the readout block comes from the cache, built
+    on the first pulse of a drift model; per-step output (``trajectory`` or
+    ``return_info``) reads the same entry's ``M``.  The x block's ``C_n`` is
+    built, and cached, on the first call for a drift model; the figure of
+    :func:`oracle_epr_after_measurement` never builds it.  The means' map is
+    built, and cached, on the first pulse of a drift model from a displaced
+    state; from zero means the returned means are zero, and no map is built.
+    The returned state is always ``C_n x_0`` followed by the readout loss
+    ``eta_light * eta_det`` on the cos and sin modes, so it is the same with
+    or without per-step output.  Per-step output is taken before that loss:
+    the trajectory's ``var_ypc`` and ``var_yps`` are the accumulators'
+    lossless variances.
 
     The returned moments are settled once and not checked against the
     uncertainty relation: the accumulated temporal modes only become
@@ -462,7 +522,7 @@ def propagate_moments(
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
     mean = _mean_map(model) @ mean if mean.any() else np.zeros(8)
-    mean, cov = _pulse_moments(model, pulse, x, mean)
+    mean, cov = _pulse_moments(model, pulse, x, mean, _x_map(model))
     state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     if not return_info:
         return state
@@ -613,19 +673,22 @@ def _drift_at(trig: np.ndarray, drift: np.ndarray) -> np.ndarray:
 
 
 def _covariance_generators(
-    model: DriftNoiseModel, drift: np.ndarray, diffusion: np.ndarray
+    model: DriftNoiseModel, drift: np.ndarray, diffusion: np.ndarray, block: _Block
 ) -> np.ndarray:
-    """``G`` on ``x = [vech Sigma; 1]`` at the phases of :func:`_stage_trig`,
-    shape ``(3, 37, 37)``, lifted from ``A`` and ``D`` there.
+    """``G`` on one block of ``x = [vech Sigma; 1]`` at the phases of
+    :func:`_stage_trig`, shape ``(3, m, m)``, lifted from ``A`` and ``D``
+    there.
 
     The flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma``
     symmetric, so on ``vech`` it is ``E (A (x) I + I (x) A) Dup``, gathered
-    by :func:`_vech_lift`; ``vech D`` is the constant's column.
+    by :func:`_vech_lift` at the block's rows and columns; ``vech D`` there
+    is the constant's column.  No entry of ``G`` joins the two blocks: the
+    drift reads no x accumulator, so the lift is zero between them.
     """
     trig = _stage_trig(model)
-    g = np.zeros((3, _DIM, _DIM))
-    g[:, :_N_SIGMA, :_N_SIGMA] = _vech_lift(_drift_at(trig, drift))
-    g[:, :_N_SIGMA, -1] = (trig @ diffusion.reshape(6, 64)).take(_VECH, axis=1)
+    g = np.zeros((3, len(block.index), len(block.index)))
+    g[:, :-1, :-1] = _vech_lift(_drift_at(trig, drift), block.lift)
+    g[:, :-1, -1] = (trig @ diffusion.reshape(6, 64)).take(block.flat, axis=1)
     return g
 
 
@@ -738,23 +801,71 @@ def _maps(model: DriftNoiseModel, generators: np.ndarray, turn) -> tuple[np.ndar
 
 
 @functools.lru_cache(maxsize=4)
-def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``
-    on the covariance state ``x = [vech Sigma; 1]``.
+def _checked_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of :func:`_model_parts`, read-only, once
+    :func:`_check_symmetry` has passed them.
 
-    ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
-    grid; :func:`_check_symmetry` checks the symmetry that makes it so on
-    the 8 x 8 parts that :func:`_covariance_generators` then lifts onto
-    ``x``.  The two rotation lifts come from :func:`_rotation_increment`'s
-    cache, shared by every model on the same grid.  The cache key, the
-    model's identity, leaves out ``n_i`` and the readout loss, so a grid
-    over initial occupations or over the loss shares an entry.
-    An entry takes about 22 kB; four leave room for a model that alternates
-    with its matched baseline, as ``compare`` does in a sweep.
+    Cached per drift model, as the maps are, so the model's three maps read
+    one copy and the check runs once; an entry takes 4.6 kB.
     """
     drift, diffusion = _model_parts(model)
     _check_symmetry(drift, diffusion)
-    return _maps(model, _covariance_generators(model, drift, diffusion), _rotation_increment)
+    drift.flags.writeable = diffusion.flags.writeable = False
+    return drift, diffusion
+
+
+def _block_maps(model: DriftNoiseModel, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, C_n)`` on one block of ``x``, the block's own rows and columns.
+
+    The generators and both turns keep the block among itself, so the
+    block's RK4 step, turn and powering are those of ``x``, restricted: the
+    entries that join the blocks are exact zeros, and a product over them
+    adds only zeros.
+    """
+    drift, diffusion = _checked_parts(model)
+    generators = _covariance_generators(model, drift, diffusion, block)
+    return _maps(model, generators, lambda theta: _rotation_increment(theta, block))
+
+
+def _embedded(block: _Block, block_map: np.ndarray) -> np.ndarray:
+    """``block_map`` in the 37 x 37 layout of ``x``, zero off the block."""
+    embedded = np.zeros((_DIM, _DIM))
+    embedded.put(block.grid, block_map)
+    return embedded
+
+
+@functools.lru_cache(maxsize=4)
+def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``
+    of the readout block, in the 37 x 37 layout of ``x`` with the x block
+    zero.
+
+    ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
+    grid; :func:`_check_symmetry` checks the symmetry that makes it so on
+    the 8 x 8 parts that :func:`_covariance_generators` then lifts onto the
+    block.  The two rotation lifts come from :func:`_rotation_increment`'s
+    cache, shared by every model on the same grid.  In the 37-wide layout a
+    product with ``x``, and the per-step output's products, take the sums
+    of a product on all of ``x``, entry for entry, and leave the x block's
+    covariances zero; the EPR figure reads none of them.  The cache key, the
+    model's identity, leaves out ``n_i`` and the readout loss, so a grid
+    over initial occupations or over the loss shares an entry.  An entry
+    takes about 22 kB; four leave room for a model that alternates with its
+    matched baseline, as ``compare`` does in a sweep.
+    """
+    return tuple(_embedded(_READOUT, m) for m in _block_maps(model, _READOUT))
+
+
+@functools.lru_cache(maxsize=4)
+def _x_map(model: DriftNoiseModel) -> np.ndarray:
+    """The pulse map ``C_n`` of the x block, in the 37 x 37 layout of ``x``
+    with the readout block zero.
+
+    Built, and cached per drift model, only for a joint state:
+    :func:`propagate_moments` puts its covariances into ``vech Sigma`` by
+    index.  An entry takes about 11 kB.
+    """
+    return _embedded(_X_BLOCK, _block_maps(model, _X_BLOCK)[1])
 
 
 @functools.lru_cache(maxsize=4)
@@ -763,12 +874,10 @@ def _mean_map(model: DriftNoiseModel) -> np.ndarray:
     rotating-frame step of ``dmean/dt = A mean``: :func:`_maps` on ``A`` at
     the first step's phases, with the turn :func:`_accumulator_turn`.
 
-    It reads the drift parts that :func:`_pulse_maps` checks, and
-    :func:`propagate_moments`, its one caller, builds that map of the model
-    first.  Cached per drift model as :func:`_pulse_maps` is; an entry
-    takes 512 bytes.
+    It reads the model's checked drift parts.  Cached per drift model as
+    :func:`_pulse_maps` is; an entry takes 512 bytes.
     """
-    drift, _ = _model_parts(model)
+    drift, _ = _checked_parts(model)
     return _maps(model, _drift_at(_stage_trig(model), drift), _accumulator_turn)[1]
 
 
@@ -785,9 +894,14 @@ def oracle_epr_after_measurement(
     between: the pulse's moments, after the readout loss, are conditioned as
     arrays, settled once, and the report is read off the covariance.  The
     covariance does not depend on the means, so the pulse's means are taken
-    as zero: no mean map is built, even from a displaced state.
+    as zero: no mean map is built, even from a displaced state.  The p
+    readout reads no x accumulator, so only the readout block is built, and
+    the x block's covariances stay zero.  Pulse moments with an entry above
+    ``MAX_CHANNEL_VARIANCE`` are refused with
+    :class:`~eprbus.gaussian.InvalidChannelError`, as a channel's output is.
     """
     x, _, modes = _start(model, initial)
     mean, cov = _pulse_moments(model, _pulse_maps(model)[1], x, np.zeros(8))
+    _check_cap(_peak(cov))
     _, mean, cov, _ = _conditioned(modes, mean, cov, _readout(), None)
     return _epr_report(_settled(mean, cov), 0, 1, Provenance.ORACLE)

@@ -198,6 +198,23 @@ class TestConditioning:
         assert out.mean.shape == (0,) and out.cov.shape == (0, 0)
         assert record == MeasurementRecord(L1, math.pi / 2.0, 1.1, 2.5)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(row=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), outcome=st.floats(-2.0, 2.0))
+    def test_p_readout_reads_no_entry_of_the_x_row(self, row, outcome):
+        # pi/2 weighs exactly P: cos(fl(pi/2)) ~ 6.1e-17 weighed X as well,
+        # so the measured mode's X row moved the result in its last bits
+        state = random_valid_state(3, np.random.default_rng(7))
+        cov = state.cov.copy()
+        cov[2, :] = cov[:, 2] = row
+        filled = GaussianState._wrap(state.modes, state.mean, cov)
+        (out, record), (other, other_record) = (
+            condition_on_homodyne(s, "q1", math.pi / 2, outcome) for s in (state, filled)
+        )
+        assert out.mean.tobytes() == other.mean.tobytes()
+        assert out.cov.tobytes() == other.cov.tobytes()
+        assert record.outcome_variance.hex() == other_record.outcome_variance.hex()
+        assert record.outcome_variance == state.cov[3, 3]
+
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, angle):
         with pytest.raises(ValueError, match=f"homodyne angle of .* must be finite, got {angle!r}"):
@@ -311,8 +328,8 @@ def looked_up_conditioning(modes, mean, cov, measurements, rng):
         idx = modes.index(label)
         dropped.add(idx)
         v = np.zeros(len(mean))
-        v[2 * idx] = math.cos(angle)
-        v[2 * idx + 1] = math.sin(angle)
+        weights = (math.cos(angle), math.sin(angle))
+        v[2 * idx : 2 * idx + 2] = (0.0, 1.0) if angle == math.pi / 2 else weights
         var_b = float(v @ cov @ v)
         mean_b = float(v @ mean)
         if isinstance(outcome, str):
@@ -344,7 +361,7 @@ def summed_report(cov: np.ndarray, pos: int, neg: int) -> tuple[float, float]:
     order=st.permutations(range(4)),
     count=st.integers(1, 4),
     by=st.lists(st.sampled_from(["label", "equal", "name"]), min_size=4, max_size=4),
-    angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+    angles=st.lists(st.just(math.pi / 2) | st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
     sampled=st.lists(st.booleans(), min_size=4, max_size=4),
 )
 def test_conditioning_bookkeeping_is_the_lookup_by_equality(

@@ -12,6 +12,7 @@ from eprbus import oracle
 from eprbus._g17 import format_g17
 from eprbus.gaussian import (
     GaussianState,
+    InvalidChannelError,
     Provenance,
     atomic_mode,
     epr_variance,
@@ -111,15 +112,23 @@ def step_through(model, initial=None):
 
 
 def spy_on_rk4_increment(monkeypatch) -> list:
-    """Record the ``n_steps`` of the model of every call of the oracle's RK4 kernel."""
+    """Record the ``n_steps`` of the model and the size of the block of
+    every call of the oracle's RK4 kernel: 22 for the readout block, 16 for
+    the x block."""
     kernel, calls = oracle._rk4_increment, []
 
     def spy(model, generators):
-        calls.append(model.n_steps)
+        calls.append((model.n_steps, len(generators[0])))
         return kernel(model, generators)
 
     monkeypatch.setattr(oracle, "_rk4_increment", spy)
     return calls
+
+
+def clear_model_caches() -> None:
+    """Empty the caches the oracle keeps per drift model."""
+    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map, oracle._mean_map):
+        cache.cache_clear()
 
 
 def stepped(model, initial=None):
@@ -533,12 +542,31 @@ class TestOracleEPR:
         assert not report.entangled
 
     def test_overflowed_figure_names_the_readout(self):
-        # at 10**18 periods the moments overflow; the readout's variance was
-        # NaN, passed the degenerate test and failed a record's own check
+        # at 10**18 periods the readout block's moments reach about 3e145,
+        # and the cap refuses them; on all of x they overflowed, and the
+        # readout's NaN variance once failed a record's own check
         model = build_model(ProtocolParams.dimensionless(1.0, 30.0, larmor_periods=10**18))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="quadrature of light:cos has variance nan, not finite"):
+            with pytest.raises(InvalidChannelError, match="covariance above 1e12") as refused:
                 oracle_epr_after_measurement(model)
+        assert "outcome_variance" not in str(refused.value)
+
+    @pytest.mark.parametrize(
+        "kappa, periods, n_i, kind",
+        [(0.5, 3.25, 0.0, "damping"), (0.6, 3.25, 0.0, "damping"), (0.4, 12.3456, 0.0, "plain"),
+         (0.3, 12.3456, 0.0, "mismatch"), (1.6, 12.3456, 0.0, "mismatch"),
+         (1.3, 12.3456, 5.0, "mismatch")],
+    )
+    def test_figure_off_whole_periods_is_the_state_route(self, kappa, periods, n_i, kind):
+        # the figure's pulse leaves the x block zero where the joint state
+        # holds it; a p readout that weighed X by cos(fl(pi/2)) ~ 6.1e-17
+        # moved these figures in their last bits
+        params = unit_pulse(kappa, n_i, periods, eps_mismatch=0.02, gamma_m=0.01, n_th=1.0)
+        model = build_model(params, mismatch=kind == "mismatch", damping=kind == "damping")
+        conditioned, _ = condition_on_readout(propagate_moments(model))
+        mech, atom = conditioned.modes
+        expected = epr_variance(conditioned, mech, atom, Provenance.ORACLE)
+        assert oracle_epr_after_measurement(model) == expected
 
     @pytest.mark.parametrize("initial", [None, "state"])
     def test_no_state(self, initial, state_counts):
@@ -836,15 +864,17 @@ class TestRoutes:
         assert_same_moments(state, reference.cov, reference.mean)
 
     def test_second_n_i_does_no_rk4_work(self, monkeypatch):
-        oracle._pulse_maps.cache_clear()
+        clear_model_caches()
         cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
         hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
         stepped_models = spy_on_rk4_increment(monkeypatch)
         propagate_moments(cold)
         state = propagate_moments(hot)
-        assert stepped_models == [cold.n_steps]  # one RK4 step, for the cold pulse
-        info = oracle._pulse_maps.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # one RK4 step per block, for the cold pulse
+        assert stepped_models == [(cold.n_steps, 22), (cold.n_steps, 16)]
+        for cache in (oracle._pulse_maps, oracle._x_map):
+            info = cache.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
 
@@ -917,16 +947,17 @@ class TestRoutes:
         assert len({report.delta_epr for report, _, _ in shared}) == len(models)
 
     def test_per_step_output_reuses_the_cached_pulse_map(self, monkeypatch):
-        oracle._pulse_maps.cache_clear()
+        clear_model_caches()
         model = build_model(ProtocolParams.dimensionless(1.0, larmor_periods=8))
         stepped_models = spy_on_rk4_increment(monkeypatch)
         plain = propagate_moments(model)
         state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
-        # one RK4 step for the plain pulse; per-step output read the entry
-        assert stepped_models == [model.n_steps]
-        info = oracle._pulse_maps.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        # one RK4 step per block for the plain pulse; per-step output read the entries
+        assert stepped_models == [(model.n_steps, 22), (model.n_steps, 16)]
+        for cache in (oracle._pulse_maps, oracle._x_map):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, 2)
         # the state comes from the cached pulse map either way
         np.testing.assert_array_equal(state.cov, plain.cov)
         np.testing.assert_array_equal(state.mean, plain.mean)
@@ -940,20 +971,20 @@ class TestRoutes:
         # 200 steps of a 400-step period take the same one route
         model = build_model(unit_pulse(1.0, 3.0, 0.5))
         assert model.n_steps == 200
-        oracle._pulse_maps.cache_clear()
+        clear_model_caches()
         stepped_models = spy_on_rk4_increment(monkeypatch)
         assert_same_per_step_output(model)
-        assert stepped_models == [200]
+        assert stepped_models == [(200, 22), (200, 16)]
 
     def test_cache_is_bounded(self):
-        # a displaced start fills the mean maps' cache too
-        oracle._pulse_maps.cache_clear()
-        oracle._mean_map.cache_clear()
+        # a displaced start fills the parts', the x block's and the mean
+        # maps' caches too
+        clear_model_caches()
         initial = DISPLACED_INITIAL["mean@8"]()
         for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
             model = build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1))
             propagate_moments(model, initial=initial)
-        for cache in (oracle._pulse_maps, oracle._mean_map):
+        for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map, oracle._mean_map):
             info = cache.cache_info()
             assert info.currsize == info.maxsize == 4
 
@@ -983,14 +1014,27 @@ REF_N_SIGMA = 36
 REF_DIM = REF_N_SIGMA + 8 + 1
 REF_MEAN = np.arange(REF_N_SIGMA, REF_N_SIGMA + 8)
 REF_COV = np.append(np.arange(REF_N_SIGMA), REF_DIM - 1)
+#: The two blocks of the covariance, each with the constant: the readout's,
+#: whose covariances hold no x accumulator (Y_xc and Y_xs, quadratures 4 and
+#: 6 of the row-major upper triangle), and the x block, whose covariances do.
+_HOLDS_X = np.array([bool({i, j} & {4, 6}) for i, j in zip(*np.triu_indices(8))])
+REF_READOUT = np.append(np.flatnonzero(~_HOLDS_X), REF_DIM - 1)
+REF_X = np.append(np.flatnonzero(_HOLDS_X), REF_DIM - 1)
+#: Where the readout and the x block sit in the oracle's 37-entry layout.
+LAYOUT_READOUT = np.append(REF_READOUT[:-1], REF_N_SIGMA)
+LAYOUT_X = np.append(REF_X[:-1], REF_N_SIGMA)
 
 
 def turn_increment(theta: float) -> np.ndarray:
-    """``R_theta - I`` on the reference state: the oracle's lift on its
-    covariance block and ``s_theta - I`` on its means."""
+    """``R_theta - I`` on the reference state: the turn ``s_theta`` lifted
+    onto all of ``vech Sigma`` as the oracle forms it, ``e Sigma s^T + Sigma
+    e^T`` with ``s = I + e``, and ``s_theta - I`` on its means."""
+    e, eye = oracle._accumulator_turn(theta), np.eye(8)
     turn = np.zeros((REF_DIM, REF_DIM))
-    turn[np.ix_(REF_COV, REF_COV)] = oracle._rotation_increment(theta)
-    turn[np.ix_(REF_MEAN, REF_MEAN)] = oracle._accumulator_turn(theta)
+    turn[:REF_N_SIGMA, :REF_N_SIGMA] = (
+        oracle._vech_kron(e, eye + e) + oracle._vech_kron(eye, e)
+    ) @ oracle._DUP
+    turn[np.ix_(REF_MEAN, REF_MEAN)] = e
     return turn
 
 
@@ -1039,7 +1083,7 @@ def generator_basis(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     the diffusion parts in the last column."""
     n = REF_N_SIGMA
     basis = np.zeros((6, REF_DIM, REF_DIM))
-    basis[:3, :n, :n] = oracle._vech_lift(drift)
+    basis[:3, :n, :n] = oracle._vech_lift(drift, oracle._LIFT)
     basis[:3, REF_MEAN[:, None], REF_MEAN] = drift
     basis[:, :n, -1] = diffusion.reshape(6, 64)[:, oracle._VECH]
     return basis
@@ -1055,39 +1099,59 @@ def basis_of(model) -> np.ndarray:
     return generator_basis(*oracle._model_parts(model))
 
 
-def reference_pulse_maps(model) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, C_n)`` on the reference state by the basis route: the RK4
-    stages take ``G`` mixed from the dense basis of :func:`reference_parts`,
-    and every sum is written out as the build once wrote it."""
+def reference_route(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis route on the reference state: the generator basis, ``G``
+    at the three stage phases and the step's and the closing turn's ``R -
+    I``, stacked, then ``(M, C_n)``.  The RK4 stages take ``G`` mixed from
+    the dense basis of :func:`reference_parts`, and every sum is written
+    out as the build once wrote it."""
     h = model.dt
     delta = model.params.Omega * h
-    g_start, g_mid, g_end = generators(
-        generator_basis(*reference_parts(model)), (0.0, delta / 2, delta)
-    )
+    basis = generator_basis(*reference_parts(model))
+    stages = generators(basis, (0.0, delta / 2, delta))
+    g_start, g_mid, g_end = stages
     k1 = g_start
     k2 = g_mid + h / 2 * (g_mid @ k1)
     k3 = g_mid + h / 2 * (g_mid @ k2)
     k4 = g_end + h * (g_end @ k3)
     rk4 = h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
     turn = turn_increment(delta)
+    back = turn_increment(-model.params.Omega * (model.n_steps * model.dt))
     increment = turn + rk4 + turn @ rk4
     eye = np.eye(REF_DIM)
-    back = rotation(-model.params.Omega * (model.n_steps * model.dt))
-    return eye + increment, back @ (eye + oracle._power_increment(increment, model.n_steps))
+    pulse = (eye + back) @ (eye + oracle._power_increment(increment, model.n_steps))
+    return np.concatenate((basis, stages, [turn, back])), eye + increment, pulse
+
+
+def in_layout(index: np.ndarray, block_map: np.ndarray) -> np.ndarray:
+    """A block's map in the oracle's 37-entry layout, zero off the block."""
+    embedded = np.zeros((REF_N_SIGMA + 1,) * 2)
+    embedded[np.ix_(index, index)] = block_map
+    return embedded
 
 
 def assert_bits_of_the_basis_route(model) -> None:
-    """The covariance maps are the ``[vech Sigma; 1]`` block of the
-    reference route and the mean map its mean block, byte for byte; every
-    entry between the blocks is an exact zero."""
-    step, pulse = reference_pulse_maps(model)
-    cov, mean = np.ix_(REF_COV, REF_COV), np.ix_(REF_MEAN, REF_MEAN)
-    built = oracle._pulse_maps.__wrapped__(model)
-    assert [m.tobytes() for m in built] == [step[cov].tobytes(), pulse[cov].tobytes()]
+    """Each of the oracle's maps is its block of the reference route, byte
+    for byte: the readout block's ``(M, C_n)``, also as :func:`oracle.
+    _pulse_maps` lays it out, the x block's ``(M, C_n)`` and the ``C_n``
+    that :func:`oracle._x_map` lays out, and the means' ``C_n``.  Every
+    entry of the reference's basis, stage generators, turns and maps that
+    joins two blocks is an exact zero."""
+    parts, step, pulse = reference_route(model)
+    joins = ((REF_READOUT[:-1], REF_X[:-1]), (REF_COV, REF_MEAN))
+    for matrix in (*parts, step, pulse):
+        for rows, columns in joins:
+            assert not matrix[np.ix_(rows, columns)].any()
+            assert not matrix[np.ix_(columns, rows)].any()
+    readout, x_block = (oracle._block_maps(model, b) for b in (oracle._READOUT, oracle._X_BLOCK))
+    for built, index in ((readout, REF_READOUT), (x_block, REF_X)):
+        grid = np.ix_(index, index)
+        assert [m.tobytes() for m in built] == [step[grid].tobytes(), pulse[grid].tobytes()]
+    laid_out = [in_layout(LAYOUT_READOUT, m).tobytes() for m in readout]
+    assert [m.tobytes() for m in oracle._pulse_maps.__wrapped__(model)] == laid_out
+    assert oracle._x_map.__wrapped__(model).tobytes() == in_layout(LAYOUT_X, x_block[1]).tobytes()
+    mean = np.ix_(REF_MEAN, REF_MEAN)
     assert oracle._mean_map.__wrapped__(model).tobytes() == pulse[mean].tobytes()
-    for reference in (step, pulse):
-        assert not reference[np.ix_(REF_COV, REF_MEAN)].any()
-        assert not reference[np.ix_(REF_MEAN, REF_COV)].any()
 
 
 def add_phase_term(monkeypatch, method: str, entry: tuple, size: float) -> None:
@@ -1103,13 +1167,16 @@ def add_phase_term(monkeypatch, method: str, entry: tuple, size: float) -> None:
 
 
 def assert_build_stops(model) -> None:
-    oracle._pulse_maps.cache_clear()
+    # the parts are checked once per model and cached: a cached entry of the
+    # same model, built without the term, would skip the check
+    clear_model_caches()
     with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
         propagate_moments(model)
     # nor does per-step output fall back to stepping
     with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
         propagate_moments(model, return_info=True)
-    assert oracle._pulse_maps.cache_info().currsize == 0
+    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map):
+        assert cache.cache_info().currsize == 0
 
 
 class TestLarmorTurn:
@@ -1157,7 +1224,7 @@ class TestLarmorTurn:
         # each lifted entry adds at most two drift entries, as the 0/1
         # product does, so the two agree bit for bit
         a = np.reshape(entries, (8, 8))
-        assert np.array_equal(oracle._vech_lift(a[None])[0], dense_lift(a))
+        assert np.array_equal(oracle._vech_lift(a[None], oracle._LIFT)[0], dense_lift(a))
 
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
     def test_generator_basis_is_the_dense_lift(self, name):
@@ -1168,7 +1235,7 @@ class TestLarmorTurn:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200, 1001])
     def test_power_of_the_increment_is_the_matrix_power(self, n):
-        step, _ = oracle._pulse_maps(SYMMETRY_CASES["plain"](200))
+        step, _ = oracle._block_maps(SYMMETRY_CASES["plain"](200), oracle._READOUT)
         eye = np.eye(len(step))
         power = np.linalg.matrix_power(step, n)
         np.testing.assert_allclose(
@@ -1180,14 +1247,13 @@ class TestLarmorTurn:
     def test_turned_steps_match_the_stepped_identity(self, name, steps):
         # over one period, R_(-k delta) M^k is the product of the first k
         # steps, each with the generator at its own phase; the stepped map
-        # runs on the reference state, whose covariance block M acts on
+        # runs on the reference state, whose readout and x blocks M acts on
         model = SYMMETRY_CASES[name](steps)
         drift, diffusion = oracle._model_parts(model)
         oracle._check_symmetry(drift, diffusion)
         basis = generator_basis(drift, diffusion)
         delta = model.params.Omega * model.dt
-        step, _ = oracle._pulse_maps(model)
-        h, stepped_map, turned = model.dt, np.eye(REF_DIM), np.eye(len(step))
+        h, stepped_map = model.dt, np.eye(REF_DIM)
         for k in range(steps):
             g0, g1, g2 = generators(basis, delta * (k + np.array([0.0, 0.5, 1.0])))
             k1 = g0 @ stepped_map
@@ -1195,10 +1261,14 @@ class TestLarmorTurn:
             k3 = g1 @ (stepped_map + h / 2 * k2)
             k4 = g2 @ (stepped_map + h * k3)
             stepped_map = stepped_map + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
-            turned = step @ turned
-        turned = (np.eye(len(step)) + oracle._rotation_increment(-steps * delta)) @ turned
-        stepped_map = stepped_map[np.ix_(REF_COV, REF_COV)]
-        np.testing.assert_allclose(turned, stepped_map, rtol=0.0, atol=1e-13 * np.abs(stepped_map).max())
+        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._X_BLOCK, REF_X)):
+            step, _ = oracle._block_maps(model, block)
+            turned = np.eye(len(step))
+            for _ in range(steps):
+                turned = step @ turned
+            turned = (np.eye(len(step)) + oracle._rotation_increment(-steps * delta, block)) @ turned
+            expected = stepped_map[np.ix_(index, index)]
+            np.testing.assert_allclose(turned, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
     @pytest.mark.parametrize("steps", [200, 201, 202])
     @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
@@ -1252,18 +1322,29 @@ class TestRotationCache:
     """The rotation lifts depend on the angle alone and are cached read-only."""
 
     def test_lift_is_read_only(self):
-        turn = oracle._rotation_increment(0.3)
+        turn = oracle._rotation_increment(0.3, oracle._READOUT)
         with pytest.raises(ValueError, match="read-only"):
             turn[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             turn += 1.0
 
     def test_cleared_lift_recomputed_bit_identically(self):
-        first = oracle._rotation_increment(-2.0 * math.pi * 16)
+        first = oracle._rotation_increment(-2.0 * math.pi * 16, oracle._READOUT)
         oracle._rotation_increment.cache_clear()
-        second = oracle._rotation_increment(-2.0 * math.pi * 16)
+        second = oracle._rotation_increment(-2.0 * math.pi * 16, oracle._READOUT)
         assert second is not first
         assert second.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.3, -2.0, 2.0 * math.pi / 1600, -2.0 * math.pi * 16])
+    def test_block_lifts_are_the_lifts_blocks(self, theta):
+        # the turn keeps each block among itself: its lift is zero between
+        # the blocks, and each block's lift is the lift's block, byte for byte
+        turn = turn_increment(theta)
+        assert not turn[np.ix_(REF_READOUT[:-1], REF_X[:-1])].any()
+        assert not turn[np.ix_(REF_X[:-1], REF_READOUT[:-1])].any()
+        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._X_BLOCK, REF_X)):
+            lift = oracle._rotation_increment(theta, block)
+            assert lift.tobytes() == turn[np.ix_(index, index)].tobytes()
 
     def test_mismatch_model_and_its_baseline_share_the_lifts(self):
         # the pair ``compare`` builds: one grid, so one delta and one -n delta
@@ -1316,6 +1397,46 @@ class TestMeanMap:
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
         assert first.mean.tobytes() == second.mean.tobytes()
         assert first.mean.any()
+
+
+class TestXMap:
+    """The x block's pulse map is built only for a joint state, once per
+    drift model; the figure builds the readout block alone."""
+
+    def test_the_figure_builds_only_the_readout_block(self, monkeypatch):
+        model = REGRESSION_CASES["mismatch@16"]()
+        clear_model_caches()
+        stepped_models = spy_on_rk4_increment(monkeypatch)
+        oracle_epr_after_measurement(model)
+        assert stepped_models == [(model.n_steps, 22)]
+        assert oracle._x_map.cache_info().misses == 0
+
+    def test_a_joint_state_builds_the_x_block_once_per_model(self, monkeypatch):
+        model = REGRESSION_CASES["mismatch@16"]()
+        clear_model_caches()
+        oracle_epr_after_measurement(model)
+        stepped_models = spy_on_rk4_increment(monkeypatch)
+        first = propagate_moments(model)
+        second, _ = propagate_moments(model, trajectory=io.StringIO(), return_info=True)
+        assert stepped_models == [(model.n_steps, 16)]
+        info = oracle._x_map.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first.cov.tobytes() == second.cov.tobytes()
+        # the joint state holds the x block: Cov(P_m, Y_xc) from the shared input
+        assert first.cov[oracle._PM, oracle._YXC] != 0.0
+
+    @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
+    def test_joint_state_is_the_product_on_all_of_x(self, name):
+        # the two blocks' products, the x block's put in by index, give the
+        # covariance of the reference's [vech Sigma; 1] map applied to x_0,
+        # byte for byte, signed zeros included
+        model = REGRESSION_CASES[name]()
+        x, _, _ = oracle._start(model, DISPLACED_INITIAL.get(name, lambda: None)())
+        _, _, pulse = reference_route(model)
+        vech = pulse[np.ix_(REF_COV, REF_COV)] @ x
+        expected = (oracle._DUP @ vech[:REF_N_SIGMA]).reshape(8, 8)
+        state = propagate_moments(model, initial=DISPLACED_INITIAL.get(name, lambda: None)())
+        assert state.cov.tobytes() == expected.tobytes()
 
 
 class TestMismatchRealization:

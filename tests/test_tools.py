@@ -16,7 +16,8 @@ PIECES = [
     "_check_symmetry",
     "_rk4_increment (RK4 step)",
     "_power_increment (powering)",
-    "_pulse_maps (fresh build)",
+    "_pulse_maps (fresh readout build)",
+    "_x_map (fresh x-block build)",
     "_mean_map (fresh build)",
     "_per_step_values (12 periods)",
     "_write_trajectory (12 periods)",

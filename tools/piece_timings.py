@@ -15,12 +15,14 @@ pages in again on every call.  BLAS and OpenMP run on one thread, as in the
 benchmark.
 The pieces are the layers of a cached ``oracle_sweep`` operation and of a
 CLI run, whose report is rendered at two sizes: one run's and a sweep's.
-The fresh pulse-map build calls the uncached function, with the rotation
-lifts and the unmixing inverse that a grid's models share already cached;
-its pieces are timed alone before it: the model's parts, the symmetry
-check, the RK4 step with its generators' lift, and the powering of its
-increment.  The fresh build of the means' map, which a pulse from a
-displaced state pays once per drift model, is timed after it.  The trajectory
+A fresh drift model first pays for its parts and their symmetry check,
+each timed alone; the maps read them from a per-model cache.  The fresh
+builds call the uncached functions, with the parts, the rotation lifts and
+the unmixing inverse already cached: the readout block's pulse map, which
+every figure reads, after its pieces timed alone (the RK4 step with its
+generators' lift, and the powering of its increment); the x block's, which
+a joint state pays once per drift model; and the means', which a pulse from
+a displaced state pays once per drift model.  The trajectory
 layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
 ``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
 a fresh ``StringIO``.  The text is also timed for a pulse of
@@ -89,7 +91,7 @@ def pieces() -> dict:
     conditional = protocols.FeedbackConfig.conditional()
     model = oracle.build_model(params)
     drift, diffusion = oracle._model_parts(model)
-    step = oracle._pulse_maps(model)[0]
+    step = oracle._block_maps(model, oracle._READOUT)[0]
     increment = step - np.eye(len(step))
     trajectory, long_trajectory = (
         oracle.build_model(iomaps.ProtocolParams.dimensionless(KAPPA, N_I, larmor_periods=periods))
@@ -124,10 +126,11 @@ def pieces() -> dict:
         "_model_parts": lambda: oracle._model_parts(model),
         "_check_symmetry": lambda: oracle._check_symmetry(drift, diffusion),
         "_rk4_increment (RK4 step)": lambda: oracle._rk4_increment(
-            model, oracle._covariance_generators(model, drift, diffusion)
+            model, oracle._covariance_generators(model, drift, diffusion, oracle._READOUT)
         ),
         "_power_increment (powering)": lambda: oracle._power_increment(increment, model.n_steps),
-        "_pulse_maps (fresh build)": lambda: oracle._pulse_maps.__wrapped__(model),
+        "_pulse_maps (fresh readout build)": lambda: oracle._pulse_maps.__wrapped__(model),
+        "_x_map (fresh x-block build)": lambda: oracle._x_map.__wrapped__(model),
         "_mean_map (fresh build)": lambda: oracle._mean_map.__wrapped__(model),
         f"_per_step_values ({TRAJECTORY_PERIODS} periods)": lambda: oracle._per_step_values(
             trajectory, trajectory_step, start

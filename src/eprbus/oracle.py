@@ -27,16 +27,16 @@ propagates them.
 The covariance equation is linear in the state ``x = [vech Sigma; 1]`` of
 37 entries (the 36 entries of the upper triangle of the symmetric ``Sigma``
 and a constant), ``dx/dt = G(t) x``; the mean equation is linear in the 8
-means on their own, and neither reads the other.  ``x`` itself splits into
-two closed blocks that share the constant: no drift reads an x accumulator
-``Y_xc`` or ``Y_xs``, and the turn below keeps that pair apart from the
-rest, so neither the readout block, the 21 covariances among ``X_m``,
-``P_m``, ``X_a``, ``P_a``, ``Y_pc`` and ``Y_ps``, nor the x block, the 15
-that hold an x accumulator, reads the other's entries.  ``G`` and ``A``
-depend on time only through the Larmor phase: ``A`` is the sum of three
-8 x 8 parts weighted by ``(1, cos, sin)`` of ``Omega t``, and ``D`` of six
-weighted by ``f = (1, cos, sin, cos^2, sin^2, cos sin)``.  The parts are
-solved from :meth:`DriftNoiseModel.drift_matrix` and
+means on their own, and neither reads the other.  The readout block of
+``x``, the 21 covariances among ``X_m``, ``P_m``, ``X_a``, ``P_a``,
+``Y_pc`` and ``Y_ps`` with the constant, is closed: no drift reads an x
+accumulator ``Y_xc`` or ``Y_xs``, and the turn below keeps that pair apart
+from the rest, so the readout block reads none of the 15 covariances that
+hold an x accumulator, nor they its entries.  ``G`` and ``A`` depend on
+time only through the Larmor phase: ``A`` is the sum of three 8 x 8 parts
+weighted by ``(1, cos, sin)`` of ``Omega t``, and ``D`` of six weighted by
+``f = (1, cos, sin, cos^2, sin^2, cos sin)``.  The parts are solved from
+:meth:`DriftNoiseModel.drift_matrix` and
 :meth:`DriftNoiseModel.noise_columns` at three phases, with the inverse
 that unmixes them cached per Larmor frequency, so the physics is written
 once.
@@ -58,30 +58,30 @@ The ``n`` steps of a pulse compose to ``C_n = R_(-n delta) M^n`` with ``M
 = R_delta S_0``: the same RK4 scheme with the floating-point operations in
 another order.  ``M^n`` comes from binary powering on the increment ``M -
 I``, which keeps the state within about 1e-14 of an extended-precision run
-of the steps, relative to its largest entry.  Each block takes this route
-on its own rows and columns, and its ``(M, C_n)`` is that of ``x``
-restricted to it, bit for bit, since every entry between the blocks is an
-exact zero.  The readout block's ``(M, C_n)``, all the EPR figure reads, is
-cached per drift model in the 37 x 37 layout of ``x`` with the x block zero,
-so a cached pulse is one matrix-vector product with the sums of a product
-on all of ``x``.  The x block's ``C_n`` is built, and cached per drift
-model, only for a joint state, whose x-block covariances it puts in by
-index.  The lifts ``R_theta - I`` are cached per angle and block, which a
-grid shares across drift models.  The means take the same route on ``A``
-alone, through the same kernels: the RK4 step of ``dmean/dt = A mean``, the
-turn ``s_theta`` and the powering give their 8 x 8 pulse map, which is the
-mean block of the same route on the 45 entries ``[vech Sigma; mean; 1]``,
-bit for bit.  It is built, and cached per drift model, only for a pulse
-from a displaced state: from zero means a pulse leaves the means exactly
-zero, and the EPR figure reads only the covariance.  In the frame that
-rotates with the grid the state ``z_k = M^k x_0`` evolves on its own, and
-the state at step ``k`` is ``x_k = R_(-k delta) z_k``.  Per-step output
-(trajectory rows, the conservation drift) is read off the readout block of
-``z_k`` in blocks of ``b`` steps: the rows ``F M^j``, ``j < b``, of the
-output forms ``F`` applied to the block starts ``(M^b)^p x_0`` give every
-step's values in one product.  Each step's cos and sin then turn both 2 x 2
-blocks of the output once: the ``Y_p`` block back to the lab frame, the EPR
-block onto the conserved pair.
+of the steps, relative to its largest entry.  The EPR figure takes this
+route on the readout block's rows and columns alone, and its ``C_n`` is
+that of ``x`` restricted to the block, bit for bit, since every entry that
+joins the block to the rest is an exact zero.  That ``C_n``, all the figure
+reads, is cached per drift model in the 37 x 37 layout of ``x`` with every
+other entry zero, so a cached pulse is one matrix-vector product with the
+sums of a product on all of ``x``.  A joint state takes the route on all of
+``x``: its ``(M, C_n)`` is built, and cached per drift model, only for
+:func:`propagate_moments`.  The lifts ``R_theta - I`` are cached per angle
+and block, which a grid shares across drift models.  The means take the
+same route on ``A`` alone, through the same kernels: the RK4 step of
+``dmean/dt = A mean``, the turn ``s_theta`` and the powering give their 8
+x 8 pulse map, which is the mean block of the same route on the 45 entries
+``[vech Sigma; mean; 1]``, bit for bit.  It is built, and cached per drift
+model, only for a pulse from a displaced state: from zero means a pulse
+leaves the means exactly zero, and the EPR figure reads only the
+covariance.  In the frame that rotates with the grid the state ``z_k = M^k
+x_0`` evolves on its own, and the state at step ``k`` is ``x_k = R_(-k
+delta) z_k``.  Per-step output (trajectory rows, the conservation drift) is
+read off the readout block of ``z_k`` in blocks of ``b`` steps: the rows
+``F M^j``, ``j < b``, of the output forms ``F`` applied to the block starts
+``(M^b)^p x_0`` give every step's values in one product.  Each step's cos
+and sin then turn both 2 x 2 blocks of the output once: the ``Y_p`` block
+back to the lab frame, the EPR block onto the conserved pair.
 
 Coupling mismatch is realized physically through distinct mechanical and
 atomic strengths ``kappa_m = kappa (1 + eps)``, ``kappa_a = kappa (1 - eps)``
@@ -169,7 +169,7 @@ _LIFT = _lift_table()
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """One of the two closed blocks of ``x``, compared and hashed by identity.
+    """A closed block of ``x``, compared and hashed by identity.
 
     ``index`` holds its positions in ``x``, increasing, so the constant comes
     last; ``lift`` the rows and columns of :data:`_LIFT` at its covariances,
@@ -192,11 +192,10 @@ def _block(covariances: np.ndarray) -> _Block:
 
 
 # the covariances with an x accumulator, which no drift reads and the turn
-# keeps among themselves, and the 21 the readout reads
+# keeps among themselves; the 21 the readout reads; and all 36
 _HOLDS_X = np.isin(_TRIU[0], (_YXC, _YXS)) | np.isin(_TRIU[1], (_YXC, _YXS))
 _READOUT = _block(~_HOLDS_X)
-_X_BLOCK = _block(_HOLDS_X)
-_X_COVARIANCES = _X_BLOCK.index[:-1]
+_ALL_OF_X = _block(np.ones(_N_SIGMA, dtype=bool))
 
 #: Relative distance of the step count ``steps_per_period Omega tau / (2 pi)``
 #: from a whole number below which it is taken as whole (roundoff only).
@@ -251,7 +250,7 @@ def _rotation_increment(theta: float, block: _Block) -> np.ndarray:
     block among itself, so a block's lift is the lift's block.  The lift
     depends on the angle alone, so every drift model on one grid shares it:
     the step's ``delta`` and the closing ``-n delta``.  The constant does not
-    turn.  An entry takes at most 4 kB.
+    turn.  An entry takes at most 11 kB, on all of ``x``.
     """
     e = _accumulator_turn(theta)
     lift = (_vech_kron(e, np.eye(8) + e) + _vech_kron(np.eye(8), e)) @ _DUP
@@ -457,26 +456,22 @@ def _start(
 
 
 def _pulse_moments(
-    model: DriftNoiseModel,
-    pulse: np.ndarray,
-    x: np.ndarray,
-    mean: np.ndarray,
-    x_pulse: np.ndarray | None = None,
+    model: DriftNoiseModel, pulse: np.ndarray, x: np.ndarray, mean: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The joint moments after the pulse map ``pulse`` (``C_n`` of the
-    readout block) from ``x`` and the pulse's means ``mean``, a fresh array,
-    with the propagation and detection loss ``eta_light * eta_det`` admixing
-    vacuum into the cos and then the sin mode, as the idealized map does.
-    The x block's covariances come from ``x_pulse``, put in by index, or
-    stay zero without it.  The covariance is exactly symmetric."""
+    """The joint moments after the pulse map ``pulse``, a ``C_n`` in the
+    37 x 37 layout of ``x``, from ``x`` and the pulse's means ``mean``, a
+    fresh array, with the propagation and detection loss ``eta_light *
+    eta_det`` admixing vacuum into the cos and then the sin mode, as the
+    idealized map does.  The covariance is exactly symmetric.  Moments with
+    an entry above ``MAX_CHANNEL_VARIANCE`` are refused with
+    :class:`~eprbus.gaussian.InvalidChannelError`, as a channel's output is."""
     vech = pulse @ x
-    if x_pulse is not None:
-        vech[_X_COVARIANCES] = (x_pulse @ x)[_X_COVARIANCES]
     cov = (_DUP @ vech[:_N_SIGMA]).reshape(8, 8)
     eta = model.params.eta_light * model.params.eta_det
     if eta < 1.0:
         for i in (2, 3):
             _admix_loss(mean, cov, i, eta)
+    _check_cap(_peak(cov))
     return mean, cov
 
 
@@ -498,13 +493,13 @@ def propagate_moments(
     ``"%.17g"`` writes for it, produced for a chunk of rows at a time by a
     vectorized kernel, so ``float`` reads back exactly the value computed.
 
-    The pulse map ``C_n`` of the readout block comes from the cache, built
-    on the first pulse of a drift model; per-step output (``trajectory`` or
-    ``return_info``) reads the same entry's ``M``.  The x block's ``C_n`` is
-    built, and cached, on the first call for a drift model; the figure of
-    :func:`oracle_epr_after_measurement` never builds it.  The means' map is
-    built, and cached, on the first pulse of a drift model from a displaced
-    state; from zero means the returned means are zero, and no map is built.
+    The pulse map ``C_n`` on all of ``x`` comes from the cache, built on the
+    first call for a drift model; per-step output (``trajectory`` or
+    ``return_info``) reads the same entry's ``M``.  The figure of
+    :func:`oracle_epr_after_measurement` never builds it, and this function
+    never builds the figure's readout map.  The means' map is built, and
+    cached, on the first pulse of a drift model from a displaced state;
+    from zero means the returned means are zero, and no map is built.
     The returned state is always ``C_n x_0`` followed by the readout loss
     ``eta_light * eta_det`` on the cos and sin modes, so it is the same with
     or without per-step output.  Per-step output is taken before that loss:
@@ -515,14 +510,16 @@ def propagate_moments(
     uncertainty relation: the accumulated temporal modes only become
     canonical pairs once the pulse is complete (exactly so only for an
     integer number of Larmor periods), and may lie below vacuum before.
+    Moments with an entry above ``MAX_CHANNEL_VARIANCE`` are refused with
+    :class:`~eprbus.gaussian.InvalidChannelError`, as the figure's are.
     """
     x, mean, modes = _start(model, initial)
-    step, pulse = _pulse_maps(model)
+    step, pulse = _joint_maps(model)
     values = _per_step_values(model, step, x) if trajectory is not None or return_info else None
     if trajectory is not None:
         _write_trajectory(trajectory, model.dt, values)
     mean = _mean_map(model) @ mean if mean.any() else np.zeros(8)
-    mean, cov = _pulse_moments(model, pulse, x, mean, _x_map(model))
+    mean, cov = _pulse_moments(model, pulse, x, mean)
     state = GaussianState._wrap(modes, mean, _settled(mean, cov))
     if not return_info:
         return state
@@ -682,8 +679,8 @@ def _covariance_generators(
     The flow ``A (x) I + I (x) A`` on ``vec Sigma`` keeps ``Sigma``
     symmetric, so on ``vech`` it is ``E (A (x) I + I (x) A) Dup``, gathered
     by :func:`_vech_lift` at the block's rows and columns; ``vech D`` there
-    is the constant's column.  No entry of ``G`` joins the two blocks: the
-    drift reads no x accumulator, so the lift is zero between them.
+    is the constant's column.  No entry of ``G`` joins the readout block to
+    the rest: the drift reads no x accumulator, so the lift is zero there.
     """
     trig = _stage_trig(model)
     g = np.zeros((3, len(block.index), len(block.index)))
@@ -805,8 +802,8 @@ def _checked_parts(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """The parts of :func:`_model_parts`, read-only, once
     :func:`_check_symmetry` has passed them.
 
-    Cached per drift model, as the maps are, so the model's three maps read
-    one copy and the check runs once; an entry takes 4.6 kB.
+    Cached per drift model, as the maps are, so the model's maps read one
+    copy and the check runs once; an entry takes 4.6 kB.
     """
     drift, diffusion = _model_parts(model)
     _check_symmetry(drift, diffusion)
@@ -819,53 +816,50 @@ def _block_maps(model: DriftNoiseModel, block: _Block) -> tuple[np.ndarray, np.n
 
     The generators and both turns keep the block among itself, so the
     block's RK4 step, turn and powering are those of ``x``, restricted: the
-    entries that join the blocks are exact zeros, and a product over them
-    adds only zeros.
+    entries that join the block to the rest are exact zeros, and a product
+    over them adds only zeros.
     """
     drift, diffusion = _checked_parts(model)
     generators = _covariance_generators(model, drift, diffusion, block)
     return _maps(model, generators, lambda theta: _rotation_increment(theta, block))
 
 
-def _embedded(block: _Block, block_map: np.ndarray) -> np.ndarray:
-    """``block_map`` in the 37 x 37 layout of ``x``, zero off the block."""
-    embedded = np.zeros((_DIM, _DIM))
-    embedded.put(block.grid, block_map)
-    return embedded
-
-
 @functools.lru_cache(maxsize=4)
-def _pulse_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``
-    of the readout block, in the 37 x 37 layout of ``x`` with the x block
-    zero.
+def _pulse_maps(model: DriftNoiseModel) -> np.ndarray:
+    """The pulse map ``C_n`` of the readout block, all the EPR figure reads,
+    in the 37 x 37 layout of ``x`` with every other entry zero.
 
     ``C_n = R_(-n delta) M^n`` is the product of the ``n`` RK4 steps of the
     grid; :func:`_check_symmetry` checks the symmetry that makes it so on
     the 8 x 8 parts that :func:`_covariance_generators` then lifts onto the
     block.  The two rotation lifts come from :func:`_rotation_increment`'s
     cache, shared by every model on the same grid.  In the 37-wide layout a
-    product with ``x``, and the per-step output's products, take the sums
-    of a product on all of ``x``, entry for entry, and leave the x block's
-    covariances zero; the EPR figure reads none of them.  The cache key, the
-    model's identity, leaves out ``n_i`` and the readout loss, so a grid
-    over initial occupations or over the loss shares an entry.  An entry
-    takes about 22 kB; four leave room for a model that alternates with its
-    matched baseline, as ``compare`` does in a sweep.
+    product with ``x`` takes the sums of a product on all of ``x``, entry
+    for entry, and leaves the x accumulators' covariances zero; the EPR
+    figure reads none of them.  The cache key, the model's identity, leaves
+    out ``n_i`` and the readout loss, so a grid over initial occupations or
+    over the loss shares an entry.  An entry takes about 11 kB; four leave
+    room for a model that alternates with its matched baseline, as
+    ``compare`` does in a sweep.
     """
-    return tuple(_embedded(_READOUT, m) for m in _block_maps(model, _READOUT))
+    pulse = np.zeros((_DIM, _DIM))
+    pulse.put(_READOUT.grid, _block_maps(model, _READOUT)[1])
+    return pulse
 
 
 @functools.lru_cache(maxsize=4)
-def _x_map(model: DriftNoiseModel) -> np.ndarray:
-    """The pulse map ``C_n`` of the x block, in the 37 x 37 layout of ``x``
-    with the readout block zero.
+def _joint_maps(model: DriftNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The rotating-frame step ``M = R_delta S_0`` and the pulse map ``C_n``
+    on all of ``x``, for the joint state of :func:`propagate_moments` and
+    its per-step output.
 
-    Built, and cached per drift model, only for a joint state:
-    :func:`propagate_moments` puts its covariances into ``vech Sigma`` by
-    index.  An entry takes about 11 kB.
+    Built, and cached per drift model, only for a joint state; the figure
+    never builds it.  Its entries on the readout block are those of
+    :func:`_pulse_maps`, bit for bit, and every entry that joins the readout
+    to an x accumulator's covariance is an exact zero.  An entry takes about
+    22 kB.
     """
-    return _embedded(_X_BLOCK, _block_maps(model, _X_BLOCK)[1])
+    return _block_maps(model, _ALL_OF_X)
 
 
 @functools.lru_cache(maxsize=4)
@@ -896,12 +890,11 @@ def oracle_epr_after_measurement(
     covariance does not depend on the means, so the pulse's means are taken
     as zero: no mean map is built, even from a displaced state.  The p
     readout reads no x accumulator, so only the readout block is built, and
-    the x block's covariances stay zero.  Pulse moments with an entry above
-    ``MAX_CHANNEL_VARIANCE`` are refused with
+    the x accumulators' covariances stay zero.  Pulse moments with an entry
+    above ``MAX_CHANNEL_VARIANCE`` are refused with
     :class:`~eprbus.gaussian.InvalidChannelError`, as a channel's output is.
     """
     x, _, modes = _start(model, initial)
-    mean, cov = _pulse_moments(model, _pulse_maps(model)[1], x, np.zeros(8))
-    _check_cap(_peak(cov))
+    mean, cov = _pulse_moments(model, _pulse_maps(model), x, np.zeros(8))
     _, mean, cov, _ = _conditioned(modes, mean, cov, _readout(), None)
     return _epr_report(_settled(mean, cov), 0, 1, Provenance.ORACLE)

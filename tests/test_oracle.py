@@ -113,8 +113,8 @@ def step_through(model, initial=None):
 
 def spy_on_rk4_increment(monkeypatch) -> list:
     """Record the ``n_steps`` of the model and the size of the block of
-    every call of the oracle's RK4 kernel: 22 for the readout block, 16 for
-    the x block."""
+    every call of the oracle's RK4 kernel: 22 for the readout block, 37 for
+    all of ``x``."""
     kernel, calls = oracle._rk4_increment, []
 
     def spy(model, generators):
@@ -127,7 +127,7 @@ def spy_on_rk4_increment(monkeypatch) -> list:
 
 def clear_model_caches() -> None:
     """Empty the caches the oracle keeps per drift model."""
-    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map, oracle._mean_map):
+    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._joint_maps, oracle._mean_map):
         cache.cache_clear()
 
 
@@ -349,7 +349,7 @@ class TestTrajectoryText:
         text = buffer.getvalue()
         assert text.endswith("\n") and text.count("\n") == model.n_steps + 2
         x, _, _ = oracle._start(model, None)
-        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        values = oracle._per_step_values(model, oracle._joint_maps(model)[0], x)
         written = read_trajectory(text)
         times = np.array([k * model.dt for k in range(model.n_steps + 1)])
         assert written[:, 0].tobytes() == times.tobytes()
@@ -368,7 +368,7 @@ class TestTrajectoryText:
         monkeypatch.setattr(oracle, "_orbit", counted)
         model = build_model(unit_pulse(1.1, 30.0, 12))
         x, _, _ = oracle._start(model, None)
-        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        values = oracle._per_step_values(model, oracle._joint_maps(model)[0], x)
         assert stacks == [64, 38]
         assert values.shape == (model.n_steps + 1, 6) == (2401, 6)
 
@@ -510,7 +510,7 @@ class TestTrajectoryChunks:
     def test_text_does_not_depend_on_the_chunk_size(self, monkeypatch, rows):
         model = build_model(unit_pulse(1.1, 30.0, 12.5))
         x, _, _ = oracle._start(model, None)
-        values = oracle._per_step_values(model, oracle._pulse_maps(model)[0], x)
+        values = oracle._per_step_values(model, oracle._joint_maps(model)[0], x)
         texts = []
         for chunk_rows in (oracle._CSV_CHUNK_ROWS, rows):
             monkeypatch.setattr(oracle, "_CSV_CHUNK_ROWS", chunk_rows)
@@ -551,6 +551,23 @@ class TestOracleEPR:
                 oracle_epr_after_measurement(model)
         assert "outcome_variance" not in str(refused.value)
 
+    def test_every_route_refuses_moments_above_the_cap(self):
+        # one cap for every route: the joint state's moments once passed
+        # the cap the figure and the big step refuse, and conditioned to a
+        # delta of 7e4
+        params = ProtocolParams.dimensionless(1.0, 5e12, larmor_periods=8)
+        model = build_model(params)
+        initial = make_state(
+            [(mechanical_mode("m"), 5e12, (0.0, 0.0)), (atomic_mode("a"), 0.0, (0.0, 0.0))]
+        )
+        for pulse in (
+            lambda: oracle_epr_after_measurement(model),
+            lambda: propagate_moments(model),
+            lambda: qnd_bigstep(initial, params),
+        ):
+            with pytest.raises(InvalidChannelError, match="covariance above 1e12"):
+                pulse()
+
     @pytest.mark.parametrize(
         "kappa, periods, n_i, kind",
         [(0.5, 3.25, 0.0, "damping"), (0.6, 3.25, 0.0, "damping"), (0.4, 12.3456, 0.0, "plain"),
@@ -558,9 +575,9 @@ class TestOracleEPR:
          (1.3, 12.3456, 5.0, "mismatch")],
     )
     def test_figure_off_whole_periods_is_the_state_route(self, kappa, periods, n_i, kind):
-        # the figure's pulse leaves the x block zero where the joint state
-        # holds it; a p readout that weighed X by cos(fl(pi/2)) ~ 6.1e-17
-        # moved these figures in their last bits
+        # the figure's pulse leaves the x accumulators' covariances zero where
+        # the joint state holds them; a p readout that weighed X by
+        # cos(fl(pi/2)) ~ 6.1e-17 moved these figures in their last bits
         params = unit_pulse(kappa, n_i, periods, eps_mismatch=0.02, gamma_m=0.01, n_th=1.0)
         model = build_model(params, mismatch=kind == "mismatch", damping=kind == "damping")
         conditioned, _ = condition_on_readout(propagate_moments(model))
@@ -870,11 +887,10 @@ class TestRoutes:
         stepped_models = spy_on_rk4_increment(monkeypatch)
         propagate_moments(cold)
         state = propagate_moments(hot)
-        # one RK4 step per block, for the cold pulse
-        assert stepped_models == [(cold.n_steps, 22), (cold.n_steps, 16)]
-        for cache in (oracle._pulse_maps, oracle._x_map):
-            info = cache.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # one RK4 step on all of x, for the cold pulse
+        assert stepped_models == [(cold.n_steps, 37)]
+        info = oracle._joint_maps.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         reference = stepped(hot)
         assert_same_moments(state, reference.cov, reference.mean)
 
@@ -882,7 +898,7 @@ class TestRoutes:
         # the cache key is the model itself: no n_i-cleared copy per pulse
         cold = build_model(ProtocolParams.dimensionless(1.3, 0.0, larmor_periods=8))
         hot = build_model(ProtocolParams.dimensionless(1.3, 500.0, larmor_periods=8))
-        oracle._pulse_maps.cache_clear()
+        oracle._joint_maps.cache_clear()
         propagate_moments(cold)
         built = []
         post_init = ProtocolParams.__post_init__
@@ -892,7 +908,7 @@ class TestRoutes:
         propagate_moments(cold)
         propagate_moments(hot)
         assert built == []
-        info = oracle._pulse_maps.cache_info()
+        info = oracle._joint_maps.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     @pytest.mark.parametrize(
@@ -913,9 +929,11 @@ class TestRoutes:
         assert (first == second) is shared
         if shared:
             assert hash(first) == hash(second)
-        oracle._pulse_maps.cache_clear()
-        propagate_moments(first)
-        propagate_moments(second)
+        clear_model_caches()
+        for model in (first, second):
+            propagate_moments(model)
+            oracle_epr_after_measurement(model)
+        assert oracle._joint_maps.cache_info().misses == 2 - shared
         assert oracle._pulse_maps.cache_info().misses == 2 - shared
 
     def test_a_readout_loss_grid_builds_one_pulse_map(self):
@@ -936,12 +954,13 @@ class TestRoutes:
 
         cold = []
         for model in models:
-            oracle._pulse_maps.cache_clear()
+            clear_model_caches()
             cold.append(figures(model))
-        oracle._pulse_maps.cache_clear()
+        clear_model_caches()
         shared = [figures(model) for model in models]
-        info = oracle._pulse_maps.cache_info()
-        assert (info.misses, info.hits) == (1, 2 * len(models) - 1)
+        for cache in (oracle._pulse_maps, oracle._joint_maps):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, len(models) - 1)
         assert shared == cold
         # and the loss still reaches every figure
         assert len({report.delta_epr for report, _, _ in shared}) == len(models)
@@ -953,11 +972,10 @@ class TestRoutes:
         plain = propagate_moments(model)
         state, _ = propagate_moments(model, return_info=True)
         propagate_moments(model, trajectory=io.StringIO())
-        # one RK4 step per block for the plain pulse; per-step output read the entries
-        assert stepped_models == [(model.n_steps, 22), (model.n_steps, 16)]
-        for cache in (oracle._pulse_maps, oracle._x_map):
-            info = cache.cache_info()
-            assert (info.misses, info.hits) == (1, 2)
+        # one RK4 step on all of x for the plain pulse; per-step output read the entry
+        assert stepped_models == [(model.n_steps, 37)]
+        info = oracle._joint_maps.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
         # the state comes from the cached pulse map either way
         np.testing.assert_array_equal(state.cov, plain.cov)
         np.testing.assert_array_equal(state.mean, plain.mean)
@@ -974,17 +992,18 @@ class TestRoutes:
         clear_model_caches()
         stepped_models = spy_on_rk4_increment(monkeypatch)
         assert_same_per_step_output(model)
-        assert stepped_models == [(200, 22), (200, 16)]
+        assert stepped_models == [(200, 37)]
 
     def test_cache_is_bounded(self):
-        # a displaced start fills the parts', the x block's and the mean
-        # maps' caches too
+        # a displaced start fills the parts', the joint and the mean maps'
+        # caches, and the figure the readout map's
         clear_model_caches()
         initial = DISPLACED_INITIAL["mean@8"]()
         for kappa in (0.5, 0.6, 0.7, 0.8, 0.9):
             model = build_model(ProtocolParams.dimensionless(kappa, larmor_periods=1))
             propagate_moments(model, initial=initial)
-        for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map, oracle._mean_map):
+            oracle_epr_after_measurement(model)
+        for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._joint_maps, oracle._mean_map):
             info = cache.cache_info()
             assert info.currsize == info.maxsize == 4
 
@@ -1014,15 +1033,15 @@ REF_N_SIGMA = 36
 REF_DIM = REF_N_SIGMA + 8 + 1
 REF_MEAN = np.arange(REF_N_SIGMA, REF_N_SIGMA + 8)
 REF_COV = np.append(np.arange(REF_N_SIGMA), REF_DIM - 1)
-#: The two blocks of the covariance, each with the constant: the readout's,
-#: whose covariances hold no x accumulator (Y_xc and Y_xs, quadratures 4 and
-#: 6 of the row-major upper triangle), and the x block, whose covariances do.
+#: The readout block of the covariance, with the constant, whose covariances
+#: hold no x accumulator (Y_xc and Y_xs, quadratures 4 and 6 of the
+#: row-major upper triangle), and the covariances that do, which no readout
+#: covariance reads.
 _HOLDS_X = np.array([bool({i, j} & {4, 6}) for i, j in zip(*np.triu_indices(8))])
 REF_READOUT = np.append(np.flatnonzero(~_HOLDS_X), REF_DIM - 1)
-REF_X = np.append(np.flatnonzero(_HOLDS_X), REF_DIM - 1)
-#: Where the readout and the x block sit in the oracle's 37-entry layout.
+REF_X = np.flatnonzero(_HOLDS_X)
+#: Where the readout block sits in the oracle's 37-entry layout.
 LAYOUT_READOUT = np.append(REF_READOUT[:-1], REF_N_SIGMA)
-LAYOUT_X = np.append(REF_X[:-1], REF_N_SIGMA)
 
 
 def turn_increment(theta: float) -> np.ndarray:
@@ -1132,24 +1151,27 @@ def in_layout(index: np.ndarray, block_map: np.ndarray) -> np.ndarray:
 
 def assert_bits_of_the_basis_route(model) -> None:
     """Each of the oracle's maps is its block of the reference route, byte
-    for byte: the readout block's ``(M, C_n)``, also as :func:`oracle.
-    _pulse_maps` lays it out, the x block's ``(M, C_n)`` and the ``C_n``
-    that :func:`oracle._x_map` lays out, and the means' ``C_n``.  Every
-    entry of the reference's basis, stage generators, turns and maps that
-    joins two blocks is an exact zero."""
+    for byte: the readout block's ``(M, C_n)``, and its ``C_n`` as
+    :func:`oracle._pulse_maps` lays it out, the ``(M, C_n)`` on all of
+    ``[vech Sigma; 1]`` that :func:`oracle._joint_maps` builds, and the
+    means' ``C_n``.  Every entry of the reference's basis, stage
+    generators, turns and maps that joins the readout block to an x
+    accumulator's covariance, or the covariance to the means, is an exact
+    zero."""
     parts, step, pulse = reference_route(model)
-    joins = ((REF_READOUT[:-1], REF_X[:-1]), (REF_COV, REF_MEAN))
+    joins = ((REF_READOUT[:-1], REF_X), (REF_COV, REF_MEAN))
     for matrix in (*parts, step, pulse):
         for rows, columns in joins:
             assert not matrix[np.ix_(rows, columns)].any()
             assert not matrix[np.ix_(columns, rows)].any()
-    readout, x_block = (oracle._block_maps(model, b) for b in (oracle._READOUT, oracle._X_BLOCK))
-    for built, index in ((readout, REF_READOUT), (x_block, REF_X)):
+    blocks = ((oracle._block_maps(model, oracle._READOUT), REF_READOUT),
+              (oracle._joint_maps.__wrapped__(model), REF_COV))
+    for built, index in blocks:
         grid = np.ix_(index, index)
         assert [m.tobytes() for m in built] == [step[grid].tobytes(), pulse[grid].tobytes()]
-    laid_out = [in_layout(LAYOUT_READOUT, m).tobytes() for m in readout]
-    assert [m.tobytes() for m in oracle._pulse_maps.__wrapped__(model)] == laid_out
-    assert oracle._x_map.__wrapped__(model).tobytes() == in_layout(LAYOUT_X, x_block[1]).tobytes()
+    readout = pulse[np.ix_(REF_READOUT, REF_READOUT)]
+    laid_out = in_layout(LAYOUT_READOUT, readout).tobytes()
+    assert oracle._pulse_maps.__wrapped__(model).tobytes() == laid_out
     mean = np.ix_(REF_MEAN, REF_MEAN)
     assert oracle._mean_map.__wrapped__(model).tobytes() == pulse[mean].tobytes()
 
@@ -1175,7 +1197,7 @@ def assert_build_stops(model) -> None:
     # nor does per-step output fall back to stepping
     with pytest.raises(RuntimeError, match="breaks the Larmor turn symmetry"):
         propagate_moments(model, return_info=True)
-    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._x_map):
+    for cache in (oracle._checked_parts, oracle._pulse_maps, oracle._joint_maps):
         assert cache.cache_info().currsize == 0
 
 
@@ -1247,7 +1269,8 @@ class TestLarmorTurn:
     def test_turned_steps_match_the_stepped_identity(self, name, steps):
         # over one period, R_(-k delta) M^k is the product of the first k
         # steps, each with the generator at its own phase; the stepped map
-        # runs on the reference state, whose readout and x blocks M acts on
+        # runs on the reference state, whose readout block and whole
+        # covariance the two steps M act on
         model = SYMMETRY_CASES[name](steps)
         drift, diffusion = oracle._model_parts(model)
         oracle._check_symmetry(drift, diffusion)
@@ -1261,7 +1284,7 @@ class TestLarmorTurn:
             k3 = g1 @ (stepped_map + h / 2 * k2)
             k4 = g2 @ (stepped_map + h * k3)
             stepped_map = stepped_map + h / 6 * (k1 + 2.0 * (k2 + k3) + k4)
-        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._X_BLOCK, REF_X)):
+        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._ALL_OF_X, REF_COV)):
             step, _ = oracle._block_maps(model, block)
             turned = np.eye(len(step))
             for _ in range(steps):
@@ -1337,12 +1360,13 @@ class TestRotationCache:
 
     @pytest.mark.parametrize("theta", [0.3, -2.0, 2.0 * math.pi / 1600, -2.0 * math.pi * 16])
     def test_block_lifts_are_the_lifts_blocks(self, theta):
-        # the turn keeps each block among itself: its lift is zero between
-        # the blocks, and each block's lift is the lift's block, byte for byte
+        # the turn keeps the readout block among itself: its lift is zero
+        # between that block and the rest, and each block's lift is the
+        # lift's block, byte for byte
         turn = turn_increment(theta)
-        assert not turn[np.ix_(REF_READOUT[:-1], REF_X[:-1])].any()
-        assert not turn[np.ix_(REF_X[:-1], REF_READOUT[:-1])].any()
-        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._X_BLOCK, REF_X)):
+        assert not turn[np.ix_(REF_READOUT[:-1], REF_X)].any()
+        assert not turn[np.ix_(REF_X, REF_READOUT[:-1])].any()
+        for block, index in ((oracle._READOUT, REF_READOUT), (oracle._ALL_OF_X, REF_COV)):
             lift = oracle._rotation_increment(theta, block)
             assert lift.tobytes() == turn[np.ix_(index, index)].tobytes()
 
@@ -1400,7 +1424,7 @@ class TestMeanMap:
 
 
 class TestXMap:
-    """The x block's pulse map is built only for a joint state, once per
+    """The map on all of ``x`` is built only for a joint state, once per
     drift model; the figure builds the readout block alone."""
 
     def test_the_figure_builds_only_the_readout_block(self, monkeypatch):
@@ -1409,27 +1433,27 @@ class TestXMap:
         stepped_models = spy_on_rk4_increment(monkeypatch)
         oracle_epr_after_measurement(model)
         assert stepped_models == [(model.n_steps, 22)]
-        assert oracle._x_map.cache_info().misses == 0
+        assert oracle._joint_maps.cache_info().misses == 0
 
-    def test_a_joint_state_builds_the_x_block_once_per_model(self, monkeypatch):
+    def test_a_joint_state_runs_one_step_on_all_of_x(self, monkeypatch):
         model = REGRESSION_CASES["mismatch@16"]()
         clear_model_caches()
-        oracle_epr_after_measurement(model)
         stepped_models = spy_on_rk4_increment(monkeypatch)
         first = propagate_moments(model)
         second, _ = propagate_moments(model, trajectory=io.StringIO(), return_info=True)
-        assert stepped_models == [(model.n_steps, 16)]
-        info = oracle._x_map.cache_info()
+        assert stepped_models == [(model.n_steps, 37)]
+        info = oracle._joint_maps.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert oracle._pulse_maps.cache_info().misses == 0
         assert first.cov.tobytes() == second.cov.tobytes()
-        # the joint state holds the x block: Cov(P_m, Y_xc) from the shared input
+        # the joint state holds the x accumulators: Cov(P_m, Y_xc) from the shared input
         assert first.cov[oracle._PM, oracle._YXC] != 0.0
 
     @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
     def test_joint_state_is_the_product_on_all_of_x(self, name):
-        # the two blocks' products, the x block's put in by index, give the
-        # covariance of the reference's [vech Sigma; 1] map applied to x_0,
-        # byte for byte, signed zeros included
+        # the product on all of x gives the covariance of the reference's
+        # [vech Sigma; 1] map applied to x_0, byte for byte, signed zeros
+        # included
         model = REGRESSION_CASES[name]()
         x, _, _ = oracle._start(model, DISPLACED_INITIAL.get(name, lambda: None)())
         _, _, pulse = reference_route(model)

@@ -1,4 +1,5 @@
-"""The per-piece timing script runs, times every piece and counts its page faults."""
+"""The per-piece timing script runs, times every piece at its best and median
+and counts its page faults."""
 
 import subprocess
 import sys
@@ -17,7 +18,7 @@ PIECES = [
     "_rk4_increment (RK4 step)",
     "_power_increment (powering)",
     "_pulse_maps (fresh readout build)",
-    "_x_map (fresh x-block build)",
+    "_joint_maps (fresh build on all of x)",
     "_mean_map (fresh build)",
     "_per_step_values (12 periods)",
     "_write_trajectory (12 periods)",
@@ -38,11 +39,12 @@ def test_piece_timings_smoke():
         check=True,
     )
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("# best of 1 x 1 calls, one BLAS thread")
-    timed = [line.rsplit(None, 4) for line in lines[1:]]
+    assert lines[0].startswith("# best and median of 1 x 1 calls, one BLAS thread")
+    timed = [line.rsplit(None, 6) for line in lines[1:]]
     assert [name for name, *_ in timed] == PIECES
-    assert all(float(us) > 0.0 and unit == "us" for _, us, unit, _, _ in timed)
-    assert all(float(faults) >= 0.0 and label == "faults" for *_, faults, label in timed)
+    for _, best, unit, median, median_unit, faults, label in timed:
+        assert 0.0 < float(best) <= float(median) and unit == median_unit == "us"
+        assert float(faults) >= 0.0 and label == "faults"
 
 
 def test_piece_timings_refuses_a_zero_count():

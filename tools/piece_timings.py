@@ -1,4 +1,4 @@
-"""Per-piece timings of the package, best of N, in microseconds.
+"""Per-piece timings of the package, best and median of N, in microseconds.
 
 Run from anywhere; the package is imported from the ``src`` directory of
 the checkout that holds this script:
@@ -7,11 +7,12 @@ the checkout that holds this script:
     python tools/piece_timings.py --number 1 --repeat 1
 
 Each piece is called once untimed, which fills every cache it reads, and
-then timed with ``timeit``: the best of ``--repeat`` runs of ``--number``
-calls, per call.  Beside each time stands the mean count of minor page
-faults a call took over all the timed runs (``ru_minflt``): a piece whose
-scratch the allocator hands back to the system between calls faults its
-pages in again on every call.  BLAS and OpenMP run on one thread, as in the
+then timed with ``timeit``: the best and the median of ``--repeat`` runs of
+``--number`` calls, per call, so that one invocation shows its own spread.
+Beside the times stands the mean count of minor page faults a call took
+over all the timed runs (``ru_minflt``): a piece whose scratch the
+allocator hands back to the system between calls faults its pages in again
+on every call.  BLAS and OpenMP run on one thread, as in the
 benchmark.
 The pieces are the layers of a cached ``oracle_sweep`` operation and of a
 CLI run, whose report is rendered at two sizes: one run's and a sweep's.
@@ -20,11 +21,12 @@ each timed alone; the maps read them from a per-model cache.  The fresh
 builds call the uncached functions, with the parts, the rotation lifts and
 the unmixing inverse already cached: the readout block's pulse map, which
 every figure reads, after its pieces timed alone (the RK4 step with its
-generators' lift, and the powering of its increment); the x block's, which
-a joint state pays once per drift model; and the means', which a pulse from
-a displaced state pays once per drift model.  The trajectory
-layer of an ``oracle_trajectory`` operation is timed on a cached pulse of
-``TRAJECTORY_PERIODS``: its per-step values, and their CSV text written to
+generators' lift, and the powering of its increment); the map on all of
+the covariance state, which a joint state pays once per drift model; and the
+means', which a pulse from a displaced state pays once per drift model.  The
+trajectory layer of an ``oracle_trajectory`` operation is timed on a cached
+pulse of ``TRAJECTORY_PERIODS``, on the step of the map on all of the state,
+as a joint state reads it: its per-step values, and their CSV text written to
 a fresh ``StringIO``.  The text is also timed for a pulse of
 ``LONG_TRAJECTORY_PERIODS``, where the writer's chunk size shows, and the
 ``%.17g`` kernel alone on the first ``CHUNK_ROWS`` rows of the first pulse's
@@ -50,6 +52,7 @@ for _var in (
 import argparse  # noqa: E402
 import io  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -98,11 +101,11 @@ def pieces() -> dict:
         for periods in (TRAJECTORY_PERIODS, LONG_TRAJECTORY_PERIODS)
     )
     start = oracle._start(trajectory, None)[0]
-    trajectory_step = oracle._pulse_maps(trajectory)[0]
+    trajectory_step = oracle._joint_maps(trajectory)[0]
     values = oracle._per_step_values(trajectory, trajectory_step, start)
     long_values = oracle._per_step_values(
         long_trajectory,
-        oracle._pulse_maps(long_trajectory)[0],
+        oracle._joint_maps(long_trajectory)[0],
         oracle._start(long_trajectory, None)[0],
     )
     # the writer's table: k dt and the four written columns of each step
@@ -130,7 +133,7 @@ def pieces() -> dict:
         ),
         "_power_increment (powering)": lambda: oracle._power_increment(increment, model.n_steps),
         "_pulse_maps (fresh readout build)": lambda: oracle._pulse_maps.__wrapped__(model),
-        "_x_map (fresh x-block build)": lambda: oracle._x_map.__wrapped__(model),
+        "_joint_maps (fresh build on all of x)": lambda: oracle._joint_maps.__wrapped__(model),
         "_mean_map (fresh build)": lambda: oracle._mean_map.__wrapped__(model),
         f"_per_step_values ({TRAJECTORY_PERIODS} periods)": lambda: oracle._per_step_values(
             trajectory, trajectory_step, start
@@ -151,18 +154,24 @@ def pieces() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--number", type=int, default=1000, help="calls per timed run")
-    parser.add_argument("--repeat", type=int, default=7, help="timed runs; the best is kept")
+    parser.add_argument(
+        "--repeat", type=int, default=7, help="timed runs; the best and the median are kept"
+    )
     args = parser.parse_args(argv)
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be at least 1")
-    print(f"# best of {args.repeat} x {args.number} calls, one BLAS thread, numpy {np.__version__}")
+    print(
+        f"# best and median of {args.repeat} x {args.number} calls, one BLAS thread, "
+        f"numpy {np.__version__}"
+    )
     for name, call in pieces().items():
         call()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        best = min(timeit.repeat(call, number=args.number, repeat=args.repeat)) / args.number
+        runs = timeit.repeat(call, number=args.number, repeat=args.repeat)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         per_call = faults / (args.number * args.repeat)
-        print(f"{name:<40} {best * 1e6:9.1f} us {per_call:9.1f} faults")
+        best, median = (1e6 * t / args.number for t in (min(runs), statistics.median(runs)))
+        print(f"{name:<40} {best:9.1f} us {median:9.1f} us {per_call:9.1f} faults")
     return 0
 
 
